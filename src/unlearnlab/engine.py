@@ -20,6 +20,7 @@ unlearning data (with a divergence guard).
 from __future__ import annotations
 
 import json
+import math
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -90,14 +91,14 @@ class EngineConfig:
             problems.append("batch_size must be >= 2")
         if not 1 <= self.remaining_resamples <= 4:
             problems.append("remaining_resamples must lie in [1, 4]")
-        if not self.learning_rate > 0:
-            problems.append("learning_rate must be positive")
+        if not (math.isfinite(self.learning_rate) and self.learning_rate > 0):
+            problems.append("learning_rate must be positive and finite")
         if self.max_epochs < 0 or self.max_unlearn_epochs < 0:
             problems.append("epoch caps must be >= 0")
         if self.termination_every < 1:
             problems.append("termination_every must be >= 1")
-        if not self.divergence_factor > 0:
-            problems.append("divergence_factor must be positive")
+        if not (math.isfinite(self.divergence_factor) and self.divergence_factor > 0):
+            problems.append("divergence_factor must be positive and finite")
         if self.anchor_resample_limit < 1:
             problems.append("anchor_resample_limit must be >= 1")
         if problems:
@@ -234,13 +235,13 @@ def train(
                 with GradTape() as tape:
                     loss = cross_entropy_loss(forward(params, batch.features), batch.labels)
                 grads = tape.gradient(loss, params.as_list())
+                params = _sgd_step(params, grads, cfg.learning_rate)
             except NonFiniteError as exc:
                 raise DivergenceError(
                     f"non-finite loss at epoch {epoch}, batch {b_index}: {exc}",
                     epoch=epoch,
                     batch=b_index,
                 ) from exc
-            params = _sgd_step(params, grads, cfg.learning_rate)
             losses.append(loss.item())
             record.gradient_steps += 1
             record.batches_processed += 1
@@ -360,6 +361,7 @@ def unlearn_contrastive(
                                 ce = as_tensor(0.0)
                             total = combined_loss(ul, ce, cfg.loss)
                         grads = tape.gradient(total, params.as_list())
+                        params = _sgd_step(params, grads, cfg.learning_rate)
                     except NoValidAnchorError:
                         continue
                     except NonFiniteError as exc:
@@ -368,7 +370,6 @@ def unlearn_contrastive(
                             epoch=epoch,
                             batch=b_index,
                         ) from exc
-                    params = _sgd_step(params, grads, cfg.learning_rate)
                     record.gradient_steps += 1
                     ul_losses.append(ul.item())
                     ce_losses.append(ce.item())
@@ -418,13 +419,13 @@ def unlearn_finetune(
                 with GradTape() as tape:
                     loss = cross_entropy_loss(forward(params, batch.features), batch.labels)
                 grads = tape.gradient(loss, params.as_list())
+                params = _sgd_step(params, grads, cfg.learning_rate)
             except NonFiniteError as exc:
                 raise DivergenceError(
                     f"non-finite loss at epoch {epoch}, batch {b_index}: {exc}",
                     epoch=epoch,
                     batch=b_index,
                 ) from exc
-            params = _sgd_step(params, grads, cfg.learning_rate)
             losses.append(loss.item())
             record.gradient_steps += 1
             record.batches_processed += 1

@@ -23,6 +23,7 @@ a weighted sum of the two.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -45,9 +46,11 @@ class LossConfig:
 
     def __post_init__(self):
         problems = []
-        if not self.temperature > 0:
-            problems.append("temperature must be positive")
-        if self.unlearn_weight < 0 or self.ce_weight < 0:
+        if not (math.isfinite(self.temperature) and self.temperature > 0):
+            problems.append("temperature must be positive and finite")
+        if not (math.isfinite(self.unlearn_weight) and math.isfinite(self.ce_weight)):
+            problems.append("term weights must be finite")
+        elif self.unlearn_weight < 0 or self.ce_weight < 0:
             problems.append("term weights must be non-negative")
         if self.unlearn_weight + self.ce_weight <= 0:
             problems.append("at least one term weight must be positive")

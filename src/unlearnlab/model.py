@@ -12,9 +12,12 @@ and loading round-trips bit-exactly.
 """
 from __future__ import annotations
 
+import functools
 import json
 import struct
+import types
 import zlib
+from collections.abc import Mapping
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -27,12 +30,10 @@ from .errors import (
     DimensionError,
     ValidationError,
 )
-from .tensor import Tensor
+from .tensor import ACTIVATIONS, Tensor
 
 _MAGIC = b"ULCK"
 _FORMAT_VERSION = 1
-
-ACTIVATIONS = {"relu": T.relu, "tanh": T.tanh}
 
 
 @dataclass(frozen=True)
@@ -81,6 +82,15 @@ class ModelArchitecture:
         dims.append(("head", self.embedding_dim, self.num_classes))
         return dims
 
+    @functools.cached_property
+    def parameter_shapes(self) -> Mapping[str, tuple[int, ...]]:
+        """Expected shape of every parameter tensor, keyed by name, in order."""
+        shapes = {}
+        for name, fan_in, fan_out in self.layer_dims():
+            shapes[f"{name}.w"] = (fan_in, fan_out)
+            shapes[f"{name}.b"] = (fan_out,)
+        return types.MappingProxyType(shapes)
+
     def to_dict(self) -> dict:
         return {
             "input_dim": self.input_dim,
@@ -109,11 +119,8 @@ class ModelParameters:
     """
 
     def __init__(self, arch: ModelArchitecture, tensors: dict[str, Tensor]):
-        expected = {}
-        for name, fan_in, fan_out in arch.layer_dims():
-            expected[f"{name}.w"] = (fan_in, fan_out)
-            expected[f"{name}.b"] = (fan_out,)
-        if set(tensors) != set(expected):
+        expected = arch.parameter_shapes
+        if tensors.keys() != expected.keys():
             raise DimensionError(
                 f"parameter names {sorted(tensors)} do not match architecture "
                 f"layers {sorted(expected)}"
@@ -182,12 +189,11 @@ def encode(params: ModelParameters, x) -> Tensor:
     """Unit-norm embeddings for a batch, shape (B, embedding_dim)."""
     x = T.as_tensor(x)
     _check_batch(params, x)
-    act = ACTIVATIONS[params.arch.activation]
+    p = params.tensors
     h = x
     for i in range(len(params.arch.hidden)):
-        h = act(T.add(T.matmul(h, params.tensors[f"enc{i}.w"]), params.tensors[f"enc{i}.b"]))
-    e = T.add(T.matmul(h, params.tensors["emb.w"]), params.tensors["emb.b"])
-    return T.l2_normalize(e)
+        h = T.dense(h, p[f"enc{i}.w"], p[f"enc{i}.b"], params.arch.activation)
+    return T.l2_normalize(T.dense(h, p["emb.w"], p["emb.b"]))
 
 
 def head_logits(params: ModelParameters, z) -> Tensor:
@@ -198,7 +204,7 @@ def head_logits(params: ModelParameters, z) -> Tensor:
             f"embedding batch shape {z.shape} does not match embedding_dim "
             f"{params.arch.embedding_dim}"
         )
-    return T.add(T.matmul(z, params.tensors["head.w"]), params.tensors["head.b"])
+    return T.dense(z, params.tensors["head.w"], params.tensors["head.b"])
 
 
 def forward(params: ModelParameters, x) -> Tensor:

@@ -6,9 +6,13 @@ Composing losses from these primitives means no layer or loss needs a
 hand-derived backward pass, and every analytic gradient can be checked
 against the central finite-difference oracle in this module.
 
-All values are 64-bit floats. Every public operation verifies that its
-result is finite, so NaN or overflow surfaces at the op that produced it
-rather than epochs later.
+All values are 64-bit floats. Every operation checks its result for
+finiteness exactly once, so NaN or overflow surfaces at the op that
+produced it rather than epochs later. An op's result is a fresh array,
+so it is wrapped without a copy; only the public ``Tensor(...)`` and
+``as_tensor(...)`` copy, which keeps a caller's array writable and
+unshared. ``dense`` records a whole layer, ``act(x @ w + b)``, as one
+tape entry.
 """
 from __future__ import annotations
 
@@ -27,6 +31,9 @@ from .errors import (
 # Row norms at or below this are treated as zero vectors.
 NORM_EPSILON = 1e-12
 
+# Nonlinearities that dense() can apply after its affine map.
+ACTIVATIONS = ("relu", "tanh")
+
 _tensor_ids = itertools.count()
 _active_tape: "GradTape | None" = None
 
@@ -36,7 +43,8 @@ class Tensor:
 
     Wraps a read-only numpy array. Tensors are written once by the
     operation that produced them; updates (such as SGD steps) build new
-    tensors instead of mutating.
+    tensors instead of mutating. The constructor copies and checks
+    ``values``; operations wrap their fresh results without a copy.
     """
 
     __slots__ = ("data", "tid", "tape")
@@ -45,7 +53,7 @@ class Tensor:
         arr = np.array(values, dtype=np.float64)
         if shape is not None:
             arr = arr.reshape(tuple(shape))
-        if not np.all(np.isfinite(arr)):
+        if not _all_finite(arr):
             raise NonFiniteError("tensor constructed with non-finite entries")
         arr.flags.writeable = False
         self.data = arr
@@ -98,6 +106,36 @@ class Tensor:
         return multiply(self, -1.0)
 
 
+def _all_finite(arr: np.ndarray) -> bool:
+    # The ufunc reduction directly; np.all and ndarray.all add Python wrappers.
+    return bool(np.logical_and.reduce(np.isfinite(arr), axis=None))
+
+
+def _wrap(arr: np.ndarray) -> Tensor:
+    """Freeze an array no caller can write through and wrap it, without a copy.
+
+    Op results are fresh arrays, or views of read-only op inputs.
+    """
+    arr.flags.writeable = False
+    out = Tensor.__new__(Tensor)
+    out.data = arr
+    out.tid = next(_tensor_ids)
+    out.tape = None
+    return out
+
+
+def _fresh(arr, op: str) -> Tensor:
+    """An op's freshly computed result after its one finite check.
+
+    A full reduction yields a numpy scalar; it becomes a 0-d array.
+    """
+    if type(arr) is not np.ndarray:
+        arr = np.asarray(arr)
+    if not _all_finite(arr):
+        raise NonFiniteError(f"{op} produced non-finite values")
+    return _wrap(arr)
+
+
 def as_tensor(values) -> Tensor:
     """Wrap array-like input as a Tensor; Tensors pass through unchanged."""
     if isinstance(values, Tensor):
@@ -138,7 +176,8 @@ class GradTape:
         """Gradients of a scalar output with respect to each input.
 
         Inputs that did not participate in producing the output get an
-        exact zero gradient of their own shape.
+        exact zero gradient of their own shape. Each gradient is checked
+        for finiteness once and returned read-only, without a copy.
         """
         if output.shape != ():
             raise ContractError(f"gradient of non-scalar output with shape {output.shape}")
@@ -157,7 +196,9 @@ class GradTape:
             g = adjoints.get(inp.tid)
             if g is None:
                 g = np.zeros(inp.shape)
-            out.append(Tensor(np.broadcast_to(g, inp.shape)))
+            if g.shape != inp.shape:
+                g = np.broadcast_to(g, inp.shape)
+            out.append(_fresh(g, "gradient"))
         return out
 
 
@@ -172,11 +213,6 @@ def grad(output: Tensor, inputs: Sequence[Tensor]) -> list[Tensor]:
     if output.tape is None:
         return [Tensor(np.zeros(inp.shape)) for inp in inputs]
     return output.tape.gradient(output, inputs)
-
-
-def _check_finite(arr: np.ndarray, op: str) -> None:
-    if not np.all(np.isfinite(arr)):
-        raise NonFiniteError(f"{op} produced non-finite values")
 
 
 def _record(out: Tensor, inputs: Sequence[Tensor], backward: Callable) -> None:
@@ -202,11 +238,49 @@ def matmul(a, b) -> Tensor:
     a, b = as_tensor(a), as_tensor(b)
     if a.ndim != 2 or b.ndim != 2 or a.shape[1] != b.shape[0]:
         raise DimensionError(f"matmul: incompatible shapes {a.shape} and {b.shape}")
-    out_data = a.data @ b.data
-    _check_finite(out_data, "matmul")
-    out = Tensor(out_data)
+    out = _fresh(a.data @ b.data, "matmul")
     a_data, b_data = a.data, b.data
     _record(out, (a, b), lambda g: (g @ b_data.T, a_data.T @ g))
+    return out
+
+
+def dense(x, w, b, activation: str | None = None) -> Tensor:
+    """One layer, act(x @ w + b), recorded as a single tape entry.
+
+    x is (B, fan_in), w is (fan_in, fan_out) and b is (fan_out,);
+    activation is one of ACTIVATIONS or None. Forward and backward do
+    the arithmetic of matmul, add and the activation in that order, so
+    the results are bit-identical to composing those ops.
+    """
+    x, w, b = as_tensor(x), as_tensor(w), as_tensor(b)
+    if x.ndim != 2 or w.ndim != 2 or x.shape[1] != w.shape[0] or b.shape != w.shape[1:]:
+        raise DimensionError(f"dense: incompatible shapes {x.shape}, {w.shape} and {b.shape}")
+    if activation is not None and activation not in ACTIVATIONS:
+        raise ContractError(f"dense: unknown activation {activation!r}")
+    pre = x.data @ w.data
+    pre += b.data
+    # Both activations map finite values to finite values, so the op's one
+    # check is on the pre-activation (tanh would turn an overflow into 1).
+    if not _all_finite(pre):
+        raise NonFiniteError("dense produced non-finite values")
+    if activation == "relu":
+        mask = pre > 0.0
+        out_data = np.maximum(pre, 0.0)
+    elif activation == "tanh":
+        out_data = np.tanh(pre)
+    else:
+        out_data = pre
+    out = _wrap(out_data)
+    x_data, w_data, b_shape = x.data, w.data, b.shape
+
+    def backward(g):
+        if activation == "relu":
+            g = g * mask
+        elif activation == "tanh":
+            g = g * (1.0 - out_data * out_data)
+        return (g @ w_data.T, x_data.T @ g, _unbroadcast(g, b_shape))
+
+    _record(out, (x, w, b), backward)
     return out
 
 
@@ -214,7 +288,7 @@ def transpose(a) -> Tensor:
     a = as_tensor(a)
     if a.ndim != 2:
         raise DimensionError(f"transpose: rank-2 tensor required, got shape {a.shape}")
-    out = Tensor(a.data.T)
+    out = _fresh(a.data.T, "transpose")
     _record(out, (a,), lambda g: (g.T,))
     return out
 
@@ -225,8 +299,7 @@ def add(a, b) -> Tensor:
         out_data = a.data + b.data
     except ValueError as exc:
         raise DimensionError(f"add: incompatible shapes {a.shape} and {b.shape}") from exc
-    _check_finite(out_data, "add")
-    out = Tensor(out_data)
+    out = _fresh(out_data, "add")
     a_shape, b_shape = a.shape, b.shape
     _record(out, (a, b), lambda g: (_unbroadcast(g, a_shape), _unbroadcast(g, b_shape)))
     return out
@@ -238,8 +311,7 @@ def subtract(a, b) -> Tensor:
         out_data = a.data - b.data
     except ValueError as exc:
         raise DimensionError(f"subtract: incompatible shapes {a.shape} and {b.shape}") from exc
-    _check_finite(out_data, "subtract")
-    out = Tensor(out_data)
+    out = _fresh(out_data, "subtract")
     a_shape, b_shape = a.shape, b.shape
     _record(out, (a, b), lambda g: (_unbroadcast(g, a_shape), _unbroadcast(-g, b_shape)))
     return out
@@ -252,8 +324,7 @@ def multiply(a, b) -> Tensor:
         out_data = a.data * b.data
     except ValueError as exc:
         raise DimensionError(f"multiply: incompatible shapes {a.shape} and {b.shape}") from exc
-    _check_finite(out_data, "multiply")
-    out = Tensor(out_data)
+    out = _fresh(out_data, "multiply")
     a_data, b_data, a_shape, b_shape = a.data, b.data, a.shape, b.shape
     _record(
         out,
@@ -265,7 +336,7 @@ def multiply(a, b) -> Tensor:
 
 def relu(a) -> Tensor:
     a = as_tensor(a)
-    out = Tensor(np.maximum(a.data, 0.0))
+    out = _fresh(np.maximum(a.data, 0.0), "relu")
     mask = a.data > 0.0
     _record(out, (a,), lambda g: (g * mask,))
     return out
@@ -274,7 +345,7 @@ def relu(a) -> Tensor:
 def tanh(a) -> Tensor:
     a = as_tensor(a)
     out_data = np.tanh(a.data)
-    out = Tensor(out_data)
+    out = _fresh(out_data, "tanh")
     _record(out, (a,), lambda g: (g * (1.0 - out_data * out_data),))
     return out
 
@@ -282,8 +353,7 @@ def tanh(a) -> Tensor:
 def exp(a) -> Tensor:
     a = as_tensor(a)
     out_data = np.exp(a.data)
-    _check_finite(out_data, "exp")
-    out = Tensor(out_data)
+    out = _fresh(out_data, "exp")
     _record(out, (a,), lambda g: (g * out_data,))
     return out
 
@@ -292,8 +362,7 @@ def log(a) -> Tensor:
     a = as_tensor(a)
     with np.errstate(divide="ignore", invalid="ignore"):
         out_data = np.log(a.data)
-    _check_finite(out_data, "log")
-    out = Tensor(out_data)
+    out = _fresh(out_data, "log")
     a_data = a.data
     _record(out, (a,), lambda g: (g / a_data,))
     return out
@@ -303,13 +372,13 @@ def reduce_sum(a, axis: int | None = None) -> Tensor:
     """Sum over one axis, or over all entries when axis is None."""
     a = as_tensor(a)
     if axis is None:
-        out = Tensor(a.data.sum())
+        out = _fresh(a.data.sum(), "reduce_sum")
         a_shape = a.shape
         _record(out, (a,), lambda g: (np.broadcast_to(g, a_shape).copy(),))
         return out
     if not -a.ndim <= axis < a.ndim:
         raise DimensionError(f"reduce_sum: axis {axis} out of range for shape {a.shape}")
-    out = Tensor(a.data.sum(axis=axis))
+    out = _fresh(a.data.sum(axis=axis), "reduce_sum")
     a_shape, ax = a.shape, axis % a.ndim
 
     def backward(g):
@@ -340,7 +409,7 @@ def l2_normalize(a) -> Tensor:
     if np.any(norms <= NORM_EPSILON):
         raise DegenerateEmbeddingError("l2_normalize: row with (near-)zero norm")
     out_data = a.data / norms
-    out = Tensor(out_data)
+    out = _fresh(out_data, "l2_normalize")
 
     def backward(g):
         # For z = v / |v|: dv = (g - z (z.g)) / |v|, applied per row.

@@ -313,6 +313,16 @@ class TestFailureModes:
         assert code == 3
         capsys.readouterr()
 
+    def test_non_finite_learning_rate_is_a_usage_error(self, tmp_path, capsys):
+        # Python's json reads the non-standard token Infinity as float("inf").
+        cfg = json.loads(json.dumps(BASE_CONFIG))
+        cfg["engine"]["learning_rate"] = float("inf")
+        path = tmp_path / "inf.json"
+        path.write_text(json.dumps(cfg))
+        assert "Infinity" in path.read_text()
+        assert run("train", "--config", str(path), "--out", str(tmp_path / "o")) == 2
+        assert "learning_rate" in capsys.readouterr().err
+
     def test_invalid_json_config(self, tmp_path):
         path = tmp_path / "broken.json"
         path.write_text("{not json")

@@ -4,15 +4,18 @@ import numpy as np
 import pytest
 
 import unlearnlab as ul
+from unlearnlab.data import TAG_TRAIN_BATCHES
 from unlearnlab.engine import (
     check_termination_class,
     check_termination_sample,
 )
 from unlearnlab.errors import (
     DivergenceError,
+    NonFiniteError,
     UnlearnableConfigurationError,
     ValidationError,
 )
+from unlearnlab.tensor import add, l2_normalize, matmul, relu
 
 SMALL_ARCH = ul.ModelArchitecture(input_dim=2, hidden=(8,), embedding_dim=4, num_classes=2)
 
@@ -125,6 +128,58 @@ class TestTrain:
             with pytest.raises(DivergenceError):
                 ul.train(SMALL_ARCH, train, cfg)
 
+    def test_matches_reference_loop_of_public_primitives(self):
+        # The engine's fast paths must change no bit of the result. This
+        # loop runs the same SGD from public primitives: a separate
+        # matmul, add and relu per layer, the public tape.gradient and
+        # ModelParameters.replace.
+        arch = ul.ModelArchitecture(input_dim=3, hidden=(6, 5), embedding_dim=4, num_classes=3)
+        train, _ = ul.generate_synthetic(3, 3, 30, 5, spread=1.0, seed=4)
+        cfg = ul.EngineConfig(seed=4, max_epochs=2, learning_rate=0.2, batch_size=16)
+        engine_params, _ = ul.train(arch, train, cfg)
+
+        params = ul.init_parameters(arch, cfg.seed)
+        for epoch in range(cfg.max_epochs):
+            for batch in ul.batches(train, cfg.batch_size, [cfg.seed, TAG_TRAIN_BATCHES, epoch]):
+                p = params.tensors
+                with ul.GradTape() as tape:
+                    h = batch.features
+                    for i in range(len(arch.hidden)):
+                        h = relu(add(matmul(h, p[f"enc{i}.w"]), p[f"enc{i}.b"]))
+                    z = l2_normalize(add(matmul(h, p["emb.w"]), p["emb.b"]))
+                    logits = add(matmul(z, p["head.w"]), p["head.b"])
+                    loss = ul.cross_entropy_loss(logits, batch.labels)
+                grads = tape.gradient(loss, params.as_list())
+                params = params.replace(
+                    [w.data - cfg.learning_rate * g.data for w, g in zip(params.as_list(), grads)]
+                )
+        assert params.names() == engine_params.names()
+        for want, got in zip(params.as_list(), engine_params.as_list()):
+            assert np.array_equal(want.data, got.data)
+
+    def test_non_finite_update_is_a_divergence(self, monkeypatch):
+        # An update that overflows is reported like a non-finite loss, in
+        # every gradient-descent run, not raised as a bare NonFiniteError.
+        params, task = harder_setup()
+        train, _, cfg = small_setup()
+        unlearn_cfg = ul.EngineConfig(
+            seed=0, batch_size=16, max_unlearn_epochs=1, loss=ul.LossConfig(variant="sample")
+        )
+
+        def overflowing_update(self, new_values):
+            raise NonFiniteError("update overflowed")
+
+        monkeypatch.setattr(ul.ModelParameters, "replace", overflowing_update)
+        runs = (
+            lambda: ul.train(SMALL_ARCH, train, cfg),
+            lambda: ul.unlearn_finetune(params, task, unlearn_cfg),
+            lambda: ul.unlearn_contrastive(params, task, unlearn_cfg),
+        )
+        for run in runs:
+            with pytest.raises(DivergenceError) as exc:
+                run()
+            assert exc.value.epoch == 0 and exc.value.batch == 0
+
     def test_config_validation(self):
         with pytest.raises(ValidationError):
             ul.EngineConfig(batch_size=1)
@@ -134,6 +189,11 @@ class TestTrain:
             ul.EngineConfig(termination_every=0)
         with pytest.raises(ValidationError):
             ul.EngineConfig(learning_rate=0.0)
+        for bad in (float("inf"), float("nan")):
+            with pytest.raises(ValidationError):
+                ul.EngineConfig(learning_rate=bad)
+            with pytest.raises(ValidationError):
+                ul.EngineConfig(divergence_factor=bad)
 
 
 class TestRetrain:

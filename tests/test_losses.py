@@ -305,3 +305,10 @@ class TestCombined:
             LossConfig(unlearn_weight=0.0, ce_weight=0.0)
         with pytest.raises(ValidationError):
             LossConfig(variant="other")
+        for bad in (float("inf"), float("nan")):
+            with pytest.raises(ValidationError):
+                LossConfig(temperature=bad)
+            with pytest.raises(ValidationError):
+                LossConfig(unlearn_weight=bad)
+            with pytest.raises(ValidationError):
+                LossConfig(ce_weight=bad)

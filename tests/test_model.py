@@ -89,6 +89,14 @@ class TestInit:
         expected_std = s / np.sqrt(3.0)
         assert abs(w.std() - expected_std) < 0.05 * expected_std
 
+    def test_replace_copies_caller_arrays(self):
+        params = init_parameters(ARCH, seed=0)
+        values = [np.ones(t.shape) for t in params.as_list()]
+        new = params.replace(values)
+        for arr, t in zip(values, new.as_list()):
+            assert arr.flags.writeable and not np.shares_memory(arr, t.data)
+            assert not t.data.flags.writeable
+
     def test_replace_rejects_wrong_shape(self):
         params = init_parameters(ARCH, seed=0)
         values = [t.data for t in params.as_list()]

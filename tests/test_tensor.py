@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from unlearnlab.errors import (
     ContractError,
@@ -14,6 +16,7 @@ from unlearnlab.tensor import (
     Tensor,
     add,
     as_tensor,
+    dense,
     exp,
     finite_difference_gradient,
     grad,
@@ -113,6 +116,40 @@ class TestForward:
         t = as_tensor([1.0, 2.0])
         with pytest.raises(ValueError):
             t.data[0] = 5.0
+
+    def test_construction_copies_and_leaves_caller_array_writable(self):
+        arr = np.array([1.0, 2.0])
+        t = Tensor(arr)
+        assert arr.flags.writeable
+        assert not np.shares_memory(arr, t.data)
+        arr[0] = 5.0
+        assert t.data[0] == 1.0
+        assert as_tensor(arr).data[0] == 5.0 and arr.flags.writeable
+
+    def test_op_and_gradient_results_are_read_only(self, rng):
+        x = as_tensor(rng.standard_normal((3, 2)))
+        results = [
+            matmul(x, transpose(x)),
+            transpose(x),
+            add(x, 1.0),
+            subtract(x, 1.0),
+            multiply(x, 2.0),
+            relu(x),
+            tanh(x),
+            exp(x),
+            log(add(multiply(x, x), 1.0)),
+            reduce_sum(x),
+            reduce_sum(x, axis=0),
+            l2_normalize(x),
+            dense(x, np.ones((2, 4)), np.zeros(4), "relu"),
+        ]
+        with GradTape() as tape:
+            out = reduce_sum(multiply(x, x))
+        results += tape.gradient(out, [x, as_tensor(1.0)])
+        for t in results:
+            assert isinstance(t.data, np.ndarray)
+            assert not t.data.flags.writeable
+        assert reduce_sum(x).shape == ()
 
     def test_item_requires_scalar(self):
         with pytest.raises(ContractError):
@@ -223,6 +260,95 @@ class TestGradients:
             return tape.gradient(out, [xt])[0].data
 
         assert np.array_equal(run(), run())
+
+
+ACTIVATIONS = (None, "relu", "tanh")
+APPLY = {None: lambda t: t, "relu": relu, "tanh": tanh}
+
+
+def _dense_case(seed, batch, fan_in, fan_out):
+    r = np.random.default_rng(seed)
+    return (
+        r.standard_normal((batch, fan_in)),
+        r.standard_normal((fan_in, fan_out)),
+        r.standard_normal(fan_out),
+        r.standard_normal((batch, fan_out)),
+    )
+
+
+class TestDense:
+    @settings(max_examples=60, deadline=None, database=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        batch=st.integers(1, 5),
+        fan_in=st.integers(1, 5),
+        fan_out=st.integers(1, 5),
+        activation=st.sampled_from(ACTIVATIONS),
+    )
+    def test_gradients_vs_finite_differences(self, seed, batch, fan_in, fan_out, activation):
+        x0, w0, b0, r = _dense_case(seed, batch, fan_in, fan_out)
+        if activation == "relu":
+            # Finite differences are wrong across the kink.
+            assume(np.min(np.abs(x0 @ w0 + b0)) > 1e-3)
+
+        def f(x, w, b):
+            return float(np.sum(dense(x, w, b, activation).data * r))
+
+        xt, wt, bt = as_tensor(x0), as_tensor(w0), as_tensor(b0)
+        with GradTape() as tape:
+            out = reduce_sum(multiply(dense(xt, wt, bt, activation), r))
+        gx, gw, gb = tape.gradient(out, [xt, wt, bt])
+        fds = (
+            finite_difference_gradient(lambda v: f(v, w0, b0), x0),
+            finite_difference_gradient(lambda v: f(x0, v, b0), w0),
+            finite_difference_gradient(lambda v: f(x0, w0, v), b0),
+        )
+        # A relative error alone fails on random draws whose gradient
+        # entries nearly cancel; finite differences are good to ~1e-10 here.
+        for analytic, fd in zip((gx, gw, gb), fds):
+            np.testing.assert_allclose(analytic.data, fd, rtol=1e-6, atol=1e-8)
+
+    @pytest.mark.parametrize("activation", ACTIVATIONS)
+    def test_bit_identical_to_composed_ops(self, activation):
+        x0, w0, b0, r = _dense_case(7, 6, 5, 3)
+
+        def run(layer):
+            xt, wt, bt = as_tensor(x0), as_tensor(w0), as_tensor(b0)
+            with GradTape() as tape:
+                h = layer(xt, wt, bt)
+                out = reduce_sum(multiply(h, r))
+            return [h.data] + [g.data for g in tape.gradient(out, [xt, wt, bt])]
+
+        fused = run(lambda x, w, b: dense(x, w, b, activation))
+        composed = run(lambda x, w, b: APPLY[activation](add(matmul(x, w), b)))
+        for got, want in zip(fused, composed):
+            assert np.array_equal(got, want)
+
+    def test_one_tape_entry_per_call(self, rng):
+        x = as_tensor(rng.standard_normal((4, 3)))
+        with GradTape() as tape:
+            h = dense(x, rng.standard_normal((3, 2)), np.zeros(2), "relu")
+        assert len(tape) == 1 and tape.operation_ids() == [h.tid]
+
+    def test_rejects_mismatched_shapes(self):
+        with pytest.raises(DimensionError):
+            dense(np.ones((2, 3)), np.ones((4, 2)), np.zeros(2))
+        with pytest.raises(DimensionError):
+            dense(np.ones((2, 3)), np.ones((3, 2)), np.zeros(3))
+        with pytest.raises(DimensionError):
+            dense(np.ones(3), np.ones((3, 2)), np.zeros(2))
+
+    def test_rejects_unknown_activation(self):
+        with pytest.raises(ContractError):
+            dense(np.ones((2, 3)), np.ones((3, 2)), np.zeros(2), "sigmoid")
+
+    @pytest.mark.parametrize("activation", ACTIVATIONS)
+    def test_overflow_rejected(self, activation):
+        # tanh maps the overflowed pre-activation to a finite 1.0, so the
+        # check has to see the pre-activation.
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(NonFiniteError):
+                dense(np.full((2, 3), 1e200), np.full((3, 2), 1e200), np.zeros(2), activation)
 
 
 class TestTape:
