@@ -20,6 +20,14 @@ from the sum; exclusion is exact, never a NaN.
 The restore term is plain softmax cross-entropy on remaining samples,
 computed with max-subtraction for stability. The combined objective is
 a weighted sum of the two.
+
+Each loss is recorded as one tape entry with a hand-written backward.
+Forward and backward run the numpy expressions of the same loss
+composed from tensor ops, in the same order, so values and gradients
+are bit-identical to the composed version, while constants such as the
+row max, the one-hot labels and the masks get no adjoint. A value the
+composed ops would have rejected as non-finite still raises
+NonFiniteError.
 """
 from __future__ import annotations
 
@@ -29,7 +37,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import tensor as T
-from .errors import ContractError, NoValidAnchorError, ValidationError
+from .errors import ContractError, NoValidAnchorError, NonFiniteError, ValidationError
 from .tensor import Tensor
 
 VARIANTS = ("sample", "class")
@@ -115,11 +123,45 @@ def build_contrast_sets(
     )
 
 
-def _similarities(sets: ContrastSets, temperature: float) -> Tensor:
-    return T.multiply(
-        T.matmul(sets.anchor_embeddings, T.transpose(sets.remaining_embeddings)),
-        1.0 / temperature,
-    )
+def _check_temperature(temperature: float) -> None:
+    if not (math.isfinite(temperature) and temperature > 0):
+        raise ValidationError("temperature must be positive and finite")
+
+
+def _require_finite(arr: np.ndarray, what: str) -> np.ndarray:
+    if not T._all_finite(arr):
+        raise NonFiniteError(f"{what} is not finite")
+    return arr
+
+
+def _similarities(sets: ContrastSets, temperature: float) -> np.ndarray:
+    """Scaled similarities s = (a @ r.T) / t, checked: a tiny t overflows them."""
+    s = (sets.anchor_embeddings.data @ sets.remaining_embeddings.data.T) * (1.0 / temperature)
+    return _require_finite(s, "scaled similarities")
+
+
+def _record_contrastive(
+    value, sets: ContrastSets, temperature: float, similarity_adjoint, name: str
+) -> Tensor:
+    """Tape a contrastive loss as one entry over both embedding batches.
+
+    similarity_adjoint(g) maps the loss's adjoint g onto the scaled
+    similarities s; the entry's backward carries it through the scaling
+    and the product to the anchor and remaining embeddings.
+    """
+    out = T._fresh(value, name)
+    a, r = sets.anchor_embeddings, sets.remaining_embeddings
+    a_data, r_data, inv_t = a.data, r.data, 1.0 / temperature
+
+    def backward(g):
+        g_s = similarity_adjoint(g) * inv_t
+        # (a.T @ g_s).T is the product the composed transpose and matmul
+        # formed; g_s.T @ a can differ from it in the last bits where BLAS
+        # picks another kernel, as OpenBLAS does for large shapes.
+        return (g_s @ r_data, (a_data.T @ g_s).T)
+
+    T._record(out, (a, r), backward)
+    return out
 
 
 def sample_unlearn_loss(sets: ContrastSets, temperature: float) -> Tensor:
@@ -129,8 +171,7 @@ def sample_unlearn_loss(sets: ContrastSets, temperature: float) -> Tensor:
     contribute exactly zero. Raises when no anchor is valid so the
     caller can resample the remaining batch.
     """
-    if not temperature > 0:
-        raise ValidationError("temperature must be positive")
+    _check_temperature(temperature)
     n_pos = sets.positive_counts
     n_neg = sets.negative_counts
     valid = (n_pos >= 1) & (n_neg >= 1)
@@ -138,17 +179,26 @@ def sample_unlearn_loss(sets: ContrastSets, temperature: float) -> Tensor:
         raise NoValidAnchorError("every anchor lacks a positive or a negative")
 
     s = _similarities(sets, temperature)
+    positive = sets.positive_mask.astype(np.float64)
+    negative = sets.negative_mask.astype(np.float64)
+    valid_f = valid.astype(np.float64)
     # Per anchor i: -(1/|N_i|) sum_a s_ia + log(sum_p exp(s_ip)).
-    neg_sum = T.reduce_sum(T.multiply(s, sets.negative_mask.astype(np.float64)), axis=1)
-    pos_den = T.reduce_sum(T.multiply(T.exp(s), sets.positive_mask.astype(np.float64)), axis=1)
+    neg_sum = (s * negative).sum(axis=1)
+    exp_s = _require_finite(np.exp(s), "exp of the scaled similarities")
     # Pad invalid rows so the log stays finite; their term is zeroed below.
-    pos_den = T.add(pos_den, (~valid).astype(np.float64))
+    pos_den = (exp_s * positive).sum(axis=1) + (~valid).astype(np.float64)
+    with np.errstate(divide="ignore"):
+        log_den = _require_finite(np.log(pos_den), "log of the positive sum")
     neg_coeff = np.where(valid, -1.0 / np.maximum(n_neg, 1), 0.0)
-    per_anchor = T.add(
-        T.multiply(neg_sum, neg_coeff),
-        T.multiply(T.log(pos_den), valid.astype(np.float64)),
-    )
-    return T.reduce_sum(per_anchor)
+    # A sum over the negatives can still overflow; it stays infinite (or
+    # turns NaN) through the rest, so the final value's check catches it.
+    value = (neg_sum * neg_coeff + log_den * valid_f).sum()
+
+    def similarity_adjoint(g):
+        g_den = (g * valid_f) / pos_den
+        return g_den[:, None] * positive * exp_s + (g * neg_coeff)[:, None] * negative
+
+    return _record_contrastive(value, sets, temperature, similarity_adjoint, "sample_unlearn_loss")
 
 
 def class_unlearn_loss(sets: ContrastSets, temperature: float) -> Tensor:
@@ -157,19 +207,26 @@ def class_unlearn_loss(sets: ContrastSets, temperature: float) -> Tensor:
     Only a negative set is required; the positive-sum denominator is
     replaced by the negative count.
     """
-    if not temperature > 0:
-        raise ValidationError("temperature must be positive")
+    _check_temperature(temperature)
     n_neg = sets.negative_counts
     valid = n_neg >= 1
     if not valid.any():
         raise NoValidAnchorError("every anchor lacks a negative")
 
     s = _similarities(sets, temperature)
+    negative = sets.negative_mask.astype(np.float64)
     # Per anchor i: -(1/|N_i|) sum_a s_ia + log(|N_i|).
-    neg_sum = T.reduce_sum(T.multiply(s, sets.negative_mask.astype(np.float64)), axis=1)
+    neg_sum = (s * negative).sum(axis=1)
     neg_coeff = np.where(valid, -1.0 / np.maximum(n_neg, 1), 0.0)
     constant = float(np.sum(np.log(n_neg[valid])))
-    return T.add(T.reduce_sum(T.multiply(neg_sum, neg_coeff)), constant)
+    # Only the sums can overflow past the similarities; an infinite sum
+    # stays non-finite through the rest, so the final value's check catches it.
+    value = (neg_sum * neg_coeff).sum() + constant
+
+    def similarity_adjoint(g):
+        return (g * neg_coeff)[:, None] * negative
+
+    return _record_contrastive(value, sets, temperature, similarity_adjoint, "class_unlearn_loss")
 
 
 def cross_entropy_loss(logits: Tensor, labels: np.ndarray) -> Tensor:
@@ -184,14 +241,29 @@ def cross_entropy_loss(logits: Tensor, labels: np.ndarray) -> Tensor:
     if labels.size and (labels.min() < 0 or labels.max() >= num_classes):
         raise ContractError(f"labels must lie in [0, {num_classes})")
 
-    # Subtracting the detached row max leaves the loss value unchanged
-    # and keeps every exponent at or below zero.
-    shifted = T.subtract(logits, logits.data.max(axis=1, keepdims=True))
-    log_norm = T.log(T.reduce_sum(T.exp(shifted), axis=1))
+    # Subtracting the row max leaves the loss value unchanged and keeps
+    # every exponent at or below zero, but the difference of two finite
+    # logits can overflow. Past it, exp lies in [0, 1], the row sums in
+    # [1, num_classes] and each row's log_norm - picked is finite; only
+    # the batch sum can overflow, into the checked final value.
+    shifted = _require_finite(
+        logits.data - logits.data.max(axis=1, keepdims=True), "shifted logits"
+    )
+    e = np.exp(shifted)
+    sum_exp = e.sum(axis=1)
+    log_norm = np.log(sum_exp)
     onehot = np.zeros((batch, num_classes))
     onehot[np.arange(batch), labels] = 1.0
-    picked = T.reduce_sum(T.multiply(shifted, onehot), axis=1)
-    return T.multiply(T.reduce_sum(T.subtract(log_norm, picked)), 1.0 / batch)
+    picked = (shifted * onehot).sum(axis=1)
+    inv_batch = 1.0 / batch
+    out = T._fresh((log_norm - picked).sum() * inv_batch, "cross_entropy_loss")
+
+    def backward(g):
+        g = g * inv_batch
+        return ((-g) * onehot + (g / sum_exp)[:, None] * e,)
+
+    T._record(out, (logits,), backward)
+    return out
 
 
 def combined_loss(unlearn: Tensor, ce: Tensor, cfg: LossConfig) -> Tensor:

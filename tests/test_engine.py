@@ -196,6 +196,54 @@ class TestTrain:
                 ul.EngineConfig(divergence_factor=bad)
 
 
+class TestTapeSize:
+    """Tape entries per step with two hidden layers: a dense per layer, the
+    l2_normalize, the head's dense, one per loss and three for the sum."""
+
+    ARCH = ul.ModelArchitecture(input_dim=2, hidden=(8, 8), embedding_dim=4, num_classes=2)
+
+    @staticmethod
+    def recorded_sizes(monkeypatch):
+        sizes = []
+        replay = ul.GradTape.gradient
+
+        def counting(self, output, inputs):
+            sizes.append(len(self))
+            return replay(self, output, inputs)
+
+        monkeypatch.setattr(ul.GradTape, "gradient", counting)
+        return sizes
+
+    def test_train_step(self, monkeypatch):
+        train, _, _ = small_setup()
+        cfg = ul.EngineConfig(seed=0, max_epochs=2, learning_rate=0.1, batch_size=16)
+        sizes = self.recorded_sizes(monkeypatch)
+        _, record = ul.train(self.ARCH, train, cfg)
+        assert len(sizes) == record.gradient_steps > 0
+        assert set(sizes) == {6}
+
+    @pytest.mark.parametrize("kind", ["class", "sample"])
+    def test_contrastive_step(self, monkeypatch, kind):
+        train, test = ul.generate_synthetic(2, 2, 50, 50, spread=0.8, seed=1)
+        cfg = ul.EngineConfig(seed=1, max_epochs=60, learning_rate=0.1, batch_size=16)
+        params, _ = ul.train(self.ARCH, train, cfg)
+        if kind == "class":
+            spec = ul.TaskSpec(kind="class", class_id=0)
+        else:
+            spec = ul.TaskSpec(kind="sample", sample_count=10, seed=2)
+        task = ul.make_task(train, test, spec)
+        ucfg = ul.EngineConfig(
+            seed=0,
+            batch_size=16,
+            max_unlearn_epochs=1,
+            loss=ul.LossConfig(variant=kind, unlearn_weight=0.5, ce_weight=1.0),
+        )
+        sizes = self.recorded_sizes(monkeypatch)
+        _, record = ul.unlearn_contrastive(params, task, ucfg)
+        assert len(sizes) == record.gradient_steps > 0
+        assert set(sizes) == {14}
+
+
 class TestRetrain:
     def test_equals_training_on_remaining_rows(self):
         train, test, cfg = small_setup()

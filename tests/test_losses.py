@@ -2,15 +2,24 @@
 
 The batched implementations are checked against a literal double loop
 over anchors and remaining samples, written here independently of the
-library code.
+library code. Each loss is one tape entry; its values and gradients are
+also checked bit for bit against the same loss composed from the public
+tensor ops.
 """
 
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from unlearnlab.errors import ContractError, NoValidAnchorError, ValidationError
+from unlearnlab.errors import (
+    ContractError,
+    NonFiniteError,
+    NoValidAnchorError,
+    ValidationError,
+)
 from unlearnlab.losses import (
     LossConfig,
     build_contrast_sets,
@@ -21,10 +30,18 @@ from unlearnlab.losses import (
 )
 from unlearnlab.tensor import (
     GradTape,
+    add,
     as_tensor,
+    exp,
     finite_difference_gradient,
     gradient_relative_error,
     l2_normalize,
+    log,
+    matmul,
+    multiply,
+    reduce_sum,
+    subtract,
+    transpose,
 )
 
 
@@ -58,6 +75,50 @@ def naive_class_loss(anchor_emb, anchor_lab, rem_emb, rem_lab, tau):
         neg_term = -sum(float(ai @ rem_emb[j]) / tau for j in neg) / len(neg)
         total += neg_term + math.log(len(neg))
     return total
+
+
+def composed_similarities(sets, tau):
+    return multiply(
+        matmul(sets.anchor_embeddings, transpose(sets.remaining_embeddings)), 1.0 / tau
+    )
+
+
+def composed_sample_loss(sets, tau):
+    """The sample loss built from public tensor ops, one tape entry each."""
+    n_neg = sets.negative_counts
+    valid = (sets.positive_counts >= 1) & (n_neg >= 1)
+    s = composed_similarities(sets, tau)
+    neg_sum = reduce_sum(multiply(s, sets.negative_mask.astype(np.float64)), axis=1)
+    pos_den = reduce_sum(multiply(exp(s), sets.positive_mask.astype(np.float64)), axis=1)
+    pos_den = add(pos_den, (~valid).astype(np.float64))
+    neg_coeff = np.where(valid, -1.0 / np.maximum(n_neg, 1), 0.0)
+    per_anchor = add(
+        multiply(neg_sum, neg_coeff),
+        multiply(log(pos_den), valid.astype(np.float64)),
+    )
+    return reduce_sum(per_anchor)
+
+
+def composed_class_loss(sets, tau):
+    """The class loss built from public tensor ops, one tape entry each."""
+    n_neg = sets.negative_counts
+    valid = n_neg >= 1
+    s = composed_similarities(sets, tau)
+    neg_sum = reduce_sum(multiply(s, sets.negative_mask.astype(np.float64)), axis=1)
+    neg_coeff = np.where(valid, -1.0 / np.maximum(n_neg, 1), 0.0)
+    constant = float(np.sum(np.log(n_neg[valid])))
+    return add(reduce_sum(multiply(neg_sum, neg_coeff)), constant)
+
+
+def composed_cross_entropy(logits, labels):
+    """The cross-entropy built from public tensor ops, one tape entry each."""
+    batch, num_classes = logits.shape
+    shifted = subtract(logits, logits.data.max(axis=1, keepdims=True))
+    log_norm = log(reduce_sum(exp(shifted), axis=1))
+    onehot = np.zeros((batch, num_classes))
+    onehot[np.arange(batch), labels] = 1.0
+    picked = reduce_sum(multiply(shifted, onehot), axis=1)
+    return multiply(reduce_sum(subtract(log_norm, picked)), 1.0 / batch)
 
 
 def sets_of(anchor_emb, anchor_lab, rem_emb, rem_lab):
@@ -312,3 +373,119 @@ class TestCombined:
                 LossConfig(unlearn_weight=bad)
             with pytest.raises(ValidationError):
                 LossConfig(ce_weight=bad)
+
+
+class TestFusedLosses:
+    """Each loss is one tape entry whose arithmetic is the composed ops'."""
+
+    @staticmethod
+    def run_contrastive(loss_fn, case, weight):
+        a_emb, a_lab, r_emb, r_lab, tau = case
+        anchor, remaining = as_tensor(a_emb), as_tensor(r_emb)
+        with GradTape() as tape:
+            sets = build_contrast_sets(a_lab, anchor, r_lab, remaining)
+            out = multiply(loss_fn(sets, tau), weight)
+        return [out.data] + [g.data for g in tape.gradient(out, [anchor, remaining])]
+
+    @staticmethod
+    def run_cross_entropy(loss_fn, x0, labels, weight):
+        logits = as_tensor(x0)
+        with GradTape() as tape:
+            out = multiply(loss_fn(logits, labels), weight)
+        (g,) = tape.gradient(out, [logits])
+        return [out.data, g.data]
+
+    @settings(max_examples=120, deadline=None, database=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n_classes=st.integers(1, 4),
+        n_anchor=st.integers(1, 6),
+        n_remain=st.integers(1, 8),
+        dim=st.integers(2, 5),
+        tau=st.floats(0.05, 2.0),
+        weight=st.floats(-3.0, 3.0),
+        labels=st.data(),
+    )
+    def test_contrastive_bit_identical_to_composed(
+        self, seed, n_classes, n_anchor, n_remain, dim, tau, weight, labels
+    ):
+        # Small label ranges draw anchors with no positive, no negative or
+        # neither among the remaining batch.
+        label = st.integers(0, n_classes - 1)
+        a_lab = np.array(labels.draw(st.lists(label, min_size=n_anchor, max_size=n_anchor)))
+        r_lab = np.array(labels.draw(st.lists(label, min_size=n_remain, max_size=n_remain)))
+        rng = np.random.default_rng(seed)
+        case = (unit_rows(rng, n_anchor, dim), a_lab, unit_rows(rng, n_remain, dim), r_lab, tau)
+        has_pos = (a_lab[:, None] == r_lab[None, :]).any(axis=1)
+        has_neg = (a_lab[:, None] != r_lab[None, :]).any(axis=1)
+        for fused, composed, any_valid in (
+            (sample_unlearn_loss, composed_sample_loss, (has_pos & has_neg).any()),
+            (class_unlearn_loss, composed_class_loss, has_neg.any()),
+        ):
+            if not any_valid:
+                with pytest.raises(NoValidAnchorError):
+                    self.run_contrastive(fused, case, weight)
+                continue
+            got = self.run_contrastive(fused, case, weight)
+            want = self.run_contrastive(composed, case, weight)
+            for g, w in zip(got, want):
+                assert np.array_equal(g, w)
+
+    @settings(max_examples=120, deadline=None, database=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        batch=st.integers(1, 6),
+        n_classes=st.integers(1, 5),
+        scale=st.sampled_from([1e-3, 1.0, 30.0, 1e4]),
+        weight=st.floats(-3.0, 3.0),
+        labels=st.data(),
+    )
+    def test_cross_entropy_bit_identical_to_composed(
+        self, seed, batch, n_classes, scale, weight, labels
+    ):
+        label = st.integers(0, n_classes - 1)
+        y = np.array(labels.draw(st.lists(label, min_size=batch, max_size=batch)))
+        x0 = np.random.default_rng(seed).standard_normal((batch, n_classes)) * scale
+        got = self.run_cross_entropy(cross_entropy_loss, x0, y, weight)
+        want = self.run_cross_entropy(composed_cross_entropy, x0, y, weight)
+        for g, w in zip(got, want):
+            assert np.array_equal(g, w)
+
+    def test_one_tape_entry_per_loss(self, rng):
+        a_emb, r_emb = unit_rows(rng, 3, 4), unit_rows(rng, 5, 4)
+        for loss_fn in (sample_unlearn_loss, class_unlearn_loss):
+            with GradTape() as tape:
+                sets = sets_of(a_emb, [0, 1, 2], r_emb, [0, 1, 1, 2, 0])
+                loss = loss_fn(sets, 0.5)
+            assert len(tape) == 1 and tape.operation_ids() == [loss.tid]
+        logits = as_tensor(rng.standard_normal((4, 3)))
+        with GradTape() as tape:
+            loss = cross_entropy_loss(logits, np.array([0, 2, 1, 1]))
+        assert len(tape) == 1 and tape.operation_ids() == [loss.tid]
+
+    def test_shifted_logit_overflow_rejected(self):
+        # Both logits are finite; their difference is not.
+        with np.errstate(over="ignore"):
+            with pytest.raises(NonFiniteError):
+                cross_entropy_loss(as_tensor([[-1e308, 1e308]]), np.array([0]))
+
+    def test_exp_overflow_rejected(self):
+        # At t = 1e-3 a similarity of 1 scales to 1000, past exp's range.
+        sets = sets_of([[1.0, 0.0]], [0], [[1.0, 0.0], [0.0, 1.0]], [0, 1])
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(NonFiniteError):
+                sample_unlearn_loss(sets, 1e-3)
+
+    def test_similarity_overflow_rejected(self):
+        sets = sets_of([[1.0, 0.0]], [0], [[1.0, 0.0], [0.0, 1.0]], [0, 1])
+        with np.errstate(over="ignore", invalid="ignore"):
+            for loss_fn in (sample_unlearn_loss, class_unlearn_loss):
+                with pytest.raises(NonFiniteError):
+                    loss_fn(sets, 1e-310)
+
+    @pytest.mark.parametrize("bad", [float("inf"), float("nan"), 0.0, -1.0])
+    def test_temperature_must_be_positive_and_finite(self, bad):
+        sets = sets_of([[1.0, 0.0]], [0], [[0.0, 1.0], [1.0, 0.0]], [0, 1])
+        for loss_fn in (sample_unlearn_loss, class_unlearn_loss):
+            with pytest.raises(ValidationError):
+                loss_fn(sets, bad)
