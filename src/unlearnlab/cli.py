@@ -60,21 +60,17 @@ _SYNTHETIC_DEFAULTS = {
 
 _CSV_DEFAULTS = {"train": None, "test": None, "standardize": True}
 
+# The engine and loss sections are EngineConfig's and LossConfig's fields
+# and defaults; the loss variant is no config field, it follows the task.
+_ENGINE_DEFAULTS = EngineConfig().to_dict()
+_LOSS_DEFAULTS = _ENGINE_DEFAULTS.pop("loss")
+del _LOSS_DEFAULTS["variant"]
+
 _DEFAULTS = {
     "dataset": {"synthetic": dict(_SYNTHETIC_DEFAULTS)},
     "architecture": {"hidden": [32, 32], "embedding_dim": 16, "activation": "relu"},
-    "engine": {
-        "batch_size": 64,
-        "remaining_resamples": 2,
-        "learning_rate": 0.05,
-        "max_epochs": 60,
-        "max_unlearn_epochs": 50,
-        "termination_every": 1,
-        "seed": 0,
-        "divergence_factor": 10.0,
-        "anchor_resample_limit": 8,
-    },
-    "loss": {"temperature": 0.5, "unlearn_weight": 1.0, "ce_weight": 1.0},
+    "engine": _ENGINE_DEFAULTS,
+    "loss": _LOSS_DEFAULTS,
     "task": None,
     "unlearn": {"method": "contrastive", "from": None},
     "eval": {"model": None, "reference": None},
@@ -187,9 +183,17 @@ def _resolve_from_args(args, need_task: bool = False) -> dict:
     return config
 
 
-def _echo_config(config: dict, out_dir: Path, name: str = "config.echo.json") -> None:
+def _write_json(path: Path, obj: dict) -> None:
+    """Write one JSON artifact: sorted keys, two-space indent, final newline."""
+    path.write_text(json.dumps(obj, indent=2, sort_keys=True) + "\n")
+
+
+def _echo_config(config: dict) -> Path:
+    """Create the output directory, echo the resolved config into it, return it."""
+    out_dir = Path(config["output_dir"])
     out_dir.mkdir(parents=True, exist_ok=True)
-    (out_dir / name).write_text(json.dumps(config, indent=2, sort_keys=True) + "\n")
+    _write_json(out_dir / "config.echo.json", config)
+    return out_dir
 
 
 def _build_datasets(config: dict) -> tuple[Dataset, Dataset]:
@@ -256,25 +260,12 @@ def _build_task(config: dict, train_ds: Dataset, test_ds: Dataset) -> UnlearnTas
 
 
 def _build_engine_cfg(config: dict, variant: str) -> EngineConfig:
-    e = config["engine"]
-    l = config["loss"]
-    return EngineConfig(
-        batch_size=int(e["batch_size"]),
-        remaining_resamples=int(e["remaining_resamples"]),
-        learning_rate=float(e["learning_rate"]),
-        max_epochs=int(e["max_epochs"]),
-        max_unlearn_epochs=int(e["max_unlearn_epochs"]),
-        termination_every=int(e["termination_every"]),
-        seed=int(e["seed"]),
-        loss=LossConfig(
-            temperature=float(l["temperature"]),
-            unlearn_weight=float(l["unlearn_weight"]),
-            ce_weight=float(l["ce_weight"]),
-            variant=variant,
-        ),
-        divergence_factor=float(e["divergence_factor"]),
-        anchor_resample_limit=int(e["anchor_resample_limit"]),
-    )
+    """EngineConfig from the engine and loss sections, each value cast to its default's type."""
+    def typed(section: str, defaults: dict) -> dict:
+        return {key: type(defaults[key])(value) for key, value in config[section].items()}
+
+    loss = LossConfig(variant=variant, **typed("loss", _LOSS_DEFAULTS))
+    return EngineConfig(loss=loss, **typed("engine", _ENGINE_DEFAULTS))
 
 
 def _load_model_for(config: dict, train_ds: Dataset, path: str):
@@ -304,8 +295,7 @@ def cmd_gen_data(args) -> int:
         synth["seed"] = args.seed
     config["dataset"] = {"synthetic": synth}
 
-    out_dir = Path(config["output_dir"])
-    _echo_config(config, out_dir)
+    out_dir = _echo_config(config)
     train_ds, test_ds = _build_datasets(config)
     save_csv(train_ds, out_dir / "train.csv")
     save_csv(test_ds, out_dir / "test.csv")
@@ -315,21 +305,20 @@ def cmd_gen_data(args) -> int:
         "files": {"train": "train.csv", "test": "test.csv"},
         "rows": {"train": len(train_ds), "test": len(test_ds)},
     }
-    (out_dir / "manifest.json").write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
+    _write_json(out_dir / "manifest.json", manifest)
     print(f"wrote {len(train_ds)} train and {len(test_ds)} test rows to {out_dir}")
     return 0
 
 
 def cmd_train(args) -> int:
     config = _resolve_from_args(args)
-    out_dir = Path(config["output_dir"])
-    _echo_config(config, out_dir)
+    out_dir = _echo_config(config)
     train_ds, _ = _build_datasets(config)
     arch = _build_arch(config, train_ds)
     cfg = _build_engine_cfg(config, variant="sample")
     params, record = train(arch, train_ds, cfg)
     save_checkpoint(params, out_dir / "model.ckpt")
-    record.write_json(out_dir / "run.json")
+    _write_json(out_dir / "run.json", record.to_dict())
     last = record.rows[-1] if record.rows else {}
     print(
         f"trained {record.gradient_steps} steps; "
@@ -349,8 +338,7 @@ def cmd_unlearn(args) -> int:
     if method not in METHODS:
         raise ValidationError(f"unlearn.method must be one of {METHODS}", ["unlearn.method"])
 
-    out_dir = Path(config["output_dir"])
-    _echo_config(config, out_dir)
+    out_dir = _echo_config(config)
     train_ds, test_ds = _build_datasets(config)
     task = _build_task(config, train_ds, test_ds)
     cfg = _build_engine_cfg(config, variant=task.kind)
@@ -375,7 +363,7 @@ def cmd_unlearn(args) -> int:
         params, record = runner(start, task, cfg)
 
     save_checkpoint(params, out_dir / "model.ckpt")
-    record.write_json(out_dir / "run.json")
+    _write_json(out_dir / "run.json", record.to_dict())
     print(
         f"{method}: {record.termination_reason}"
         + (f" ({record.termination_detail})" if record.termination_detail else "")
@@ -393,8 +381,7 @@ def cmd_eval(args) -> int:
     if not config["eval"]["model"]:
         raise ValidationError("eval requires a model checkpoint (eval.model or --model)", ["eval.model"])
 
-    out_dir = Path(config["output_dir"])
-    _echo_config(config, out_dir)
+    out_dir = _echo_config(config)
     train_ds, test_ds = _build_datasets(config)
     task = _build_task(config, train_ds, test_ds)
     params = _load_model_for(config, train_ds, config["eval"]["model"])
@@ -403,7 +390,7 @@ def cmd_eval(args) -> int:
         reference = _load_model_for(config, train_ds, config["eval"]["reference"])
 
     report = evaluate(params, task, reference)
-    report.write_json(out_dir / "eval.json")
+    _write_json(out_dir / "eval.json", report.to_dict())
     geometry = embedding_geometry(params, task)
     geometry.write_csv(out_dir / "geometry.csv")
     parts = ", ".join(f"{k}={v:.4f}" for k, v in sorted(report.accuracies.items()))
@@ -418,13 +405,12 @@ def cmd_mia(args) -> int:
     if not config["mia"]["model"]:
         raise ValidationError("mia requires a model checkpoint (mia.model or --model)", ["mia.model"])
 
-    out_dir = Path(config["output_dir"])
-    _echo_config(config, out_dir)
+    out_dir = _echo_config(config)
     train_ds, test_ds = _build_datasets(config)
     task = _build_task(config, train_ds, test_ds)
     params = _load_model_for(config, train_ds, config["mia"]["model"])
     report = run_mia(params, task, split_seed=int(config["mia"]["split_seed"]))
-    report.write_json(out_dir / "mia.json")
+    _write_json(out_dir / "mia.json", report.to_dict())
     print(
         f"mia: member rate {report.member_rate_unlearn:.4f} on unlearning samples, "
         f"{report.member_rate_heldout_members:.4f} on held-out members; "

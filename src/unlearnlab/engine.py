@@ -19,11 +19,9 @@ unlearning data (with a divergence guard).
 """
 from __future__ import annotations
 
-import json
 import math
 import time
-from dataclasses import dataclass, field
-from pathlib import Path
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -105,23 +103,7 @@ class EngineConfig:
             raise ValidationError("invalid engine config: " + "; ".join(problems), problems)
 
     def to_dict(self) -> dict:
-        return {
-            "batch_size": self.batch_size,
-            "remaining_resamples": self.remaining_resamples,
-            "learning_rate": self.learning_rate,
-            "max_epochs": self.max_epochs,
-            "max_unlearn_epochs": self.max_unlearn_epochs,
-            "termination_every": self.termination_every,
-            "seed": self.seed,
-            "loss": {
-                "temperature": self.loss.temperature,
-                "unlearn_weight": self.loss.unlearn_weight,
-                "ce_weight": self.loss.ce_weight,
-                "variant": self.loss.variant,
-            },
-            "divergence_factor": self.divergence_factor,
-            "anchor_resample_limit": self.anchor_resample_limit,
-        }
+        return asdict(self)
 
 
 @dataclass
@@ -142,19 +124,7 @@ class RunRecord:
     batches_processed: int = 0
 
     def to_dict(self) -> dict:
-        return {
-            "method": self.method,
-            "config": self.config,
-            "rows": self.rows,
-            "duration_seconds": self.duration_seconds,
-            "termination_reason": self.termination_reason,
-            "termination_detail": self.termination_detail,
-            "gradient_steps": self.gradient_steps,
-            "batches_processed": self.batches_processed,
-        }
-
-    def write_json(self, path: str | Path) -> None:
-        Path(path).write_text(json.dumps(self.to_dict(), indent=2, sort_keys=True) + "\n")
+        return asdict(self)
 
 
 def check_termination_class(
@@ -188,15 +158,66 @@ def _termination_metrics(params: ModelParameters, task: UnlearnTask) -> tuple[bo
 
 
 def _sgd_step(
-    params: ModelParameters, grads: list, lr: float, sign: float = -1.0
-) -> ModelParameters:
-    return params.replace(
-        [p.data + sign * lr * g.data for p, g in zip(params.as_list(), grads)]
-    )
+    params: ModelParameters, objective, lr: float, epoch: int, b_index: int, sign: float = -1.0
+) -> tuple[ModelParameters, tuple]:
+    """One taped SGD step on objective(params) -> (loss, *terms); sign -1.0
+    descends, +1.0 ascends. Returns the new parameters and the tensors.
+    A non-finite loss, gradient or update raises DivergenceError.
+    """
+    try:
+        with GradTape() as tape:
+            out = objective(params)
+        grads = tape.gradient(out[0], params.as_list())
+        params = params.replace(
+            [p.data + sign * lr * g.data for p, g in zip(params.as_list(), grads)]
+        )
+    except NonFiniteError as exc:
+        raise DivergenceError(
+            f"non-finite loss at epoch {epoch}, batch {b_index}: {exc}",
+            epoch=epoch,
+            batch=b_index,
+        ) from exc
+    return params, out
 
 
-def _mean_ce(params: ModelParameters, view: Dataset) -> float:
-    return cross_entropy_loss(forward(params, view.features), view.labels).item()
+def _ce_pass(view: Dataset, tag: int, cfg: EngineConfig, ascend: bool = False):
+    """run_pass(params, epoch, record) -> params: one epoch of SGD on mean
+    cross-entropy over view's seeded batches, then its pass row. A
+    non-finite step raises DivergenceError, except in ascent (neggrad),
+    which ends the pass there and records "non-finite-loss".
+    """
+    sign = 1.0 if ascend else -1.0
+
+    def run_pass(params: ModelParameters, epoch: int, record: RunRecord) -> ModelParameters:
+        losses = []
+        for b_index, batch in enumerate(batches(view, cfg.batch_size, [cfg.seed, tag, epoch])):
+            try:
+                params, (loss,) = _sgd_step(
+                    params,
+                    lambda p: (cross_entropy_loss(forward(p, batch.features), batch.labels),),
+                    cfg.learning_rate,
+                    epoch,
+                    b_index,
+                    sign,
+                )
+            except DivergenceError:
+                if not ascend:
+                    raise
+                record.termination_detail = "non-finite-loss"
+                break
+            losses.append(loss.item())
+            record.gradient_steps += 1
+            record.batches_processed += 1
+        record.rows.append(
+            {
+                "kind": "pass",
+                "epoch": epoch,
+                "mean_ce": float(np.mean(losses)) if losses else 0.0,
+            }
+        )
+        return params
+
+    return run_pass
 
 
 def _check_compat(params: ModelParameters, data: Dataset) -> None:
@@ -225,36 +246,12 @@ def train(
     params = init_parameters(arch, cfg.seed)
     _check_compat(params, data)
     record = RunRecord(method=method, config=cfg.to_dict())
+    run_pass = _ce_pass(data, TAG_TRAIN_BATCHES, cfg)
     start = time.perf_counter()
     for epoch in range(cfg.max_epochs):
-        losses = []
-        for b_index, batch in enumerate(
-            batches(data, cfg.batch_size, [cfg.seed, TAG_TRAIN_BATCHES, epoch])
-        ):
-            try:
-                with GradTape() as tape:
-                    loss = cross_entropy_loss(forward(params, batch.features), batch.labels)
-                grads = tape.gradient(loss, params.as_list())
-                params = _sgd_step(params, grads, cfg.learning_rate)
-            except NonFiniteError as exc:
-                raise DivergenceError(
-                    f"non-finite loss at epoch {epoch}, batch {b_index}: {exc}",
-                    epoch=epoch,
-                    batch=b_index,
-                ) from exc
-            losses.append(loss.item())
-            record.gradient_steps += 1
-            record.batches_processed += 1
-        record.rows.append(
-            {
-                "kind": "pass",
-                "epoch": epoch,
-                "mean_ce": float(np.mean(losses)) if losses else 0.0,
-                "train_accuracy": accuracy(params, data),
-            }
-        )
+        params = run_pass(params, epoch, record)
+        record.rows[-1]["train_accuracy"] = accuracy(params, data)
     record.duration_seconds = time.perf_counter() - start
-    record.termination_reason = "epoch-cap"
     return params, record
 
 
@@ -284,7 +281,6 @@ def _unlearn_loop(
     start = time.perf_counter()
     if cfg.max_unlearn_epochs == 0:
         record.duration_seconds = time.perf_counter() - start
-        record.termination_reason = "epoch-cap"
         return params, record
     for epoch in range(cfg.max_unlearn_epochs + 1):
         if epoch % cfg.termination_every == 0:
@@ -331,6 +327,20 @@ def unlearn_contrastive(
     unlearn_term = sample_unlearn_loss if task.kind == "sample" else class_unlearn_loss
     remain_rng = np.random.default_rng([cfg.seed, TAG_REMAIN_SAMPLER])
 
+    def objective(params: ModelParameters, ub, rb) -> tuple:
+        z_r = encode(params, rb.features)
+        if cfg.loss.unlearn_weight > 0:
+            z_u = encode(params, ub.features)
+            sets = build_contrast_sets(ub.labels, z_u, rb.labels, z_r)
+            ul = unlearn_term(sets, cfg.loss.temperature)
+        else:
+            ul = as_tensor(0.0)
+        if cfg.loss.ce_weight > 0:
+            ce = cross_entropy_loss(head_logits(params, z_r), rb.labels)
+        else:
+            ce = as_tensor(0.0)
+        return combined_loss(ul, ce, cfg.loss), ul, ce
+
     def run_pass(params: ModelParameters, epoch: int, record: RunRecord) -> ModelParameters:
         ul_losses, ce_losses, skipped = [], [], 0
         for b_index, ub in enumerate(
@@ -347,29 +357,15 @@ def unlearn_contrastive(
                 for _ in range(cfg.anchor_resample_limit):
                     rb = sample_remaining(task, cfg.batch_size, remain_rng)
                     try:
-                        with GradTape() as tape:
-                            z_r = encode(params, rb.features)
-                            if cfg.loss.unlearn_weight > 0:
-                                z_u = encode(params, ub.features)
-                                sets = build_contrast_sets(ub.labels, z_u, rb.labels, z_r)
-                                ul = unlearn_term(sets, cfg.loss.temperature)
-                            else:
-                                ul = as_tensor(0.0)
-                            if cfg.loss.ce_weight > 0:
-                                ce = cross_entropy_loss(head_logits(params, z_r), rb.labels)
-                            else:
-                                ce = as_tensor(0.0)
-                            total = combined_loss(ul, ce, cfg.loss)
-                        grads = tape.gradient(total, params.as_list())
-                        params = _sgd_step(params, grads, cfg.learning_rate)
+                        params, (_, ul, ce) = _sgd_step(
+                            params,
+                            lambda p: objective(p, ub, rb),
+                            cfg.learning_rate,
+                            epoch,
+                            b_index,
+                        )
                     except NoValidAnchorError:
                         continue
-                    except NonFiniteError as exc:
-                        raise DivergenceError(
-                            f"non-finite loss at epoch {epoch}, batch {b_index}: {exc}",
-                            epoch=epoch,
-                            batch=b_index,
-                        ) from exc
                     record.gradient_steps += 1
                     ul_losses.append(ul.item())
                     ce_losses.append(ce.item())
@@ -404,40 +400,7 @@ def unlearn_finetune(
     unlearning so the records are comparable.
     """
     _check_compat(params, task.train)
-
-    def run_pass(params: ModelParameters, epoch: int, record: RunRecord) -> ModelParameters:
-        losses = []
-        for b_index, batch in enumerate(
-            batches(
-                task.remain_train,
-                cfg.batch_size,
-                [cfg.seed, TAG_TRAIN_BATCHES, epoch],
-                source="remain",
-            )
-        ):
-            try:
-                with GradTape() as tape:
-                    loss = cross_entropy_loss(forward(params, batch.features), batch.labels)
-                grads = tape.gradient(loss, params.as_list())
-                params = _sgd_step(params, grads, cfg.learning_rate)
-            except NonFiniteError as exc:
-                raise DivergenceError(
-                    f"non-finite loss at epoch {epoch}, batch {b_index}: {exc}",
-                    epoch=epoch,
-                    batch=b_index,
-                ) from exc
-            losses.append(loss.item())
-            record.gradient_steps += 1
-            record.batches_processed += 1
-        record.rows.append(
-            {
-                "kind": "pass",
-                "epoch": epoch,
-                "mean_ce": float(np.mean(losses)) if losses else 0.0,
-            }
-        )
-        return params
-
+    run_pass = _ce_pass(task.remain_train, TAG_TRAIN_BATCHES, cfg)
     return _unlearn_loop(params, task, cfg, "finetune", run_pass)
 
 
@@ -456,36 +419,10 @@ def unlearn_neggrad(
     ce_cap = cfg.divergence_factor * float(np.log(task.train.num_classes))
 
     def extra_halt(params: ModelParameters) -> str | None:
-        if _mean_ce(params, task.eval_unlearn) > ce_cap:
+        view = task.eval_unlearn
+        if cross_entropy_loss(forward(params, view.features), view.labels).item() > ce_cap:
             return "divergence-guard"
         return None
 
-    def run_pass(params: ModelParameters, epoch: int, record: RunRecord) -> ModelParameters:
-        losses = []
-        for batch in batches(
-            task.unlearn_train,
-            cfg.batch_size,
-            [cfg.seed, TAG_UNLEARN_BATCHES, epoch],
-            source="unlearn",
-        ):
-            try:
-                with GradTape() as tape:
-                    loss = cross_entropy_loss(forward(params, batch.features), batch.labels)
-                grads = tape.gradient(loss, params.as_list())
-                params = _sgd_step(params, grads, cfg.learning_rate, sign=+1.0)
-            except NonFiniteError:
-                record.termination_detail = "non-finite-loss"
-                break
-            losses.append(loss.item())
-            record.gradient_steps += 1
-            record.batches_processed += 1
-        record.rows.append(
-            {
-                "kind": "pass",
-                "epoch": epoch,
-                "mean_ce": float(np.mean(losses)) if losses else 0.0,
-            }
-        )
-        return params
-
+    run_pass = _ce_pass(task.unlearn_train, TAG_UNLEARN_BATCHES, cfg, ascend=True)
     return _unlearn_loop(params, task, cfg, "neggrad", run_pass, extra_halt=extra_halt)

@@ -23,8 +23,7 @@ should fall as it is pushed out of the cluster.
 from __future__ import annotations
 
 import csv
-import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -57,15 +56,7 @@ class EvaluationReport:
     deltas: dict[str, float] | None = None
 
     def to_dict(self) -> dict:
-        return {
-            "task_kind": self.task_kind,
-            "accuracies": self.accuracies,
-            "reference": self.reference,
-            "deltas": self.deltas,
-        }
-
-    def write_json(self, path: str | Path) -> None:
-        Path(path).write_text(json.dumps(self.to_dict(), indent=2, sort_keys=True) + "\n")
+        return asdict(self)
 
 
 def evaluate(
@@ -264,16 +255,7 @@ class MiaReport:
     nonmembers_size: int
 
     def to_dict(self) -> dict:
-        return {
-            "member_rate_unlearn": self.member_rate_unlearn,
-            "member_rate_heldout_members": self.member_rate_heldout_members,
-            "validation_accuracy": self.validation_accuracy,
-            "members_size": self.members_size,
-            "nonmembers_size": self.nonmembers_size,
-        }
-
-    def write_json(self, path: str | Path) -> None:
-        Path(path).write_text(json.dumps(self.to_dict(), indent=2, sort_keys=True) + "\n")
+        return asdict(self)
 
 
 # Per-side cap on the attack training sets.

@@ -236,6 +236,8 @@ def cross_entropy_loss(logits: Tensor, labels: np.ndarray) -> Tensor:
     if logits.ndim != 2:
         raise ContractError(f"logits must be rank 2, got shape {logits.shape}")
     batch, num_classes = logits.shape
+    if batch == 0:
+        raise ContractError("cross-entropy of an empty batch")
     if labels.shape != (batch,):
         raise ContractError("one label per logits row is required")
     if labels.size and (labels.min() < 0 or labels.max() >= num_classes):

@@ -1,20 +1,20 @@
 """Dense float64 tensors with reverse-mode automatic differentiation.
 
 Operations record themselves on an explicit gradient tape while one is
-active; replaying the tape in exact reverse order accumulates adjoints.
-Every analytic gradient can be checked against the central
-finite-difference oracle in this module. ``dense`` here and the losses
-in ``losses`` are fused: each records one tape entry whose hand-written
-backward repeats the arithmetic of the same computation composed from
-these primitives, so both give bit-identical results.
+active. ``GradTape.gradient`` is the one way into replay: it runs the
+tape in exact reverse order and accumulates adjoints. Every analytic
+gradient can be checked against the central finite-difference oracle
+in this module. ``dense`` here, one layer ``act(x @ w + b)``, and the
+losses in ``losses`` are fused: each records one tape entry whose
+hand-written backward repeats the arithmetic of the same computation
+composed from these primitives, so both give bit-identical results.
 
 All values are 64-bit floats. Every operation checks its result for
 finiteness exactly once, so NaN or overflow surfaces at the op that
 produced it rather than epochs later. An op's result is a fresh array,
 so it is wrapped without a copy; only the public ``Tensor(...)`` and
 ``as_tensor(...)`` copy, which keeps a caller's array writable and
-unshared. ``dense`` records a whole layer, ``act(x @ w + b)``, as one
-tape entry.
+unshared.
 """
 from __future__ import annotations
 
@@ -49,7 +49,7 @@ class Tensor:
     ``values``; operations wrap their fresh results without a copy.
     """
 
-    __slots__ = ("data", "tid", "tape")
+    __slots__ = ("data", "tid")
 
     def __init__(self, values, shape: Sequence[int] | None = None):
         arr = np.array(values, dtype=np.float64)
@@ -60,7 +60,6 @@ class Tensor:
         arr.flags.writeable = False
         self.data = arr
         self.tid = next(_tensor_ids)
-        self.tape: GradTape | None = None
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -122,7 +121,6 @@ def _wrap(arr: np.ndarray) -> Tensor:
     out = Tensor.__new__(Tensor)
     out.data = arr
     out.tid = next(_tensor_ids)
-    out.tape = None
     return out
 
 
@@ -204,25 +202,11 @@ class GradTape:
         return out
 
 
-def grad(output: Tensor, inputs: Sequence[Tensor]) -> list[Tensor]:
-    """Gradients of a scalar output produced under an active tape.
-
-    A tensor that never went through a taped operation is a constant;
-    its gradient with respect to anything is zero.
-    """
-    if output.shape != ():
-        raise ContractError(f"gradient of non-scalar output with shape {output.shape}")
-    if output.tape is None:
-        return [Tensor(np.zeros(inp.shape)) for inp in inputs]
-    return output.tape.gradient(output, inputs)
-
-
 def _record(out: Tensor, inputs: Sequence[Tensor], backward: Callable) -> None:
     if _active_tape is not None:
         _active_tape._entries.append(
             (out.tid, tuple(t.tid for t in inputs), backward)
         )
-        out.tape = _active_tape
 
 
 def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:

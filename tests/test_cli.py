@@ -7,7 +7,7 @@ import sys
 import pytest
 
 import unlearnlab as ul
-from unlearnlab.cli import main
+from unlearnlab.cli import _build_engine_cfg, main, resolve_config
 from unlearnlab.data import load_csv
 from unlearnlab.model import load_checkpoint
 
@@ -337,3 +337,29 @@ def test_module_entrypoint_reports_version():
     )
     assert out.returncode == 0
     assert ul.__version__ in out.stdout
+
+
+class TestDefaults:
+    @pytest.mark.parametrize("variant", ["class", "sample"])
+    def test_cli_and_library_share_engine_defaults(self, variant):
+        got = _build_engine_cfg(resolve_config({}), variant)
+        assert got == ul.EngineConfig(loss=ul.LossConfig(variant=variant))
+
+    def test_engine_config_dict(self):
+        assert ul.EngineConfig().to_dict() == {
+            "batch_size": 64,
+            "remaining_resamples": 2,
+            "learning_rate": 0.05,
+            "max_epochs": 60,
+            "max_unlearn_epochs": 50,
+            "termination_every": 1,
+            "seed": 0,
+            "loss": {
+                "temperature": 0.5,
+                "unlearn_weight": 1.0,
+                "ce_weight": 1.0,
+                "variant": "sample",
+            },
+            "divergence_factor": 10.0,
+            "anchor_resample_limit": 8,
+        }

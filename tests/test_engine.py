@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import unlearnlab as ul
-from unlearnlab.data import TAG_TRAIN_BATCHES
+from unlearnlab.data import TAG_TRAIN_BATCHES, TAG_UNLEARN_BATCHES
 from unlearnlab.engine import (
     check_termination_class,
     check_termination_sample,
@@ -81,6 +81,28 @@ def perceptron_separable(features, labels, max_passes=1000):
         if mistakes == 0:
             return True
     return False
+
+
+def reference_ce_passes(params, view, tag, cfg, passes, ascend=False):
+    """SGD on cross-entropy from public primitives: seeded batches, the
+    taped forward, tape.gradient and ModelParameters.replace."""
+    for epoch in range(passes):
+        for batch in ul.batches(view, cfg.batch_size, [cfg.seed, tag, epoch]):
+            with ul.GradTape() as tape:
+                loss = ul.cross_entropy_loss(ul.forward(params, batch.features), batch.labels)
+            grads = tape.gradient(loss, params.as_list())
+            if ascend:
+                new = [w.data + cfg.learning_rate * g.data for w, g in zip(params.as_list(), grads)]
+            else:
+                new = [w.data - cfg.learning_rate * g.data for w, g in zip(params.as_list(), grads)]
+            params = params.replace(new)
+    return params
+
+
+def assert_same_parameters(want, got):
+    assert want.names() == got.names()
+    for w, g in zip(want.as_list(), got.as_list()):
+        assert np.array_equal(w.data, g.data)
 
 
 class TestTrain:
@@ -429,6 +451,15 @@ class TestFinetune:
         per_pass = int(np.ceil(len(task.remain_train) / fcfg.batch_size))
         assert record.gradient_steps == len(passes) * per_pass
 
+    def test_matches_reference_loop_of_public_primitives(self):
+        params, task = harder_setup()
+        fcfg = ul.EngineConfig(seed=3, batch_size=16, max_unlearn_epochs=3, learning_rate=0.05)
+        out, record = ul.unlearn_finetune(params, task, fcfg)
+        passes = sum(r["kind"] == "pass" for r in record.rows)
+        assert passes == 3
+        want = reference_ce_passes(params, task.remain_train, TAG_TRAIN_BATCHES, fcfg, passes)
+        assert_same_parameters(want, out)
+
     def test_divergence_is_reported(self):
         # A constant-start model would have zero encoder gradients and
         # never overflow; the start must be a genuinely trained model.
@@ -463,5 +494,37 @@ class TestNegGrad:
         ncfg = ul.EngineConfig(seed=0, batch_size=8, learning_rate=1e160, max_unlearn_epochs=5)
         with np.errstate(over="ignore"):
             out, record = ul.unlearn_neggrad(params, task, ncfg)
+        assert record.termination_reason == "error"
+        assert record.termination_detail == "non-finite-loss"
+
+    def test_matches_reference_loop_of_public_primitives(self):
+        params, task = harder_setup()
+        ncfg = ul.EngineConfig(seed=3, batch_size=4, max_unlearn_epochs=2, learning_rate=0.01)
+        out, record = ul.unlearn_neggrad(params, task, ncfg)
+        passes = sum(r["kind"] == "pass" for r in record.rows)
+        assert passes == 2
+        want = reference_ce_passes(
+            params, task.unlearn_train, TAG_UNLEARN_BATCHES, ncfg, passes, ascend=True
+        )
+        assert_same_parameters(want, out)
+
+    def test_overflowing_update_keeps_last_good_parameters(self, monkeypatch):
+        params, task = harder_setup()
+        ncfg = ul.EngineConfig(seed=0, batch_size=4, learning_rate=0.01, max_unlearn_epochs=5)
+        replace = ul.ModelParameters.replace
+        good = []
+
+        def overflows_on_third_update(self, new_values):
+            if len(good) == 2:
+                raise NonFiniteError("update overflowed")
+            good.append(replace(self, new_values))
+            return good[-1]
+
+        monkeypatch.setattr(ul.ModelParameters, "replace", overflows_on_third_update)
+        out, record = ul.unlearn_neggrad(params, task, ncfg)
+        assert_same_parameters(good[-1], out)
+        assert record.gradient_steps == 2
+        assert record.rows[-1]["kind"] == "pass" and record.rows[-1]["epoch"] == 0
+        assert record.rows[-1]["mean_ce"] > 0
         assert record.termination_reason == "error"
         assert record.termination_detail == "non-finite-loss"

@@ -333,6 +333,10 @@ class TestCrossEntropy:
         got = cross_entropy_loss(logits, np.array([0, 0])).item()
         assert got == pytest.approx(math.log(2.0) / 2.0, abs=1e-12)
 
+    def test_empty_batch_rejected(self):
+        with pytest.raises(ContractError):
+            cross_entropy_loss(np.zeros((0, 3)), np.zeros(0, int))
+
     def test_gradient_vs_finite_differences(self, rng):
         labels = np.array([0, 2, 1])
         x0 = rng.standard_normal((3, 3))

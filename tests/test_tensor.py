@@ -19,7 +19,6 @@ from unlearnlab.tensor import (
     dense,
     exp,
     finite_difference_gradient,
-    grad,
     gradient_relative_error,
     l2_normalize,
     log,
@@ -195,12 +194,6 @@ class TestGradients:
         gx, gu = tape.gradient(out, [x, unused])
         assert np.array_equal(gx.data, np.full(3, 2.0))
         assert np.array_equal(gu.data, np.zeros(7))
-
-    def test_grad_without_tape_is_zeros(self):
-        x = as_tensor([1.0, 2.0])
-        out = reduce_sum(x)  # built outside any tape
-        (gx,) = grad(out, [x])
-        assert np.array_equal(gx.data, np.zeros(2))
 
     def test_gradient_requires_scalar_output(self, rng):
         x = as_tensor(rng.standard_normal((2, 2)))
