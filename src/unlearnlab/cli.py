@@ -78,7 +78,11 @@ _DEFAULTS = {
     "output_dir": "out",
 }
 
-_TASK_KEYS = {"kind", "class_id", "count", "seed", "index_file"}
+_TASK_DEFAULTS = {"kind": None, "class_id": None, "count": None, "seed": 0, "index_file": None}
+_OPTIONAL_INTS = {"task.class_id", "task.count"}
+_TYPE_NAMES = {
+    int: "an integer", float: "a number", bool: "a boolean", str: "a string", list: "a list"
+}
 
 
 def _load_json(path: str) -> dict:
@@ -95,23 +99,48 @@ def _load_json(path: str) -> dict:
     return loaded
 
 
+def _typed(value, default, name: str):
+    """value as the type of its field's default (see resolve_config), else ValueError."""
+    optional = default is None
+    if optional:
+        if value is None:
+            return None
+        default = 0 if name in _OPTIONAL_INTS else ""
+    kind = type(default)
+    if kind is list and isinstance(value, list):
+        return [_typed(v, 0, f"{name}[{i}]") for i, v in enumerate(value)]
+    number = isinstance(value, (int, float)) and not isinstance(value, bool)
+    if type(value) is kind or number and (kind is float or kind is int and value.is_integer()):
+        return kind(value)
+    raise ValueError(f"{name}: must be {_TYPE_NAMES[kind]}" + (" or null" if optional else ""))
+
+
 def _merge_section(defaults: dict, user, section: str, problems: list[str]) -> dict:
+    merged = copy.deepcopy(defaults)
     if user is None:
-        return copy.deepcopy(defaults)
+        return merged
     if not isinstance(user, dict):
         problems.append(f"{section}: must be an object")
-        return copy.deepcopy(defaults)
-    merged = copy.deepcopy(defaults)
+        return merged
     for key, value in user.items():
         if key not in defaults:
             problems.append(f"{section}.{key}: unknown field")
-        else:
-            merged[key] = value
+            continue
+        try:
+            merged[key] = _typed(value, defaults[key], f"{section}.{key}")
+        except ValueError as exc:
+            problems.append(str(exc))
     return merged
 
 
 def resolve_config(user: dict) -> dict:
-    """Materialize defaults and reject unknown fields, all at once."""
+    """Materialize defaults and check every field, reporting all problems at once.
+
+    Each value must have its default's type, except that an int field takes
+    an integral float and a float field any number (bools are not numbers).
+    hidden takes a list of integers. A None default takes a path string or
+    null; task.class_id and task.count take an integer or null.
+    """
     problems: list[str] = []
     config = copy.deepcopy(_DEFAULTS)
     for key in user:
@@ -141,22 +170,14 @@ def resolve_config(user: dict) -> dict:
             _DEFAULTS[section], user.get(section), section, problems
         )
 
-    task = user.get("task")
-    if task is not None:
-        if not isinstance(task, dict):
-            problems.append("task: must be an object")
-        else:
-            for key in set(task) - _TASK_KEYS:
-                problems.append(f"task.{key}: unknown field")
-            merged = {"kind": None, "class_id": None, "count": None, "seed": 0, "index_file": None}
-            merged.update({k: v for k, v in task.items() if k in _TASK_KEYS})
-            if merged["kind"] not in ("class", "sample"):
-                problems.append("task.kind: must be 'class' or 'sample'")
-            elif merged["kind"] == "class" and merged["class_id"] is None:
-                problems.append("task.class_id: required for a class task")
-            elif merged["kind"] == "sample" and merged["count"] is None and merged["index_file"] is None:
-                problems.append("task.count or task.index_file: required for a sample task")
-            config["task"] = merged
+    if user.get("task") is not None:
+        task = config["task"] = _merge_section(_TASK_DEFAULTS, user["task"], "task", problems)
+        if task["kind"] not in ("class", "sample"):
+            problems.append("task.kind: must be 'class' or 'sample'")
+        elif task["kind"] == "class" and task["class_id"] is None:
+            problems.append("task.class_id: required for a class task")
+        elif task["kind"] == "sample" and task["count"] is None and task["index_file"] is None:
+            problems.append("task.count or task.index_file: required for a sample task")
 
     if "output_dir" in user:
         if not isinstance(user["output_dir"], str) or not user["output_dir"]:
@@ -183,6 +204,12 @@ def _resolve_from_args(args, need_task: bool = False) -> dict:
     return config
 
 
+def _apply_flags(section: dict, args) -> dict:
+    """Override each key of section that a flag with that key as its dest was given for."""
+    section.update((k, v) for k, v in vars(args).items() if k in section and v is not None)
+    return section
+
+
 def _write_json(path: Path, obj: dict) -> None:
     """Write one JSON artifact: sorted keys, two-space indent, final newline."""
     path.write_text(json.dumps(obj, indent=2, sort_keys=True) + "\n")
@@ -199,31 +226,20 @@ def _echo_config(config: dict) -> Path:
 def _build_datasets(config: dict) -> tuple[Dataset, Dataset]:
     dataset = config["dataset"]
     if "synthetic" in dataset:
-        s = dataset["synthetic"]
-        return generate_synthetic(
-            num_classes=int(s["num_classes"]),
-            dim=int(s["dim"]),
-            per_class_train=int(s["per_class_train"]),
-            per_class_test=int(s["per_class_test"]),
-            spread=float(s["spread"]),
-            seed=int(s["seed"]),
-        )
+        return generate_synthetic(**dataset["synthetic"])
     c = dataset["csv"]
     train_ds = load_csv(c["train"])
     test_ds = load_csv(c["test"])
-    if bool(c["standardize"]):
+    if c["standardize"]:
         train_ds, test_ds = standardize_pair(train_ds, test_ds)
     return train_ds, test_ds
 
 
 def _build_arch(config: dict, train_ds: Dataset) -> ModelArchitecture:
-    a = config["architecture"]
     return ModelArchitecture(
         input_dim=train_ds.num_features,
-        hidden=tuple(int(h) for h in a["hidden"]),
-        embedding_dim=int(a["embedding_dim"]),
         num_classes=train_ds.num_classes,
-        activation=str(a["activation"]),
+        **config["architecture"],
     )
 
 
@@ -247,25 +263,19 @@ def _read_index_file(path: str) -> tuple[int, ...]:
 def _build_task(config: dict, train_ds: Dataset, test_ds: Dataset) -> UnlearnTask:
     t = config["task"]
     if t["kind"] == "class":
-        spec = TaskSpec(kind="class", class_id=int(t["class_id"]), seed=int(t["seed"]))
+        spec = TaskSpec(kind="class", class_id=t["class_id"], seed=t["seed"])
     elif t["index_file"]:
         spec = TaskSpec(
-            kind="sample",
-            sample_indices=_read_index_file(t["index_file"]),
-            seed=int(t["seed"]),
+            kind="sample", sample_indices=_read_index_file(t["index_file"]), seed=t["seed"]
         )
     else:
-        spec = TaskSpec(kind="sample", sample_count=int(t["count"]), seed=int(t["seed"]))
+        spec = TaskSpec(kind="sample", sample_count=t["count"], seed=t["seed"])
     return make_task(train_ds, test_ds, spec)
 
 
 def _build_engine_cfg(config: dict, variant: str) -> EngineConfig:
-    """EngineConfig from the engine and loss sections, each value cast to its default's type."""
-    def typed(section: str, defaults: dict) -> dict:
-        return {key: type(defaults[key])(value) for key, value in config[section].items()}
-
-    loss = LossConfig(variant=variant, **typed("loss", _LOSS_DEFAULTS))
-    return EngineConfig(loss=loss, **typed("engine", _ENGINE_DEFAULTS))
+    """EngineConfig from the resolved engine and loss sections."""
+    return EngineConfig(loss=LossConfig(variant=variant, **config["loss"]), **config["engine"])
 
 
 def _load_model_for(config: dict, train_ds: Dataset, path: str):
@@ -280,19 +290,7 @@ def _load_model_for(config: dict, train_ds: Dataset, path: str):
 
 def cmd_gen_data(args) -> int:
     config = _resolve_from_args(args)
-    synth = dict(config["dataset"].get("synthetic") or _SYNTHETIC_DEFAULTS)
-    for flag, key in (
-        ("classes", "num_classes"),
-        ("dim", "dim"),
-        ("train_per_class", "per_class_train"),
-        ("test_per_class", "per_class_test"),
-        ("spread", "spread"),
-    ):
-        value = getattr(args, flag)
-        if value is not None:
-            synth[key] = value
-    if args.seed is not None:
-        synth["seed"] = args.seed
+    synth = _apply_flags(config["dataset"].get("synthetic") or dict(_SYNTHETIC_DEFAULTS), args)
     config["dataset"] = {"synthetic": synth}
 
     out_dir = _echo_config(config)
@@ -312,10 +310,10 @@ def cmd_gen_data(args) -> int:
 
 def cmd_train(args) -> int:
     config = _resolve_from_args(args)
+    cfg = _build_engine_cfg(config, variant="sample")
     out_dir = _echo_config(config)
     train_ds, _ = _build_datasets(config)
     arch = _build_arch(config, train_ds)
-    cfg = _build_engine_cfg(config, variant="sample")
     params, record = train(arch, train_ds, cfg)
     save_checkpoint(params, out_dir / "model.ckpt")
     _write_json(out_dir / "run.json", record.to_dict())
@@ -330,18 +328,14 @@ def cmd_train(args) -> int:
 
 def cmd_unlearn(args) -> int:
     config = _resolve_from_args(args, need_task=True)
-    if args.method:
-        config["unlearn"]["method"] = args.method
-    if getattr(args, "from_ckpt", None):
-        config["unlearn"]["from"] = args.from_ckpt
-    method = config["unlearn"]["method"]
+    method = _apply_flags(config["unlearn"], args)["method"]
     if method not in METHODS:
         raise ValidationError(f"unlearn.method must be one of {METHODS}", ["unlearn.method"])
+    cfg = _build_engine_cfg(config, variant=config["task"]["kind"])
 
     out_dir = _echo_config(config)
     train_ds, test_ds = _build_datasets(config)
     task = _build_task(config, train_ds, test_ds)
-    cfg = _build_engine_cfg(config, variant=task.kind)
     arch = _build_arch(config, train_ds)
 
     if method == "retrain":
@@ -374,11 +368,7 @@ def cmd_unlearn(args) -> int:
 
 def cmd_eval(args) -> int:
     config = _resolve_from_args(args, need_task=True)
-    if args.model:
-        config["eval"]["model"] = args.model
-    if args.reference:
-        config["eval"]["reference"] = args.reference
-    if not config["eval"]["model"]:
+    if not _apply_flags(config["eval"], args)["model"]:
         raise ValidationError("eval requires a model checkpoint (eval.model or --model)", ["eval.model"])
 
     out_dir = _echo_config(config)
@@ -400,16 +390,14 @@ def cmd_eval(args) -> int:
 
 def cmd_mia(args) -> int:
     config = _resolve_from_args(args, need_task=True)
-    if args.model:
-        config["mia"]["model"] = args.model
-    if not config["mia"]["model"]:
+    if not _apply_flags(config["mia"], args)["model"]:
         raise ValidationError("mia requires a model checkpoint (mia.model or --model)", ["mia.model"])
 
     out_dir = _echo_config(config)
     train_ds, test_ds = _build_datasets(config)
     task = _build_task(config, train_ds, test_ds)
     params = _load_model_for(config, train_ds, config["mia"]["model"])
-    report = run_mia(params, task, split_seed=int(config["mia"]["split_seed"]))
+    report = run_mia(params, task, split_seed=config["mia"]["split_seed"])
     _write_json(out_dir / "mia.json", report.to_dict())
     print(
         f"mia: member rate {report.member_rate_unlearn:.4f} on unlearning samples, "
@@ -434,10 +422,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("gen-data", help="generate a synthetic CSV dataset")
     common(p)
-    p.add_argument("--classes", type=int, help="number of classes")
+    p.add_argument("--classes", type=int, dest="num_classes", help="number of classes")
     p.add_argument("--dim", type=int, help="feature dimension")
-    p.add_argument("--train-per-class", type=int, dest="train_per_class")
-    p.add_argument("--test-per-class", type=int, dest="test_per_class")
+    p.add_argument("--train-per-class", type=int, dest="per_class_train")
+    p.add_argument("--test-per-class", type=int, dest="per_class_test")
     p.add_argument("--spread", type=float, help="class separation multiplier")
     p.set_defaults(fn=cmd_gen_data)
 
@@ -448,7 +436,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("unlearn", help="unlearn a class or sample set")
     common(p)
     p.add_argument("--method", choices=METHODS, help="unlearning method")
-    p.add_argument("--from", dest="from_ckpt", help="starting checkpoint")
+    p.add_argument("--from", dest="from", help="starting checkpoint")
     p.set_defaults(fn=cmd_unlearn)
 
     p = sub.add_parser("eval", help="accuracy report and embedding geometry")

@@ -157,6 +157,11 @@ def _termination_metrics(params: ModelParameters, task: UnlearnTask) -> tuple[bo
     }
 
 
+def _diverged(exc: NonFiniteError, epoch: int, b_index: int | None = None) -> DivergenceError:
+    where = f"epoch {epoch}" if b_index is None else f"epoch {epoch}, batch {b_index}"
+    return DivergenceError(f"non-finite loss at {where}: {exc}", epoch=epoch, batch=b_index)
+
+
 def _sgd_step(
     params: ModelParameters, objective, lr: float, epoch: int, b_index: int, sign: float = -1.0
 ) -> tuple[ModelParameters, tuple]:
@@ -172,11 +177,7 @@ def _sgd_step(
             [p.data + sign * lr * g.data for p, g in zip(params.as_list(), grads)]
         )
     except NonFiniteError as exc:
-        raise DivergenceError(
-            f"non-finite loss at epoch {epoch}, batch {b_index}: {exc}",
-            epoch=epoch,
-            batch=b_index,
-        ) from exc
+        raise _diverged(exc, epoch, b_index) from exc
     return params, out
 
 
@@ -241,16 +242,21 @@ def train(
 
     Deterministic in the seed: initialization and every epoch's batch
     order derive from it, so two calls with equal arguments produce
-    bit-identical parameters.
+    bit-identical parameters. Parameters that overflow a step or the
+    per-epoch accuracy raise DivergenceError.
     """
     params = init_parameters(arch, cfg.seed)
     _check_compat(params, data)
     record = RunRecord(method=method, config=cfg.to_dict())
     run_pass = _ce_pass(data, TAG_TRAIN_BATCHES, cfg)
     start = time.perf_counter()
-    for epoch in range(cfg.max_epochs):
-        params = run_pass(params, epoch, record)
-        record.rows[-1]["train_accuracy"] = accuracy(params, data)
+    with np.errstate(over="ignore", invalid="ignore"):  # the ops check finiteness
+        for epoch in range(cfg.max_epochs):
+            params = run_pass(params, epoch, record)
+            try:
+                record.rows[-1]["train_accuracy"] = accuracy(params, data)
+            except NonFiniteError as exc:
+                raise _diverged(exc, epoch) from exc
     record.duration_seconds = time.perf_counter() - start
     return params, record
 
@@ -275,36 +281,42 @@ def _unlearn_loop(
     run_pass(params, epoch, record) -> params executes one pass over the
     relevant data. extra_halt(params) -> str | None may force an error
     stop (the gradient-ascent divergence guard); it is consulted at the
-    same cadence as the termination condition.
+    same cadence as the termination condition. Parameters that overflow
+    the evaluation are such a stop, "non-finite-loss", in a run with a
+    guard, and raise DivergenceError in one without.
     """
     record = RunRecord(method=method, config=cfg.to_dict())
     start = time.perf_counter()
     if cfg.max_unlearn_epochs == 0:
         record.duration_seconds = time.perf_counter() - start
         return params, record
-    for epoch in range(cfg.max_unlearn_epochs + 1):
-        if epoch % cfg.termination_every == 0:
-            met, metrics = _termination_metrics(params, task)
-            row = {"kind": "evaluation", "epoch": epoch, "condition_met": bool(met)}
-            row.update(metrics)
-            detail = None if met or extra_halt is None else extra_halt(params)
-            if detail is not None:
-                row["halt"] = detail
-            record.rows.append(row)
-            if met:
-                record.termination_reason = "condition-met"
+    with np.errstate(over="ignore", invalid="ignore"):
+        for epoch in range(cfg.max_unlearn_epochs + 1):
+            if epoch % cfg.termination_every == 0:
+                try:
+                    met, metrics = _termination_metrics(params, task)
+                    detail = None if met or extra_halt is None else extra_halt(params)
+                except NonFiniteError as exc:
+                    if extra_halt is None:
+                        raise _diverged(exc, epoch) from exc
+                    met, metrics, detail = False, {}, "non-finite-loss"
+                row = {"kind": "evaluation", "epoch": epoch, "condition_met": bool(met), **metrics}
+                if detail is not None:
+                    row["halt"] = record.termination_detail = detail
+                record.rows.append(row)
+                if met:
+                    record.termination_reason = "condition-met"
+                    break
+                if detail is not None:
+                    record.termination_reason = "error"
+                    break
+            if epoch == cfg.max_unlearn_epochs:
+                record.termination_reason = "epoch-cap"
                 break
-            if detail is not None:
+            params = run_pass(params, epoch, record)
+            if record.termination_detail is not None:
                 record.termination_reason = "error"
-                record.termination_detail = detail
                 break
-        if epoch == cfg.max_unlearn_epochs:
-            record.termination_reason = "epoch-cap"
-            break
-        params = run_pass(params, epoch, record)
-        if record.termination_detail is not None:
-            record.termination_reason = "error"
-            break
     record.duration_seconds = time.perf_counter() - start
     return params, record
 

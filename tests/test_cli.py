@@ -77,6 +77,17 @@ class TestGenData:
         train = load_csv(out / "train.csv")
         assert train.num_classes == 2 and train.num_features == 5
 
+    def test_every_flag_reaches_generate_synthetic(self, tmp_path, config_path):
+        out = tmp_path / "data"
+        flags = ["--classes", "2", "--dim", "3", "--train-per-class", "7"]
+        flags += ["--test-per-class", "4", "--spread", "0.5", "--seed", "9"]
+        assert run("gen-data", "--config", config_path, "--out", str(out), *flags) == 0
+        want_train, want_test = ul.generate_synthetic(
+            num_classes=2, dim=3, per_class_train=7, per_class_test=4, spread=0.5, seed=9
+        )
+        assert load_csv(out / "train.csv").equals(want_train)
+        assert load_csv(out / "test.csv").equals(want_test)
+
 
 class TestTrain:
     def test_synthetic_training_run(self, tmp_path, config_path):
@@ -322,6 +333,52 @@ class TestFailureModes:
         assert "Infinity" in path.read_text()
         assert run("train", "--config", str(path), "--out", str(tmp_path / "o")) == 2
         assert "learning_rate" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "section, field, value",
+        [
+            ("engine", "batch_size", "x"),
+            ("architecture", "hidden", [32, "y"]),
+            ("dataset.synthetic", "dim", [1]),
+            ("task", "class_id", "two"),
+            ("engine", "max_epochs", 1.7),
+            ("loss", "temperature", True),
+            ("engine", "seed", None),
+        ],
+    )
+    def test_wrong_type_is_a_usage_error_before_any_write(
+        self, tmp_path, capsys, section, field, value
+    ):
+        cfg = json.loads(json.dumps(BASE_CONFIG))
+        target = cfg
+        for key in section.split("."):
+            target = target[key]
+        target[field] = value
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(cfg))
+        out = tmp_path / "o"
+        assert run("train", "--config", str(path), "--out", str(out)) == 2
+        assert f"{section}.{field}" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_numbers_take_their_field_type(self, tmp_path, config_path):
+        cfg = json.loads(json.dumps(BASE_CONFIG))
+        cfg["engine"]["batch_size"] = 16.0
+        cfg["dataset"]["synthetic"]["spread"] = 2
+        path = tmp_path / "numbers.json"
+        path.write_text(json.dumps(cfg))
+        out = tmp_path / "o"
+        assert run("train", "--config", str(path), "--out", str(out)) == 0
+        record = json.loads((out / "run.json").read_text())
+        assert record["config"]["batch_size"] == 16
+        assert type(record["config"]["batch_size"]) is int
+        echo = json.loads((out / "config.echo.json").read_text())
+        batch_size, spread = echo["engine"]["batch_size"], echo["dataset"]["synthetic"]["spread"]
+        assert (batch_size, type(batch_size)) == (16, int)
+        assert (spread, type(spread)) == (2.0, float)
+        reference = tmp_path / "ref"
+        assert run("train", "--config", config_path, "--out", str(reference)) == 0
+        assert (out / "model.ckpt").read_bytes() == (reference / "model.ckpt").read_bytes()
 
     def test_invalid_json_config(self, tmp_path):
         path = tmp_path / "broken.json"

@@ -1,5 +1,7 @@
 """Training loop, unlearning loop semantics, and termination predicates."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -149,6 +151,16 @@ class TestTrain:
         with np.errstate(over="ignore"):
             with pytest.raises(DivergenceError):
                 ul.train(SMALL_ARCH, train, cfg)
+
+    def test_overflowing_accuracy_is_a_divergence(self):
+        # With one batch per epoch the step itself stays finite; the
+        # per-epoch accuracy is the first forward that overflows.
+        train, _ = ul.generate_synthetic(3, 2, 5, 5, spread=3.0, seed=0)
+        arch = ul.ModelArchitecture(input_dim=2, hidden=(8,), embedding_dim=4, num_classes=3)
+        cfg = ul.EngineConfig(seed=0, max_epochs=3, learning_rate=1e200, batch_size=32)
+        with pytest.raises(DivergenceError) as exc:
+            ul.train(arch, train, cfg)
+        assert exc.value.epoch == 0 and exc.value.batch is None
 
     def test_matches_reference_loop_of_public_primitives(self):
         # The engine's fast paths must change no bit of the result. This
@@ -497,6 +509,23 @@ class TestNegGrad:
         assert record.termination_reason == "error"
         assert record.termination_detail == "non-finite-loss"
 
+    def test_overflowing_evaluation_is_recorded_not_raised(self):
+        # One batch holds all 20 unlearning rows, so the ascent step stays
+        # finite and the termination evaluation is the first to overflow.
+        params, task = harder_setup()
+        task = ul.make_task(task.train, task.test, ul.TaskSpec(kind="sample", sample_count=20))
+        ncfg = ul.EngineConfig(seed=0, batch_size=32, learning_rate=1e100, max_unlearn_epochs=5)
+        out, record = ul.unlearn_neggrad(params, task, ncfg)
+        want = reference_ce_passes(
+            params, task.unlearn_train, TAG_UNLEARN_BATCHES, ncfg, 1, ascend=True
+        )
+        assert_same_parameters(want, out)
+        assert record.gradient_steps == 1
+        assert record.rows[-1]["kind"] == "evaluation" and record.rows[-1]["epoch"] == 1
+        assert record.rows[-1]["halt"] == "non-finite-loss"
+        assert record.termination_reason == "error"
+        assert record.termination_detail == "non-finite-loss"
+
     def test_matches_reference_loop_of_public_primitives(self):
         params, task = harder_setup()
         ncfg = ul.EngineConfig(seed=3, batch_size=4, max_unlearn_epochs=2, learning_rate=0.01)
@@ -528,3 +557,18 @@ class TestNegGrad:
         assert record.rows[-1]["mean_ce"] > 0
         assert record.termination_reason == "error"
         assert record.termination_detail == "non-finite-loss"
+
+
+def test_overflowing_runs_emit_no_runtime_warning():
+    # The ops check finiteness themselves, so numpy's overflow warnings
+    # are silenced inside the run loops; the outcomes stay the same.
+    params, task = harder_setup()
+    fcfg = ul.EngineConfig(seed=0, batch_size=16, learning_rate=1e160, max_unlearn_epochs=3)
+    ncfg = ul.EngineConfig(seed=0, batch_size=8, learning_rate=1e160, max_unlearn_epochs=5)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DivergenceError):
+            ul.unlearn_finetune(params, task, fcfg)
+        _, record = ul.unlearn_neggrad(params, task, ncfg)
+    assert record.termination_reason == "error"
+    assert record.termination_detail == "non-finite-loss"
