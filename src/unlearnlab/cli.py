@@ -9,16 +9,17 @@ Five subcommands cover the full experiment cycle:
     mia        membership-inference attack report for a checkpoint
 
 Commands read an optional JSON config; command-line flags override it.
-Every command writes its fully-resolved configuration (defaults
-materialized) into the output directory, and re-running from that
-echoed file reproduces the outputs bit-exactly apart from wall-clock
-fields. Exit codes: 0 success, 2 invalid configuration or arguments,
-3 runtime failure.
+Every command reads all its inputs, then writes its fully-resolved
+configuration (defaults materialized) into the output directory;
+re-running from that echoed file reproduces the outputs bit-exactly
+apart from wall-clock fields. Exit codes: 0 success, 2 invalid
+configuration or arguments, 3 runtime failure.
 """
 from __future__ import annotations
 
 import argparse
 import copy
+import functools
 import json
 import sys
 from pathlib import Path
@@ -278,13 +279,10 @@ def _build_engine_cfg(config: dict, variant: str) -> EngineConfig:
     return EngineConfig(loss=LossConfig(variant=variant, **config["loss"]), **config["engine"])
 
 
-def _load_model_for(config: dict, train_ds: Dataset, path: str):
+def _load_model_for(arch: ModelArchitecture, path: str):
     params = load_checkpoint(path)
-    expected = _build_arch(config, train_ds)
-    if params.arch != expected:
-        raise ValidationError(
-            f"checkpoint architecture {params.arch} does not match config {expected}"
-        )
+    if params.arch != arch:
+        raise ValidationError(f"checkpoint architecture {params.arch} does not match config {arch}")
     return params
 
 
@@ -292,9 +290,9 @@ def cmd_gen_data(args) -> int:
     config = _resolve_from_args(args)
     synth = _apply_flags(config["dataset"].get("synthetic") or dict(_SYNTHETIC_DEFAULTS), args)
     config["dataset"] = {"synthetic": synth}
+    train_ds, test_ds = _build_datasets(config)
 
     out_dir = _echo_config(config)
-    train_ds, test_ds = _build_datasets(config)
     save_csv(train_ds, out_dir / "train.csv")
     save_csv(test_ds, out_dir / "test.csv")
     manifest = {
@@ -311,9 +309,9 @@ def cmd_gen_data(args) -> int:
 def cmd_train(args) -> int:
     config = _resolve_from_args(args)
     cfg = _build_engine_cfg(config, variant="sample")
-    out_dir = _echo_config(config)
     train_ds, _ = _build_datasets(config)
     arch = _build_arch(config, train_ds)
+    out_dir = _echo_config(config)
     params, record = train(arch, train_ds, cfg)
     save_checkpoint(params, out_dir / "model.ckpt")
     _write_json(out_dir / "run.json", record.to_dict())
@@ -332,8 +330,6 @@ def cmd_unlearn(args) -> int:
     if method not in METHODS:
         raise ValidationError(f"unlearn.method must be one of {METHODS}", ["unlearn.method"])
     cfg = _build_engine_cfg(config, variant=config["task"]["kind"])
-
-    out_dir = _echo_config(config)
     train_ds, test_ds = _build_datasets(config)
     task = _build_task(config, train_ds, test_ds)
     arch = _build_arch(config, train_ds)
@@ -341,21 +337,22 @@ def cmd_unlearn(args) -> int:
     if method == "retrain":
         if config["unlearn"]["from"]:
             print("note: retrain ignores the starting checkpoint", file=sys.stderr)
-        params, record = retrain(arch, task, cfg)
+        run = functools.partial(retrain, arch)
     else:
         if not config["unlearn"]["from"]:
             raise ValidationError(
                 f"method {method} requires a starting checkpoint (unlearn.from or --from)",
                 ["unlearn.from"],
             )
-        start = _load_model_for(config, train_ds, config["unlearn"]["from"])
         runner = {
             "contrastive": unlearn_contrastive,
             "finetune": unlearn_finetune,
             "neggrad": unlearn_neggrad,
         }[method]
-        params, record = runner(start, task, cfg)
+        run = functools.partial(runner, _load_model_for(arch, config["unlearn"]["from"]))
 
+    out_dir = _echo_config(config)
+    params, record = run(task, cfg)
     save_checkpoint(params, out_dir / "model.ckpt")
     _write_json(out_dir / "run.json", record.to_dict())
     print(
@@ -371,14 +368,15 @@ def cmd_eval(args) -> int:
     if not _apply_flags(config["eval"], args)["model"]:
         raise ValidationError("eval requires a model checkpoint (eval.model or --model)", ["eval.model"])
 
-    out_dir = _echo_config(config)
     train_ds, test_ds = _build_datasets(config)
     task = _build_task(config, train_ds, test_ds)
-    params = _load_model_for(config, train_ds, config["eval"]["model"])
+    arch = _build_arch(config, train_ds)
+    params = _load_model_for(arch, config["eval"]["model"])
     reference = None
     if config["eval"]["reference"]:
-        reference = _load_model_for(config, train_ds, config["eval"]["reference"])
+        reference = _load_model_for(arch, config["eval"]["reference"])
 
+    out_dir = _echo_config(config)
     report = evaluate(params, task, reference)
     _write_json(out_dir / "eval.json", report.to_dict())
     geometry = embedding_geometry(params, task)
@@ -393,10 +391,11 @@ def cmd_mia(args) -> int:
     if not _apply_flags(config["mia"], args)["model"]:
         raise ValidationError("mia requires a model checkpoint (mia.model or --model)", ["mia.model"])
 
-    out_dir = _echo_config(config)
     train_ds, test_ds = _build_datasets(config)
     task = _build_task(config, train_ds, test_ds)
-    params = _load_model_for(config, train_ds, config["mia"]["model"])
+    params = _load_model_for(_build_arch(config, train_ds), config["mia"]["model"])
+
+    out_dir = _echo_config(config)
     report = run_mia(params, task, split_seed=config["mia"]["split_seed"])
     _write_json(out_dir / "mia.json", report.to_dict())
     print(

@@ -21,12 +21,13 @@ The restore term is plain softmax cross-entropy on remaining samples,
 computed with max-subtraction for stability. The combined objective is
 a weighted sum of the two.
 
-Each loss is recorded as one tape entry with a hand-written backward.
-Forward and backward run the numpy expressions of the same loss
-composed from tensor ops, in the same order, so values and gradients
+Each loss, the combined objective included, is recorded as one tape
+entry with a hand-written backward. Forward and backward run the numpy
+expressions of the same loss composed from the primitive tensor ops of
+``tests/composed_ops.py``, in the same order, so values and gradients
 are bit-identical to the composed version, while constants such as the
-row max, the one-hot labels and the masks get no adjoint. A value the
-composed ops would have rejected as non-finite still raises
+row max, the one-hot labels, the masks and the weights get no adjoint.
+A value the composed ops would have rejected as non-finite still raises
 NonFiniteError.
 """
 from __future__ import annotations
@@ -270,7 +271,8 @@ def cross_entropy_loss(logits: Tensor, labels: np.ndarray) -> Tensor:
 
 def combined_loss(unlearn: Tensor, ce: Tensor, cfg: LossConfig) -> Tensor:
     """Weighted sum of the unlearning and cross-entropy terms."""
-    return T.add(
-        T.multiply(T.as_tensor(unlearn), cfg.unlearn_weight),
-        T.multiply(T.as_tensor(ce), cfg.ce_weight),
-    )
+    unlearn, ce = T.as_tensor(unlearn), T.as_tensor(ce)
+    uw, cw = cfg.unlearn_weight, cfg.ce_weight
+    out = T._fresh(unlearn.data * uw + ce.data * cw, "combined_loss")
+    T._record(out, (unlearn, ce), lambda g: (g * uw, g * cw))
+    return out

@@ -4,10 +4,12 @@ Operations record themselves on an explicit gradient tape while one is
 active. ``GradTape.gradient`` is the one way into replay: it runs the
 tape in exact reverse order and accumulates adjoints. Every analytic
 gradient can be checked against the central finite-difference oracle
-in this module. ``dense`` here, one layer ``act(x @ w + b)``, and the
-losses in ``losses`` are fused: each records one tape entry whose
-hand-written backward repeats the arithmetic of the same computation
-composed from these primitives, so both give bit-identical results.
+in this module. The module holds only the ops the library runs.
+``dense`` here, one layer ``act(x @ w + b)``, and the losses in
+``losses`` are fused: each records one tape entry whose hand-written
+backward repeats the arithmetic of the same computation composed from
+primitive ops, so both give bit-identical results. The primitives are
+the test suite's oracle, in ``tests/composed_ops.py``.
 
 All values are 64-bit floats. Every operation checks its result for
 finiteness exactly once, so NaN or overflow surfaces at the op that
@@ -51,10 +53,8 @@ class Tensor:
 
     __slots__ = ("data", "tid")
 
-    def __init__(self, values, shape: Sequence[int] | None = None):
+    def __init__(self, values):
         arr = np.array(values, dtype=np.float64)
-        if shape is not None:
-            arr = arr.reshape(tuple(shape))
         if not _all_finite(arr):
             raise NonFiniteError("tensor constructed with non-finite entries")
         arr.flags.writeable = False
@@ -82,29 +82,11 @@ class Tensor:
         return f"Tensor(shape={self.shape})"
 
     # Arithmetic sugar; delegates to the module-level ops.
-    def __matmul__(self, other):
-        return matmul(self, other)
-
     def __add__(self, other):
         return add(self, other)
 
-    def __radd__(self, other):
-        return add(other, self)
-
-    def __sub__(self, other):
-        return subtract(self, other)
-
-    def __rsub__(self, other):
-        return subtract(other, self)
-
     def __mul__(self, other):
         return multiply(self, other)
-
-    def __rmul__(self, other):
-        return multiply(other, self)
-
-    def __neg__(self):
-        return multiply(self, -1.0)
 
 
 def _all_finite(arr: np.ndarray) -> bool:
@@ -219,17 +201,6 @@ def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     return g.reshape(shape)
 
 
-def matmul(a, b) -> Tensor:
-    """Matrix product of two rank-2 tensors."""
-    a, b = as_tensor(a), as_tensor(b)
-    if a.ndim != 2 or b.ndim != 2 or a.shape[1] != b.shape[0]:
-        raise DimensionError(f"matmul: incompatible shapes {a.shape} and {b.shape}")
-    out = _fresh(a.data @ b.data, "matmul")
-    a_data, b_data = a.data, b.data
-    _record(out, (a, b), lambda g: (g @ b_data.T, a_data.T @ g))
-    return out
-
-
 def dense(x, w, b, activation: str | None = None) -> Tensor:
     """One layer, act(x @ w + b), recorded as a single tape entry.
 
@@ -270,15 +241,6 @@ def dense(x, w, b, activation: str | None = None) -> Tensor:
     return out
 
 
-def transpose(a) -> Tensor:
-    a = as_tensor(a)
-    if a.ndim != 2:
-        raise DimensionError(f"transpose: rank-2 tensor required, got shape {a.shape}")
-    out = _fresh(a.data.T, "transpose")
-    _record(out, (a,), lambda g: (g.T,))
-    return out
-
-
 def add(a, b) -> Tensor:
     a, b = as_tensor(a), as_tensor(b)
     try:
@@ -288,18 +250,6 @@ def add(a, b) -> Tensor:
     out = _fresh(out_data, "add")
     a_shape, b_shape = a.shape, b.shape
     _record(out, (a, b), lambda g: (_unbroadcast(g, a_shape), _unbroadcast(g, b_shape)))
-    return out
-
-
-def subtract(a, b) -> Tensor:
-    a, b = as_tensor(a), as_tensor(b)
-    try:
-        out_data = a.data - b.data
-    except ValueError as exc:
-        raise DimensionError(f"subtract: incompatible shapes {a.shape} and {b.shape}") from exc
-    out = _fresh(out_data, "subtract")
-    a_shape, b_shape = a.shape, b.shape
-    _record(out, (a, b), lambda g: (_unbroadcast(g, a_shape), _unbroadcast(-g, b_shape)))
     return out
 
 
@@ -318,66 +268,6 @@ def multiply(a, b) -> Tensor:
         lambda g: (_unbroadcast(g * b_data, a_shape), _unbroadcast(g * a_data, b_shape)),
     )
     return out
-
-
-def relu(a) -> Tensor:
-    a = as_tensor(a)
-    out = _fresh(np.maximum(a.data, 0.0), "relu")
-    mask = a.data > 0.0
-    _record(out, (a,), lambda g: (g * mask,))
-    return out
-
-
-def tanh(a) -> Tensor:
-    a = as_tensor(a)
-    out_data = np.tanh(a.data)
-    out = _fresh(out_data, "tanh")
-    _record(out, (a,), lambda g: (g * (1.0 - out_data * out_data),))
-    return out
-
-
-def exp(a) -> Tensor:
-    a = as_tensor(a)
-    out_data = np.exp(a.data)
-    out = _fresh(out_data, "exp")
-    _record(out, (a,), lambda g: (g * out_data,))
-    return out
-
-
-def log(a) -> Tensor:
-    a = as_tensor(a)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        out_data = np.log(a.data)
-    out = _fresh(out_data, "log")
-    a_data = a.data
-    _record(out, (a,), lambda g: (g / a_data,))
-    return out
-
-
-def reduce_sum(a, axis: int | None = None) -> Tensor:
-    """Sum over one axis, or over all entries when axis is None."""
-    a = as_tensor(a)
-    if axis is None:
-        out = _fresh(a.data.sum(), "reduce_sum")
-        a_shape = a.shape
-        _record(out, (a,), lambda g: (np.broadcast_to(g, a_shape).copy(),))
-        return out
-    if not -a.ndim <= axis < a.ndim:
-        raise DimensionError(f"reduce_sum: axis {axis} out of range for shape {a.shape}")
-    out = _fresh(a.data.sum(axis=axis), "reduce_sum")
-    a_shape, ax = a.shape, axis % a.ndim
-
-    def backward(g):
-        return (np.broadcast_to(np.expand_dims(g, ax), a_shape).copy(),)
-
-    _record(out, (a,), backward)
-    return out
-
-
-def mean(a) -> Tensor:
-    """Arithmetic mean over all entries."""
-    a = as_tensor(a)
-    return multiply(reduce_sum(a), 1.0 / a.size)
 
 
 def l2_normalize(a) -> Tensor:

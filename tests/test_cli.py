@@ -3,6 +3,7 @@
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -360,6 +361,41 @@ class TestFailureModes:
         assert run("train", "--config", str(path), "--out", str(out)) == 2
         assert f"{section}.{field}" in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "argv, section, value, code",
+        [
+            (["train"], "architecture.hidden", [0], 2),
+            (["train"], "architecture.embedding_dim", 0, 2),
+            (["train"], "architecture.activation", "sigmoid", 2),
+            (["train"], "dataset.synthetic.dim", 0, 2),
+            (["eval", "--model", "junk.ckpt"], None, None, 3),
+            (["eval", "--model", "nowhere.ckpt"], None, None, 3),
+            (["mia", "--model", "junk.ckpt"], None, None, 3),
+            (["mia", "--model", "nowhere.ckpt"], None, None, 3),
+            (["unlearn", "--from", "junk.ckpt"], None, None, 3),
+            (["unlearn", "--from", "nowhere.ckpt"], None, None, 3),
+            (["unlearn", "--method", "retrain"], "task", {"kind": "sample", "index_file": "rows.txt"}, 2),
+            (["unlearn", "--method", "retrain"], "task.class_id", 9, 2),
+        ],
+    )
+    def test_bad_input_fails_before_any_write(
+        self, tmp_path, monkeypatch, capsys, argv, section, value, code
+    ):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "junk.ckpt").write_bytes(b"not a checkpoint")
+        (tmp_path / "rows.txt").write_text("0\nx\n")
+        cfg = json.loads(json.dumps(BASE_CONFIG))
+        if section is not None:
+            *parents, field = section.split(".")
+            target = cfg
+            for key in parents:
+                target = target[key]
+            target[field] = value
+        Path("bad.json").write_text(json.dumps(cfg))
+        assert run(*argv, "--config", "bad.json", "--out", "o") == code
+        assert "error" in capsys.readouterr().err
+        assert not Path("o").exists()
 
     def test_numbers_take_their_field_type(self, tmp_path, config_path):
         cfg = json.loads(json.dumps(BASE_CONFIG))

@@ -11,7 +11,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from unlearnlab.errors import (
@@ -28,20 +28,15 @@ from unlearnlab.losses import (
     cross_entropy_loss,
     sample_unlearn_loss,
 )
+from composed_ops import exp, log, matmul, reduce_sum, subtract, transpose
 from unlearnlab.tensor import (
     GradTape,
     add,
     as_tensor,
-    exp,
     finite_difference_gradient,
     gradient_relative_error,
     l2_normalize,
-    log,
-    matmul,
     multiply,
-    reduce_sum,
-    subtract,
-    transpose,
 )
 
 
@@ -455,6 +450,32 @@ class TestFusedLosses:
         for g, w in zip(got, want):
             assert np.array_equal(g, w)
 
+    @settings(max_examples=120, deadline=None, database=None)
+    @given(
+        terms=st.lists(st.floats(-1e6, 1e6), min_size=2, max_size=2),
+        weights=st.lists(st.floats(0.0, 3.0), min_size=2, max_size=2),
+    )
+    def test_combined_bit_identical_to_composed(self, terms, weights):
+        assume(sum(weights) > 0)
+        cfg = LossConfig(unlearn_weight=weights[0], ce_weight=weights[1])
+
+        def run(combine):
+            unlearn, ce = as_tensor(terms[0]), as_tensor(terms[1])
+            with GradTape() as tape:
+                out = combine(unlearn, ce)
+            return [out.data] + [g.data for g in tape.gradient(out, [unlearn, ce])]
+
+        got = run(lambda u, ce: combined_loss(u, ce, cfg))
+        want = run(lambda u, ce: add(multiply(u, weights[0]), multiply(ce, weights[1])))
+        for g, w in zip(got, want):
+            assert np.array_equal(g, w)
+
+    def test_combined_overflow_rejected(self):
+        cfg = LossConfig(unlearn_weight=10.0)
+        with np.errstate(over="ignore"):
+            with pytest.raises(NonFiniteError):
+                combined_loss(as_tensor(1e308), as_tensor(0.0), cfg)
+
     def test_one_tape_entry_per_loss(self, rng):
         a_emb, r_emb = unit_rows(rng, 3, 4), unit_rows(rng, 5, 4)
         for loss_fn in (sample_unlearn_loss, class_unlearn_loss):
@@ -465,6 +486,9 @@ class TestFusedLosses:
         logits = as_tensor(rng.standard_normal((4, 3)))
         with GradTape() as tape:
             loss = cross_entropy_loss(logits, np.array([0, 2, 1, 1]))
+        assert len(tape) == 1 and tape.operation_ids() == [loss.tid]
+        with GradTape() as tape:
+            loss = combined_loss(as_tensor(1.5), as_tensor(-0.5), LossConfig())
         assert len(tape) == 1 and tape.operation_ids() == [loss.tid]
 
     def test_shifted_logit_overflow_rejected(self):
