@@ -13,6 +13,7 @@ integers, so every split, batch order, and draw is reproducible.
 from __future__ import annotations
 
 import csv
+import warnings
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
@@ -36,6 +37,9 @@ TAG_UNLEARN_BATCHES = 2
 TAG_REMAIN_SAMPLER = 3
 TAG_TASK_SELECT = 4
 TAG_EVAL_SUBSET = 5
+
+# Largest label a CSV row may carry: labels are stored as int64.
+_LABEL_MAX = np.iinfo(np.int64).max
 
 
 @dataclass(frozen=True)
@@ -204,34 +208,85 @@ def generate_synthetic(
 
 
 def save_csv(dataset: Dataset, path: str | Path) -> None:
-    """Write "f0,...,f{k-1},label" rows; floats round-trip exactly."""
+    """Write an "f0,...,f{k-1},label" header and one row per sample.
+
+    Each feature is written as its ``repr``, so it round-trips exactly,
+    and the label as a plain integer. Lines end in "\\r\\n", the csv
+    module's default, so the bytes are those ``csv.writer`` would write.
+    """
     path = Path(path)
+    header = ",".join([f"f{i}" for i in range(dataset.num_features)] + ["label"])
+    rows = zip(dataset.features.tolist(), dataset.labels.tolist())
     with path.open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow([f"f{i}" for i in range(dataset.num_features)] + ["label"])
-        for row, label in zip(dataset.features, dataset.labels):
-            writer.writerow([repr(float(v)) for v in row] + [int(label)])
+        fh.write(header + "\r\n")
+        fh.writelines(",".join(map(repr, row)) + f",{label}\r\n" for row, label in rows)
 
 
 def load_csv(path: str | Path) -> Dataset:
-    """Read a dataset written by save_csv; classes = max label + 1."""
+    """Read a dataset written by save_csv; classes = max label + 1.
+
+    The header is checked first, then the body is parsed in one
+    ``np.loadtxt`` call. A body that call does not read cleanly goes to
+    the line-by-line parser instead, which raises each body error with
+    its line number. Both read a save_csv file to the same bits.
+    """
     path = Path(path)
+    with _open_csv(path) as fh:
+        width = _read_header(path, csv.reader(fh))
+        table = _read_body(fh, width)
+    if table is None:
+        return _load_csv_lines(path)
+    labels = table["label"]
+    return Dataset(table["f"], labels, int(labels.max()) + 1)
+
+
+def _open_csv(path: Path):
     try:
-        fh = path.open("r", newline="")
+        return path.open("r", newline="")
     except OSError as exc:
         raise ParseError(f"{path}: {exc}") from exc
-    with fh:
+
+
+def _read_header(path: Path, reader) -> int:
+    """Check the "f0,...,f{k-1},label" header; return the feature width k."""
+    try:
+        header = next(reader)
+    except StopIteration:
+        raise ParseError(f"{path}: line 1: empty file") from None
+    expected = [f"f{i}" for i in range(len(header) - 1)] + ["label"]
+    if len(header) < 2 or header != expected:
+        raise ParseError(
+            f"{path}: line 1: header must be f0,...,f{{k-1}},label, got {header}"
+        )
+    return len(header) - 1
+
+
+def _read_body(fh, width: int) -> np.ndarray | None:
+    """The rows after the header as one structured array, or None.
+
+    None means the line parser must decide: a field numpy cannot read
+    (quotes, a label such as "1.0" or one past int64, a field count that
+    changes, a comment or whitespace-only line), no rows at all, or a
+    negative label. Warnings count as failures, because numpy 1.23-1.26
+    read "1.0" into an integer column with only a DeprecationWarning.
+    """
+    dtype = np.dtype([("f", np.float64, (width,)), ("label", np.int64)])
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            table = np.loadtxt(fh, dtype=dtype, delimiter=",", comments=None, ndmin=1)
+    except (ValueError, Warning):
+        return None
+    if table.size == 0 or table["label"].min() < 0:
+        return None
+    return table
+
+
+def _load_csv_lines(path: Path) -> Dataset:
+    """The line-by-line parser: csv.reader, float() per feature, int() per label."""
+    with _open_csv(path) as fh:
         reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise ParseError(f"{path}: line 1: empty file") from None
-        expected = [f"f{i}" for i in range(len(header) - 1)] + ["label"]
-        if len(header) < 2 or header != expected:
-            raise ParseError(
-                f"{path}: line 1: header must be f0,...,f{{k-1}},label, got {header}"
-            )
-        width = len(header) - 1
+        width = _read_header(path, reader)
         rows, labels = [], []
         for lineno, row in enumerate(reader, start=2):
             if not row:
@@ -250,6 +305,8 @@ def load_csv(path: str | Path) -> Dataset:
                 raise ParseError(f"{path}: line {lineno}: {exc}") from exc
             if label < 0:
                 raise ParseError(f"{path}: line {lineno}: negative label {label}")
+            if label > _LABEL_MAX:
+                raise ParseError(f"{path}: line {lineno}: label {label} does not fit in int64")
             labels.append(label)
     if not rows:
         raise ParseError(f"{path}: no data rows")

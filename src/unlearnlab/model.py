@@ -176,7 +176,7 @@ def init_parameters(arch: ModelArchitecture, seed: int) -> ModelParameters:
     return ModelParameters(arch, tensors)
 
 
-def _check_batch(params: ModelParameters, x: Tensor) -> None:
+def _check_batch(params: ModelParameters, x: Tensor | np.ndarray) -> None:
     if x.ndim != 2:
         raise DimensionError(f"expected a batch of rank 2, got shape {x.shape}")
     if x.shape[1] != params.arch.input_dim:
@@ -186,8 +186,13 @@ def _check_batch(params: ModelParameters, x: Tensor) -> None:
 
 
 def encode(params: ModelParameters, x) -> Tensor:
-    """Unit-norm embeddings for a batch, shape (B, embedding_dim)."""
-    x = T.as_tensor(x)
+    """Unit-norm embeddings for a batch, shape (B, embedding_dim).
+
+    An array batch reaches the first layer as an array, so the tape
+    holds no adjoint for it; a Tensor batch keeps its gradient.
+    """
+    if not isinstance(x, Tensor):
+        x = np.asarray(x, dtype=np.float64)
     _check_batch(params, x)
     p = params.tensors
     h = x

@@ -207,8 +207,12 @@ def dense(x, w, b, activation: str | None = None) -> Tensor:
     x is (B, fan_in), w is (fan_in, fan_out) and b is (fan_out,);
     activation is one of ACTIVATIONS or None. Forward and backward do
     the arithmetic of matmul, add and the activation in that order, so
-    the results are bit-identical to composing those ops.
+    the results are bit-identical to composing those ops. An x that
+    arrives as an array is a constant: it is copied and checked like
+    any array input, but the tape records only w and b, so replay
+    skips its adjoint.
     """
+    x_taped = isinstance(x, Tensor)
     x, w, b = as_tensor(x), as_tensor(w), as_tensor(b)
     if x.ndim != 2 or w.ndim != 2 or x.shape[1] != w.shape[0] or b.shape != w.shape[1:]:
         raise DimensionError(f"dense: incompatible shapes {x.shape}, {w.shape} and {b.shape}")
@@ -235,9 +239,10 @@ def dense(x, w, b, activation: str | None = None) -> Tensor:
             g = g * mask
         elif activation == "tanh":
             g = g * (1.0 - out_data * out_data)
-        return (g @ w_data.T, x_data.T @ g, _unbroadcast(g, b_shape))
+        grads = (x_data.T @ g, _unbroadcast(g, b_shape))
+        return (g @ w_data.T, *grads) if x_taped else grads
 
-    _record(out, (x, w, b), backward)
+    _record(out, (x, w, b) if x_taped else (w, b), backward)
     return out
 
 

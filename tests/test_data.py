@@ -1,7 +1,14 @@
 """Synthetic data, CSV handling, task partitions, and batch plumbing."""
 
+import csv
+import io
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from unlearnlab.data import (
     EVAL_CAP,
@@ -9,6 +16,7 @@ from unlearnlab.data import (
     Standardizer,
     TaskSpec,
     UnlearnTask,
+    _load_csv_lines,
     _place_means,
     batches,
     generate_synthetic,
@@ -24,6 +32,54 @@ from unlearnlab.errors import (
     ParseError,
     ValidationError,
 )
+
+
+# Features that stress the round trip: signed zero, the smallest
+# subnormal, the largest finite values and integral floats.
+CSV_FLOATS = st.one_of(
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1.7976931348623157e308,
+                     -1.7976931348623157e308, 1.0, -3.0, 1e16]),
+    st.floats(allow_nan=False, allow_infinity=False),
+)
+
+# Edits of one field or one line of a valid file. A field edit's "{}"
+# is the field's own text, a line edit's "{}" the whole line; "<drop>"
+# drops the line's last field.
+FIELD_EDITS = ['"{}"', "1.0", "+1", " 1", "1 ", "1_0", "99999999999999999999",
+               "-1", "1e0", "", "nan", "inf", "x", "0x1"]
+LINE_EDITS = ["", "   ", "# comment", "{},", "<drop>"]
+
+
+@st.composite
+def mutated_csv(draw):
+    width = draw(st.integers(1, 3))
+    n = draw(st.integers(1, 4))
+    rows = [
+        [repr(draw(CSV_FLOATS)) for _ in range(width)] + [str(draw(st.integers(0, 3)))]
+        for _ in range(n)
+    ]
+    i, j = draw(st.integers(0, n - 1)), draw(st.integers(0, width))
+    lines = [",".join(r) for r in rows]
+    kind = draw(st.sampled_from(["none", "field", "line", "insert"]))
+    if kind == "field":
+        rows[i][j] = draw(st.sampled_from(FIELD_EDITS)).format(rows[i][j])
+        lines[i] = ",".join(rows[i])
+    elif kind == "line":
+        edit = draw(st.sampled_from(LINE_EDITS))
+        lines[i] = ",".join(rows[i][:-1]) if edit == "<drop>" else edit.format(lines[i])
+    elif kind == "insert":
+        lines.insert(i, draw(st.sampled_from(["", "   ", "# comment"])))
+    header = ",".join([f"f{k}" for k in range(width)] + ["label"])
+    newline = draw(st.sampled_from(["\n", "\r\n"]))
+    return newline.join([header] + lines) + draw(st.sampled_from(["", newline]))
+
+
+def _outcome(loader, path):
+    try:
+        d = loader(path)
+    except Exception as exc:  # the comparison is the point: any type, any message
+        return type(exc), str(exc)
+    return d.features.tobytes(), d.features.shape, d.labels.tobytes(), d.num_classes
 
 
 class TestGeneration:
@@ -124,6 +180,85 @@ class TestCsv:
         path.write_text("f0,f1,label\n")
         with pytest.raises(ParseError):
             load_csv(path)
+
+    def test_label_past_int64_reports_line_number(self, tmp_path):
+        path = tmp_path / "bad.csv"
+        path.write_text("f0,f1,label\n1.0,2.0,0\n1.0,2.0,99999999999999999999\n")
+        with pytest.raises(ParseError, match="line 3: label 99999999999999999999"):
+            load_csv(path)
+
+    def test_largest_int64_label_is_read(self, tmp_path):
+        path = tmp_path / "big.csv"
+        path.write_text(f"f0,label\n1.0,0\n2.0,{2**63 - 1}\n")
+        assert load_csv(path).labels.tolist() == [0, 2**63 - 1]
+
+    def test_float_label_rejected(self, tmp_path):
+        # numpy 1.23-1.26 read "1.0" into an integer column, warning only.
+        path = tmp_path / "bad.csv"
+        path.write_text("f0,f1,label\n1.0,2.0,0\n1.0,2.0,1.0\n")
+        with pytest.raises(ParseError, match="line 3: invalid literal for int"):
+            load_csv(path)
+
+    def test_comment_line_rejected(self, tmp_path):
+        # np.loadtxt would skip it by default; the format has no comments.
+        path = tmp_path / "bad.csv"
+        path.write_text("f0,f1,label\n1.0,2.0,0\n# note\n")
+        with pytest.raises(ParseError, match="line 3: expected 3 fields, got 1"):
+            load_csv(path)
+
+    def test_one_row_file(self, tmp_path):
+        path = tmp_path / "one.csv"
+        path.write_text("f0,label\n-0.0,3\n")
+        got = load_csv(path)
+        assert got.features.shape == (1, 1) and got.labels.tolist() == [3]
+        assert np.signbit(got.features[0, 0]) and got.num_classes == 4
+
+    def test_blank_lines_skipped_and_line_endings_mixed(self, tmp_path):
+        path = tmp_path / "mixed.csv"
+        path.write_bytes(b"f0,label\r\n\r\n1.5,0\n\n2.5,1\r3.5,0")
+        got = load_csv(path)
+        assert got.features[:, 0].tolist() == [1.5, 2.5, 3.5]
+        assert got.labels.tolist() == [0, 1, 0]
+
+    @settings(max_examples=150, deadline=None, database=None)
+    @given(st.data())
+    def test_round_trip_property(self, data):
+        width, n = data.draw(st.integers(1, 4)), data.draw(st.integers(1, 5))
+        row = st.lists(CSV_FLOATS, min_size=width, max_size=width)
+        features = data.draw(st.lists(row, min_size=n, max_size=n))
+        # load_csv counts max label + 1 classes, and a Dataset needs two.
+        labels = data.draw(
+            st.lists(st.integers(0, 6), min_size=n, max_size=n).filter(lambda ls: max(ls) >= 1)
+        )
+        dataset = Dataset(np.array(features), np.array(labels), max(labels) + 1)
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "d.csv"
+            save_csv(dataset, path)
+            loaded = load_csv(path)
+        assert loaded.features.tobytes() == dataset.features.tobytes()
+        assert loaded.labels.tobytes() == dataset.labels.tobytes()
+        assert loaded.num_classes == dataset.num_classes
+
+    @settings(max_examples=300, deadline=None, database=None)
+    @given(mutated_csv())
+    def test_matches_line_parser(self, text):
+        # The line parser is the oracle: the fast path must give the same
+        # Dataset, or the same error type and message, on every file.
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "d.csv"
+            path.write_bytes(text.encode())
+            assert _outcome(load_csv, path) == _outcome(_load_csv_lines, path)
+
+    def test_save_matches_csv_writer(self, tmp_path):
+        train, _ = generate_synthetic(3, 2, 4, 1, seed=3)
+        path = tmp_path / "d.csv"
+        save_csv(train, path)
+        want = io.StringIO(newline="")
+        writer = csv.writer(want)
+        writer.writerow(["f0", "f1", "label"])
+        for row, label in zip(train.features, train.labels):
+            writer.writerow([repr(float(v)) for v in row] + [int(label)])
+        assert path.read_bytes() == want.getvalue().encode()
 
 
 class TestStandardizer:

@@ -10,8 +10,10 @@ from unlearnlab.errors import (
     CheckpointIntegrityError,
     DegenerateEmbeddingError,
     DimensionError,
+    NonFiniteError,
     ValidationError,
 )
+from composed_ops import reduce_sum
 from unlearnlab.model import (
     ModelArchitecture,
     ModelParameters,
@@ -23,6 +25,7 @@ from unlearnlab.model import (
     predict_labels,
     save_checkpoint,
 )
+from unlearnlab.tensor import GradTape, Tensor, multiply
 
 ARCH = ModelArchitecture(input_dim=5, hidden=(7, 6), embedding_dim=4, num_classes=3)
 
@@ -116,6 +119,26 @@ class TestForwardPass:
         params = constant_params(ARCH, emb_bias=np.zeros(4))
         with pytest.raises(DegenerateEmbeddingError):
             encode(params, rng.standard_normal((2, 5)))
+
+    def test_array_batch_is_not_on_the_tape(self, rng):
+        params = init_parameters(ARCH, seed=1)
+        with GradTape() as tape:
+            encode(params, rng.standard_normal((3, 5)))
+        first_layer = params.tensors["enc0.w"].tid, params.tensors["enc0.b"].tid
+        assert tape._entries[0][1] == first_layer
+
+    def test_tensor_batch_keeps_its_gradient(self, rng):
+        params = init_parameters(ARCH, seed=1)
+        x = Tensor(rng.standard_normal((3, 5)))
+        with GradTape() as tape:
+            out = reduce_sum(multiply(encode(params, x), rng.standard_normal((3, 4))))
+        (gx,) = tape.gradient(out, [x])
+        assert gx.shape == (3, 5) and np.any(gx.data != 0.0)
+
+    def test_non_finite_batch_is_rejected(self):
+        params = init_parameters(ARCH, seed=1)
+        with pytest.raises(NonFiniteError):
+            encode(params, np.full((2, 5), np.inf))
 
     def test_embeddings_are_unit_norm(self, rng):
         params = init_parameters(ARCH, seed=1)

@@ -315,6 +315,27 @@ class TestDense:
             h = dense(x, rng.standard_normal((3, 2)), np.zeros(2), "relu")
         assert len(tape) == 1 and tape.operation_ids() == [h.tid]
 
+    @pytest.mark.parametrize("activation", ACTIVATIONS)
+    def test_array_input_is_a_constant(self, activation):
+        # The tape leaves an array x out, so replay computes no adjoint for
+        # it; w and b get the same bits as when x is a Tensor.
+        x0, w0, b0, r = _dense_case(7, 6, 5, 3)
+
+        def run(x):
+            wt, bt = as_tensor(w0), as_tensor(b0)
+            with GradTape() as tape:
+                out = reduce_sum(multiply(dense(x, wt, bt, activation), r))
+            recorded = tape._entries[0][1]
+            return recorded, (wt.tid, bt.tid), [g.data for g in tape.gradient(out, [wt, bt])]
+
+        recorded, weight_ids, grads = run(x0)
+        assert recorded == weight_ids
+        _, _, want = run(as_tensor(x0))
+        for got, expected in zip(grads, want):
+            assert np.array_equal(got, expected)
+        with pytest.raises(NonFiniteError):
+            dense(np.full((2, 5), np.nan), w0, b0, activation)
+
     def test_rejects_mismatched_shapes(self):
         with pytest.raises(DimensionError):
             dense(np.ones((2, 3)), np.ones((4, 2)), np.zeros(2))
