@@ -1,11 +1,11 @@
 """Datasets, unlearning task partitions, and batch iteration.
 
 A dataset is a dense float64 feature matrix with integer labels. An
-unlearning task splits a train/test pair into the six views the engine
-and the evaluation harness work with: the unlearning and remaining
-portions of the training split, the corresponding test portions for
-class tasks, and the fixed evaluation subsets used by the termination
-checks.
+unlearning task stores one request, the training rows to forget (and
+the class, for a class task), and derives the views the engine and the
+evaluation harness work with: the unlearning and remaining portions of
+the training split, the matching test portions for class tasks, and
+the fixed evaluation subsets used by the termination checks.
 
 All randomness flows through numpy Generators seeded from explicit
 integers, so every split, batch order, and draw is reproducible.
@@ -13,6 +13,7 @@ integers, so every split, batch order, and draw is reproducible.
 from __future__ import annotations
 
 import csv
+import itertools
 import warnings
 from dataclasses import dataclass
 from functools import cached_property
@@ -65,13 +66,7 @@ class Standardizer:
 class Dataset:
     """Feature matrix plus labels for a fixed number of classes."""
 
-    def __init__(
-        self,
-        features: np.ndarray,
-        labels: np.ndarray,
-        num_classes: int,
-        standardizer: Standardizer | None = None,
-    ):
+    def __init__(self, features: np.ndarray, labels: np.ndarray, num_classes: int):
         features = np.asarray(features, dtype=np.float64)
         labels = np.asarray(labels, dtype=np.int64)
         problems = []
@@ -96,7 +91,6 @@ class Dataset:
         self.features = features
         self.labels = labels
         self.num_classes = int(num_classes)
-        self.standardizer = standardizer
 
     def __len__(self) -> int:
         return self.features.shape[0]
@@ -107,12 +101,7 @@ class Dataset:
 
     def subset(self, indices: np.ndarray) -> "Dataset":
         indices = np.asarray(indices, dtype=np.int64)
-        return Dataset(
-            self.features[indices],
-            self.labels[indices],
-            self.num_classes,
-            standardizer=self.standardizer,
-        )
+        return Dataset(self.features[indices], self.labels[indices], self.num_classes)
 
     def class_indices(self, class_id: int) -> np.ndarray:
         return np.flatnonzero(self.labels == class_id)
@@ -129,8 +118,8 @@ def standardize_pair(train: Dataset, test: Dataset) -> tuple[Dataset, Dataset]:
     """Standardize both splits with statistics fitted on the train split."""
     t = Standardizer.fit(train.features)
     return (
-        Dataset(t.apply(train.features), train.labels, train.num_classes, standardizer=t),
-        Dataset(t.apply(test.features), test.labels, test.num_classes, standardizer=t),
+        Dataset(t.apply(train.features), train.labels, train.num_classes),
+        Dataset(t.apply(test.features), test.labels, test.num_classes),
     )
 
 
@@ -232,7 +221,7 @@ def load_csv(path: str | Path) -> Dataset:
     """
     path = Path(path)
     with _open_csv(path) as fh:
-        width = _read_header(path, csv.reader(fh))
+        width = _read_header(path, _csv_rows(path, fh))
         table = _read_body(fh, width)
     if table is None:
         return _load_csv_lines(path)
@@ -247,10 +236,25 @@ def _open_csv(path: Path):
         raise ParseError(f"{path}: {exc}") from exc
 
 
-def _read_header(path: Path, reader) -> int:
+def _csv_rows(path: Path, fh):
+    """(line number, row) for each csv record of fh. A record the csv
+    module rejects, such as a field past its size limit, is a ParseError.
+    """
+    reader = csv.reader(fh)
+    for lineno in itertools.count(1):
+        try:
+            row = next(reader)
+        except StopIteration:
+            return
+        except csv.Error as exc:
+            raise ParseError(f"{path}: line {lineno}: {exc}") from None
+        yield lineno, row
+
+
+def _read_header(path: Path, rows) -> int:
     """Check the "f0,...,f{k-1},label" header; return the feature width k."""
     try:
-        header = next(reader)
+        _, header = next(rows)
     except StopIteration:
         raise ParseError(f"{path}: line 1: empty file") from None
     expected = [f"f{i}" for i in range(len(header) - 1)] + ["label"]
@@ -285,10 +289,10 @@ def _read_body(fh, width: int) -> np.ndarray | None:
 def _load_csv_lines(path: Path) -> Dataset:
     """The line-by-line parser: csv.reader, float() per feature, int() per label."""
     with _open_csv(path) as fh:
-        reader = csv.reader(fh)
-        width = _read_header(path, reader)
+        records = _csv_rows(path, fh)
+        width = _read_header(path, records)
         rows, labels = [], []
-        for lineno, row in enumerate(reader, start=2):
+        for lineno, row in records:
             if not row:
                 continue
             if len(row) != width + 1:
@@ -323,25 +327,27 @@ class TaskSpec:
     sample_count: int | None = None
     sample_indices: tuple[int, ...] | None = None
     seed: int = 0
-    eval_cap: int = EVAL_CAP
 
 
 @dataclass
 class Batch:
-    """A slice of a dataset view plus where its rows came from."""
+    """Rows of a dataset view and their indices into that view."""
 
     features: np.ndarray
     labels: np.ndarray
     indices: np.ndarray
-    source: str = "train"
 
 
 class UnlearnTask:
     """Train/test pair partitioned for one unlearning request.
 
-    Index arrays always refer to rows of the full train or test split.
-    The unlearning and remaining train indices partition the train split
-    exactly; for class tasks the test split is partitioned the same way.
+    The task stores only the request: the training rows to unlearn, the
+    class of a class task, and the evaluation subsets of a sample task.
+    The remaining training rows are the complement of the unlearning
+    rows, and a class task splits the test rows by class_id, so both
+    splits are partitioned by construction. Index arrays refer to rows
+    of the full train or test split. The constructor is the one place
+    that rejects empty, duplicate and out-of-range unlearning indices.
     """
 
     def __init__(
@@ -350,53 +356,32 @@ class UnlearnTask:
         test: Dataset,
         kind: str,
         unlearn_train_idx: np.ndarray,
-        remain_train_idx: np.ndarray,
         class_id: int | None = None,
-        unlearn_test_idx: np.ndarray | None = None,
-        remain_test_idx: np.ndarray | None = None,
         eval_unlearn_idx: np.ndarray | None = None,
         eval_test_idx: np.ndarray | None = None,
     ):
-        self.train = train
-        self.test = test
-        self.kind = kind
-        self.class_id = class_id
-        self.unlearn_train_idx = np.asarray(unlearn_train_idx, dtype=np.int64)
-        self.remain_train_idx = np.asarray(remain_train_idx, dtype=np.int64)
-        self.unlearn_test_idx = (
-            None if unlearn_test_idx is None else np.asarray(unlearn_test_idx, dtype=np.int64)
-        )
-        self.remain_test_idx = (
-            None if remain_test_idx is None else np.asarray(remain_test_idx, dtype=np.int64)
-        )
-        self.eval_unlearn_idx = (
-            None if eval_unlearn_idx is None else np.asarray(eval_unlearn_idx, dtype=np.int64)
-        )
-        self.eval_test_idx = (
-            None if eval_test_idx is None else np.asarray(eval_test_idx, dtype=np.int64)
-        )
-        self._validate()
-
-    def _validate(self) -> None:
-        if self.kind not in ("class", "sample"):
-            raise ValidationError(f"unknown task kind {self.kind!r}")
-        if self.unlearn_train_idx.size == 0:
+        if kind not in ("class", "sample"):
+            raise ValidationError(f"unknown task kind {kind!r}")
+        if kind == "class" and class_id is None:
+            raise ValidationError("class task requires class_id")
+        if kind == "sample" and (eval_unlearn_idx is None or eval_test_idx is None):
+            raise ValidationError("sample task requires both evaluation subsets")
+        idx = np.sort(np.asarray(unlearn_train_idx, dtype=np.int64), axis=None)
+        if idx.size == 0:
             raise EmptyUnlearnSetError("unlearning set selects no training samples")
-        merged = np.sort(np.concatenate([self.unlearn_train_idx, self.remain_train_idx]))
-        if not np.array_equal(merged, np.arange(len(self.train))):
-            raise ValidationError(
-                "unlearning and remaining indices must partition the train split"
-            )
-        if self.kind == "class":
-            if self.unlearn_test_idx is None or self.remain_test_idx is None:
-                raise ValidationError("class task requires test-side partition")
-            merged_test = np.sort(
-                np.concatenate([self.unlearn_test_idx, self.remain_test_idx])
-            )
-            if not np.array_equal(merged_test, np.arange(len(self.test))):
-                raise ValidationError(
-                    "unlearning and remaining test indices must partition the test split"
-                )
+        if idx[0] < 0 or idx[-1] >= len(train):
+            raise ValidationError(f"unlearning indices must lie in [0, {len(train)})")
+        if np.any(idx[1:] == idx[:-1]):
+            raise ValidationError("unlearning indices contain duplicates")
+        remain = np.ones(len(train), dtype=bool)
+        remain[idx] = False
+        self.train, self.test, self.kind, self.class_id = train, test, kind, class_id
+        self.unlearn_train_idx = idx
+        self.remain_train_idx = np.flatnonzero(remain)
+        self.eval_unlearn_idx, self.eval_test_idx = (
+            None if a is None else np.asarray(a, dtype=np.int64)
+            for a in (eval_unlearn_idx, eval_test_idx)
+        )
 
     @cached_property
     def unlearn_train(self) -> Dataset:
@@ -406,17 +391,20 @@ class UnlearnTask:
     def remain_train(self) -> Dataset:
         return self.train.subset(self.remain_train_idx)
 
+    def _test_rows(self, of_class: bool) -> Dataset:
+        if self.kind != "class":
+            raise ValidationError("sample task has no test-side views")
+        return self.test.subset(np.flatnonzero((self.test.labels == self.class_id) == of_class))
+
     @cached_property
     def unlearn_test(self) -> Dataset:
-        if self.unlearn_test_idx is None:
-            raise ValidationError("sample task has no unlearning test view")
-        return self.test.subset(self.unlearn_test_idx)
+        """Test rows of the unlearned class (class tasks only)."""
+        return self._test_rows(True)
 
     @cached_property
     def remain_test(self) -> Dataset:
-        if self.remain_test_idx is None:
-            raise ValidationError("sample task has no remaining test view")
-        return self.test.subset(self.remain_test_idx)
+        """Test rows of every other class (class tasks only)."""
+        return self._test_rows(False)
 
     @cached_property
     def eval_unlearn(self) -> Dataset:
@@ -434,7 +422,10 @@ class UnlearnTask:
 
 
 def make_task(train: Dataset, test: Dataset, spec: TaskSpec) -> UnlearnTask:
-    """Partition a train/test pair according to a task spec."""
+    """Partition a train/test pair according to a task spec.
+
+    Explicit sample indices are checked by the UnlearnTask constructor.
+    """
     if train.num_classes != test.num_classes:
         raise ValidationError("train and test disagree on the number of classes")
     if train.num_features != test.num_features:
@@ -450,35 +441,15 @@ def make_task(train: Dataset, test: Dataset, spec: TaskSpec) -> UnlearnTask:
             raise EmptyUnlearnSetError(
                 f"class {spec.class_id} has no training samples"
             )
-        u_ts = test.class_indices(spec.class_id)
-        if u_ts.size == 0:
+        if test.class_indices(spec.class_id).size == 0:
             raise EmptyUnlearnSetError(
                 f"class {spec.class_id} has no test samples to evaluate termination on"
             )
-        r_tr = np.flatnonzero(train.labels != spec.class_id)
-        r_ts = np.flatnonzero(test.labels != spec.class_id)
-        return UnlearnTask(
-            train,
-            test,
-            "class",
-            unlearn_train_idx=u_tr,
-            remain_train_idx=r_tr,
-            class_id=spec.class_id,
-            unlearn_test_idx=u_ts,
-            remain_test_idx=r_ts,
-        )
+        return UnlearnTask(train, test, "class", u_tr, class_id=spec.class_id)
 
     if spec.kind == "sample":
         if spec.sample_indices is not None:
-            u_tr = np.asarray(sorted(spec.sample_indices), dtype=np.int64)
-            if u_tr.size == 0:
-                raise EmptyUnlearnSetError("explicit sample index set is empty")
-            if np.unique(u_tr).size != u_tr.size:
-                raise ValidationError("sample indices contain duplicates")
-            if u_tr.min() < 0 or u_tr.max() >= len(train):
-                raise ValidationError(
-                    f"sample indices must lie in [0, {len(train)})"
-                )
+            u_tr = np.sort(np.asarray(spec.sample_indices, dtype=np.int64))
         else:
             if spec.sample_count is None or spec.sample_count < 1:
                 raise EmptyUnlearnSetError("sample task requires a positive sample_count")
@@ -488,57 +459,28 @@ def make_task(train: Dataset, test: Dataset, spec: TaskSpec) -> UnlearnTask:
                 )
             rng = np.random.default_rng([spec.seed, TAG_TASK_SELECT])
             u_tr = np.sort(rng.choice(len(train), size=spec.sample_count, replace=False))
-        mask = np.ones(len(train), dtype=bool)
-        mask[u_tr] = False
-        r_tr = np.flatnonzero(mask)
-
         eval_rng = np.random.default_rng([spec.seed, TAG_EVAL_SUBSET])
-        n_u_eval = min(u_tr.size, spec.eval_cap)
-        eval_u = np.sort(eval_rng.choice(u_tr, size=n_u_eval, replace=False))
-        n_ts_eval = min(len(test), spec.eval_cap)
+        eval_u = np.sort(eval_rng.choice(u_tr, size=min(u_tr.size, EVAL_CAP), replace=False))
+        n_ts_eval = min(len(test), EVAL_CAP)
         eval_ts = np.sort(eval_rng.choice(len(test), size=n_ts_eval, replace=False))
         return UnlearnTask(
-            train,
-            test,
-            "sample",
-            unlearn_train_idx=u_tr,
-            remain_train_idx=r_tr,
-            eval_unlearn_idx=eval_u,
-            eval_test_idx=eval_ts,
+            train, test, "sample", u_tr, eval_unlearn_idx=eval_u, eval_test_idx=eval_ts
         )
 
     raise ValidationError(f"unknown task kind {spec.kind!r}")
 
 
-def batches(
-    view: Dataset,
-    batch_size: int,
-    seed,
-    drop_last: bool = False,
-    source: str = "train",
-) -> list[Batch]:
+def batches(view: Dataset, batch_size: int, seed) -> list[Batch]:
     """Seeded permutation of a view, chunked into batches.
 
-    The final short chunk is kept unless drop_last is set, so every row
-    appears exactly once per epoch.
+    Only the final chunk may be short, so every row appears exactly once
+    per epoch.
     """
     if batch_size < 1:
         raise ValidationError("batch_size must be >= 1")
     order = np.random.default_rng(seed).permutation(len(view))
-    out = []
-    for start in range(0, len(view), batch_size):
-        idx = order[start : start + batch_size]
-        if drop_last and idx.size < batch_size:
-            break
-        out.append(
-            Batch(
-                features=view.features[idx],
-                labels=view.labels[idx],
-                indices=idx,
-                source=source,
-            )
-        )
-    return out
+    chunks = (order[start : start + batch_size] for start in range(0, len(view), batch_size))
+    return [Batch(view.features[idx], view.labels[idx], idx) for idx in chunks]
 
 
 def sample_remaining(task: UnlearnTask, batch_size: int, rng: np.random.Generator) -> Batch:
@@ -553,9 +495,4 @@ def sample_remaining(task: UnlearnTask, batch_size: int, rng: np.random.Generato
             f"remaining train view has {len(remain)} rows, need >= {batch_size}"
         )
     idx = rng.choice(len(remain), size=batch_size, replace=False)
-    return Batch(
-        features=remain.features[idx],
-        labels=remain.labels[idx],
-        indices=idx,
-        source="remain",
-    )
+    return Batch(remain.features[idx], remain.labels[idx], idx)

@@ -127,34 +127,42 @@ class RunRecord:
         return asdict(self)
 
 
+def _class_termination(
+    params: ModelParameters, eval_view: Dataset, num_classes: int
+) -> tuple[bool, dict]:
+    acc = accuracy(params, eval_view)
+    threshold = 1.0 / num_classes
+    return acc <= threshold, {"unlearn_test_accuracy": acc, "chance_level": threshold}
+
+
+def _sample_termination(
+    params: ModelParameters, unlearn_eval: Dataset, test_eval: Dataset
+) -> tuple[bool, dict]:
+    acc_u = accuracy(params, unlearn_eval)
+    acc_t = accuracy(params, test_eval)
+    return acc_u <= acc_t, {"unlearn_eval_accuracy": acc_u, "test_eval_accuracy": acc_t}
+
+
 def check_termination_class(
     params: ModelParameters, eval_view: Dataset, num_classes: int
 ) -> bool:
     """True once unlearning-class accuracy is at or below chance."""
-    return accuracy(params, eval_view) <= 1.0 / num_classes
+    return _class_termination(params, eval_view, num_classes)[0]
 
 
 def check_termination_sample(
     params: ModelParameters, unlearn_eval: Dataset, test_eval: Dataset
 ) -> bool:
     """True once unlearning accuracy is at or below test accuracy."""
-    return accuracy(params, unlearn_eval) <= accuracy(params, test_eval)
+    return _sample_termination(params, unlearn_eval, test_eval)[0]
 
 
 def _termination_metrics(params: ModelParameters, task: UnlearnTask) -> tuple[bool, dict]:
+    """The check the unlearning loop runs: the rule above for the task's
+    kind, plus the accuracies it compared, for the evaluation row."""
     if task.kind == "class":
-        acc = accuracy(params, task.eval_unlearn)
-        threshold = 1.0 / task.train.num_classes
-        return acc <= threshold, {
-            "unlearn_test_accuracy": acc,
-            "chance_level": threshold,
-        }
-    acc_u = accuracy(params, task.eval_unlearn)
-    acc_t = accuracy(params, task.eval_test)
-    return acc_u <= acc_t, {
-        "unlearn_eval_accuracy": acc_u,
-        "test_eval_accuracy": acc_t,
-    }
+        return _class_termination(params, task.eval_unlearn, task.train.num_classes)
+    return _sample_termination(params, task.eval_unlearn, task.eval_test)
 
 
 def _diverged(exc: NonFiniteError, epoch: int, b_index: int | None = None) -> DivergenceError:
@@ -355,14 +363,10 @@ def unlearn_contrastive(
 
     def run_pass(params: ModelParameters, epoch: int, record: RunRecord) -> ModelParameters:
         ul_losses, ce_losses, skipped = [], [], 0
-        for b_index, ub in enumerate(
-            batches(
-                task.unlearn_train,
-                cfg.batch_size,
-                [cfg.seed, TAG_UNLEARN_BATCHES, epoch],
-                source="unlearn",
-            )
-        ):
+        unlearn_batches = batches(
+            task.unlearn_train, cfg.batch_size, [cfg.seed, TAG_UNLEARN_BATCHES, epoch]
+        )
+        for b_index, ub in enumerate(unlearn_batches):
             record.batches_processed += 1
             for _ in range(cfg.remaining_resamples):
                 stepped = False

@@ -7,13 +7,15 @@ is what the contrastive losses operate on.
 
 Checkpoints are a self-describing binary container: magic bytes, format
 version, a JSON header with the architecture and tensor manifest, then
-little-endian float64 payloads and a CRC of the payload bytes. Saving
-and loading round-trips bit-exactly.
+little-endian float64 payloads and a CRC of the payload bytes. The
+header must be exactly the one its architecture writes. Saving and
+loading round-trips bit-exactly.
 """
 from __future__ import annotations
 
 import functools
 import json
+import math
 import struct
 import types
 import zlib
@@ -223,20 +225,24 @@ def predict_labels(params: ModelParameters, x) -> np.ndarray:
     return np.argmax(logits, axis=1)
 
 
-def save_checkpoint(params: ModelParameters, path: str | Path) -> None:
-    """Write the container described in the module docstring."""
-    names = params.names()
+def _header_bytes(arch: ModelArchitecture) -> bytes:
+    """The JSON header of a checkpoint of this architecture: the format
+    version, the architecture and the manifest of tensor names and shapes.
+    """
     header = {
         "format_version": _FORMAT_VERSION,
-        "architecture": params.arch.to_dict(),
+        "architecture": arch.to_dict(),
         "tensors": [
-            {"name": n, "shape": list(params.tensors[n].shape)} for n in names
+            {"name": n, "shape": list(shape)} for n, shape in arch.parameter_shapes.items()
         ],
     }
-    header_bytes = json.dumps(header, sort_keys=True).encode("utf-8")
-    payload = b"".join(
-        params.tensors[n].data.astype("<f8").tobytes(order="C") for n in names
-    )
+    return json.dumps(header, sort_keys=True).encode("utf-8")
+
+
+def save_checkpoint(params: ModelParameters, path: str | Path) -> None:
+    """Write the container described in the module docstring."""
+    header_bytes = _header_bytes(params.arch)
+    payload = b"".join(t.data.astype("<f8").tobytes(order="C") for t in params.as_list())
     blob = (
         _MAGIC
         + struct.pack("<II", _FORMAT_VERSION, len(header_bytes))
@@ -248,7 +254,12 @@ def save_checkpoint(params: ModelParameters, path: str | Path) -> None:
 
 
 def load_checkpoint(path: str | Path) -> ModelParameters:
-    """Read a checkpoint; the inverse of save_checkpoint, bit-exact."""
+    """Read a checkpoint; the inverse of save_checkpoint, bit-exact.
+
+    The header must be byte for byte the one save_checkpoint writes for
+    the architecture it names, so a damaged key, version or manifest
+    raises CheckpointIntegrityError like a damaged payload does.
+    """
     blob = Path(path).read_bytes()
     if len(blob) < 12 or blob[:4] != _MAGIC:
         raise CheckpointFormatError(f"{path}: not a model checkpoint")
@@ -257,16 +268,17 @@ def load_checkpoint(path: str | Path) -> ModelParameters:
         raise CheckpointFormatError(f"{path}: unsupported format version {version}")
     if len(blob) < 12 + header_len:
         raise CheckpointIntegrityError(f"{path}: truncated header")
+    header_bytes = blob[12 : 12 + header_len]
     try:
-        header = json.loads(blob[12 : 12 + header_len].decode("utf-8"))
+        header = json.loads(header_bytes.decode("utf-8"))
         arch = ModelArchitecture.from_dict(header["architecture"])
-        manifest = header["tensors"]
-    except (ValueError, KeyError, TypeError) as exc:
+    except (ValueError, KeyError, TypeError, OverflowError, ValidationError) as exc:
         raise CheckpointIntegrityError(f"{path}: malformed header ({exc})") from exc
+    if header_bytes != _header_bytes(arch):
+        raise CheckpointIntegrityError(f"{path}: header does not match its architecture")
 
-    payload_len = sum(
-        int(np.prod(entry["shape"])) * 8 for entry in manifest
-    )
+    shapes = arch.parameter_shapes
+    payload_len = sum(8 * math.prod(shape) for shape in shapes.values())
     expected_len = 12 + header_len + payload_len + 4
     if len(blob) != expected_len:
         raise CheckpointIntegrityError(
@@ -279,13 +291,9 @@ def load_checkpoint(path: str | Path) -> ModelParameters:
 
     tensors: dict[str, Tensor] = {}
     offset = 0
-    for entry in manifest:
-        shape = tuple(int(s) for s in entry["shape"])
-        nbytes = int(np.prod(shape)) * 8
+    for name, shape in shapes.items():
+        nbytes = 8 * math.prod(shape)
         arr = np.frombuffer(payload[offset : offset + nbytes], dtype="<f8").reshape(shape)
-        tensors[str(entry["name"])] = Tensor(arr)
+        tensors[name] = Tensor(arr)
         offset += nbytes
-    try:
-        return ModelParameters(arch, tensors)
-    except DimensionError as exc:
-        raise CheckpointIntegrityError(f"{path}: {exc}") from exc
+    return ModelParameters(arch, tensors)

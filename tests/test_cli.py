@@ -378,6 +378,7 @@ class TestFailureModes:
             (["unlearn", "--method", "retrain"], "task", {"kind": "sample", "index_file": "rows.txt"}, 2),
             (["unlearn", "--method", "retrain"], "task.class_id", 9, 2),
             (["train"], "dataset", {"csv": {"train": "huge.csv", "test": "huge.csv"}}, 2),
+            (["train"], "dataset", {"csv": {"train": "long.csv", "test": "long.csv"}}, 2),
         ],
     )
     def test_bad_input_fails_before_any_write(
@@ -387,6 +388,7 @@ class TestFailureModes:
         (tmp_path / "junk.ckpt").write_bytes(b"not a checkpoint")
         (tmp_path / "rows.txt").write_text("0\nx\n")
         (tmp_path / "huge.csv").write_text("f0,f1,label\n1.0,2.0,0\n1.0,2.0,99999999999999999999\n")
+        (tmp_path / "long.csv").write_text("f0,f1,label\n" + "0" * 200_000 + "1.5,2.0,0\n1.0,2.0,1.0\n")
         cfg = json.loads(json.dumps(BASE_CONFIG))
         if section is not None:
             *parents, field = section.split(".")

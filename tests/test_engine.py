@@ -8,6 +8,7 @@ import pytest
 import unlearnlab as ul
 from unlearnlab.data import TAG_TRAIN_BATCHES, TAG_UNLEARN_BATCHES
 from unlearnlab.engine import (
+    _termination_metrics,
     check_termination_class,
     check_termination_sample,
 )
@@ -323,6 +324,24 @@ class TestTerminationPredicates:
         assert check_termination_sample(model, half, half) is True
         assert check_termination_sample(model, half, quarter) is False
         assert check_termination_sample(model, quarter, half) is True
+
+    def test_loop_runs_the_public_rule(self):
+        # The unlearning loop's check is the rule criterion 7 tests, and
+        # its evaluation row carries the accuracies that rule compared.
+        model = constant_model(self.ARCH4, predicted_class=1)
+        train = self.view([0, 1, 2, 3] * 3, 4)
+        test = self.view([1, 0, 1, 0, 1, 2, 3, 3], 4)  # accuracy 3/8
+        for class_id in (1, 2):
+            task = ul.make_task(train, test, ul.TaskSpec(kind="class", class_id=class_id))
+            met, metrics = _termination_metrics(model, task)
+            assert met is check_termination_class(model, task.eval_unlearn, 4)
+            assert metrics == {"unlearn_test_accuracy": float(class_id == 1), "chance_level": 0.25}
+        for rows, want in (((1, 5), False), ((0, 1, 2, 3), True)):
+            task = ul.make_task(train, test, ul.TaskSpec(kind="sample", sample_indices=rows))
+            met, metrics = _termination_metrics(model, task)
+            assert met is want
+            assert met is check_termination_sample(model, task.eval_unlearn, task.eval_test)
+            assert metrics["test_eval_accuracy"] == 3 / 8
 
 
 class TestUnlearnLoop:

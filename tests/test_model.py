@@ -215,6 +215,28 @@ class TestCheckpoint:
         with pytest.raises(CheckpointIntegrityError):
             load_checkpoint(path)
 
+    @pytest.mark.parametrize("activation", ["relu", "tanh"])
+    def test_every_bit_flip_and_truncation_is_rejected(self, tmp_path, activation):
+        # Covers the header as well as the payload: a flip in the
+        # "activation" key must not load a tanh model as relu, and a flip
+        # in a manifest key must not escape as a bare KeyError.
+        arch = ModelArchitecture(
+            input_dim=2, hidden=(2,), embedding_dim=2, num_classes=2, activation=activation
+        )
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(init_parameters(arch, seed=0), path)
+        blob = path.read_bytes()
+        damaged = [blob[:n] for n in range(len(blob))]
+        for i in range(len(blob)):
+            for bit in range(8):
+                flipped = bytearray(blob)
+                flipped[i] ^= 1 << bit
+                damaged.append(bytes(flipped))
+        for data in damaged:
+            path.write_bytes(data)
+            with pytest.raises((CheckpointFormatError, CheckpointIntegrityError)):
+                load_checkpoint(path)
+
     def test_not_a_checkpoint_at_all(self, tmp_path):
         path = tmp_path / "model.ckpt"
         path.write_bytes(b"ab")
