@@ -9,7 +9,6 @@ from . import errors
 from .data import (
     Batch,
     Dataset,
-    Standardizer,
     TaskSpec,
     UnlearnTask,
     batches,
@@ -41,8 +40,6 @@ from .evaluation import (
     embedding_geometry,
     evaluate,
     fit_attack_model,
-    mia_member_rate,
-    mia_train,
     run_mia,
 )
 from .losses import (
@@ -77,7 +74,6 @@ __version__ = "0.1.0"
 __all__ = [
     "Batch",
     "Dataset",
-    "Standardizer",
     "TaskSpec",
     "UnlearnTask",
     "batches",
@@ -105,8 +101,6 @@ __all__ = [
     "embedding_geometry",
     "evaluate",
     "fit_attack_model",
-    "mia_member_rate",
-    "mia_train",
     "run_mia",
     "ContrastSets",
     "LossConfig",

@@ -81,6 +81,7 @@ _DEFAULTS = {
 
 _TASK_DEFAULTS = {"kind": None, "class_id": None, "count": None, "seed": 0, "index_file": None}
 _OPTIONAL_INTS = {"task.class_id", "task.count"}
+_SEEDS = {"dataset.synthetic.seed", "engine.seed", "task.seed", "mia.split_seed"}
 _TYPE_NAMES = {
     int: "an integer", float: "a number", bool: "a boolean", str: "a string", list: "a list"
 }
@@ -111,6 +112,8 @@ def _typed(value, default, name: str):
     if kind is list and isinstance(value, list):
         return [_typed(v, 0, f"{name}[{i}]") for i, v in enumerate(value)]
     number = isinstance(value, (int, float)) and not isinstance(value, bool)
+    if name in _SEEDS and number and value < 0:
+        raise ValueError(f"{name}: must be a non-negative integer")
     if type(value) is kind or number and (kind is float or kind is int and value.is_integer()):
         return kind(value)
     raise ValueError(f"{name}: must be {_TYPE_NAMES[kind]}" + (" or null" if optional else ""))
@@ -140,7 +143,8 @@ def resolve_config(user: dict) -> dict:
     Each value must have its default's type, except that an int field takes
     an integral float and a float field any number (bools are not numbers).
     hidden takes a list of integers. A None default takes a path string or
-    null; task.class_id and task.count take an integer or null.
+    null; task.class_id and task.count take an integer or null. Seeds must
+    be non-negative.
     """
     problems: list[str] = []
     config = copy.deepcopy(_DEFAULTS)
@@ -199,6 +203,8 @@ def _resolve_from_args(args, need_task: bool = False) -> dict:
     if args.out:
         config["output_dir"] = args.out
     if args.seed is not None:
+        if args.seed < 0:
+            raise ValidationError("--seed: must be a non-negative integer", ["--seed"])
         config["engine"]["seed"] = args.seed
     if need_task and config["task"] is None:
         raise ValidationError("this command requires a 'task' section in the config", ["task"])

@@ -43,26 +43,6 @@ TAG_EVAL_SUBSET = 5
 _LABEL_MAX = np.iinfo(np.int64).max
 
 
-@dataclass(frozen=True)
-class Standardizer:
-    """Per-column affine transform fitted on a training split."""
-
-    mean: np.ndarray
-    std: np.ndarray
-
-    @staticmethod
-    def fit(features: np.ndarray) -> "Standardizer":
-        mean = features.mean(axis=0)
-        std = features.std(axis=0)
-        # Constant columns carry no information; leave them unscaled
-        # instead of dividing by zero.
-        std = np.where(std < 1e-8, 1.0, std)
-        return Standardizer(mean=mean, std=std)
-
-    def apply(self, features: np.ndarray) -> np.ndarray:
-        return (features - self.mean) / self.std
-
-
 class Dataset:
     """Feature matrix plus labels for a fixed number of classes."""
 
@@ -115,12 +95,15 @@ class Dataset:
 
 
 def standardize_pair(train: Dataset, test: Dataset) -> tuple[Dataset, Dataset]:
-    """Standardize both splits with statistics fitted on the train split."""
-    t = Standardizer.fit(train.features)
-    return (
-        Dataset(t.apply(train.features), train.labels, train.num_classes),
-        Dataset(t.apply(test.features), test.labels, test.num_classes),
-    )
+    """Standardize both splits with the train split's column means and stds.
+
+    Constant columns carry no information; they are centred but left
+    unscaled instead of dividing by zero.
+    """
+    mean = train.features.mean(axis=0)
+    std = train.features.std(axis=0)
+    std = np.where(std < 1e-8, 1.0, std)
+    return tuple(Dataset((d.features - mean) / std, d.labels, d.num_classes) for d in (train, test))
 
 
 def _place_means(num_classes: int, dim: int, min_distance: float, rng) -> np.ndarray:
@@ -175,6 +158,8 @@ def generate_synthetic(
         problems.append("per-class sample counts must be >= 1")
     if spread <= 0:
         problems.append("spread must be positive")
+    if seed < 0:
+        problems.append("seed must be >= 0")
     if problems:
         raise ValidationError("invalid generator settings: " + "; ".join(problems), problems)
 
@@ -338,6 +323,18 @@ class Batch:
     indices: np.ndarray
 
 
+def _row_indices(values, split: Dataset, what: str) -> np.ndarray:
+    """values as int64 row indices of split; one outside int64 is out of range too."""
+    out_of_range = ValidationError(f"{what} indices must lie in [0, {len(split)})")
+    try:
+        idx = np.asarray(values, dtype=np.int64)
+    except OverflowError:
+        raise out_of_range from None
+    if idx.size and (idx.min() < 0 or idx.max() >= len(split)):
+        raise out_of_range
+    return idx
+
+
 class UnlearnTask:
     """Train/test pair partitioned for one unlearning request.
 
@@ -346,8 +343,9 @@ class UnlearnTask:
     The remaining training rows are the complement of the unlearning
     rows, and a class task splits the test rows by class_id, so both
     splits are partitioned by construction. Index arrays refer to rows
-    of the full train or test split. The constructor is the one place
-    that rejects empty, duplicate and out-of-range unlearning indices.
+    of the full train or test split. The constructor rejects empty,
+    duplicate and out-of-range unlearning indices and out-of-range
+    evaluation indices, each with a ValidationError.
     """
 
     def __init__(
@@ -366,11 +364,9 @@ class UnlearnTask:
             raise ValidationError("class task requires class_id")
         if kind == "sample" and (eval_unlearn_idx is None or eval_test_idx is None):
             raise ValidationError("sample task requires both evaluation subsets")
-        idx = np.sort(np.asarray(unlearn_train_idx, dtype=np.int64), axis=None)
+        idx = np.sort(_row_indices(unlearn_train_idx, train, "unlearning"), axis=None)
         if idx.size == 0:
             raise EmptyUnlearnSetError("unlearning set selects no training samples")
-        if idx[0] < 0 or idx[-1] >= len(train):
-            raise ValidationError(f"unlearning indices must lie in [0, {len(train)})")
         if np.any(idx[1:] == idx[:-1]):
             raise ValidationError("unlearning indices contain duplicates")
         remain = np.ones(len(train), dtype=bool)
@@ -379,8 +375,11 @@ class UnlearnTask:
         self.unlearn_train_idx = idx
         self.remain_train_idx = np.flatnonzero(remain)
         self.eval_unlearn_idx, self.eval_test_idx = (
-            None if a is None else np.asarray(a, dtype=np.int64)
-            for a in (eval_unlearn_idx, eval_test_idx)
+            None if a is None else _row_indices(a, split, what)
+            for a, split, what in (
+                (eval_unlearn_idx, train, "unlearning evaluation"),
+                (eval_test_idx, test, "test evaluation"),
+            )
         )
 
     @cached_property
@@ -424,12 +423,16 @@ class UnlearnTask:
 def make_task(train: Dataset, test: Dataset, spec: TaskSpec) -> UnlearnTask:
     """Partition a train/test pair according to a task spec.
 
-    Explicit sample indices are checked by the UnlearnTask constructor.
+    Explicit sample indices are range-checked here, because the
+    evaluation subset is drawn from them; the UnlearnTask constructor
+    rejects empty and duplicate ones. The seed must be non-negative.
     """
     if train.num_classes != test.num_classes:
         raise ValidationError("train and test disagree on the number of classes")
     if train.num_features != test.num_features:
         raise ValidationError("train and test disagree on the feature width")
+    if spec.seed < 0:
+        raise ValidationError(f"task seed must be >= 0, got {spec.seed}")
 
     if spec.kind == "class":
         if spec.class_id is None or not 0 <= spec.class_id < train.num_classes:
@@ -449,7 +452,7 @@ def make_task(train: Dataset, test: Dataset, spec: TaskSpec) -> UnlearnTask:
 
     if spec.kind == "sample":
         if spec.sample_indices is not None:
-            u_tr = np.sort(np.asarray(spec.sample_indices, dtype=np.int64))
+            u_tr = np.sort(_row_indices(spec.sample_indices, train, "unlearning"))
         else:
             if spec.sample_count is None or spec.sample_count < 1:
                 raise EmptyUnlearnSetError("sample task requires a positive sample_count")

@@ -95,6 +95,8 @@ class EngineConfig:
             problems.append("epoch caps must be >= 0")
         if self.termination_every < 1:
             problems.append("termination_every must be >= 1")
+        if self.seed < 0:
+            problems.append("seed must be >= 0")
         if not (math.isfinite(self.divergence_factor) and self.divergence_factor > 0):
             problems.append("divergence_factor must be positive and finite")
         if self.anchor_resample_limit < 1:

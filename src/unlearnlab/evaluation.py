@@ -6,15 +6,15 @@ Accuracy goals compare the unlearned model against a model retrained
 without the forgotten data on the relevant views.
 
 The membership-inference attack asks whether the forgotten samples
-still look like training members. Members are drawn from the remaining
-train split, non-members from the test split, balanced. The attack
-features are each sample's softmax probability vector sorted in
-descending order, which makes the attack blind to which class a sample
-belongs to. A binary logistic model is fitted on those features; a
-sample is called a member only when its predicted probability is
-strictly above one half. Unlearning succeeded to the extent that the
-forgotten samples' member-prediction rate falls below that of held-out
-true members.
+still look like training members; run_mia is the whole protocol.
+Members are drawn from the remaining train split, non-members from the
+test split, balanced. The attack features (attack_features) are each
+sample's softmax probabilities sorted in descending order, which makes
+the attack blind to a sample's class. fit_attack_model fits a binary
+logistic AttackModel on them, which calls a sample a member only when
+its score is strictly above one half. Unlearning succeeded to the
+extent that the forgotten samples' member rate falls below that of
+held-out true members.
 
 Embedding geometry gives a direct view: the cosine similarity of each
 forgotten sample's embedding to its own class's remaining centroid
@@ -127,54 +127,47 @@ class GeometryReport:
 
 
 def embedding_geometry(params: ModelParameters, task: UnlearnTask) -> GeometryReport:
-    """Centroid similarities for every unlearning sample (see GeometryReport)."""
+    """Centroid similarities for every unlearning sample (see GeometryReport).
+
+    Each similarity is its own np.dot: a matrix product may round differently.
+    """
     remain = task.remain_train
     remain_z = encode(params, remain.features).data
     unlearn = task.unlearn_train
     unlearn_z = encode(params, unlearn.features).data
 
-    centroids: dict[int, np.ndarray | None] = {}
+    centroids: dict[int, np.ndarray] = {}
     report = GeometryReport()
     for c in range(task.train.num_classes):
         rows = remain_z[remain.labels == c]
         if rows.shape[0] == 0:
-            centroids[c] = None
             report.absent_classes.append(c)
             continue
         centroid = rows.mean(axis=0)
         norm = np.linalg.norm(centroid)
         if norm <= NORM_EPSILON:
-            centroids[c] = None
             report.degenerate_classes.append(c)
         else:
             centroids[c] = centroid / norm
 
-    own_sims, other_sims = [], []
-    for i, (z, label) in enumerate(zip(unlearn_z, unlearn.labels)):
-        own = centroids[int(label)]
-        own_sim = None if own is None else float(np.dot(z, own))
-        others = [
-            float(np.dot(z, centroids[c]))
-            for c in range(task.train.num_classes)
-            if c != label and centroids[c] is not None
-        ]
-        max_other = max(others) if others else None
+    for index, z, label in zip(task.unlearn_train_idx, unlearn_z, unlearn.labels):
+        sims = {c: float(np.dot(z, centroid)) for c, centroid in centroids.items()}
+        own = sims.pop(int(label), None)
         report.rows.append(
             {
-                "sample_index": int(task.unlearn_train_idx[i]),
+                "sample_index": int(index),
                 "label": int(label),
-                "own_class_similarity": own_sim,
-                "max_other_similarity": max_other,
+                "own_class_similarity": own,
+                "max_other_similarity": max(sims.values(), default=None),
             }
         )
-        if own_sim is not None:
-            own_sims.append(own_sim)
-        if max_other is not None:
-            other_sims.append(max_other)
-    if own_sims:
-        report.mean_own_similarity = float(np.mean(own_sims))
-    if other_sims:
-        report.mean_max_other_similarity = float(np.mean(other_sims))
+
+    def mean_of(column: str) -> float | None:
+        values = [row[column] for row in report.rows if row[column] is not None]
+        return float(np.mean(values)) if values else None
+
+    report.mean_own_similarity = mean_of("own_class_similarity")
+    report.mean_max_other_similarity = mean_of("max_other_similarity")
     return report
 
 
@@ -185,6 +178,11 @@ def attack_features(params: ModelParameters, dataset: Dataset) -> np.ndarray:
     probs = np.exp(shifted)
     probs /= probs.sum(axis=1, keepdims=True)
     return np.sort(probs, axis=1)[:, ::-1]
+
+
+# Per-side cap on the attack training sets, and the attack's ridge weight.
+MIA_MAX_PER_SIDE = 1000
+ATTACK_L2 = 1e-3
 
 
 @dataclass
@@ -202,13 +200,11 @@ class AttackModel:
         return self.member_scores(features) > 0.5
 
 
-def fit_attack_model(
-    features: np.ndarray, labels: np.ndarray, l2: float = 1e-3
-) -> AttackModel:
-    """Fit the logistic attack by minimizing regularized log-loss.
+def fit_attack_model(features: np.ndarray, labels: np.ndarray) -> AttackModel:
+    """Fit the logistic attack by minimizing log-loss plus an ATTACK_L2 ridge.
 
-    The tiny ridge term keeps the optimum finite on separable data; the
-    zero start and deterministic optimizer make refits bit-identical.
+    The ridge term keeps the optimum finite on separable data; the zero
+    start and deterministic L-BFGS-B make refits bit-identical.
     """
     features = np.asarray(features, dtype=np.float64)
     labels = np.asarray(labels, dtype=np.float64)
@@ -221,27 +217,16 @@ def fit_attack_model(
     def objective(w):
         scores = features @ w[:-1] + w[-1]
         margins = signs * scores
-        loss = np.mean(np.logaddexp(0.0, -margins)) + 0.5 * l2 * np.dot(w[:-1], w[:-1])
+        loss = np.mean(np.logaddexp(0.0, -margins)) + 0.5 * ATTACK_L2 * np.dot(w[:-1], w[:-1])
         p = expit(-margins)
         grad_scores = -(signs * p) / labels.size
-        grad_w = features.T @ grad_scores + l2 * w[:-1]
+        grad_w = features.T @ grad_scores + ATTACK_L2 * w[:-1]
         grad_b = grad_scores.sum()
         return loss, np.concatenate([grad_w, [grad_b]])
 
     start = np.zeros(features.shape[1] + 1)
     result = minimize(objective, start, jac=True, method="L-BFGS-B")
     return AttackModel(weights=result.x[:-1].copy(), bias=float(result.x[-1]))
-
-
-@dataclass
-class MiaTrainResult:
-    """Fitted attack, its validation accuracy, and the evaluation sets."""
-
-    attack: AttackModel
-    validation_accuracy: float
-    members_size: int
-    nonmembers_size: int
-    heldout_members: Dataset
 
 
 @dataclass
@@ -258,21 +243,19 @@ class MiaReport:
         return asdict(self)
 
 
-# Per-side cap on the attack training sets.
-MIA_MAX_PER_SIDE = 1000
-
-
-def mia_train(
-    params: ModelParameters, task: UnlearnTask, split_seed: int = 0
-) -> MiaTrainResult:
-    """Sample balanced member/non-member sets and fit the attack.
+def run_mia(params: ModelParameters, task: UnlearnTask, split_seed: int = 0) -> MiaReport:
+    """The whole attack protocol: draw the sets, fit the attack, rate the samples.
 
     Members come from the remaining train split, non-members from the
     test split, m = min(1000, available) per side. A further m remaining
-    samples are reserved as held-out members for rate comparison, and
-    20% of the attack set is held out to measure validation accuracy.
-    Deterministic in split_seed.
+    samples are reserved as held-out members, and 20% of the attack set
+    is held out to measure validation accuracy. The report gives the
+    fraction of the unlearning samples and of the held-out members that
+    the attack calls members. Deterministic in split_seed, which must be
+    a non-negative integer.
     """
+    if split_seed < 0:
+        raise ValidationError(f"split_seed must be >= 0, got {split_seed}")
     remain = task.remain_train
     test = task.test
     m = min(MIA_MAX_PER_SIDE, len(remain) // 2, len(test))
@@ -282,49 +265,24 @@ def mia_train(
         )
     rng = np.random.default_rng(split_seed)
     remain_order = rng.permutation(len(remain))
-    member_idx = remain_order[:m]
-    heldout_idx = remain_order[m : 2 * m]
-    nonmember_idx = rng.permutation(len(test))[:m]
-
-    member_features = attack_features(params, remain.subset(member_idx))
-    nonmember_features = attack_features(params, test.subset(nonmember_idx))
-    features = np.concatenate([member_features, nonmember_features])
+    members = remain.subset(remain_order[:m])
+    nonmembers = test.subset(rng.permutation(len(test))[:m])
+    features = np.concatenate([attack_features(params, d) for d in (members, nonmembers)])
     labels = np.concatenate([np.ones(m), np.zeros(m)])
 
     order = rng.permutation(2 * m)
     n_val = max(1, int(0.2 * 2 * m))
     val_idx, fit_idx = order[:n_val], order[n_val:]
     attack = fit_attack_model(features[fit_idx], labels[fit_idx])
-    val_acc = float(
-        np.mean(attack.predict_member(features[val_idx]) == (labels[val_idx] == 1.0))
+    val_hits = attack.predict_member(features[val_idx]) == (labels[val_idx] == 1.0)
+    rate_unlearn, rate_heldout = (
+        float(np.mean(attack.predict_member(attack_features(params, samples))))
+        for samples in (task.unlearn_train, remain.subset(remain_order[m : 2 * m]))
     )
-    return MiaTrainResult(
-        attack=attack,
-        validation_accuracy=val_acc,
+    return MiaReport(
+        member_rate_unlearn=rate_unlearn,
+        member_rate_heldout_members=rate_heldout,
+        validation_accuracy=float(np.mean(val_hits)),
         members_size=m,
         nonmembers_size=m,
-        heldout_members=remain.subset(heldout_idx),
-    )
-
-
-def mia_member_rate(
-    attack: AttackModel, params: ModelParameters, samples: Dataset
-) -> float:
-    """Fraction of samples the attack calls members under this model."""
-    return float(np.mean(attack.predict_member(attack_features(params, samples))))
-
-
-def run_mia(
-    params: ModelParameters, task: UnlearnTask, split_seed: int = 0
-) -> MiaReport:
-    """Full attack protocol: fit, then rate the forgotten samples."""
-    trained = mia_train(params, task, split_seed)
-    return MiaReport(
-        member_rate_unlearn=mia_member_rate(trained.attack, params, task.unlearn_train),
-        member_rate_heldout_members=mia_member_rate(
-            trained.attack, params, trained.heldout_members
-        ),
-        validation_accuracy=trained.validation_accuracy,
-        members_size=trained.members_size,
-        nonmembers_size=trained.nonmembers_size,
     )

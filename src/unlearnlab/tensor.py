@@ -157,15 +157,16 @@ class GradTape:
     def gradient(self, output: Tensor, inputs: Sequence[Tensor]) -> list[Tensor]:
         """Gradients of a scalar output with respect to each input.
 
-        Inputs that did not participate in producing the output get an
-        exact zero gradient of their own shape. Each gradient is checked
+        An input may be a leaf or an intermediate result. Inputs that did
+        not participate in producing the output get an exact zero
+        gradient of their own shape. Each gradient is checked
         for finiteness once and returned read-only, without a copy.
         """
         if output.shape != ():
             raise ContractError(f"gradient of non-scalar output with shape {output.shape}")
         adjoints: dict[int, np.ndarray] = {output.tid: np.ones(())}
         for out_tid, in_tids, backward in reversed(self._entries):
-            g_out = adjoints.pop(out_tid, None)
+            g_out = adjoints.get(out_tid)
             if g_out is None:
                 continue
             for tid, g_in in zip(in_tids, backward(g_out)):

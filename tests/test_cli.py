@@ -379,6 +379,16 @@ class TestFailureModes:
             (["unlearn", "--method", "retrain"], "task.class_id", 9, 2),
             (["train"], "dataset", {"csv": {"train": "huge.csv", "test": "huge.csv"}}, 2),
             (["train"], "dataset", {"csv": {"train": "long.csv", "test": "long.csv"}}, 2),
+            (["gen-data", "--seed", "-1"], None, None, 2),
+            (["train", "--seed", "-1"], None, None, 2),
+            (["unlearn", "--from", "junk.ckpt", "--seed", "-1"], None, None, 2),
+            (["unlearn", "--method", "retrain", "--seed", "-1"], None, None, 2),
+            (["eval", "--model", "junk.ckpt", "--seed", "-1"], None, None, 2),
+            (["train"], "dataset.synthetic.seed", -1, 2),
+            (["train"], "engine.seed", -1.0, 2),
+            (["mia", "--model", "junk.ckpt"], "mia", {"split_seed": -1}, 2),
+            (["unlearn", "--method", "retrain"], "task", {"kind": "sample", "count": 5, "seed": -3}, 2),
+            (["unlearn", "--method", "retrain"], "task", {"kind": "sample", "index_file": "big.txt"}, 2),
         ],
     )
     def test_bad_input_fails_before_any_write(
@@ -387,6 +397,7 @@ class TestFailureModes:
         monkeypatch.chdir(tmp_path)
         (tmp_path / "junk.ckpt").write_bytes(b"not a checkpoint")
         (tmp_path / "rows.txt").write_text("0\nx\n")
+        (tmp_path / "big.txt").write_text("0\n99999999999999999999\n")
         (tmp_path / "huge.csv").write_text("f0,f1,label\n1.0,2.0,0\n1.0,2.0,99999999999999999999\n")
         (tmp_path / "long.csv").write_text("f0,f1,label\n" + "0" * 200_000 + "1.5,2.0,0\n1.0,2.0,1.0\n")
         cfg = json.loads(json.dumps(BASE_CONFIG))

@@ -13,7 +13,6 @@ from hypothesis import strategies as st
 from unlearnlab.data import (
     EVAL_CAP,
     Dataset,
-    Standardizer,
     TaskSpec,
     UnlearnTask,
     _load_csv_lines,
@@ -129,6 +128,10 @@ class TestGeneration:
         x_ts = np.hstack([test.features, np.ones((len(test), 1))])
         acc = np.mean(np.argmax(x_ts @ w, axis=1) == test.labels)
         assert acc >= 0.95
+
+    def test_negative_seed_rejected(self):
+        with pytest.raises(ValidationError, match="seed"):
+            generate_synthetic(3, 4, 10, 10, seed=-1)
 
     def test_rejects_bad_settings(self):
         with pytest.raises(ValidationError):
@@ -276,21 +279,24 @@ class TestCsv:
 class TestStandardizer:
     def test_zero_mean_unit_std(self, rng):
         x = rng.standard_normal((200, 3)) * [2.0, 5.0, 0.1] + [1.0, -4.0, 0.0]
-        out = Standardizer.fit(x).apply(x)
-        assert np.allclose(out.mean(axis=0), 0.0, atol=1e-12)
-        assert np.allclose(out.std(axis=0), 1.0, atol=1e-12)
+        ds = Dataset(x, np.zeros(200, dtype=int), 2)
+        out, _ = standardize_pair(ds, ds)
+        assert np.allclose(out.features.mean(axis=0), 0.0, atol=1e-12)
+        assert np.allclose(out.features.std(axis=0), 1.0, atol=1e-12)
 
     def test_constant_column_is_centred_not_scaled(self):
         x = np.column_stack([np.full(10, 3.0), np.arange(10.0)])
-        out = Standardizer.fit(x).apply(x)
-        assert np.allclose(out[:, 0], 0.0)
+        ds = Dataset(x, np.zeros(10, dtype=int), 2)
+        out, shifted = standardize_pair(ds, Dataset(x + 1.0, np.zeros(10, dtype=int), 2))
+        assert np.allclose(out.features[:, 0], 0.0)
+        assert np.allclose(shifted.features[:, 0], 1.0)
 
     def test_pair_uses_train_statistics(self, rng):
         train, test = generate_synthetic(3, 4, 100, 30, seed=3)
         s_train, s_test = standardize_pair(train, test)
         assert np.allclose(s_train.features.mean(axis=0), 0.0, atol=1e-12)
-        t = Standardizer.fit(train.features)
-        assert np.array_equal(s_test.features, t.apply(test.features))
+        mean, std = train.features.mean(axis=0), train.features.std(axis=0)
+        assert np.array_equal(s_test.features, (test.features - mean) / std)
         assert np.array_equal(s_train.labels, train.labels)
 
 
@@ -427,6 +433,32 @@ class TestTaskValidation:
         task = UnlearnTask(train, test, "class", train.class_indices(1), class_id=1)
         assert task.unlearn_test.equals(test.subset(test.class_indices(1)))
         assert task.remain_test.equals(test.subset(np.flatnonzero(test.labels != 1)))
+
+    @pytest.mark.parametrize("big", [2**63, 10**20, -(2**63) - 1])
+    def test_index_past_int64_rejected(self, big):
+        train, test = generate_synthetic(3, 4, 10, 5, seed=0)
+        with pytest.raises(ValidationError):
+            UnlearnTask(train, test, "sample", [0, big], **self.EVAL)
+        with pytest.raises(ValidationError):
+            make_task(train, test, TaskSpec(kind="sample", sample_indices=(0, big)))
+
+    def test_evaluation_indices_range_checked(self):
+        train, test = generate_synthetic(3, 4, 10, 5, seed=0)
+        for eval_unlearn, eval_test in (([10**6], [0]), ([0], [-99]), ([0], [len(test)])):
+            with pytest.raises(ValidationError):
+                UnlearnTask(
+                    train, test, "sample", [0],
+                    eval_unlearn_idx=eval_unlearn, eval_test_idx=eval_test,
+                )
+
+    def test_negative_task_seed_rejected(self):
+        train, test = generate_synthetic(3, 4, 10, 5, seed=0)
+        for spec in (
+            TaskSpec(kind="sample", sample_count=3, seed=-3),
+            TaskSpec(kind="class", class_id=0, seed=-1),
+        ):
+            with pytest.raises(ValidationError, match="seed"):
+                make_task(train, test, spec)
 
     def test_incomplete_request_rejected(self):
         train, test = generate_synthetic(3, 4, 10, 5, seed=0)

@@ -231,6 +231,10 @@ class TestTrain:
             with pytest.raises(ValidationError):
                 ul.EngineConfig(divergence_factor=bad)
 
+    def test_negative_seed_rejected(self):
+        with pytest.raises(ValidationError, match="seed"):
+            ul.EngineConfig(seed=-1)
+
 
 class TestTapeSize:
     """Tape entries per step with two hidden layers: a dense per layer, the

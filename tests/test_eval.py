@@ -14,8 +14,6 @@ from unlearnlab.evaluation import (
     embedding_geometry,
     evaluate,
     fit_attack_model,
-    mia_member_rate,
-    mia_train,
     run_mia,
 )
 
@@ -70,6 +68,20 @@ class TestGeometry:
             assert -1.0 - 1e-9 <= row["own_class_similarity"] <= 1.0 + 1e-9
             assert -1.0 - 1e-9 <= row["max_other_similarity"] <= 1.0 + 1e-9
         assert report.absent_classes == [] and report.degenerate_classes == []
+        # Oracle: one np.dot per sample and centroid; the own class is
+        # left out of the maximum over the others.
+        remain_z = ul.encode(params, task.remain_train.features).data
+        centroids = []
+        for c in range(3):
+            mean = remain_z[task.remain_train.labels == c].mean(axis=0)
+            centroids.append(mean / np.linalg.norm(mean))
+        unlearn_z = ul.encode(params, task.unlearn_train.features).data
+        for row, z in zip(report.rows, unlearn_z):
+            sims = [float(np.dot(z, centroid)) for centroid in centroids]
+            assert row["own_class_similarity"] == sims.pop(row["label"])
+            assert row["max_other_similarity"] == max(sims)
+        own = [row["own_class_similarity"] for row in report.rows]
+        assert report.mean_own_similarity == float(np.mean(own))
         out = tmp_path / "geometry.csv"
         report.write_csv(out)
         with out.open() as fh:
@@ -139,7 +151,7 @@ class TestAttackModel:
         train, _, params = small_world()
         attack = AttackModel(weights=np.zeros(3), bias=0.0)
         # Scores sit exactly at 0.5 and membership needs a strict majority.
-        assert mia_member_rate(attack, params, train) == 0.0
+        assert not attack.predict_member(attack_features(params, train)).any()
 
     def test_separable_features_are_learned(self, rng):
         # Members concentrated on one class, non-members diffuse.
@@ -174,17 +186,15 @@ class TestMiaProtocol:
             ARCH3, train, ul.EngineConfig(seed=0, max_epochs=20, batch_size=32)
         )
         task = ul.make_task(train, test, ul.TaskSpec(kind="sample", sample_count=30))
-        result = mia_train(params, task, split_seed=4)
+        report = run_mia(params, task, split_seed=4)
         # m = min(cap, half the remaining rows, all test rows).
-        assert result.members_size == min(1000, (600 - 30) // 2, 150) == 150
-        assert result.nonmembers_size == 150
-        assert len(result.heldout_members) == 150
-        assert 0.0 <= result.validation_accuracy <= 1.0
-        again = mia_train(params, task, split_seed=4)
-        assert again.validation_accuracy == result.validation_accuracy
-        assert np.array_equal(
-            again.heldout_members.features, result.heldout_members.features
-        )
+        assert report.members_size == min(1000, (600 - 30) // 2, 150) == 150
+        assert report.nonmembers_size == 150
+        # The held-out member rate counts members among m held-out rows.
+        held = report.member_rate_heldout_members * 150
+        assert 0 < held < 150 and held == pytest.approx(round(held), abs=1e-9)
+        assert 0.0 <= report.validation_accuracy <= 1.0
+        assert run_mia(params, task, split_seed=4) == report
 
     def test_report_fields(self):
         train, test = ul.generate_synthetic(3, 4, 200, 50, spread=1.0, seed=0)
@@ -211,4 +221,10 @@ class TestMiaProtocol:
         params = ul.init_parameters(arch, seed=0)
         task = ul.make_task(train, test, ul.TaskSpec(kind="sample", sample_count=2))
         with pytest.raises(ValidationError):
-            mia_train(params, task)
+            run_mia(params, task)
+
+    def test_negative_split_seed_rejected(self):
+        train, test, params = small_world()
+        task = ul.make_task(train, test, ul.TaskSpec(kind="sample", sample_count=15))
+        with pytest.raises(ValidationError, match="split_seed"):
+            run_mia(params, task, split_seed=-1)

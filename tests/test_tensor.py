@@ -12,6 +12,7 @@ from unlearnlab.errors import (
     NonFiniteError,
 )
 from composed_ops import exp, log, matmul, mean, reduce_sum, relu, subtract, tanh, transpose
+from unlearnlab.losses import cross_entropy_loss
 from unlearnlab.tensor import (
     GradTape,
     Tensor,
@@ -378,6 +379,24 @@ class TestTape:
         with GradTape() as tape:
             y = multiply(x, 3.0)
         assert len(tape) == 1 and tape.operation_ids() == [y.tid]
+
+    def test_intermediate_gradient_matches_a_fresh_leaf(self, rng):
+        x = as_tensor(rng.standard_normal((5, 3)))
+        w = as_tensor(rng.standard_normal((3, 4)))
+        b = as_tensor(rng.standard_normal(4))
+        labels = np.array([0, 1, 2, 3, 0])
+        with GradTape() as tape:
+            h = dense(x, w, b, "relu")
+            loss = cross_entropy_loss(h, labels)
+        g_x, g_h, g_w = tape.gradient(loss, [x, h, w])
+        leaf_x, leaf_w = tape.gradient(loss, [x, w])
+        with GradTape() as leaf_tape:
+            leaf = as_tensor(h.data)
+            leaf_loss = cross_entropy_loss(leaf, labels)
+        (want,) = leaf_tape.gradient(leaf_loss, [leaf])
+        assert np.any(want.data != 0.0)
+        assert np.array_equal(g_h.data, want.data)
+        assert np.array_equal(g_x.data, leaf_x.data) and np.array_equal(g_w.data, leaf_w.data)
 
 
 class TestNumericHelpers:
