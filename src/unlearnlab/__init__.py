@@ -62,12 +62,7 @@ from .model import (
     predict_labels,
     save_checkpoint,
 )
-from .tensor import (
-    GradTape,
-    Tensor,
-    finite_difference_gradient,
-    gradient_relative_error,
-)
+from .tensor import GradTape, Tensor
 
 __version__ = "0.1.0"
 
@@ -120,8 +115,6 @@ __all__ = [
     "save_checkpoint",
     "GradTape",
     "Tensor",
-    "finite_difference_gradient",
-    "gradient_relative_error",
     "errors",
     "__version__",
 ]

@@ -86,13 +86,6 @@ class Dataset:
     def class_indices(self, class_id: int) -> np.ndarray:
         return np.flatnonzero(self.labels == class_id)
 
-    def equals(self, other: "Dataset") -> bool:
-        return (
-            self.num_classes == other.num_classes
-            and np.array_equal(self.features, other.features)
-            and np.array_equal(self.labels, other.labels)
-        )
-
 
 def standardize_pair(train: Dataset, test: Dataset) -> tuple[Dataset, Dataset]:
     """Standardize both splits with the train split's column means and stds.
@@ -324,14 +317,21 @@ class Batch:
 
 
 def _row_indices(values, split: Dataset, what: str) -> np.ndarray:
-    """values as int64 row indices of split; one outside int64 is out of range too."""
+    """values as int64 row indices of split; one outside int64 is out of range
+    too. A non-integral value, such as 1.5 or NaN, is rejected, not truncated.
+    """
     out_of_range = ValidationError(f"{what} indices must lie in [0, {len(split)})")
+    not_integral = ValidationError(f"{what} indices must be integers")
     try:
         idx = np.asarray(values, dtype=np.int64)
     except OverflowError:
         raise out_of_range from None
+    except ValueError:
+        raise not_integral from None
     if idx.size and (idx.min() < 0 or idx.max() >= len(split)):
         raise out_of_range
+    if not np.array_equal(idx, values):
+        raise not_integral
     return idx
 
 
@@ -344,8 +344,9 @@ class UnlearnTask:
     rows, and a class task splits the test rows by class_id, so both
     splits are partitioned by construction. Index arrays refer to rows
     of the full train or test split. The constructor rejects empty,
-    duplicate and out-of-range unlearning indices and out-of-range
-    evaluation indices, each with a ValidationError.
+    duplicate, out-of-range and non-integral unlearning indices and
+    out-of-range and non-integral evaluation indices, each with a
+    ValidationError.
     """
 
     def __init__(
@@ -423,9 +424,10 @@ class UnlearnTask:
 def make_task(train: Dataset, test: Dataset, spec: TaskSpec) -> UnlearnTask:
     """Partition a train/test pair according to a task spec.
 
-    Explicit sample indices are range-checked here, because the
-    evaluation subset is drawn from them; the UnlearnTask constructor
-    rejects empty and duplicate ones. The seed must be non-negative.
+    The evaluation subset of a sample task is drawn from the sorted
+    unlearning indices, and the UnlearnTask constructor checks both, so
+    invalid explicit indices are rejected there. The seed must be
+    non-negative.
     """
     if train.num_classes != test.num_classes:
         raise ValidationError("train and test disagree on the number of classes")
@@ -452,7 +454,9 @@ def make_task(train: Dataset, test: Dataset, spec: TaskSpec) -> UnlearnTask:
 
     if spec.kind == "sample":
         if spec.sample_indices is not None:
-            u_tr = np.sort(_row_indices(spec.sample_indices, train, "unlearning"))
+            # An object array keeps each value as given (a float, or an int
+            # past int64) for the constructor's check.
+            u_tr = np.sort(np.asarray(spec.sample_indices, dtype=object))
         else:
             if spec.sample_count is None or spec.sample_count < 1:
                 raise EmptyUnlearnSetError("sample task requires a positive sample_count")

@@ -32,18 +32,14 @@ from scipy.special import expit
 
 from .data import Dataset, UnlearnTask
 from .errors import ValidationError
-from .model import ModelParameters, encode, forward
+from .model import ModelParameters, encode, forward, predict_labels
 from .tensor import NORM_EPSILON
 
 
 def accuracy(params: ModelParameters, dataset: Dataset) -> float:
-    """Fraction of samples whose argmax logit matches the label.
-
-    Ties in the logits resolve to the lowest class index.
-    """
-    logits = forward(params, dataset.features).data
-    predicted = np.argmax(logits, axis=1)
-    return float(np.mean(predicted == dataset.labels))
+    """Fraction of samples whose predicted label (``predict_labels``)
+    matches the label."""
+    return float(np.mean(predict_labels(params, dataset.features) == dataset.labels))
 
 
 @dataclass

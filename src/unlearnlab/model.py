@@ -109,7 +109,7 @@ class ModelArchitecture:
             hidden=tuple(int(h) for h in d["hidden"]),
             embedding_dim=int(d["embedding_dim"]),
             num_classes=int(d["num_classes"]),
-            activation=str(d.get("activation", "relu")),
+            activation=str(d["activation"]),
         )
 
 
@@ -152,23 +152,16 @@ class ModelParameters:
             self.arch, {n: Tensor(v) for n, v in zip(names, new_values)}
         )
 
-    def equals(self, other: "ModelParameters") -> bool:
-        """Bit-exact equality of architecture and every tensor."""
-        if self.arch != other.arch or self.names() != other.names():
-            return False
-        return all(
-            np.array_equal(self.tensors[n].data, other.tensors[n].data)
-            for n in self.names()
-        )
-
 
 def init_parameters(arch: ModelArchitecture, seed: int) -> ModelParameters:
     """Deterministic initialization.
 
     Weights are uniform on (-s, s) with s = sqrt(6 / (fan_in + fan_out));
     biases start at zero. The draw order is fixed by layer order, so one
-    seed always yields the same parameters.
+    seed always yields the same parameters. The seed must be non-negative.
     """
+    if seed < 0:
+        raise ValidationError(f"seed must be >= 0, got {seed}")
     rng = np.random.default_rng(seed)
     tensors: dict[str, Tensor] = {}
     for name, fan_in, fan_out in arch.layer_dims():

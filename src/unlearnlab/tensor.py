@@ -2,14 +2,14 @@
 
 Operations record themselves on an explicit gradient tape while one is
 active. ``GradTape.gradient`` is the one way into replay: it runs the
-tape in exact reverse order and accumulates adjoints. Every analytic
-gradient can be checked against the central finite-difference oracle
-in this module. The module holds only the ops the library runs.
-``dense`` here, one layer ``act(x @ w + b)``, and the losses in
-``losses`` are fused: each records one tape entry whose hand-written
-backward repeats the arithmetic of the same computation composed from
-primitive ops, so both give bit-identical results. The primitives are
-the test suite's oracle, in ``tests/composed_ops.py``.
+tape in exact reverse order and accumulates adjoints. The module holds
+only the ops the library runs: ``dense`` and ``l2_normalize``.
+``dense``, one layer ``act(x @ w + b)``, and the losses in ``losses``
+are fused: each records one tape entry whose hand-written backward
+repeats the arithmetic of the same computation composed from primitive
+ops, so both give bit-identical results. The primitives, and the
+central finite-difference oracle every analytic gradient is checked
+against, are the test suite's oracles, in ``tests/composed_ops.py``.
 
 All values are 64-bit floats. Every operation checks its result for
 finiteness exactly once, so NaN or overflow surfaces at the op that
@@ -81,13 +81,6 @@ class Tensor:
     def __repr__(self) -> str:
         return f"Tensor(shape={self.shape})"
 
-    # Arithmetic sugar; delegates to the module-level ops.
-    def __add__(self, other):
-        return add(self, other)
-
-    def __mul__(self, other):
-        return multiply(self, other)
-
 
 def _all_finite(arr: np.ndarray) -> bool:
     # The ufunc reduction directly; np.all and ndarray.all add Python wrappers.
@@ -150,10 +143,6 @@ class GradTape:
     def __len__(self) -> int:
         return len(self._entries)
 
-    def operation_ids(self) -> list[int]:
-        """Output tensor ids in recording order (diagnostic)."""
-        return [out_tid for out_tid, _, _ in self._entries]
-
     def gradient(self, output: Tensor, inputs: Sequence[Tensor]) -> list[Tensor]:
         """Gradients of a scalar output with respect to each input.
 
@@ -192,16 +181,6 @@ def _record(out: Tensor, inputs: Sequence[Tensor], backward: Callable) -> None:
         )
 
 
-def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
-    """Sum a broadcast gradient back down to the original operand shape."""
-    while g.ndim > len(shape):
-        g = g.sum(axis=0)
-    for axis, width in enumerate(shape):
-        if width == 1 and g.shape[axis] != 1:
-            g = g.sum(axis=axis, keepdims=True)
-    return g.reshape(shape)
-
-
 def dense(x, w, b, activation: str | None = None) -> Tensor:
     """One layer, act(x @ w + b), recorded as a single tape entry.
 
@@ -233,58 +212,26 @@ def dense(x, w, b, activation: str | None = None) -> Tensor:
     else:
         out_data = pre
     out = _wrap(out_data)
-    x_data, w_data, b_shape = x.data, w.data, b.shape
+    x_data, w_data = x.data, w.data
 
     def backward(g):
         if activation == "relu":
             g = g * mask
         elif activation == "tanh":
             g = g * (1.0 - out_data * out_data)
-        grads = (x_data.T @ g, _unbroadcast(g, b_shape))
+        grads = (x_data.T @ g, g.sum(axis=0))
         return (g @ w_data.T, *grads) if x_taped else grads
 
     _record(out, (x, w, b) if x_taped else (w, b), backward)
     return out
 
 
-def add(a, b) -> Tensor:
-    a, b = as_tensor(a), as_tensor(b)
-    try:
-        out_data = a.data + b.data
-    except ValueError as exc:
-        raise DimensionError(f"add: incompatible shapes {a.shape} and {b.shape}") from exc
-    out = _fresh(out_data, "add")
-    a_shape, b_shape = a.shape, b.shape
-    _record(out, (a, b), lambda g: (_unbroadcast(g, a_shape), _unbroadcast(g, b_shape)))
-    return out
-
-
-def multiply(a, b) -> Tensor:
-    """Elementwise product with numpy broadcasting."""
-    a, b = as_tensor(a), as_tensor(b)
-    try:
-        out_data = a.data * b.data
-    except ValueError as exc:
-        raise DimensionError(f"multiply: incompatible shapes {a.shape} and {b.shape}") from exc
-    out = _fresh(out_data, "multiply")
-    a_data, b_data, a_shape, b_shape = a.data, b.data, a.shape, b.shape
-    _record(
-        out,
-        (a, b),
-        lambda g: (_unbroadcast(g * b_data, a_shape), _unbroadcast(g * a_data, b_shape)),
-    )
-    return out
-
-
 def l2_normalize(a) -> Tensor:
-    """Scale a vector, or each row of a matrix, to unit Euclidean norm."""
+    """Scale each row of a matrix to unit Euclidean norm."""
     a = as_tensor(a)
-    if a.ndim == 1:
-        norms = np.linalg.norm(a.data, keepdims=True)
-    elif a.ndim == 2:
-        norms = np.linalg.norm(a.data, axis=1, keepdims=True)
-    else:
-        raise DimensionError(f"l2_normalize: rank-1 or rank-2 tensor required, got {a.shape}")
+    if a.ndim != 2:
+        raise DimensionError(f"l2_normalize: rank-2 tensor required, got {a.shape}")
+    norms = np.linalg.norm(a.data, axis=1, keepdims=True)
     if not np.all(np.isfinite(norms)):
         # Without this check an overflowed norm silently maps the row to zeros.
         raise NonFiniteError("l2_normalize: norm overflowed")
@@ -295,41 +242,8 @@ def l2_normalize(a) -> Tensor:
 
     def backward(g):
         # For z = v / |v|: dv = (g - z (z.g)) / |v|, applied per row.
-        if out_data.ndim == 1:
-            inner = np.dot(out_data, g)
-        else:
-            inner = np.sum(out_data * g, axis=1, keepdims=True)
+        inner = np.sum(out_data * g, axis=1, keepdims=True)
         return ((g - out_data * inner) / norms,)
 
     _record(out, (a,), backward)
     return out
-
-
-def finite_difference_gradient(
-    f: Callable[[np.ndarray], float], x: np.ndarray, step: float = 1e-5
-) -> np.ndarray:
-    """Central finite-difference gradient of a scalar function.
-
-    The independent oracle for gradient checks: evaluates f twice per
-    coordinate and never touches the tape.
-    """
-    x = np.asarray(x, dtype=np.float64)
-    out = np.zeros_like(x)
-    flat = out.reshape(-1)
-    for i in range(x.size):
-        xp = x.copy().reshape(-1)
-        xm = x.copy().reshape(-1)
-        xp[i] += step
-        xm[i] -= step
-        fp = f(xp.reshape(x.shape))
-        fm = f(xm.reshape(x.shape))
-        flat[i] = (fp - fm) / (2.0 * step)
-    return out
-
-
-def gradient_relative_error(analytic: np.ndarray, numeric: np.ndarray) -> float:
-    """Max elementwise relative error, denominator floored at 1e-8."""
-    analytic = np.asarray(analytic, dtype=np.float64)
-    numeric = np.asarray(numeric, dtype=np.float64)
-    denom = np.maximum(np.abs(analytic) + np.abs(numeric), 1e-8)
-    return float(np.max(np.abs(analytic - numeric) / denom))

@@ -1,18 +1,114 @@
-"""Composed tensor ops: the oracle the library's fused ops are checked against.
+"""The test suite's oracles: composed tensor ops, finite differences and
+bit-exact equality of models and datasets.
 
 The library runs only fused ops (``tensor.dense`` and the losses), each
-one tape entry with a hand-written backward. These are the primitives
-those fused ops are written to equal bit for bit, kept here with their
-own tests. Each records one tape entry on the active ``GradTape``
-through the same helpers the library's ops use, and checks its result
-for finiteness once.
+one tape entry with a hand-written backward. The composed ops here are
+the primitives those fused ops are written to equal bit for bit, kept
+with their own tests. Each records one tape entry on the active
+``GradTape`` through the same helpers the library's ops use, and checks
+its result for finiteness once. ``finite_difference_gradient`` is the
+independent oracle every analytic gradient is checked against, and
+``recorded_ids`` reads which tensors a tape recorded.
 """
 from __future__ import annotations
 
+from typing import Callable
+
 import numpy as np
 
+from unlearnlab.data import Dataset
 from unlearnlab.errors import DimensionError
-from unlearnlab.tensor import Tensor, _fresh, _record, _unbroadcast, as_tensor, multiply
+from unlearnlab.model import ModelParameters
+from unlearnlab.tensor import GradTape, Tensor, _fresh, _record, as_tensor
+
+
+def recorded_ids(tape: GradTape) -> list[int]:
+    """Output tensor ids in recording order."""
+    return [out_tid for out_tid, _, _ in tape._entries]
+
+
+def params_equal(a: ModelParameters, b: ModelParameters) -> bool:
+    """Bit-exact equality of architecture and every tensor."""
+    if a.arch != b.arch or a.names() != b.names():
+        return False
+    return all(np.array_equal(a.tensors[n].data, b.tensors[n].data) for n in a.names())
+
+
+def datasets_equal(a: Dataset, b: Dataset) -> bool:
+    return (
+        a.num_classes == b.num_classes
+        and np.array_equal(a.features, b.features)
+        and np.array_equal(a.labels, b.labels)
+    )
+
+
+def finite_difference_gradient(
+    f: Callable[[np.ndarray], float], x: np.ndarray, step: float = 1e-5
+) -> np.ndarray:
+    """Central finite-difference gradient of a scalar function.
+
+    The independent oracle for gradient checks: evaluates f twice per
+    coordinate and never touches the tape.
+    """
+    x = np.asarray(x, dtype=np.float64)
+    out = np.zeros_like(x)
+    flat = out.reshape(-1)
+    for i in range(x.size):
+        xp = x.copy().reshape(-1)
+        xm = x.copy().reshape(-1)
+        xp[i] += step
+        xm[i] -= step
+        fp = f(xp.reshape(x.shape))
+        fm = f(xm.reshape(x.shape))
+        flat[i] = (fp - fm) / (2.0 * step)
+    return out
+
+
+def gradient_relative_error(analytic: np.ndarray, numeric: np.ndarray) -> float:
+    """Max elementwise relative error, denominator floored at 1e-8."""
+    analytic = np.asarray(analytic, dtype=np.float64)
+    numeric = np.asarray(numeric, dtype=np.float64)
+    denom = np.maximum(np.abs(analytic) + np.abs(numeric), 1e-8)
+    return float(np.max(np.abs(analytic - numeric) / denom))
+
+
+def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
+    """Sum a broadcast gradient back down to the original operand shape."""
+    while g.ndim > len(shape):
+        g = g.sum(axis=0)
+    for axis, width in enumerate(shape):
+        if width == 1 and g.shape[axis] != 1:
+            g = g.sum(axis=axis, keepdims=True)
+    return g.reshape(shape)
+
+
+def add(a, b) -> Tensor:
+    a, b = as_tensor(a), as_tensor(b)
+    try:
+        out_data = a.data + b.data
+    except ValueError as exc:
+        raise DimensionError(f"add: incompatible shapes {a.shape} and {b.shape}") from exc
+    out = _fresh(out_data, "add")
+    a_shape, b_shape = a.shape, b.shape
+    _record(out, (a, b), lambda g: (_unbroadcast(g, a_shape), _unbroadcast(g, b_shape)))
+    return out
+
+
+def multiply(a, b) -> Tensor:
+    """Elementwise product with numpy broadcasting."""
+    a, b = as_tensor(a), as_tensor(b)
+    try:
+        out_data = a.data * b.data
+    except ValueError as exc:
+        raise DimensionError(f"multiply: incompatible shapes {a.shape} and {b.shape}") from exc
+    out = _fresh(out_data, "multiply")
+    a_data, b_data, a_shape, b_shape = a.data, b.data, a.shape, b.shape
+    _record(
+        out,
+        (a, b),
+        lambda g: (_unbroadcast(g * b_data, a_shape), _unbroadcast(g * a_data, b_shape)),
+    )
+    return out
 
 
 def matmul(a, b) -> Tensor:

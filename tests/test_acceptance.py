@@ -13,6 +13,7 @@ import time
 import numpy as np
 
 import unlearnlab as ul
+from composed_ops import add, finite_difference_gradient, gradient_relative_error, multiply
 from conftest import SEEDS, UNLEARN_CLASS
 from unlearnlab.cli import main as cli_main
 from unlearnlab.engine import check_termination_class, check_termination_sample
@@ -23,11 +24,7 @@ from unlearnlab.losses import (
     sample_unlearn_loss,
 )
 from unlearnlab.model import encode, head_logits, init_parameters
-from unlearnlab.tensor import (
-    GradTape,
-    finite_difference_gradient,
-    gradient_relative_error,
-)
+from unlearnlab.tensor import GradTape
 
 
 def report(number: int, label: str, ok: bool, detail: str = "") -> None:
@@ -64,7 +61,7 @@ def _objective(kind, params, ax, ay, rx, ry, tau, uw, cw):
         return class_unlearn_loss(sets, tau)
     unlearn = sample_unlearn_loss(sets, tau)
     ce = cross_entropy_loss(head_logits(params, z_r), ry)
-    return (unlearn * uw) + (ce * cw)
+    return add(multiply(unlearn, uw), multiply(ce, cw))
 
 
 def test_criterion_1_gradient_correctness():

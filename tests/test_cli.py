@@ -1,6 +1,7 @@
 """Command-line workflow: every subcommand, exit codes, reproducibility."""
 
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -8,6 +9,7 @@ from pathlib import Path
 import pytest
 
 import unlearnlab as ul
+from composed_ops import datasets_equal
 from unlearnlab.cli import _build_engine_cfg, main, resolve_config
 from unlearnlab.data import load_csv
 from unlearnlab.model import load_checkpoint
@@ -54,7 +56,7 @@ class TestGenData:
         train = load_csv(out / "train.csv")
         test = load_csv(out / "test.csv")
         want_train, want_test = ul.generate_synthetic(3, 4, 40, 20, spread=2.0, seed=1)
-        assert train.equals(want_train) and test.equals(want_test)
+        assert datasets_equal(train, want_train) and datasets_equal(test, want_test)
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["command"] == "gen-data"
         assert (out / "config.echo.json").exists()
@@ -86,8 +88,8 @@ class TestGenData:
         want_train, want_test = ul.generate_synthetic(
             num_classes=2, dim=3, per_class_train=7, per_class_test=4, spread=0.5, seed=9
         )
-        assert load_csv(out / "train.csv").equals(want_train)
-        assert load_csv(out / "test.csv").equals(want_test)
+        assert datasets_equal(load_csv(out / "train.csv"), want_train)
+        assert datasets_equal(load_csv(out / "test.csv"), want_test)
 
 
 class TestTrain:
@@ -445,6 +447,65 @@ def test_module_entrypoint_reports_version():
     )
     assert out.returncode == 0
     assert ul.__version__ in out.stdout
+
+
+# The five-command pipeline, run in a fresh interpreter so that OpenBLAS
+# reads the thread count from the environment when numpy loads it.
+BLAS_PIPELINE = """
+import sys
+from unlearnlab.cli import main
+for argv in (
+    ["gen-data", "--out", "data"],
+    ["train", "--out", "base"],
+    ["unlearn", "--method", "retrain", "--out", "retrained"],
+    ["unlearn", "--method", "contrastive", "--from", "base/model.ckpt", "--out", "unlearned"],
+    ["eval", "--model", "unlearned/model.ckpt", "--reference", "retrained/model.ckpt", "--out", "eval"],
+    ["mia", "--model", "unlearned/model.ckpt", "--out", "mia"],
+):
+    if main([*argv, "--config", "config.json"]) != 0:
+        sys.exit(f"{argv[0]} failed")
+"""
+
+
+def _artifacts(root: Path) -> dict:
+    """Every file under root by relative path: its bytes, or for run.json
+    the record without its wall-clock duration."""
+    files = {}
+    for path in sorted(root.rglob("*")):
+        if path.is_file():
+            value = path.read_bytes()
+            if path.name == "run.json":
+                value = json.loads(value)
+                value.pop("duration_seconds")
+            files[path.relative_to(root).as_posix()] = value
+    return files
+
+
+def test_artifacts_match_across_blas_thread_counts(tmp_path):
+    cfg = json.loads(json.dumps(BASE_CONFIG))
+    cfg["dataset"]["synthetic"].update(num_classes=4, per_class_train=50)
+    cfg["engine"]["max_epochs"] = 20
+    # The subprocesses run in their own directories, so they import the
+    # package from where this process found it.
+    package_root = str(Path(ul.__file__).parents[1])
+    pythonpath = os.pathsep.join(filter(None, [package_root, os.environ.get("PYTHONPATH")]))
+    runs = {}
+    for threads in ("1", "2"):
+        root = tmp_path / f"threads{threads}"
+        root.mkdir()
+        (root / "config.json").write_text(json.dumps(cfg))
+        out = subprocess.run(
+            [sys.executable, "-c", BLAS_PIPELINE],
+            cwd=root,
+            env={**os.environ, "PYTHONPATH": pythonpath, "OPENBLAS_NUM_THREADS": threads},
+            capture_output=True,
+            text=True,
+        )
+        assert out.returncode == 0, out.stderr
+        runs[threads] = _artifacts(root)
+    assert {"data/train.csv", "unlearned/model.ckpt", "eval/geometry.csv", "mia/mia.json"} <= set(runs["1"])
+    assert runs["1"]["unlearned/run.json"]["gradient_steps"] > 0
+    assert runs["1"] == runs["2"]
 
 
 class TestDefaults:

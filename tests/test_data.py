@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from composed_ops import datasets_equal
 from unlearnlab.data import (
     EVAL_CAP,
     Dataset,
@@ -85,9 +86,9 @@ class TestGeneration:
     def test_deterministic_in_seed(self):
         a_tr, a_ts = generate_synthetic(3, 4, 20, 10, seed=5)
         b_tr, b_ts = generate_synthetic(3, 4, 20, 10, seed=5)
-        assert a_tr.equals(b_tr) and a_ts.equals(b_ts)
+        assert datasets_equal(a_tr, b_tr) and datasets_equal(a_ts, b_ts)
         c_tr, _ = generate_synthetic(3, 4, 20, 10, seed=6)
-        assert not a_tr.equals(c_tr)
+        assert not datasets_equal(a_tr, c_tr)
 
     def test_counts_and_labels(self):
         train, test = generate_synthetic(4, 8, 50, 10, seed=0)
@@ -149,7 +150,7 @@ class TestCsv:
         save_csv(train, path)
         assert path.read_text().splitlines()[0] == "f0,f1,f2,f3,f4,label"
         loaded = load_csv(path)
-        assert loaded.equals(train)
+        assert datasets_equal(loaded, train)
 
     def test_bad_float_reports_line_number(self, tmp_path):
         path = tmp_path / "bad.csv"
@@ -330,7 +331,7 @@ class TestClassTask:
         assert np.all(task.remain_train.labels != 2)
         assert np.all(task.unlearn_test.labels == 2)
         # Termination for class tasks evaluates the unlearning-class test view.
-        assert task.eval_unlearn.equals(task.unlearn_test)
+        assert datasets_equal(task.eval_unlearn, task.unlearn_test)
 
     def test_class_without_test_rows_is_rejected(self, rng):
         train = Dataset(rng.standard_normal((9, 2)), np.array([0, 1, 2] * 3), 3)
@@ -419,7 +420,7 @@ class TestTaskValidation:
         task = UnlearnTask(train, test, "sample", [7, 0, 3], **self.EVAL)
         assert task.unlearn_train_idx.tolist() == [0, 3, 7]
         assert task.remain_train_idx.tolist() == [i for i in range(len(train)) if i not in (0, 3, 7)]
-        assert task.remain_train.equals(train.subset(task.remain_train_idx))
+        assert datasets_equal(task.remain_train, train.subset(task.remain_train_idx))
 
     def test_empty_unlearning_set_rejected(self):
         train, test = generate_synthetic(3, 4, 10, 5, seed=0)
@@ -431,8 +432,8 @@ class TestTaskValidation:
     def test_class_task_test_views_follow_class_id(self):
         train, test = generate_synthetic(3, 4, 10, 5, seed=0)
         task = UnlearnTask(train, test, "class", train.class_indices(1), class_id=1)
-        assert task.unlearn_test.equals(test.subset(test.class_indices(1)))
-        assert task.remain_test.equals(test.subset(np.flatnonzero(test.labels != 1)))
+        assert datasets_equal(task.unlearn_test, test.subset(test.class_indices(1)))
+        assert datasets_equal(task.remain_test, test.subset(np.flatnonzero(test.labels != 1)))
 
     @pytest.mark.parametrize("big", [2**63, 10**20, -(2**63) - 1])
     def test_index_past_int64_rejected(self, big):
@@ -441,6 +442,23 @@ class TestTaskValidation:
             UnlearnTask(train, test, "sample", [0, big], **self.EVAL)
         with pytest.raises(ValidationError):
             make_task(train, test, TaskSpec(kind="sample", sample_indices=(0, big)))
+
+    def test_non_integral_indices_rejected(self):
+        # A non-integral index is an error, never truncated to a row (1.7 to 1).
+        train, test = generate_synthetic(3, 4, 10, 5, seed=0)
+        for unlearn, eval_unlearn, eval_test in (
+            ([1.7, 2.2], [1], [0]),
+            ([1], [1.9], [0]),
+            ([1], [1], [0.5]),
+            ([1, np.nan], [1], [0]),
+        ):
+            with pytest.raises(ValidationError, match="integers"):
+                UnlearnTask(
+                    train, test, "sample", unlearn,
+                    eval_unlearn_idx=eval_unlearn, eval_test_idx=eval_test,
+                )
+        with pytest.raises(ValidationError, match="integers"):
+            make_task(train, test, TaskSpec(kind="sample", sample_indices=(1.9, 3.5)))
 
     def test_evaluation_indices_range_checked(self):
         train, test = generate_synthetic(3, 4, 10, 5, seed=0)

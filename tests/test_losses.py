@@ -28,16 +28,20 @@ from unlearnlab.losses import (
     cross_entropy_loss,
     sample_unlearn_loss,
 )
-from composed_ops import exp, log, matmul, reduce_sum, subtract, transpose
-from unlearnlab.tensor import (
-    GradTape,
+from composed_ops import (
     add,
-    as_tensor,
+    exp,
     finite_difference_gradient,
     gradient_relative_error,
-    l2_normalize,
+    log,
+    matmul,
     multiply,
+    recorded_ids,
+    reduce_sum,
+    subtract,
+    transpose,
 )
+from unlearnlab.tensor import GradTape, as_tensor, l2_normalize
 
 
 def unit_rows(rng, n, d):
@@ -482,14 +486,14 @@ class TestFusedLosses:
             with GradTape() as tape:
                 sets = sets_of(a_emb, [0, 1, 2], r_emb, [0, 1, 1, 2, 0])
                 loss = loss_fn(sets, 0.5)
-            assert len(tape) == 1 and tape.operation_ids() == [loss.tid]
+            assert len(tape) == 1 and recorded_ids(tape) == [loss.tid]
         logits = as_tensor(rng.standard_normal((4, 3)))
         with GradTape() as tape:
             loss = cross_entropy_loss(logits, np.array([0, 2, 1, 1]))
-        assert len(tape) == 1 and tape.operation_ids() == [loss.tid]
+        assert len(tape) == 1 and recorded_ids(tape) == [loss.tid]
         with GradTape() as tape:
             loss = combined_loss(as_tensor(1.5), as_tensor(-0.5), LossConfig())
-        assert len(tape) == 1 and tape.operation_ids() == [loss.tid]
+        assert len(tape) == 1 and recorded_ids(tape) == [loss.tid]
 
     def test_shifted_logit_overflow_rejected(self):
         # Both logits are finite; their difference is not.

@@ -13,7 +13,7 @@ from unlearnlab.errors import (
     NonFiniteError,
     ValidationError,
 )
-from composed_ops import reduce_sum
+from composed_ops import multiply, params_equal, reduce_sum
 from unlearnlab.model import (
     ModelArchitecture,
     ModelParameters,
@@ -25,7 +25,7 @@ from unlearnlab.model import (
     predict_labels,
     save_checkpoint,
 )
-from unlearnlab.tensor import GradTape, Tensor, multiply
+from unlearnlab.tensor import GradTape, Tensor
 
 ARCH = ModelArchitecture(input_dim=5, hidden=(7, 6), embedding_dim=4, num_classes=3)
 
@@ -77,8 +77,12 @@ class TestInit:
             assert np.array_equal(params.tensors[f"{name}.b"].data, np.zeros(fan_out))
 
     def test_deterministic_in_seed(self):
-        assert init_parameters(ARCH, seed=9).equals(init_parameters(ARCH, seed=9))
-        assert not init_parameters(ARCH, seed=9).equals(init_parameters(ARCH, seed=10))
+        assert params_equal(init_parameters(ARCH, seed=9), init_parameters(ARCH, seed=9))
+        assert not params_equal(init_parameters(ARCH, seed=9), init_parameters(ARCH, seed=10))
+
+    def test_negative_seed_rejected(self):
+        with pytest.raises(ValidationError, match="seed"):
+            init_parameters(ARCH, seed=-1)
 
     def test_weights_are_uniform_in_expected_range(self):
         # 100x100 layer gives 1e4 draws, enough to pin the first two
@@ -177,7 +181,7 @@ class TestCheckpoint:
         save_checkpoint(params, path)
         loaded = load_checkpoint(path)
         assert loaded.arch == ARCH
-        assert loaded.equals(params)
+        assert params_equal(loaded, params)
 
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "model.ckpt"
@@ -256,4 +260,4 @@ class TestParameters:
         a = init_parameters(ARCH, seed=4)
         values = [t.data.copy() for t in a.as_list()]
         values[2][0, 0] = np.nextafter(values[2][0, 0], np.inf)  # one ulp
-        assert not a.equals(a.replace(values))
+        assert not params_equal(a, a.replace(values))

@@ -11,19 +11,24 @@ from unlearnlab.errors import (
     DimensionError,
     NonFiniteError,
 )
-from composed_ops import exp, log, matmul, mean, reduce_sum, relu, subtract, tanh, transpose
-from unlearnlab.losses import cross_entropy_loss
-from unlearnlab.tensor import (
-    GradTape,
-    Tensor,
+from composed_ops import (
     add,
-    as_tensor,
-    dense,
+    exp,
     finite_difference_gradient,
     gradient_relative_error,
-    l2_normalize,
+    log,
+    matmul,
+    mean,
     multiply,
+    recorded_ids,
+    reduce_sum,
+    relu,
+    subtract,
+    tanh,
+    transpose,
 )
+from unlearnlab.losses import cross_entropy_loss
+from unlearnlab.tensor import GradTape, Tensor, as_tensor, dense, l2_normalize
 
 
 class TestForward:
@@ -76,8 +81,9 @@ class TestForward:
         assert np.array_equal(transpose(x).data, x.T)
 
     def test_l2_normalize_vector(self):
-        z = l2_normalize([3.0, 4.0])
-        assert np.allclose(z.data, [0.6, 0.8], atol=1e-15)
+        # encode only passes rank-2 batches, so a vector is a shape error.
+        with pytest.raises(DimensionError):
+            l2_normalize([3.0, 4.0])
 
     def test_l2_normalize_rows(self, rng):
         x = rng.standard_normal((6, 4))
@@ -314,7 +320,7 @@ class TestDense:
         x = as_tensor(rng.standard_normal((4, 3)))
         with GradTape() as tape:
             h = dense(x, rng.standard_normal((3, 2)), np.zeros(2), "relu")
-        assert len(tape) == 1 and tape.operation_ids() == [h.tid]
+        assert len(tape) == 1 and recorded_ids(tape) == [h.tid]
 
     @pytest.mark.parametrize("activation", ACTIVATIONS)
     def test_array_input_is_a_constant(self, activation):
@@ -371,14 +377,14 @@ class TestTape:
             a = multiply(x, 2.0)
             b = add(a, 1.0)
             c = reduce_sum(b)
-        assert tape.operation_ids() == [a.tid, b.tid, c.tid]
+        assert recorded_ids(tape) == [a.tid, b.tid, c.tid]
 
     def test_ops_outside_tape_not_recorded(self):
         x = as_tensor([1.0])
         multiply(x, 2.0)
         with GradTape() as tape:
             y = multiply(x, 3.0)
-        assert len(tape) == 1 and tape.operation_ids() == [y.tid]
+        assert len(tape) == 1 and recorded_ids(tape) == [y.tid]
 
     def test_intermediate_gradient_matches_a_fresh_leaf(self, rng):
         x = as_tensor(rng.standard_normal((5, 3)))
