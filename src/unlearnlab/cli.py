@@ -9,10 +9,11 @@ Five subcommands cover the full experiment cycle:
     mia        membership-inference attack report for a checkpoint
 
 Commands read an optional JSON config; command-line flags override it.
-Every command reads all its inputs, then writes its fully-resolved
-configuration (defaults materialized) into the output directory;
-re-running from that echoed file reproduces the outputs bit-exactly
-apart from wall-clock fields. Exit codes: 0 success, 2 invalid
+Every command reads all its inputs and computes its results, then
+writes its fully-resolved configuration (defaults materialized) into the
+output directory, so a command that fails writes nothing; re-running
+from that echoed file reproduces the outputs bit-exactly apart from
+wall-clock fields. Exit codes: 0 success, 2 invalid
 configuration or arguments, 3 runtime failure.
 """
 from __future__ import annotations
@@ -59,7 +60,7 @@ _SYNTHETIC_DEFAULTS = {
     "seed": 0,
 }
 
-_CSV_DEFAULTS = {"train": None, "test": None, "standardize": True}
+_CSV_DEFAULTS = {"train": None, "test": None}
 
 # The engine and loss sections are EngineConfig's and LossConfig's fields
 # and defaults; the loss variant is no config field, it follows the task.
@@ -191,9 +192,7 @@ def resolve_config(user: dict) -> dict:
             config["output_dir"] = user["output_dir"]
 
     if problems:
-        raise ValidationError(
-            "invalid config: " + "; ".join(problems), problems
-        )
+        raise ValidationError("invalid config: " + "; ".join(problems))
     return config
 
 
@@ -204,10 +203,10 @@ def _resolve_from_args(args, need_task: bool = False) -> dict:
         config["output_dir"] = args.out
     if args.seed is not None:
         if args.seed < 0:
-            raise ValidationError("--seed: must be a non-negative integer", ["--seed"])
+            raise ValidationError("--seed: must be a non-negative integer")
         config["engine"]["seed"] = args.seed
     if need_task and config["task"] is None:
-        raise ValidationError("this command requires a 'task' section in the config", ["task"])
+        raise ValidationError("this command requires a 'task' section in the config")
     return config
 
 
@@ -235,11 +234,7 @@ def _build_datasets(config: dict) -> tuple[Dataset, Dataset]:
     if "synthetic" in dataset:
         return generate_synthetic(**dataset["synthetic"])
     c = dataset["csv"]
-    train_ds = load_csv(c["train"])
-    test_ds = load_csv(c["test"])
-    if c["standardize"]:
-        train_ds, test_ds = standardize_pair(train_ds, test_ds)
-    return train_ds, test_ds
+    return standardize_pair(load_csv(c["train"]), load_csv(c["test"]))
 
 
 def _build_arch(config: dict, train_ds: Dataset) -> ModelArchitecture:
@@ -294,8 +289,9 @@ def _load_model_for(arch: ModelArchitecture, path: str):
 
 def cmd_gen_data(args) -> int:
     config = _resolve_from_args(args)
-    synth = _apply_flags(config["dataset"].get("synthetic") or dict(_SYNTHETIC_DEFAULTS), args)
-    config["dataset"] = {"synthetic": synth}
+    if "synthetic" not in config["dataset"]:
+        raise ValidationError("gen-data generates synthetic data; dataset.csv is not accepted")
+    synth = _apply_flags(config["dataset"]["synthetic"], args)
     train_ds, test_ds = _build_datasets(config)
 
     out_dir = _echo_config(config)
@@ -317,8 +313,9 @@ def cmd_train(args) -> int:
     cfg = _build_engine_cfg(config, variant="sample")
     train_ds, _ = _build_datasets(config)
     arch = _build_arch(config, train_ds)
-    out_dir = _echo_config(config)
     params, record = train(arch, train_ds, cfg)
+
+    out_dir = _echo_config(config)
     save_checkpoint(params, out_dir / "model.ckpt")
     _write_json(out_dir / "run.json", record.to_dict())
     last = record.rows[-1] if record.rows else {}
@@ -334,7 +331,7 @@ def cmd_unlearn(args) -> int:
     config = _resolve_from_args(args, need_task=True)
     method = _apply_flags(config["unlearn"], args)["method"]
     if method not in METHODS:
-        raise ValidationError(f"unlearn.method must be one of {METHODS}", ["unlearn.method"])
+        raise ValidationError(f"unlearn.method must be one of {METHODS}")
     cfg = _build_engine_cfg(config, variant=config["task"]["kind"])
     train_ds, test_ds = _build_datasets(config)
     task = _build_task(config, train_ds, test_ds)
@@ -347,8 +344,7 @@ def cmd_unlearn(args) -> int:
     else:
         if not config["unlearn"]["from"]:
             raise ValidationError(
-                f"method {method} requires a starting checkpoint (unlearn.from or --from)",
-                ["unlearn.from"],
+                f"method {method} requires a starting checkpoint (unlearn.from or --from)"
             )
         runner = {
             "contrastive": unlearn_contrastive,
@@ -357,8 +353,9 @@ def cmd_unlearn(args) -> int:
         }[method]
         run = functools.partial(runner, _load_model_for(arch, config["unlearn"]["from"]))
 
-    out_dir = _echo_config(config)
     params, record = run(task, cfg)
+
+    out_dir = _echo_config(config)
     save_checkpoint(params, out_dir / "model.ckpt")
     _write_json(out_dir / "run.json", record.to_dict())
     print(
@@ -372,7 +369,7 @@ def cmd_unlearn(args) -> int:
 def cmd_eval(args) -> int:
     config = _resolve_from_args(args, need_task=True)
     if not _apply_flags(config["eval"], args)["model"]:
-        raise ValidationError("eval requires a model checkpoint (eval.model or --model)", ["eval.model"])
+        raise ValidationError("eval requires a model checkpoint (eval.model or --model)")
 
     train_ds, test_ds = _build_datasets(config)
     task = _build_task(config, train_ds, test_ds)
@@ -382,10 +379,11 @@ def cmd_eval(args) -> int:
     if config["eval"]["reference"]:
         reference = _load_model_for(arch, config["eval"]["reference"])
 
-    out_dir = _echo_config(config)
     report = evaluate(params, task, reference)
-    _write_json(out_dir / "eval.json", report.to_dict())
     geometry = embedding_geometry(params, task)
+
+    out_dir = _echo_config(config)
+    _write_json(out_dir / "eval.json", report.to_dict())
     geometry.write_csv(out_dir / "geometry.csv")
     parts = ", ".join(f"{k}={v:.4f}" for k, v in sorted(report.accuracies.items()))
     print(f"eval ({task.kind}): {parts}; wrote {out_dir / 'eval.json'}")
@@ -395,14 +393,15 @@ def cmd_eval(args) -> int:
 def cmd_mia(args) -> int:
     config = _resolve_from_args(args, need_task=True)
     if not _apply_flags(config["mia"], args)["model"]:
-        raise ValidationError("mia requires a model checkpoint (mia.model or --model)", ["mia.model"])
+        raise ValidationError("mia requires a model checkpoint (mia.model or --model)")
 
     train_ds, test_ds = _build_datasets(config)
     task = _build_task(config, train_ds, test_ds)
     params = _load_model_for(_build_arch(config, train_ds), config["mia"]["model"])
 
-    out_dir = _echo_config(config)
     report = run_mia(params, task, split_seed=config["mia"]["split_seed"])
+
+    out_dir = _echo_config(config)
     _write_json(out_dir / "mia.json", report.to_dict())
     print(
         f"mia: member rate {report.member_rate_unlearn:.4f} on unlearning samples, "

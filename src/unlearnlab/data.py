@@ -63,7 +63,7 @@ class Dataset:
         if features.size and not np.all(np.isfinite(features)):
             problems.append("features must be finite")
         if problems:
-            raise ValidationError("invalid dataset: " + "; ".join(problems), problems)
+            raise ValidationError("invalid dataset: " + "; ".join(problems))
         features = features.copy()
         labels = labels.copy()
         features.flags.writeable = False
@@ -154,7 +154,7 @@ def generate_synthetic(
     if seed < 0:
         problems.append("seed must be >= 0")
     if problems:
-        raise ValidationError("invalid generator settings: " + "; ".join(problems), problems)
+        raise ValidationError("invalid generator settings: " + "; ".join(problems))
 
     rng = np.random.default_rng(seed)
     means = _place_means(num_classes, dim, 4.0 * spread, rng)

@@ -60,6 +60,12 @@ from .model import (
 )
 from .tensor import GradTape, as_tensor
 
+# Safety limits, not tuning knobs: neggrad's guard caps cross-entropy at
+# DIVERGENCE_FACTOR * ln(num_classes), and a contrastive step draws at most
+# ANCHOR_RESAMPLE_LIMIT remaining batches in search of a usable anchor.
+DIVERGENCE_FACTOR = 10.0
+ANCHOR_RESAMPLE_LIMIT = 8
+
 
 @dataclass(frozen=True)
 class EngineConfig:
@@ -67,9 +73,9 @@ class EngineConfig:
 
     remaining_resamples is how many fresh remaining batches each
     unlearning batch is contrasted against per pass (capped at 4; more
-    buys little and slows the pass). divergence_factor scales the
-    gradient-ascent guard: the run halts once mean cross-entropy on the
-    unlearning evaluation view exceeds factor * ln(num_classes).
+    buys little and slows the pass). The neggrad divergence cap and the
+    anchor redraw limit are the module constants DIVERGENCE_FACTOR and
+    ANCHOR_RESAMPLE_LIMIT, not settings.
     """
 
     batch_size: int = 64
@@ -80,8 +86,6 @@ class EngineConfig:
     termination_every: int = 1
     seed: int = 0
     loss: LossConfig = field(default_factory=LossConfig)
-    divergence_factor: float = 10.0
-    anchor_resample_limit: int = 8
 
     def __post_init__(self):
         problems = []
@@ -97,12 +101,8 @@ class EngineConfig:
             problems.append("termination_every must be >= 1")
         if self.seed < 0:
             problems.append("seed must be >= 0")
-        if not (math.isfinite(self.divergence_factor) and self.divergence_factor > 0):
-            problems.append("divergence_factor must be positive and finite")
-        if self.anchor_resample_limit < 1:
-            problems.append("anchor_resample_limit must be >= 1")
         if problems:
-            raise ValidationError("invalid engine config: " + "; ".join(problems), problems)
+            raise ValidationError("invalid engine config: " + "; ".join(problems))
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -242,11 +242,11 @@ def _check_compat(params: ModelParameters, data: Dataset) -> None:
             f"model num_classes {params.arch.num_classes} != dataset classes {data.num_classes}"
         )
     if problems:
-        raise ValidationError("model does not fit the data: " + "; ".join(problems), problems)
+        raise ValidationError("model does not fit the data: " + "; ".join(problems))
 
 
 def train(
-    arch: ModelArchitecture, data: Dataset, cfg: EngineConfig, method: str = "train"
+    arch: ModelArchitecture, data: Dataset, cfg: EngineConfig
 ) -> tuple[ModelParameters, RunRecord]:
     """Train a fresh model with SGD on cross-entropy.
 
@@ -257,7 +257,7 @@ def train(
     """
     params = init_parameters(arch, cfg.seed)
     _check_compat(params, data)
-    record = RunRecord(method=method, config=cfg.to_dict())
+    record = RunRecord(method="train", config=cfg.to_dict())
     run_pass = _ce_pass(data, TAG_TRAIN_BATCHES, cfg)
     start = time.perf_counter()
     with np.errstate(over="ignore", invalid="ignore"):  # the ops check finiteness
@@ -275,7 +275,9 @@ def retrain(
     arch: ModelArchitecture, task: UnlearnTask, cfg: EngineConfig
 ) -> tuple[ModelParameters, RunRecord]:
     """Train from scratch on the remaining data only (the gold standard)."""
-    return train(arch, task.remain_train, cfg, method="retrain")
+    params, record = train(arch, task.remain_train, cfg)
+    record.method = "retrain"
+    return params, record
 
 
 def _unlearn_loop(
@@ -337,7 +339,7 @@ def unlearn_contrastive(
     """Contrastive unlearning as described in the module docstring.
 
     A remaining batch that leaves every anchor without its required
-    contrast sets is redrawn up to anchor_resample_limit times; if a
+    contrast sets is redrawn up to ANCHOR_RESAMPLE_LIMIT times; if a
     whole pass finishes without a single usable anchor the task is
     reported unlearnable.
     """
@@ -372,7 +374,7 @@ def unlearn_contrastive(
             record.batches_processed += 1
             for _ in range(cfg.remaining_resamples):
                 stepped = False
-                for _ in range(cfg.anchor_resample_limit):
+                for _ in range(ANCHOR_RESAMPLE_LIMIT):
                     rb = sample_remaining(task, cfg.batch_size, remain_rng)
                     try:
                         params, (_, ul, ce) = _sgd_step(
@@ -429,12 +431,12 @@ def unlearn_neggrad(
 
     Ascent can run away, so a guard halts the run (reason "error") once
     mean cross-entropy on the unlearning evaluation view exceeds
-    divergence_factor * ln(num_classes). A non-finite step is recorded
+    DIVERGENCE_FACTOR * ln(num_classes). A non-finite step is recorded
     the same way rather than raised: blowing up is this baseline's
     known failure mode, not a caller bug.
     """
     _check_compat(params, task.train)
-    ce_cap = cfg.divergence_factor * float(np.log(task.train.num_classes))
+    ce_cap = DIVERGENCE_FACTOR * float(np.log(task.train.num_classes))
 
     def extra_halt(params: ModelParameters) -> str | None:
         view = task.eval_unlearn

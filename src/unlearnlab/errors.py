@@ -1,8 +1,8 @@
 """Exception types raised by the library.
 
 Everything derives from UnlearnLabError so callers can catch library
-failures in one clause. Validation-style errors carry the list of
-offending fields when more than one thing is wrong.
+failures in one clause. A validation error names every offending field
+in its message when more than one thing is wrong.
 """
 from __future__ import annotations
 
@@ -42,13 +42,9 @@ class ParseError(UnlearnLabError):
 class ValidationError(UnlearnLabError):
     """Invalid configuration or arguments.
 
-    ``fields`` lists every violated field so a caller sees all problems
-    at once instead of fixing them one by one.
+    Where several things are wrong, the message lists every one of them,
+    so a caller fixes them at once instead of one by one.
     """
-
-    def __init__(self, message: str, fields: list[str] | None = None):
-        super().__init__(message)
-        self.fields = list(fields) if fields else []
 
 
 class EmptyUnlearnSetError(ValidationError):

@@ -66,7 +66,7 @@ class LossConfig:
         if self.variant not in VARIANTS:
             problems.append(f"variant must be one of {VARIANTS}")
         if problems:
-            raise ValidationError("invalid loss config: " + "; ".join(problems), problems)
+            raise ValidationError("invalid loss config: " + "; ".join(problems))
 
 
 @dataclass

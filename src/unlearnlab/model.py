@@ -71,7 +71,7 @@ class ModelArchitecture:
         if self.activation not in ACTIVATIONS:
             problems.append(f"unknown activation {self.activation!r}")
         if problems:
-            raise ValidationError("invalid architecture: " + "; ".join(problems), problems)
+            raise ValidationError("invalid architecture: " + "; ".join(problems))
 
     def layer_dims(self) -> list[tuple[str, int, int]]:
         """(name, fan_in, fan_out) for every linear layer, in order."""

@@ -110,7 +110,6 @@ class TestTrain:
             "csv": {
                 "train": str(data_dir / "train.csv"),
                 "test": str(data_dir / "test.csv"),
-                "standardize": True,
             }
         }
         cfg_path = tmp_path / "csv_config.json"
@@ -391,12 +390,14 @@ class TestFailureModes:
             (["mia", "--model", "junk.ckpt"], "mia", {"split_seed": -1}, 2),
             (["unlearn", "--method", "retrain"], "task", {"kind": "sample", "count": 5, "seed": -3}, 2),
             (["unlearn", "--method", "retrain"], "task", {"kind": "sample", "index_file": "big.txt"}, 2),
+            (["gen-data"], "dataset", {"csv": {"train": "ok.csv", "test": "ok.csv"}}, 2),
         ],
     )
     def test_bad_input_fails_before_any_write(
         self, tmp_path, monkeypatch, capsys, argv, section, value, code
     ):
         monkeypatch.chdir(tmp_path)
+        (tmp_path / "ok.csv").write_text("f0,f1,label\n1.0,2.0,0\n1.5,2.5,1\n")
         (tmp_path / "junk.ckpt").write_bytes(b"not a checkpoint")
         (tmp_path / "rows.txt").write_text("0\nx\n")
         (tmp_path / "big.txt").write_text("0\n99999999999999999999\n")
@@ -412,6 +413,58 @@ class TestFailureModes:
         Path("bad.json").write_text(json.dumps(cfg))
         assert run(*argv, "--config", "bad.json", "--out", "o") == code
         assert "error" in capsys.readouterr().err
+        assert not Path("o").exists()
+
+    @pytest.mark.parametrize(
+        "section, field, value",
+        [
+            ("engine", "divergence_factor", 10.0),
+            ("engine", "anchor_resample_limit", 8),
+            ("dataset.csv", "standardize", True),
+        ],
+    )
+    def test_removed_setting_is_an_unknown_field(
+        self, tmp_path, monkeypatch, capsys, section, field, value
+    ):
+        monkeypatch.chdir(tmp_path)
+        Path("ok.csv").write_text("f0,f1,label\n1.0,2.0,0\n1.5,2.5,1\n")
+        cfg = json.loads(json.dumps(BASE_CONFIG))
+        cfg["dataset"] = {"csv": {"train": "ok.csv", "test": "ok.csv"}}
+        target = cfg
+        for key in section.split("."):
+            target = target[key]
+        target[field] = value
+        Path("old.json").write_text(json.dumps(cfg))
+        assert run("train", "--config", "old.json", "--out", "o") == 2
+        assert f"{section}.{field}: unknown field" in capsys.readouterr().err
+        assert not Path("o").exists()
+
+    @pytest.mark.parametrize(
+        "synthetic, engine, argv, code, message",
+        [
+            # A 4-row test split is too small for the attack.
+            ({"num_classes": 2, "per_class_test": 2}, {}, ["mia"], 2,
+             "not enough data for the attack"),
+            # Forgetting class 1 leaves 20 rows, fewer than one remaining batch.
+            ({"num_classes": 2, "per_class_train": 20}, {"batch_size": 30},
+             ["unlearn", "--method", "contrastive"], 3,
+             "remaining train view has 20 rows, need >= 30"),
+        ],
+        ids=["mia-small-test-split", "contrastive-small-remaining-view"],
+    )
+    def test_failure_after_reading_inputs_writes_nothing(
+        self, tmp_path, monkeypatch, capsys, synthetic, engine, argv, code, message
+    ):
+        monkeypatch.chdir(tmp_path)
+        cfg = json.loads(json.dumps(BASE_CONFIG))
+        cfg["dataset"]["synthetic"].update(synthetic)
+        cfg["engine"].update(engine)
+        Path("cfg.json").write_text(json.dumps(cfg))
+        assert run("train", "--config", "cfg.json", "--out", "base") == 0
+        model_flag = "--model" if argv[0] == "mia" else "--from"
+        code_got = run(*argv, model_flag, "base/model.ckpt", "--config", "cfg.json", "--out", "o")
+        assert code_got == code
+        assert f"error: {message}" in capsys.readouterr().err
         assert not Path("o").exists()
 
     def test_numbers_take_their_field_type(self, tmp_path, config_path):
@@ -529,6 +582,4 @@ class TestDefaults:
                 "ce_weight": 1.0,
                 "variant": "sample",
             },
-            "divergence_factor": 10.0,
-            "anchor_resample_limit": 8,
         }

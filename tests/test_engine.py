@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import unlearnlab as ul
+from unlearnlab import engine
 from unlearnlab.data import TAG_TRAIN_BATCHES, TAG_UNLEARN_BATCHES
 from unlearnlab.engine import (
     _termination_metrics,
@@ -228,8 +229,6 @@ class TestTrain:
         for bad in (float("inf"), float("nan")):
             with pytest.raises(ValidationError):
                 ul.EngineConfig(learning_rate=bad)
-            with pytest.raises(ValidationError):
-                ul.EngineConfig(divergence_factor=bad)
 
     def test_negative_seed_rejected(self):
         with pytest.raises(ValidationError, match="seed"):
@@ -515,12 +514,11 @@ class TestNegGrad:
         assert ul.accuracy(out, task.unlearn_train) < before
         assert record.method == "neggrad"
 
-    def test_divergence_guard_halts_the_run(self):
+    def test_divergence_guard_halts_the_run(self, monkeypatch):
         params, task = harder_setup()
         # An absurdly low cap trips the guard on the already-trained model.
-        ncfg = ul.EngineConfig(
-            seed=0, batch_size=8, learning_rate=0.2, divergence_factor=1e-6
-        )
+        monkeypatch.setattr(engine, "DIVERGENCE_FACTOR", 1e-6)
+        ncfg = ul.EngineConfig(seed=0, batch_size=8, learning_rate=0.2)
         _, record = ul.unlearn_neggrad(params, task, ncfg)
         assert record.termination_reason == "error"
         assert record.termination_detail == "divergence-guard"

@@ -197,24 +197,98 @@ class TestOracleEquivalence:
             worst = max(worst, abs(got_s - want_s), abs(got_c - want_c))
         assert worst <= 1e-9
 
-    def test_remaining_order_is_irrelevant(self, rng):
-        a_emb, a_lab, r_emb, r_lab, tau = self.random_batch(rng)
-        perm = rng.permutation(len(r_lab))
-        base = sample_unlearn_loss(sets_of(a_emb, a_lab, r_emb, r_lab), tau).item()
-        shuf = sample_unlearn_loss(
-            sets_of(a_emb, a_lab, r_emb[perm], r_lab[perm]), tau
-        ).item()
-        assert shuf == pytest.approx(base, abs=1e-12)
+    # Reordering the remaining batch, or padding the anchors with excluded
+    # rows, changes how the loss sums are associated, so the value and the
+    # gradients may move in their last bits: equal within this tolerance,
+    # not bit for bit.
+    TOLERANCE = {"rtol": 1e-12, "atol": 1e-12}
+    VARIANTS = {"sample": sample_unlearn_loss, "class": class_unlearn_loss}
 
-    def test_invalid_anchor_contributes_nothing(self):
-        valid = ([[1.0, 0.0]], [0])
-        rem = ([[0.0, 1.0], [-1.0, 0.0]], [0, 1])
-        alone = sample_unlearn_loss(sets_of(*valid, *rem), 1.0).item()
-        # Second anchor's class 2 has no positives in the remaining batch.
-        both = sample_unlearn_loss(
-            sets_of([[1.0, 0.0], [0.0, 1.0]], [0, 2], *rem), 1.0
-        ).item()
-        assert both == pytest.approx(alone, abs=1e-12)
+    @staticmethod
+    def value_and_gradients(loss_fn, a_emb, a_lab, r_emb, r_lab, tau):
+        anchor, remaining = as_tensor(a_emb), as_tensor(r_emb)
+        with GradTape() as tape:
+            out = loss_fn(sets_of(anchor, a_lab, remaining, r_lab), tau)
+        g_anchor, g_remaining = tape.gradient(out, [anchor, remaining])
+        return out.item(), g_anchor.data, g_remaining.data
+
+    @settings(max_examples=100, deadline=None, database=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        variant=st.sampled_from(["sample", "class"]),
+        n_classes=st.integers(2, 4),
+        n_anchor=st.integers(1, 8),
+        n_remain=st.integers(2, 12),
+        dim=st.integers(2, 5),
+        tau=st.floats(0.1, 2.0),
+    )
+    def test_remaining_order_is_irrelevant(
+        self, seed, variant, n_classes, n_anchor, n_remain, dim, tau
+    ):
+        rng = np.random.default_rng(seed)
+        a_lab = rng.integers(0, n_classes, size=n_anchor)
+        r_lab = rng.integers(0, n_classes, size=n_remain)
+        # One anchor with a positive and a negative keeps both variants valid.
+        r_lab[:2] = a_lab[0], (a_lab[0] + 1) % n_classes
+        a_emb, r_emb = unit_rows(rng, n_anchor, dim), unit_rows(rng, n_remain, dim)
+        perm = rng.permutation(n_remain)
+        loss_fn = self.VARIANTS[variant]
+        value, g_anchor, g_remaining = self.value_and_gradients(
+            loss_fn, a_emb, a_lab, r_emb, r_lab, tau
+        )
+        p_value, p_anchor, p_remaining = self.value_and_gradients(
+            loss_fn, a_emb, a_lab, r_emb[perm], r_lab[perm], tau
+        )
+        np.testing.assert_allclose(p_value, value, **self.TOLERANCE)
+        np.testing.assert_allclose(p_anchor, g_anchor, **self.TOLERANCE)
+        # The remaining rows' gradients move with their rows.
+        np.testing.assert_allclose(p_remaining, g_remaining[perm], **self.TOLERANCE)
+
+    @settings(max_examples=100, deadline=None, database=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        variant=st.sampled_from(["sample", "class"]),
+        n_classes=st.integers(2, 4),
+        n_anchor=st.integers(1, 8),
+        n_inserted=st.integers(1, 6),
+        n_remain=st.integers(2, 12),
+        dim=st.integers(2, 5),
+        tau=st.floats(0.1, 2.0),
+    )
+    def test_invalid_anchor_contributes_nothing(
+        self, seed, variant, n_classes, n_anchor, n_inserted, n_remain, dim, tau
+    ):
+        rng = np.random.default_rng(seed)
+        a_lab = rng.integers(0, n_classes, size=n_anchor)
+        if variant == "sample":
+            # Label n_classes is absent from the remaining batch: no positive.
+            r_lab = rng.integers(0, n_classes, size=n_remain)
+            r_lab[:2] = a_lab[0], (a_lab[0] + 1) % n_classes
+            invalid_label = n_classes
+        else:
+            # A one-label remaining batch leaves anchors of that label no negative.
+            r_lab = np.zeros(n_remain, dtype=np.int64)
+            a_lab[0] = 1
+            invalid_label = 0
+        a_emb, r_emb = unit_rows(rng, n_anchor, dim), unit_rows(rng, n_remain, dim)
+        total = n_anchor + n_inserted
+        inserted = np.zeros(total, dtype=bool)
+        inserted[rng.choice(total, size=n_inserted, replace=False)] = True
+        big_emb = np.empty((total, dim))
+        big_emb[~inserted], big_emb[inserted] = a_emb, unit_rows(rng, n_inserted, dim)
+        big_lab = np.full(total, invalid_label)
+        big_lab[~inserted] = a_lab
+        loss_fn = self.VARIANTS[variant]
+        value, g_anchor, g_remaining = self.value_and_gradients(
+            loss_fn, a_emb, a_lab, r_emb, r_lab, tau
+        )
+        b_value, b_anchor, b_remaining = self.value_and_gradients(
+            loss_fn, big_emb, big_lab, r_emb, r_lab, tau
+        )
+        assert np.all(b_anchor[inserted] == 0.0)
+        np.testing.assert_allclose(b_value, value, **self.TOLERANCE)
+        np.testing.assert_allclose(b_anchor[~inserted], g_anchor, **self.TOLERANCE)
+        np.testing.assert_allclose(b_remaining, g_remaining, **self.TOLERANCE)
 
 
 class TestValidity:
