@@ -486,8 +486,12 @@ def batches(view: Dataset, batch_size: int, seed) -> list[Batch]:
     if batch_size < 1:
         raise ValidationError("batch_size must be >= 1")
     order = np.random.default_rng(seed).permutation(len(view))
-    chunks = (order[start : start + batch_size] for start in range(0, len(view), batch_size))
-    return [Batch(view.features[idx], view.labels[idx], idx) for idx in chunks]
+    # One gather per epoch; each batch is a slice of it.
+    features, labels = view.features[order], view.labels[order]
+    return [
+        Batch(features[s : s + batch_size], labels[s : s + batch_size], order[s : s + batch_size])
+        for s in range(0, len(view), batch_size)
+    ]
 
 
 def sample_remaining(task: UnlearnTask, batch_size: int, rng: np.random.Generator) -> Batch:

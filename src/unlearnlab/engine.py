@@ -178,14 +178,20 @@ def _sgd_step(
     """One taped SGD step on objective(params) -> (loss, *terms); sign -1.0
     descends, +1.0 ascends. Returns the new parameters and the tensors.
     A non-finite loss, gradient or update raises DivergenceError.
+
+    The step reads the tape's raw adjoints and updates all parameters as
+    one flat buffer, elementwise, so its bits are those of a per-array
+    ``p + sign * lr * g``. The buffer's one finite check also covers the
+    gradients: lr is positive and finite, so a non-finite gradient gives
+    a non-finite update.
     """
     try:
         with GradTape() as tape:
             out = objective(params)
-        grads = tape.gradient(out[0], params.as_list())
-        params = params.replace(
-            [p.data + sign * lr * g.data for p, g in zip(params.as_list(), grads)]
-        )
+        update = np.concatenate(tape._replay(out[0], params.as_list()), axis=None)
+        update *= sign * lr
+        update += params._flat
+        params = ModelParameters._from_flat(params.arch, update)
     except NonFiniteError as exc:
         raise _diverged(exc, epoch, b_index) from exc
     return params, out

@@ -200,12 +200,18 @@ def fit_attack_model(features: np.ndarray, labels: np.ndarray) -> AttackModel:
     """Fit the logistic attack by minimizing log-loss plus an ATTACK_L2 ridge.
 
     The ridge term keeps the optimum finite on separable data; the zero
-    start and deterministic L-BFGS-B make refits bit-identical.
+    start and deterministic L-BFGS-B make refits bit-identical. Empty or
+    non-finite features raise ValidationError: the fit would otherwise
+    stop at its zero start, an attack that calls nothing a member.
     """
     features = np.asarray(features, dtype=np.float64)
     labels = np.asarray(labels, dtype=np.float64)
     if features.ndim != 2 or labels.shape != (features.shape[0],):
         raise ValidationError("attack features must be rank 2 with one label per row")
+    if features.shape[0] == 0:
+        raise ValidationError("attack features must have at least one row")
+    if not np.isfinite(features).all():
+        raise ValidationError("attack features must be finite")
     if not (set(np.unique(labels)) <= {0.0, 1.0}):
         raise ValidationError("attack labels must be 0 (non-member) or 1 (member)")
     signs = 2.0 * labels - 1.0

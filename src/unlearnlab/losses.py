@@ -26,7 +26,7 @@ entry with a hand-written backward. Forward and backward run the numpy
 expressions of the same loss composed from the primitive tensor ops of
 ``tests/composed_ops.py``, in the same order, so values and gradients
 are bit-identical to the composed version, while constants such as the
-row max, the one-hot labels, the masks and the weights get no adjoint.
+row max, the labels, the masks and the weights get no adjoint.
 A value the composed ops would have rejected as non-finite still raises
 NonFiniteError.
 """
@@ -241,7 +241,7 @@ def cross_entropy_loss(logits: Tensor, labels: np.ndarray) -> Tensor:
         raise ContractError("cross-entropy of an empty batch")
     if labels.shape != (batch,):
         raise ContractError("one label per logits row is required")
-    if labels.size and (labels.min() < 0 or labels.max() >= num_classes):
+    if np.minimum.reduce(labels) < 0 or np.maximum.reduce(labels) >= num_classes:
         raise ContractError(f"labels must lie in [0, {num_classes})")
 
     # Subtracting the row max leaves the loss value unchanged and keeps
@@ -249,21 +249,26 @@ def cross_entropy_loss(logits: Tensor, labels: np.ndarray) -> Tensor:
     # logits can overflow. Past it, exp lies in [0, 1], the row sums in
     # [1, num_classes] and each row's log_norm - picked is finite; only
     # the batch sum can overflow, into the checked final value.
+    # The ufunc reductions directly; the ndarray methods add Python wrappers.
     shifted = _require_finite(
-        logits.data - logits.data.max(axis=1, keepdims=True), "shifted logits"
+        logits.data - np.maximum.reduce(logits.data, axis=1, keepdims=True), "shifted logits"
     )
     e = np.exp(shifted)
-    sum_exp = e.sum(axis=1)
+    sum_exp = np.add.reduce(e, axis=1)
     log_norm = np.log(sum_exp)
-    onehot = np.zeros((batch, num_classes))
-    onehot[np.arange(batch), labels] = 1.0
-    picked = (shifted * onehot).sum(axis=1)
+    # The composed ops multiply by a one-hot matrix and sum (forward) or add
+    # (backward). Adding the exact zeros off the label changes no bit, so
+    # indexing the label entry gives the same values.
+    rows = np.arange(batch)
+    picked = shifted[rows, labels]
     inv_batch = 1.0 / batch
-    out = T._fresh((log_norm - picked).sum() * inv_batch, "cross_entropy_loss")
+    out = T._fresh(np.add.reduce(log_norm - picked) * inv_batch, "cross_entropy_loss")
 
     def backward(g):
         g = g * inv_batch
-        return ((-g) * onehot + (g / sum_exp)[:, None] * e,)
+        grad = (g / sum_exp)[:, None] * e
+        grad[rows, labels] -= g
+        return (grad,)
 
     T._record(out, (logits,), backward)
     return out

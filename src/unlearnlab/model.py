@@ -10,6 +10,13 @@ version, a JSON header with the architecture and tensor manifest, then
 little-endian float64 payloads and a CRC of the payload bytes. The
 header must be exactly the one its architecture writes. Saving and
 loading round-trips bit-exactly.
+
+Parameters built by ``replace``, ``load_checkpoint`` or an SGD step are
+read-only views of one flat float64 buffer, in the architecture's
+parameter order. ``ModelParameters._from_flat`` is their one
+constructor: it takes a fresh buffer, checks it for finiteness once and
+freezes it. ``replace`` owes its caller a copy and makes it in its one
+concatenation; the SGD step passes the concatenated update.
 """
 from __future__ import annotations
 
@@ -30,6 +37,7 @@ from .errors import (
     CheckpointFormatError,
     CheckpointIntegrityError,
     DimensionError,
+    NonFiniteError,
     ValidationError,
 )
 from .tensor import ACTIVATIONS, Tensor
@@ -93,6 +101,16 @@ class ModelArchitecture:
             shapes[f"{name}.b"] = (fan_out,)
         return types.MappingProxyType(shapes)
 
+    @functools.cached_property
+    def _parameter_layout(self) -> tuple[tuple[str, int, int, tuple[int, ...]], ...]:
+        """(name, start, stop, shape) of every parameter in the flat buffer."""
+        layout, start = [], 0
+        for name, shape in self.parameter_shapes.items():
+            stop = start + math.prod(shape)
+            layout.append((name, start, stop, shape))
+            start = stop
+        return tuple(layout)
+
     def to_dict(self) -> dict:
         return {
             "input_dim": self.input_dim,
@@ -117,7 +135,9 @@ class ModelParameters:
     """Named parameter tensors for one architecture.
 
     Tensors are keyed "<layer>.w" / "<layer>.b" and kept in a fixed
-    order so gradient lists and SGD updates line up positionally.
+    order so gradient lists and SGD updates line up positionally. The
+    mapping is read-only, like the tensors, so the flat vector of the
+    values (``_flat``) never goes stale.
     """
 
     def __init__(self, arch: ModelArchitecture, tensors: dict[str, Tensor]):
@@ -133,7 +153,7 @@ class ModelParameters:
                     f"parameter {name}: shape {tensors[name].shape}, expected {shape}"
                 )
         self.arch = arch
-        self.tensors = {name: tensors[name] for name in expected}
+        self.tensors = types.MappingProxyType({name: tensors[name] for name in expected})
 
     def names(self) -> list[str]:
         return list(self.tensors)
@@ -141,15 +161,50 @@ class ModelParameters:
     def as_list(self) -> list[Tensor]:
         return list(self.tensors.values())
 
+    @functools.cached_property
+    def _flat(self) -> np.ndarray:
+        """Every value in one read-only vector laid out as _parameter_layout:
+        the buffer the tensors view when _from_flat built them."""
+        flat = np.concatenate([t.data for t in self.tensors.values()], axis=None)
+        flat.flags.writeable = False
+        return flat
+
+    @classmethod
+    def _from_flat(cls, arch: ModelArchitecture, flat: np.ndarray) -> "ModelParameters":
+        """Parameters as read-only views of flat, a fresh 1-d float64 buffer
+        laid out as arch._parameter_layout, after one finite check."""
+        if not T._all_finite(flat):
+            raise NonFiniteError("tensor constructed with non-finite entries")
+        flat.flags.writeable = False
+        params = cls.__new__(cls)
+        params.arch = arch
+        params._flat = flat
+        params.tensors = types.MappingProxyType(
+            {
+                name: T._wrap(flat[start:stop].reshape(shape))
+                for name, start, stop, shape in arch._parameter_layout
+            }
+        )
+        return params
+
     def replace(self, new_values: list[np.ndarray]) -> "ModelParameters":
-        """New parameters with the same names, in positional order."""
-        names = self.names()
-        if len(new_values) != len(names):
+        """New parameters with the same names, in positional order.
+
+        The values are copied, so the caller's arrays stay writable and
+        unshared.
+        """
+        layout = self.arch._parameter_layout
+        if len(new_values) != len(layout):
             raise DimensionError(
-                f"replace: got {len(new_values)} arrays for {len(names)} parameters"
+                f"replace: got {len(new_values)} arrays for {len(layout)} parameters"
             )
-        return ModelParameters(
-            self.arch, {n: Tensor(v) for n, v in zip(names, new_values)}
+        for (name, _, _, shape), value in zip(layout, new_values):
+            if np.shape(value) != shape:
+                raise DimensionError(
+                    f"parameter {name}: shape {np.shape(value)}, expected {shape}"
+                )
+        return ModelParameters._from_flat(
+            self.arch, np.concatenate(new_values, axis=None, dtype=np.float64)
         )
 
 
@@ -282,11 +337,7 @@ def load_checkpoint(path: str | Path) -> ModelParameters:
     if zlib.crc32(payload) != crc_stored:
         raise CheckpointIntegrityError(f"{path}: payload checksum mismatch")
 
-    tensors: dict[str, Tensor] = {}
-    offset = 0
-    for name, shape in shapes.items():
-        nbytes = 8 * math.prod(shape)
-        arr = np.frombuffer(payload[offset : offset + nbytes], dtype="<f8").reshape(shape)
-        tensors[name] = Tensor(arr)
-        offset += nbytes
-    return ModelParameters(arch, tensors)
+    # On a little-endian machine the conversion is a no-op, so the views
+    # share the payload bytes instead of copying them.
+    flat = np.frombuffer(payload, dtype="<f8").astype(np.float64, copy=False)
+    return ModelParameters._from_flat(arch, flat)

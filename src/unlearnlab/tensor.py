@@ -1,8 +1,12 @@
 """Dense float64 tensors with reverse-mode automatic differentiation.
 
 Operations record themselves on an explicit gradient tape while one is
-active. ``GradTape.gradient`` is the one way into replay: it runs the
-tape in exact reverse order and accumulates adjoints. The module holds
+active. ``GradTape._replay`` is the one replay: it runs the tape in
+exact reverse order and accumulates adjoints. It has two callers: the
+public ``gradient``, which wraps and checks each adjoint, and the
+engine's SGD step, which reads the raw arrays and checks only its
+update (non-finite whenever a gradient is, since the learning rate is
+positive and finite). The module holds
 only the ops the library runs: ``dense`` and ``l2_normalize``.
 ``dense``, one layer ``act(x @ w + b)``, and the losses in ``losses``
 are fused: each records one tape entry whose hand-written backward
@@ -11,12 +15,17 @@ ops, so both give bit-identical results. The primitives, and the
 central finite-difference oracle every analytic gradient is checked
 against, are the test suite's oracles, in ``tests/composed_ops.py``.
 
-All values are 64-bit floats. Every operation checks its result for
-finiteness exactly once, so NaN or overflow surfaces at the op that
-produced it rather than epochs later. An op's result is a fresh array,
-so it is wrapped without a copy; only the public ``Tensor(...)`` and
+All values are 64-bit floats, and every Tensor holds finite values.
+Each op checks finiteness once, at the first place its arithmetic can
+overflow, so NaN or overflow surfaces at the op that produced it rather
+than epochs later: ``dense`` checks its pre-activation, ``l2_normalize``
+its row norms (a finite row over a norm above NORM_EPSILON has entries
+of magnitude at most 1, so its output needs no second check), and the
+losses their intermediate sums. An op's result is a fresh array, so it
+is wrapped without a copy; only the public ``Tensor(...)`` and
 ``as_tensor(...)`` copy, which keeps a caller's array writable and
-unshared.
+unshared. ``dense`` copies and checks an array ``x`` the same way but
+builds no Tensor for it.
 """
 from __future__ import annotations
 
@@ -54,9 +63,7 @@ class Tensor:
     __slots__ = ("data", "tid")
 
     def __init__(self, values):
-        arr = np.array(values, dtype=np.float64)
-        if not _all_finite(arr):
-            raise NonFiniteError("tensor constructed with non-finite entries")
+        arr = _checked_copy(values)
         arr.flags.writeable = False
         self.data = arr
         self.tid = next(_tensor_ids)
@@ -85,6 +92,14 @@ class Tensor:
 def _all_finite(arr: np.ndarray) -> bool:
     # The ufunc reduction directly; np.all and ndarray.all add Python wrappers.
     return bool(np.logical_and.reduce(np.isfinite(arr), axis=None))
+
+
+def _checked_copy(values) -> np.ndarray:
+    """A fresh float64 copy of array-like input, checked for finiteness."""
+    arr = np.array(values, dtype=np.float64)
+    if not _all_finite(arr):
+        raise NonFiniteError("tensor constructed with non-finite entries")
+    return arr
 
 
 def _wrap(arr: np.ndarray) -> Tensor:
@@ -143,13 +158,12 @@ class GradTape:
     def __len__(self) -> int:
         return len(self._entries)
 
-    def gradient(self, output: Tensor, inputs: Sequence[Tensor]) -> list[Tensor]:
-        """Gradients of a scalar output with respect to each input.
+    def _replay(self, output: Tensor, inputs: Sequence[Tensor]) -> list[np.ndarray]:
+        """Raw adjoint arrays of a scalar output, one per input, unchecked.
 
-        An input may be a leaf or an intermediate result. Inputs that did
-        not participate in producing the output get an exact zero
-        gradient of their own shape. Each gradient is checked
-        for finiteness once and returned read-only, without a copy.
+        Runs the tape in exact reverse order. An input may be a leaf or an
+        intermediate result; one that did not participate in producing the
+        output gets an exact zero adjoint of its own shape.
         """
         if output.shape != ():
             raise ContractError(f"gradient of non-scalar output with shape {output.shape}")
@@ -170,8 +184,16 @@ class GradTape:
                 g = np.zeros(inp.shape)
             if g.shape != inp.shape:
                 g = np.broadcast_to(g, inp.shape)
-            out.append(_fresh(g, "gradient"))
+            out.append(g)
         return out
+
+    def gradient(self, output: Tensor, inputs: Sequence[Tensor]) -> list[Tensor]:
+        """Gradients of a scalar output with respect to each input.
+
+        The adjoints of ``_replay``, each checked for finiteness once and
+        returned read-only, without a copy.
+        """
+        return [_fresh(g, "gradient") for g in self._replay(output, inputs)]
 
 
 def _record(out: Tensor, inputs: Sequence[Tensor], backward: Callable) -> None:
@@ -189,16 +211,24 @@ def dense(x, w, b, activation: str | None = None) -> Tensor:
     the arithmetic of matmul, add and the activation in that order, so
     the results are bit-identical to composing those ops. An x that
     arrives as an array is a constant: it is copied and checked like
-    any array input, but the tape records only w and b, so replay
-    skips its adjoint.
+    any array input, but no Tensor is built for it and the tape records
+    only w and b, so replay skips its adjoint.
     """
     x_taped = isinstance(x, Tensor)
-    x, w, b = as_tensor(x), as_tensor(w), as_tensor(b)
-    if x.ndim != 2 or w.ndim != 2 or x.shape[1] != w.shape[0] or b.shape != w.shape[1:]:
-        raise DimensionError(f"dense: incompatible shapes {x.shape}, {w.shape} and {b.shape}")
+    x_data = x.data if x_taped else _checked_copy(x)
+    w, b = as_tensor(w), as_tensor(b)
+    if (
+        x_data.ndim != 2
+        or w.ndim != 2
+        or x_data.shape[1] != w.shape[0]
+        or b.shape != w.shape[1:]
+    ):
+        raise DimensionError(
+            f"dense: incompatible shapes {x_data.shape}, {w.shape} and {b.shape}"
+        )
     if activation is not None and activation not in ACTIVATIONS:
         raise ContractError(f"dense: unknown activation {activation!r}")
-    pre = x.data @ w.data
+    pre = x_data @ w.data
     pre += b.data
     # Both activations map finite values to finite values, so the op's one
     # check is on the pre-activation (tanh would turn an overflow into 1).
@@ -212,14 +242,14 @@ def dense(x, w, b, activation: str | None = None) -> Tensor:
     else:
         out_data = pre
     out = _wrap(out_data)
-    x_data, w_data = x.data, w.data
+    w_data = w.data
 
     def backward(g):
         if activation == "relu":
             g = g * mask
         elif activation == "tanh":
             g = g * (1.0 - out_data * out_data)
-        grads = (x_data.T @ g, g.sum(axis=0))
+        grads = (x_data.T @ g, np.add.reduce(g, axis=0))
         return (g @ w_data.T, *grads) if x_taped else grads
 
     _record(out, (x, w, b) if x_taped else (w, b), backward)
@@ -231,18 +261,20 @@ def l2_normalize(a) -> Tensor:
     a = as_tensor(a)
     if a.ndim != 2:
         raise DimensionError(f"l2_normalize: rank-2 tensor required, got {a.shape}")
-    norms = np.linalg.norm(a.data, axis=1, keepdims=True)
-    if not np.all(np.isfinite(norms)):
+    # np.linalg.norm's own expression for real rows, without its wrapper.
+    norms = np.sqrt(np.add.reduce(a.data * a.data, axis=1, keepdims=True))
+    if not _all_finite(norms):
         # Without this check an overflowed norm silently maps the row to zeros.
         raise NonFiniteError("l2_normalize: norm overflowed")
-    if np.any(norms <= NORM_EPSILON):
+    if np.logical_or.reduce(norms <= NORM_EPSILON, axis=None):
         raise DegenerateEmbeddingError("l2_normalize: row with (near-)zero norm")
+    # A finite row over a finite norm above NORM_EPSILON is finite.
     out_data = a.data / norms
-    out = _fresh(out_data, "l2_normalize")
+    out = _wrap(out_data)
 
     def backward(g):
         # For z = v / |v|: dv = (g - z (z.g)) / |v|, applied per row.
-        inner = np.sum(out_data * g, axis=1, keepdims=True)
+        inner = np.add.reduce(out_data * g, axis=1, keepdims=True)
         return ((g - out_data * inner) / norms,)
 
     _record(out, (a,), backward)

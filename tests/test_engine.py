@@ -203,10 +203,10 @@ class TestTrain:
             seed=0, batch_size=16, max_unlearn_epochs=1, loss=ul.LossConfig(variant="sample")
         )
 
-        def overflowing_update(self, new_values):
+        def overflowing_update(cls, arch, flat):
             raise NonFiniteError("update overflowed")
 
-        monkeypatch.setattr(ul.ModelParameters, "replace", overflowing_update)
+        monkeypatch.setattr(ul.ModelParameters, "_from_flat", classmethod(overflowing_update))
         runs = (
             lambda: ul.train(SMALL_ARCH, train, cfg),
             lambda: ul.unlearn_finetune(params, task, unlearn_cfg),
@@ -216,6 +216,29 @@ class TestTrain:
             with pytest.raises(DivergenceError) as exc:
                 run()
             assert exc.value.epoch == 0 and exc.value.batch == 0
+
+    @pytest.mark.parametrize("run", ["train", "finetune", "contrastive"])
+    def test_overflowing_update_is_a_divergence(self, run):
+        # No hook: on features of size 1e-6 the bias gradients are large, so
+        # the first update overflows at this learning rate while the first
+        # forward stays finite. The update's own check is what fires.
+        train, test, _ = small_setup()
+        tiny = ul.Dataset(train.features * 1e-6, train.labels, 2)
+        tiny_test = ul.Dataset(test.features * 1e-6, test.labels, 2)
+        task = ul.make_task(tiny, tiny_test, ul.TaskSpec(kind="sample", sample_count=10, seed=2))
+        params = ul.init_parameters(SMALL_ARCH, seed=0)
+        cfg = ul.EngineConfig(
+            seed=0, batch_size=16, learning_rate=1e306, max_epochs=3, max_unlearn_epochs=3
+        )
+        runs = {
+            "train": lambda: ul.train(SMALL_ARCH, tiny, cfg),
+            "finetune": lambda: ul.unlearn_finetune(params, task, cfg),
+            "contrastive": lambda: ul.unlearn_contrastive(params, task, cfg),
+        }
+        with pytest.raises(DivergenceError, match="non-finite entries") as exc:
+            runs[run]()
+        assert exc.value.epoch == 0 and exc.value.batch == 0
+        assert isinstance(exc.value.__cause__, NonFiniteError)
 
     def test_config_validation(self):
         with pytest.raises(ValidationError):
@@ -244,13 +267,13 @@ class TestTapeSize:
     @staticmethod
     def recorded_sizes(monkeypatch):
         sizes = []
-        replay = ul.GradTape.gradient
+        replay = ul.GradTape._replay
 
         def counting(self, output, inputs):
             sizes.append(len(self))
             return replay(self, output, inputs)
 
-        monkeypatch.setattr(ul.GradTape, "gradient", counting)
+        monkeypatch.setattr(ul.GradTape, "_replay", counting)
         return sizes
 
     def test_train_step(self, monkeypatch):
@@ -562,16 +585,18 @@ class TestNegGrad:
     def test_overflowing_update_keeps_last_good_parameters(self, monkeypatch):
         params, task = harder_setup()
         ncfg = ul.EngineConfig(seed=0, batch_size=4, learning_rate=0.01, max_unlearn_epochs=5)
-        replace = ul.ModelParameters.replace
+        from_flat = ul.ModelParameters._from_flat
         good = []
 
-        def overflows_on_third_update(self, new_values):
+        def overflows_on_third_update(cls, arch, flat):
             if len(good) == 2:
                 raise NonFiniteError("update overflowed")
-            good.append(replace(self, new_values))
+            good.append(from_flat(arch, flat))
             return good[-1]
 
-        monkeypatch.setattr(ul.ModelParameters, "replace", overflows_on_third_update)
+        monkeypatch.setattr(
+            ul.ModelParameters, "_from_flat", classmethod(overflows_on_third_update)
+        )
         out, record = ul.unlearn_neggrad(params, task, ncfg)
         assert_same_parameters(good[-1], out)
         assert record.gradient_steps == 2

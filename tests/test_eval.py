@@ -165,6 +165,20 @@ class TestAttackModel:
         val_acc = np.mean(attack.predict_member(feats[val_idx]) == labels[val_idx])
         assert val_acc >= 0.9
 
+    @pytest.mark.parametrize(
+        "features, labels",
+        [
+            (np.zeros((0, 3)), np.zeros(0)),
+            (np.array([[0.5, np.nan, 0.5], [0.2, 0.3, 0.5]]), np.array([1.0, 0.0])),
+            (np.array([[0.5, 0.5, 0.0], [np.inf, 0.3, 0.5]]), np.array([1.0, 0.0])),
+        ],
+        ids=["no-rows", "nan-feature", "inf-feature"],
+    )
+    def test_unfittable_features_are_rejected(self, features, labels):
+        # Both used to end in a RuntimeWarning and the zero-start model.
+        with pytest.raises(ValidationError, match="attack features"):
+            fit_attack_model(features, labels)
+
     def test_no_signal_means_chance_accuracy(self, rng):
         # Two halves of the same test split: nothing to learn, accuracy
         # should hover at chance.

@@ -111,6 +111,35 @@ class TestInit:
         with pytest.raises(DimensionError):
             params.replace(values)
 
+    def test_replace_rejects_wrong_count(self):
+        params = init_parameters(ARCH, seed=0)
+        values = [t.data for t in params.as_list()]
+        for wrong in (values[:-1], values + [np.zeros(3)], []):
+            with pytest.raises(DimensionError):
+                params.replace(wrong)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_replace_rejects_non_finite_values(self, bad):
+        params = init_parameters(ARCH, seed=0)
+        values = [t.data.copy() for t in params.as_list()]
+        values[3][1] = bad
+        with pytest.raises(NonFiniteError):
+            params.replace(values)
+
+    def test_replace_keeps_bits_and_leaves_no_alias(self):
+        params = init_parameters(ARCH, seed=0)
+        values = [np.array(t.data) for t in params.as_list()]
+        values[1][0] = -0.0
+        values[2][0, 0] = 5e-324
+        new = params.replace(values)
+        assert new.names() == params.names()
+        for arr, t in zip(values, new.as_list()):
+            assert t.shape == arr.shape and t.data.tobytes() == arr.tobytes()
+        values[0][0, 0] = 7.0
+        assert new.as_list()[0].data[0, 0] != 7.0
+        with pytest.raises(ValueError):
+            new.as_list()[0].data[0, 0] = 7.0
+
 
 class TestForwardPass:
     def test_zero_weights_give_constant_embedding(self, rng):
@@ -182,6 +211,22 @@ class TestCheckpoint:
         loaded = load_checkpoint(path)
         assert loaded.arch == ARCH
         assert params_equal(loaded, params)
+
+    def test_round_trip_gives_bit_exact_read_only_views(self, tmp_path, rng):
+        params = init_parameters(ARCH, seed=7)
+        values = [rng.standard_normal(t.shape) * 1e150 for t in params.as_list()]
+        values[1][0], values[1][1] = -0.0, 5e-324
+        params = params.replace(values)
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(params, path)
+        loaded = load_checkpoint(path)
+        assert loaded.names() == params.names()
+        for want, got in zip(params.as_list(), loaded.as_list()):
+            assert got.shape == want.shape and got.data.dtype == np.float64
+            assert got.data.tobytes() == want.data.tobytes()
+            assert not got.data.flags.writeable
+            with pytest.raises(ValueError):
+                got.data[...] = 0.0
 
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "model.ckpt"

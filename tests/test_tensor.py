@@ -405,6 +405,44 @@ class TestTape:
         assert np.array_equal(g_x.data, leaf_x.data) and np.array_equal(g_w.data, leaf_w.data)
 
 
+    def test_gradient_is_the_checked_raw_replay(self, rng):
+        # The engine reads the raw adjoints; the public gradient must return
+        # exactly their bits, read-only, for leaves, intermediates and an
+        # input the output does not depend on.
+        x = as_tensor(rng.standard_normal((4, 3)))
+        w = as_tensor(rng.standard_normal((3, 2)))
+        b = as_tensor(rng.standard_normal(2))
+        unused = as_tensor(rng.standard_normal(5))
+        with GradTape() as tape:
+            h = dense(x, w, b, "tanh")
+            out = cross_entropy_loss(l2_normalize(h), np.array([0, 1, 1, 0]))
+        inputs = [x, w, b, h, unused]
+        raw = tape._replay(out, inputs)
+        public = tape.gradient(out, inputs)
+        assert len(raw) == len(public) == len(inputs)
+        for r, g, inp in zip(raw, public, inputs):
+            assert g.shape == np.shape(r) == inp.shape
+            assert g.data.dtype == np.float64
+            assert g.data.tobytes() == np.asarray(r).tobytes()
+            assert not g.data.flags.writeable
+        assert not public[-1].data.any()
+
+    def test_gradient_checks_what_the_raw_replay_does_not(self):
+        # Finite forward values, overflowing adjoint: weights of 1e160 in
+        # both layers multiply the input's adjoint past the float range.
+        x = as_tensor(np.full((2, 3), 1e-200))
+        w1 = as_tensor(np.full((3, 3), 1e160))
+        w2 = as_tensor(np.tile([1e160, -1e160], (3, 1)))
+        with np.errstate(over="ignore", invalid="ignore"):
+            with GradTape() as tape:
+                h = dense(x, w1, np.zeros(3))
+                out = cross_entropy_loss(dense(h, w2, np.zeros(2)), np.array([1, 1]))
+            (raw,) = tape._replay(out, [x])
+            assert not np.isfinite(raw).all()
+            with pytest.raises(NonFiniteError):
+                tape.gradient(out, [x])
+
+
 class TestNumericHelpers:
     def test_finite_difference_on_quadratic(self):
         # f(x) = sum(x^2) has exact derivative 2x; central differences
