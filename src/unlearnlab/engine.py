@@ -16,6 +16,12 @@ Baselines share the same termination checks so their records compare
 like for like: retraining from scratch on the remaining data, plain
 fine-tuning on the remaining data, and gradient ascent on the
 unlearning data (with a divergence guard).
+
+Every batch a step sees is drawn from a Dataset, which checked its
+rows and labels when it was made, and ``_check_compat`` matches the
+model to the data once per run. So the steps call the cores of
+``encode``, ``build_contrast_sets`` and ``cross_entropy_loss``
+directly, without copying or re-checking the batch.
 """
 from __future__ import annotations
 
@@ -44,7 +50,8 @@ from .errors import (
 from .evaluation import accuracy
 from .losses import (
     LossConfig,
-    build_contrast_sets,
+    _contrast_sets,
+    _cross_entropy,
     class_unlearn_loss,
     combined_loss,
     cross_entropy_loss,
@@ -53,7 +60,7 @@ from .losses import (
 from .model import (
     ModelArchitecture,
     ModelParameters,
-    encode,
+    _encode,
     forward,
     head_logits,
     init_parameters,
@@ -211,7 +218,9 @@ def _ce_pass(view: Dataset, tag: int, cfg: EngineConfig, ascend: bool = False):
             try:
                 params, (loss,) = _sgd_step(
                     params,
-                    lambda p: (cross_entropy_loss(forward(p, batch.features), batch.labels),),
+                    lambda p: (
+                        _cross_entropy(head_logits(p, _encode(p, batch.features)), batch.labels),
+                    ),
                     cfg.learning_rate,
                     epoch,
                     b_index,
@@ -358,15 +367,15 @@ def unlearn_contrastive(
     remain_rng = np.random.default_rng([cfg.seed, TAG_REMAIN_SAMPLER])
 
     def objective(params: ModelParameters, ub, rb) -> tuple:
-        z_r = encode(params, rb.features)
+        z_r = _encode(params, rb.features)
         if cfg.loss.unlearn_weight > 0:
-            z_u = encode(params, ub.features)
-            sets = build_contrast_sets(ub.labels, z_u, rb.labels, z_r)
+            z_u = _encode(params, ub.features)
+            sets = _contrast_sets(ub.labels, z_u, rb.labels, z_r)
             ul = unlearn_term(sets, cfg.loss.temperature)
         else:
             ul = as_tensor(0.0)
         if cfg.loss.ce_weight > 0:
-            ce = cross_entropy_loss(head_logits(params, z_r), rb.labels)
+            ce = _cross_entropy(head_logits(params, z_r), rb.labels)
         else:
             ce = as_tensor(0.0)
         return combined_loss(ul, ce, cfg.loss), ul, ce

@@ -29,6 +29,12 @@ are bit-identical to the composed version, while constants such as the
 row max, the labels, the masks and the weights get no adjoint.
 A value the composed ops would have rejected as non-finite still raises
 NonFiniteError.
+
+``build_contrast_sets`` and ``cross_entropy_loss`` check their inputs
+and then call their cores, ``_contrast_sets`` and ``_cross_entropy``,
+which the engine calls directly: its labels come from a Dataset whose
+class count it matched to the model's, and its embeddings from the
+encoder, which makes them unit-norm.
 """
 from __future__ import annotations
 
@@ -83,13 +89,14 @@ class ContrastSets:
     positive_mask: np.ndarray
     negative_mask: np.ndarray
 
+    # The ufunc reductions directly; the ndarray methods add Python wrappers.
     @property
     def positive_counts(self) -> np.ndarray:
-        return self.positive_mask.sum(axis=1)
+        return np.add.reduce(self.positive_mask, axis=1)
 
     @property
     def negative_counts(self) -> np.ndarray:
-        return self.negative_mask.sum(axis=1)
+        return np.add.reduce(self.negative_mask, axis=1)
 
 
 def build_contrast_sets(
@@ -115,6 +122,16 @@ def build_contrast_sets(
         norms = np.linalg.norm(emb.data, axis=1)
         if np.any(np.abs(norms - 1.0) > 1e-6):
             raise ContractError(f"{name} embeddings must be unit-norm")
+    return _contrast_sets(anchor_labels, anchor_embeddings, remaining_labels, remaining_embeddings)
+
+
+def _contrast_sets(
+    anchor_labels: np.ndarray,
+    anchor_embeddings: Tensor,
+    remaining_labels: np.ndarray,
+    remaining_embeddings: Tensor,
+) -> ContrastSets:
+    """build_contrast_sets' core, without its checks (see the module docstring)."""
     positive = anchor_labels[:, None] == remaining_labels[None, :]
     return ContrastSets(
         anchor_embeddings=anchor_embeddings,
@@ -176,7 +193,7 @@ def sample_unlearn_loss(sets: ContrastSets, temperature: float) -> Tensor:
     n_pos = sets.positive_counts
     n_neg = sets.negative_counts
     valid = (n_pos >= 1) & (n_neg >= 1)
-    if not valid.any():
+    if not np.logical_or.reduce(valid):
         raise NoValidAnchorError("every anchor lacks a positive or a negative")
 
     s = _similarities(sets, temperature)
@@ -184,16 +201,16 @@ def sample_unlearn_loss(sets: ContrastSets, temperature: float) -> Tensor:
     negative = sets.negative_mask.astype(np.float64)
     valid_f = valid.astype(np.float64)
     # Per anchor i: -(1/|N_i|) sum_a s_ia + log(sum_p exp(s_ip)).
-    neg_sum = (s * negative).sum(axis=1)
+    neg_sum = np.add.reduce(s * negative, axis=1)
     exp_s = _require_finite(np.exp(s), "exp of the scaled similarities")
     # Pad invalid rows so the log stays finite; their term is zeroed below.
-    pos_den = (exp_s * positive).sum(axis=1) + (~valid).astype(np.float64)
+    pos_den = np.add.reduce(exp_s * positive, axis=1) + (~valid).astype(np.float64)
     with np.errstate(divide="ignore"):
         log_den = _require_finite(np.log(pos_den), "log of the positive sum")
     neg_coeff = np.where(valid, -1.0 / np.maximum(n_neg, 1), 0.0)
     # A sum over the negatives can still overflow; it stays infinite (or
     # turns NaN) through the rest, so the final value's check catches it.
-    value = (neg_sum * neg_coeff + log_den * valid_f).sum()
+    value = np.add.reduce(neg_sum * neg_coeff + log_den * valid_f)
 
     def similarity_adjoint(g):
         g_den = (g * valid_f) / pos_den
@@ -211,18 +228,18 @@ def class_unlearn_loss(sets: ContrastSets, temperature: float) -> Tensor:
     _check_temperature(temperature)
     n_neg = sets.negative_counts
     valid = n_neg >= 1
-    if not valid.any():
+    if not np.logical_or.reduce(valid):
         raise NoValidAnchorError("every anchor lacks a negative")
 
     s = _similarities(sets, temperature)
     negative = sets.negative_mask.astype(np.float64)
     # Per anchor i: -(1/|N_i|) sum_a s_ia + log(|N_i|).
-    neg_sum = (s * negative).sum(axis=1)
+    neg_sum = np.add.reduce(s * negative, axis=1)
     neg_coeff = np.where(valid, -1.0 / np.maximum(n_neg, 1), 0.0)
-    constant = float(np.sum(np.log(n_neg[valid])))
+    constant = float(np.add.reduce(np.log(n_neg[valid])))
     # Only the sums can overflow past the similarities; an infinite sum
     # stays non-finite through the rest, so the final value's check catches it.
-    value = (neg_sum * neg_coeff).sum() + constant
+    value = np.add.reduce(neg_sum * neg_coeff) + constant
 
     def similarity_adjoint(g):
         return (g * neg_coeff)[:, None] * negative
@@ -243,7 +260,12 @@ def cross_entropy_loss(logits: Tensor, labels: np.ndarray) -> Tensor:
         raise ContractError("one label per logits row is required")
     if np.minimum.reduce(labels) < 0 or np.maximum.reduce(labels) >= num_classes:
         raise ContractError(f"labels must lie in [0, {num_classes})")
+    return _cross_entropy(logits, labels)
 
+
+def _cross_entropy(logits: Tensor, labels: np.ndarray) -> Tensor:
+    """cross_entropy_loss' core, without its checks (see the module docstring)."""
+    batch = logits.shape[0]
     # Subtracting the row max leaves the loss value unchanged and keeps
     # every exponent at or below zero, but the difference of two finite
     # logits can overflow. Past it, exp lies in [0, 1], the row sums in

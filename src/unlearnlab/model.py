@@ -3,7 +3,10 @@
 The model is a multilayer perceptron encoder whose final embedding is
 scaled to unit Euclidean norm, followed by a linear classification head.
 Normalized embeddings make dot products equal cosine similarities, which
-is what the contrastive losses operate on.
+is what the contrastive losses operate on. One encoder pass is one tape
+entry (``tensor._encoder``). The public ``encode`` checks and copies an
+array batch, then calls ``_encode``, the core the engine calls directly
+on the rows of a checked Dataset.
 
 Checkpoints are a self-describing binary container: magic bytes, format
 version, a JSON header with the architecture and tensor manifest, then
@@ -16,7 +19,9 @@ read-only views of one flat float64 buffer, in the architecture's
 parameter order. ``ModelParameters._from_flat`` is their one
 constructor: it takes a fresh buffer, checks it for finiteness once and
 freezes it. ``replace`` owes its caller a copy and makes it in its one
-concatenation; the SGD step passes the concatenated update.
+concatenation; the SGD step passes the concatenated update. Parameters
+pickle and copy as their architecture plus a copy of that buffer, and
+come back through ``_from_flat``.
 """
 from __future__ import annotations
 
@@ -27,7 +32,7 @@ import struct
 import types
 import zlib
 from collections.abc import Mapping
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -111,6 +116,11 @@ class ModelArchitecture:
             start = stop
         return tuple(layout)
 
+    def __getstate__(self) -> dict:
+        # The fields only: the cached mappings are derived from them, and a
+        # MappingProxyType cannot be pickled or deep-copied.
+        return {f.name: getattr(self, f.name) for f in fields(self)}
+
     def to_dict(self) -> dict:
         return {
             "input_dim": self.input_dim,
@@ -187,6 +197,12 @@ class ModelParameters:
         )
         return params
 
+    def __reduce__(self):
+        # Pickled and copied as the architecture plus a copy of the flat
+        # values, rebuilt through _from_flat: its finite check also covers
+        # a tampered payload, and the views come back read-only.
+        return ModelParameters._from_flat, (self.arch, self._flat.copy())
+
     def replace(self, new_values: list[np.ndarray]) -> "ModelParameters":
         """New parameters with the same names, in positional order.
 
@@ -238,17 +254,19 @@ def _check_batch(params: ModelParameters, x: Tensor | np.ndarray) -> None:
 def encode(params: ModelParameters, x) -> Tensor:
     """Unit-norm embeddings for a batch, shape (B, embedding_dim).
 
-    An array batch reaches the first layer as an array, so the tape
-    holds no adjoint for it; a Tensor batch keeps its gradient.
+    An array batch is checked, copied and then taped as a constant, so
+    the tape holds no adjoint for it; a Tensor batch keeps its gradient.
     """
     if not isinstance(x, Tensor):
         x = np.asarray(x, dtype=np.float64)
     _check_batch(params, x)
-    p = params.tensors
-    h = x
-    for i in range(len(params.arch.hidden)):
-        h = T.dense(h, p[f"enc{i}.w"], p[f"enc{i}.b"], params.arch.activation)
-    return T.l2_normalize(T.dense(h, p["emb.w"], p["emb.b"]))
+    return _encode(params, x if isinstance(x, Tensor) else T._checked_copy(x))
+
+
+def _encode(params: ModelParameters, x) -> Tensor:
+    """encode's core, one tape entry, without encode's copy and checks:
+    the engine calls it directly on the rows of a checked Dataset."""
+    return T._encoder(x, params.as_list()[:-2], params.arch.activation)
 
 
 def head_logits(params: ModelParameters, z) -> Tensor:

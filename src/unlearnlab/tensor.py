@@ -6,26 +6,31 @@ exact reverse order and accumulates adjoints. It has two callers: the
 public ``gradient``, which wraps and checks each adjoint, and the
 engine's SGD step, which reads the raw arrays and checks only its
 update (non-finite whenever a gradient is, since the learning rate is
-positive and finite). The module holds
-only the ops the library runs: ``dense`` and ``l2_normalize``.
-``dense``, one layer ``act(x @ w + b)``, and the losses in ``losses``
-are fused: each records one tape entry whose hand-written backward
-repeats the arithmetic of the same computation composed from primitive
-ops, so both give bit-identical results. The primitives, and the
-central finite-difference oracle every analytic gradient is checked
-against, are the test suite's oracles, in ``tests/composed_ops.py``.
+positive and finite). The module holds only the ops the library runs:
+``dense``, one layer ``act(x @ w + b)`` (the classifier's head), and
+``_encoder``, the whole encoder (every layer, then each row scaled to
+unit norm). Both, and the losses in ``losses``, are fused: each records
+one tape entry whose hand-written backward repeats the arithmetic of
+the same computation composed from primitive ops, so both give
+bit-identical results. They share one layer's arithmetic (``_layer``
+and ``_layer_adjoint``). The primitives, ``l2_normalize`` among them,
+and the central finite-difference oracle every analytic gradient is
+checked against, are the test suite's oracles, in
+``tests/composed_ops.py``.
 
 All values are 64-bit floats, and every Tensor holds finite values.
 Each op checks finiteness once, at the first place its arithmetic can
 overflow, so NaN or overflow surfaces at the op that produced it rather
-than epochs later: ``dense`` checks its pre-activation, ``l2_normalize``
+than epochs later: every layer checks its pre-activation, the encoder
 its row norms (a finite row over a norm above NORM_EPSILON has entries
 of magnitude at most 1, so its output needs no second check), and the
 losses their intermediate sums. An op's result is a fresh array, so it
 is wrapped without a copy; only the public ``Tensor(...)`` and
 ``as_tensor(...)`` copy, which keeps a caller's array writable and
 unshared. ``dense`` copies and checks an array ``x`` the same way but
-builds no Tensor for it.
+builds no Tensor for it; ``_encoder`` takes an array ``x`` its caller
+has checked (``model.encode`` checks and copies it, the engine passes
+rows of a checked Dataset) and tapes it as a constant.
 """
 from __future__ import annotations
 
@@ -199,8 +204,39 @@ class GradTape:
 def _record(out: Tensor, inputs: Sequence[Tensor], backward: Callable) -> None:
     if _active_tape is not None:
         _active_tape._entries.append(
-            (out.tid, tuple(t.tid for t in inputs), backward)
+            (out.tid, tuple([t.tid for t in inputs]), backward)
         )
+
+
+def _layer(h: np.ndarray, w: np.ndarray, b: np.ndarray, activation) -> np.ndarray:
+    """Forward arithmetic of one layer, act(h @ w + b), as a fresh array.
+
+    The one finite check is on the pre-activation: both activations map
+    finite values to finite values (and tanh would turn an overflow into
+    1). The activation runs in place on the fresh pre-activation.
+    """
+    out = h @ w
+    out += b
+    if not _all_finite(out):
+        raise NonFiniteError("dense produced non-finite values")
+    if activation == "relu":
+        np.maximum(out, 0.0, out=out)
+    elif activation == "tanh":
+        np.tanh(out, out=out)
+    return out
+
+
+def _layer_adjoint(g: np.ndarray, out: np.ndarray, activation) -> np.ndarray:
+    """The adjoint of a layer's pre-activation from that of its output.
+
+    A relu output is positive exactly where its finite pre-activation
+    is, so its mask is the composed relu's.
+    """
+    if activation == "relu":
+        return g * (out > 0.0)
+    if activation == "tanh":
+        return g * (1.0 - out * out)
+    return g
 
 
 def dense(x, w, b, activation: str | None = None) -> Tensor:
@@ -228,27 +264,12 @@ def dense(x, w, b, activation: str | None = None) -> Tensor:
         )
     if activation is not None and activation not in ACTIVATIONS:
         raise ContractError(f"dense: unknown activation {activation!r}")
-    pre = x_data @ w.data
-    pre += b.data
-    # Both activations map finite values to finite values, so the op's one
-    # check is on the pre-activation (tanh would turn an overflow into 1).
-    if not _all_finite(pre):
-        raise NonFiniteError("dense produced non-finite values")
-    if activation == "relu":
-        mask = pre > 0.0
-        out_data = np.maximum(pre, 0.0)
-    elif activation == "tanh":
-        out_data = np.tanh(pre)
-    else:
-        out_data = pre
+    out_data = _layer(x_data, w.data, b.data, activation)
     out = _wrap(out_data)
     w_data = w.data
 
     def backward(g):
-        if activation == "relu":
-            g = g * mask
-        elif activation == "tanh":
-            g = g * (1.0 - out_data * out_data)
+        g = _layer_adjoint(g, out_data, activation)
         grads = (x_data.T @ g, np.add.reduce(g, axis=0))
         return (g @ w_data.T, *grads) if x_taped else grads
 
@@ -256,26 +277,57 @@ def dense(x, w, b, activation: str | None = None) -> Tensor:
     return out
 
 
-def l2_normalize(a) -> Tensor:
-    """Scale each row of a matrix to unit Euclidean norm."""
-    a = as_tensor(a)
-    if a.ndim != 2:
-        raise DimensionError(f"l2_normalize: rank-2 tensor required, got {a.shape}")
+def _encoder(x, weights: Sequence[Tensor], activation: str) -> Tensor:
+    """The whole encoder as one tape entry: unit-norm rows of its embedding.
+
+    weights is [w0, b0, w1, b1, ..., w_emb, b_emb]: every pair but the
+    last is a hidden layer act(h @ w + b), the last is the embedding
+    layer h @ w + b, and each row of its output is scaled to unit norm.
+    Forward and backward do the arithmetic of ``dense`` per layer and of
+    the row normalisation, in the order the composed entries would, so
+    values and gradients are bit-identical to composing them.
+
+    The caller guarantees the shapes, and that an array x is a finite
+    float64 batch no one writes to: it is used without a copy and taped
+    as a constant, as in ``dense``. Untaped, no layer's activations
+    outlive the next layer.
+    """
+    x_taped = isinstance(x, Tensor)
+    taped = _active_tape is not None
+    hidden = [x.data if x_taped else x]  # every layer's input, when taped
+    for i in range(0, len(weights) - 2, 2):
+        h = _layer(hidden[-1], weights[i].data, weights[i + 1].data, activation)
+        if taped:
+            hidden.append(h)
+        else:
+            hidden[-1] = h
+    emb = _layer(hidden[-1], weights[-2].data, weights[-1].data, None)
     # np.linalg.norm's own expression for real rows, without its wrapper.
-    norms = np.sqrt(np.add.reduce(a.data * a.data, axis=1, keepdims=True))
+    norms = np.sqrt(np.add.reduce(emb * emb, axis=1, keepdims=True))
     if not _all_finite(norms):
         # Without this check an overflowed norm silently maps the row to zeros.
         raise NonFiniteError("l2_normalize: norm overflowed")
     if np.logical_or.reduce(norms <= NORM_EPSILON, axis=None):
         raise DegenerateEmbeddingError("l2_normalize: row with (near-)zero norm")
     # A finite row over a finite norm above NORM_EPSILON is finite.
-    out_data = a.data / norms
-    out = _wrap(out_data)
+    z = emb / norms
+    out = _wrap(z)
+    if not taped:
+        return out
 
     def backward(g):
         # For z = v / |v|: dv = (g - z (z.g)) / |v|, applied per row.
-        inner = np.add.reduce(out_data * g, axis=1, keepdims=True)
-        return ((g - out_data * inner) / norms,)
+        inner = np.add.reduce(z * g, axis=1, keepdims=True)
+        g = (g - z * inner) / norms
+        # Adjoints of the layers last to first, each bias before its
+        # weight, reversed at the end into the order of weights.
+        grads = []
+        for i in range(len(weights) - 2, -1, -2):
+            if i < len(weights) - 2:
+                g = _layer_adjoint(g @ weights[i + 2].data.T, hidden[i // 2 + 1], activation)
+            grads += [np.add.reduce(g, axis=0), hidden[i // 2].T @ g]
+        grads.reverse()
+        return (g @ weights[0].data.T, *grads) if x_taped else grads
 
-    _record(out, (a,), backward)
+    _record(out, (x, *weights) if x_taped else weights, backward)
     return out

@@ -1,10 +1,11 @@
 """The test suite's oracles: composed tensor ops, finite differences and
 bit-exact equality of models and datasets.
 
-The library runs only fused ops (``tensor.dense`` and the losses), each
-one tape entry with a hand-written backward. The composed ops here are
-the primitives those fused ops are written to equal bit for bit, kept
-with their own tests. Each records one tape entry on the active
+The library runs only fused ops (``tensor.dense``, the encoder and the
+losses), each one tape entry with a hand-written backward. The composed
+ops here, ``l2_normalize`` of a batch's rows among them, are the
+primitives those fused ops are written to equal bit for bit, kept with
+their own tests. Each records one tape entry on the active
 ``GradTape`` through the same helpers the library's ops use, and checks
 its result for finiteness once. ``finite_difference_gradient`` is the
 independent oracle every analytic gradient is checked against, and
@@ -17,9 +18,18 @@ from typing import Callable
 import numpy as np
 
 from unlearnlab.data import Dataset
-from unlearnlab.errors import DimensionError
+from unlearnlab.errors import DegenerateEmbeddingError, DimensionError, NonFiniteError
 from unlearnlab.model import ModelParameters
-from unlearnlab.tensor import GradTape, Tensor, _fresh, _record, as_tensor
+from unlearnlab.tensor import (
+    NORM_EPSILON,
+    GradTape,
+    Tensor,
+    _all_finite,
+    _fresh,
+    _record,
+    _wrap,
+    as_tensor,
+)
 
 
 def recorded_ids(tape: GradTape) -> list[int]:
@@ -201,3 +211,27 @@ def mean(a) -> Tensor:
     """Arithmetic mean over all entries."""
     a = as_tensor(a)
     return multiply(reduce_sum(a), 1.0 / a.size)
+
+
+def l2_normalize(a) -> Tensor:
+    """Scale each row of a matrix to unit Euclidean norm."""
+    a = as_tensor(a)
+    if a.ndim != 2:
+        raise DimensionError(f"l2_normalize: rank-2 tensor required, got {a.shape}")
+    # np.linalg.norm's own expression for real rows, without its wrapper.
+    norms = np.sqrt(np.add.reduce(a.data * a.data, axis=1, keepdims=True))
+    if not _all_finite(norms):
+        raise NonFiniteError("l2_normalize: norm overflowed")
+    if np.logical_or.reduce(norms <= NORM_EPSILON, axis=None):
+        raise DegenerateEmbeddingError("l2_normalize: row with (near-)zero norm")
+    # A finite row over a finite norm above NORM_EPSILON is finite.
+    out_data = a.data / norms
+    out = _wrap(out_data)
+
+    def backward(g):
+        # For z = v / |v|: dv = (g - z (z.g)) / |v|, applied per row.
+        inner = np.add.reduce(out_data * g, axis=1, keepdims=True)
+        return ((g - out_data * inner) / norms,)
+
+    _record(out, (a,), backward)
+    return out

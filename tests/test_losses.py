@@ -22,6 +22,7 @@ from unlearnlab.errors import (
 )
 from unlearnlab.losses import (
     LossConfig,
+    _contrast_sets,
     build_contrast_sets,
     class_unlearn_loss,
     combined_loss,
@@ -33,6 +34,7 @@ from composed_ops import (
     exp,
     finite_difference_gradient,
     gradient_relative_error,
+    l2_normalize,
     log,
     matmul,
     multiply,
@@ -41,7 +43,7 @@ from composed_ops import (
     subtract,
     transpose,
 )
-from unlearnlab.tensor import GradTape, as_tensor, l2_normalize
+from unlearnlab.tensor import GradTape, as_tensor
 
 
 def unit_rows(rng, n, d):
@@ -331,6 +333,18 @@ class TestContracts:
         with pytest.raises(ContractError):
             sets_of([[1.0, 0.0]], [0, 1], [[0.0, 1.0]], [1])
 
+    def test_engine_core_builds_the_public_masks(self, rng):
+        # The engine calls _contrast_sets on the encoder's unit-norm rows
+        # without the public checks; the sets are the same.
+        a_emb, r_emb = as_tensor(unit_rows(rng, 5, 3)), as_tensor(unit_rows(rng, 9, 3))
+        a_lab, r_lab = rng.integers(0, 3, 5), rng.integers(0, 3, 9)
+        public = build_contrast_sets(a_lab, a_emb, r_lab, r_emb)
+        core = _contrast_sets(a_lab, a_emb, r_lab, r_emb)
+        assert core.anchor_embeddings is public.anchor_embeddings
+        assert core.remaining_embeddings is public.remaining_embeddings
+        assert np.array_equal(core.positive_mask, public.positive_mask)
+        assert np.array_equal(core.negative_mask, public.negative_mask)
+
 
 class TestGradients:
     def test_single_pair_anchor_gradient_is_p_minus_n(self):
@@ -409,6 +423,13 @@ class TestCrossEntropy:
     def test_empty_batch_rejected(self):
         with pytest.raises(ContractError):
             cross_entropy_loss(np.zeros((0, 3)), np.zeros(0, int))
+
+    @pytest.mark.parametrize("label", [-1, 3])
+    def test_labels_out_of_range_rejected(self, label):
+        # The engine's core skips this check on Dataset labels; the public
+        # loss keeps it.
+        with pytest.raises(ContractError):
+            cross_entropy_loss(np.zeros((2, 3)), np.array([0, label]))
 
     def test_gradient_vs_finite_differences(self, rng):
         labels = np.array([0, 2, 1])

@@ -1,5 +1,7 @@
 """Model construction, forward pass, and the checkpoint container."""
 
+import copy
+import pickle
 import struct
 
 import numpy as np
@@ -13,10 +15,11 @@ from unlearnlab.errors import (
     NonFiniteError,
     ValidationError,
 )
-from composed_ops import multiply, params_equal, reduce_sum
+from composed_ops import l2_normalize, multiply, params_equal, reduce_sum
 from unlearnlab.model import (
     ModelArchitecture,
     ModelParameters,
+    _encode,
     encode,
     forward,
     head_logits,
@@ -25,7 +28,7 @@ from unlearnlab.model import (
     predict_labels,
     save_checkpoint,
 )
-from unlearnlab.tensor import GradTape, Tensor
+from unlearnlab.tensor import GradTape, Tensor, dense
 
 ARCH = ModelArchitecture(input_dim=5, hidden=(7, 6), embedding_dim=4, num_classes=3)
 
@@ -156,9 +159,13 @@ class TestForwardPass:
     def test_array_batch_is_not_on_the_tape(self, rng):
         params = init_parameters(ARCH, seed=1)
         with GradTape() as tape:
-            encode(params, rng.standard_normal((3, 5)))
-        first_layer = params.tensors["enc0.w"].tid, params.tensors["enc0.b"].tid
-        assert tape._entries[0][1] == first_layer
+            z = encode(params, rng.standard_normal((3, 5)))
+        # One entry whose inputs are exactly the encoder's parameters: the
+        # batch is not among them, and the backward returns no adjoint for it.
+        (entry,) = tape._entries
+        encoder = tuple(t.tid for n, t in params.tensors.items() if not n.startswith("head."))
+        assert entry[0] == z.tid and entry[1] == encoder
+        assert len(entry[2](np.ones(z.shape))) == len(encoder)
 
     def test_tensor_batch_keeps_its_gradient(self, rng):
         params = init_parameters(ARCH, seed=1)
@@ -201,6 +208,110 @@ class TestForwardPass:
         assert np.array_equal(
             predict_labels(params, x), np.argmax(forward(params, x).data, axis=1)
         )
+
+
+def composed_encode(params, x):
+    """The encoder as the composed oracle: a dense per layer, then l2_normalize."""
+    p = params.tensors
+    h = x
+    for i in range(len(params.arch.hidden)):
+        h = dense(h, p[f"enc{i}.w"], p[f"enc{i}.b"], params.arch.activation)
+    return l2_normalize(dense(h, p["emb.w"], p["emb.b"]))
+
+
+def with_first_weights(arch, value):
+    """Seeded parameters whose first layer's weights all equal value."""
+    params = init_parameters(arch, seed=1)
+    values = [t.data for t in params.as_list()]
+    values[0] = np.full(values[0].shape, value)
+    return params.replace(values)
+
+
+TANH_ARCH = ModelArchitecture(input_dim=5, hidden=(7, 6), embedding_dim=4, num_classes=3, activation="tanh")
+
+# case: (parameters, the value filling a (2, 5) batch)
+ENCODER_FAILURES = {
+    "nan-batch": (lambda: init_parameters(ARCH, seed=1), np.nan),
+    "relu-pre-activation-to-minus-inf": (lambda: with_first_weights(ARCH, -1e200), 1e200),
+    "tanh-overflow": (lambda: with_first_weights(TANH_ARCH, 1e200), 1e200),
+    "zero-norm-row": (lambda: constant_params(ARCH, emb_bias=np.zeros(4)), 1.0),
+    "norm-overflow": (lambda: constant_params(ARCH, emb_bias=np.full(4, 1e200)), 1.0),
+}
+
+
+class TestEncoderErrors:
+    """encode and the engine's _encode fail like the composed encoder:
+    same error type and message."""
+
+    @pytest.mark.parametrize("case", sorted(ENCODER_FAILURES))
+    def test_same_error_as_composed(self, case):
+        make_params, fill = ENCODER_FAILURES[case]
+        params, x = make_params(), np.full((2, 5), fill)
+        # _encode takes only the finite rows of a checked Dataset.
+        paths = [encode, composed_encode] + ([_encode] if np.isfinite(fill) else [])
+        errors = []
+        with np.errstate(over="ignore", invalid="ignore"):
+            for path in paths:
+                with pytest.raises((NonFiniteError, DegenerateEmbeddingError)) as exc:
+                    path(params, x)
+                errors.append((type(exc.value), str(exc.value)))
+        assert errors[1:] == errors[:1] * (len(errors) - 1)
+
+    def test_encode_copies_a_writable_batch(self, rng):
+        params = init_parameters(ARCH, seed=1)
+        x = rng.standard_normal((3, 5))
+        r = rng.standard_normal((3, 4))
+
+        def gradients(mutate):
+            batch = x.copy()
+            with GradTape() as tape:
+                out = reduce_sum(multiply(encode(params, batch), r))
+            if mutate:
+                batch[...] = 0.0
+            assert batch.flags.writeable
+            return [g.data for g in tape.gradient(out, params.as_list()[:-2])]
+
+        for got, want in zip(gradients(True), gradients(False)):
+            assert np.array_equal(got, want)
+
+
+class TestPickle:
+    @staticmethod
+    def params_with_caches(seed=3):
+        params = init_parameters(ARCH, seed=seed)
+        params.arch.parameter_shapes, params.arch._parameter_layout, params._flat
+        return params
+
+    def test_architecture_round_trip(self):
+        arch = self.params_with_caches().arch
+        for copied in (pickle.loads(pickle.dumps(arch)), copy.deepcopy(arch)):
+            assert copied == arch
+            assert copied.parameter_shapes == arch.parameter_shapes
+
+    @pytest.mark.parametrize("how", ["pickle", "deepcopy", "copy"])
+    def test_round_trip_gives_bit_exact_read_only_views(self, how):
+        params = self.params_with_caches()
+        copier = {
+            "pickle": lambda p: pickle.loads(pickle.dumps(p)),
+            "deepcopy": copy.deepcopy,
+            "copy": copy.copy,
+        }[how]
+        copied = copier(params)
+        assert copied.arch == params.arch and copied.names() == params.names()
+        assert copied._flat is not params._flat
+        for want, got in zip(params.as_list(), copied.as_list()):
+            assert got.data.tobytes() == want.data.tobytes()
+            assert not got.data.flags.writeable
+            assert np.shares_memory(got.data, copied._flat)
+
+    def test_tampered_non_finite_payload_is_rejected(self):
+        params = self.params_with_caches()
+        blob = pickle.dumps(params)
+        value = params.tensors["enc0.w"].data[0, 0].tobytes()
+        assert blob.count(value) == 1
+        tampered = blob.replace(value, np.float64(np.nan).tobytes())
+        with pytest.raises(NonFiniteError):
+            pickle.loads(tampered)
 
 
 class TestCheckpoint:

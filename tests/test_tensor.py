@@ -16,6 +16,7 @@ from composed_ops import (
     exp,
     finite_difference_gradient,
     gradient_relative_error,
+    l2_normalize,
     log,
     matmul,
     mean,
@@ -28,7 +29,7 @@ from composed_ops import (
     transpose,
 )
 from unlearnlab.losses import cross_entropy_loss
-from unlearnlab.tensor import GradTape, Tensor, as_tensor, dense, l2_normalize
+from unlearnlab.tensor import GradTape, Tensor, _encoder, as_tensor, dense
 
 
 class TestForward:
@@ -362,6 +363,55 @@ class TestDense:
         with np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises(NonFiniteError):
                 dense(np.full((2, 3), 1e200), np.full((3, 2), 1e200), np.zeros(2), activation)
+
+
+def _encoder_case(seed, hidden, batch=6, fan_in=5, width=3):
+    """Random encoder weights [w0, b0, ..., w_emb, b_emb], a batch and a
+    downstream weighting of the embedding."""
+    r = np.random.default_rng(seed)
+    dims = [fan_in, *hidden, width]
+    weights = []
+    for rows, cols in zip(dims[:-1], dims[1:]):
+        weights += [as_tensor(r.standard_normal((rows, cols))), as_tensor(r.standard_normal(cols))]
+    return r.standard_normal((batch, fan_in)), weights, r.standard_normal((batch, width))
+
+
+def _composed_encoder(x, weights, activation):
+    """The oracle: a dense per layer, then the composed l2_normalize."""
+    h = x
+    for i in range(len(weights) // 2 - 1):
+        h = dense(h, weights[2 * i], weights[2 * i + 1], activation)
+    return l2_normalize(dense(h, weights[-2], weights[-1]))
+
+
+class TestEncoder:
+    @pytest.mark.parametrize("x_kind", ["array", "tensor"])
+    @pytest.mark.parametrize("hidden", [(4,), (4, 3), (6, 2, 5)])
+    @pytest.mark.parametrize("activation", ["relu", "tanh"])
+    def test_bit_identical_to_composed_ops(self, activation, hidden, x_kind):
+        x0, weights, r = _encoder_case(11, hidden)
+
+        def run(encoder):
+            x = as_tensor(x0) if x_kind == "tensor" else x0.copy()
+            inputs = [x, *weights] if x_kind == "tensor" else weights
+            with GradTape() as tape:
+                z = encoder(x, weights, activation)
+                out = reduce_sum(multiply(z, r))
+            return len(tape), [z.data] + [g.data for g in tape.gradient(out, inputs)]
+
+        fused_entries, fused = run(_encoder)
+        composed_entries, composed = run(_composed_encoder)
+        assert fused_entries == 3 and composed_entries == len(hidden) + 4
+        assert len(fused) == len(composed)
+        for got, want in zip(fused, composed):
+            assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("activation", ["relu", "tanh"])
+    def test_untaped_values_match_taped(self, activation):
+        x0, weights, _ = _encoder_case(3, (4, 3))
+        with GradTape():
+            taped = _encoder(x0, weights, activation).data
+        assert np.array_equal(_encoder(x0, weights, activation).data, taped)
 
 
 class TestTape:
