@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import csv
 import itertools
+import math
 import warnings
 from dataclasses import dataclass
 from functools import cached_property
@@ -48,7 +49,14 @@ class Dataset:
 
     def __init__(self, features: np.ndarray, labels: np.ndarray, num_classes: int):
         features = np.asarray(features, dtype=np.float64)
-        labels = np.asarray(labels, dtype=np.int64)
+        labels = np.asarray(labels)
+        # Float labels are checked before the int64 cast, which would
+        # truncate 1.7 to 1 and warn on NaN; int64 labels skip the check.
+        if labels.dtype.kind == "f" and not np.all(
+            np.isfinite(labels) & (labels == np.trunc(labels))
+        ):
+            raise ValidationError("invalid dataset: labels must be integers")
+        labels = labels.astype(np.int64, copy=False)
         problems = []
         if features.ndim != 2:
             problems.append("features must be a rank-2 array")
@@ -56,7 +64,9 @@ class Dataset:
             problems.append("dataset must contain at least one sample")
         if labels.ndim != 1 or (features.ndim == 2 and labels.shape[0] != features.shape[0]):
             problems.append("labels must be one per feature row")
-        if num_classes < 2:
+        if not isinstance(num_classes, (int, np.integer)):
+            problems.append("num_classes must be an integer")
+        elif num_classes < 2:
             problems.append("num_classes must be >= 2")
         if labels.size and (labels.min() < 0 or labels.max() >= num_classes):
             problems.append(f"labels must lie in [0, {num_classes})")
@@ -149,15 +159,18 @@ def generate_synthetic(
         problems.append("dim must be >= 2")
     if per_class_train < 1 or per_class_test < 1:
         problems.append("per-class sample counts must be >= 1")
-    if spread <= 0:
-        problems.append("spread must be positive")
+    # The means are placed 4 * spread apart; NaN, inf or an overflowing
+    # product would keep the placement from ever accepting one.
+    min_distance = 4.0 * float(spread)
+    if not 0 < min_distance < math.inf:
+        problems.append("spread must be positive and 4 * spread finite")
     if seed < 0:
         problems.append("seed must be >= 0")
     if problems:
         raise ValidationError("invalid generator settings: " + "; ".join(problems))
 
     rng = np.random.default_rng(seed)
-    means = _place_means(num_classes, dim, 4.0 * spread, rng)
+    means = _place_means(num_classes, dim, min_distance, rng)
 
     def draw(per_class: int) -> tuple[np.ndarray, np.ndarray]:
         feats = np.concatenate(

@@ -95,7 +95,12 @@ class EngineConfig:
     loss: LossConfig = field(default_factory=LossConfig)
 
     def __post_init__(self):
-        problems = []
+        problems = [
+            f"{name} must be an integer"
+            for name in ("batch_size", "remaining_resamples", "max_epochs",
+                         "max_unlearn_epochs", "termination_every", "seed")
+            if not isinstance(getattr(self, name), (int, np.integer))
+        ]
         if self.batch_size < 2:
             problems.append("batch_size must be >= 2")
         if not 1 <= self.remaining_resamples <= 4:

@@ -14,14 +14,15 @@ little-endian float64 payloads and a CRC of the payload bytes. The
 header must be exactly the one its architecture writes. Saving and
 loading round-trips bit-exactly.
 
-Parameters built by ``replace``, ``load_checkpoint`` or an SGD step are
-read-only views of one flat float64 buffer, in the architecture's
-parameter order. ``ModelParameters._from_flat`` is their one
-constructor: it takes a fresh buffer, checks it for finiteness once and
-freezes it. ``replace`` owes its caller a copy and makes it in its one
-concatenation; the SGD step passes the concatenated update. Parameters
-pickle and copy as their architecture plus a copy of that buffer, and
-come back through ``_from_flat``.
+Parameters are read-only views of one flat float64 buffer, in the
+architecture's parameter order. ``ModelParameters._from_flat`` is their
+one constructor: it takes a fresh buffer, checks it for finiteness once
+and freezes it. ``init_parameters`` draws the weights into a zeroed
+buffer; ``replace`` owes its caller a copy and makes it in its one
+concatenation; the SGD step passes the concatenated update;
+``load_checkpoint`` passes the payload. Parameters pickle and copy as
+their architecture plus a copy of that buffer, and come back through
+``_from_flat``.
 """
 from __future__ import annotations
 
@@ -31,8 +32,7 @@ import math
 import struct
 import types
 import zlib
-from collections.abc import Mapping
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -86,40 +86,27 @@ class ModelArchitecture:
         if problems:
             raise ValidationError("invalid architecture: " + "; ".join(problems))
 
-    def layer_dims(self) -> list[tuple[str, int, int]]:
-        """(name, fan_in, fan_out) for every linear layer, in order."""
-        dims = []
-        fan_in = self.input_dim
-        for i, width in enumerate(self.hidden):
-            dims.append((f"enc{i}", fan_in, width))
-            fan_in = width
-        dims.append(("emb", fan_in, self.embedding_dim))
-        dims.append(("head", self.embedding_dim, self.num_classes))
-        return dims
-
-    @functools.cached_property
-    def parameter_shapes(self) -> Mapping[str, tuple[int, ...]]:
-        """Expected shape of every parameter tensor, keyed by name, in order."""
-        shapes = {}
-        for name, fan_in, fan_out in self.layer_dims():
-            shapes[f"{name}.w"] = (fan_in, fan_out)
-            shapes[f"{name}.b"] = (fan_out,)
-        return types.MappingProxyType(shapes)
-
     @functools.cached_property
     def _parameter_layout(self) -> tuple[tuple[str, int, int, tuple[int, ...]], ...]:
-        """(name, start, stop, shape) of every parameter in the flat buffer."""
+        """(name, start, stop, shape) of every parameter in the flat buffer.
+
+        Layers run enc0, enc1, ..., emb, head; each contributes its weight
+        "<layer>.w" of shape (fan_in, fan_out), then its bias "<layer>.b".
+        """
+        widths = (self.input_dim, *self.hidden, self.embedding_dim, self.num_classes)
+        layers = [f"enc{i}" for i in range(len(self.hidden))] + ["emb", "head"]
         layout, start = [], 0
-        for name, shape in self.parameter_shapes.items():
-            stop = start + math.prod(shape)
-            layout.append((name, start, stop, shape))
-            start = stop
+        for layer, fan_in, fan_out in zip(layers, widths, widths[1:]):
+            for name, shape in ((f"{layer}.w", (fan_in, fan_out)), (f"{layer}.b", (fan_out,))):
+                stop = start + math.prod(shape)
+                layout.append((name, start, stop, shape))
+                start = stop
         return tuple(layout)
 
-    def __getstate__(self) -> dict:
-        # The fields only: the cached mappings are derived from them, and a
-        # MappingProxyType cannot be pickled or deep-copied.
-        return {f.name: getattr(self, f.name) for f in fields(self)}
+    @property
+    def parameter_shapes(self) -> dict[str, tuple[int, ...]]:
+        """Shape of every parameter tensor, keyed by name, in layout order."""
+        return {name: shape for name, _, _, shape in self._parameter_layout}
 
     def to_dict(self) -> dict:
         return {
@@ -145,39 +132,18 @@ class ModelParameters:
     """Named parameter tensors for one architecture.
 
     Tensors are keyed "<layer>.w" / "<layer>.b" and kept in a fixed
-    order so gradient lists and SGD updates line up positionally. The
-    mapping is read-only, like the tensors, so the flat vector of the
-    values (``_flat``) never goes stale.
+    order so gradient lists and SGD updates line up positionally. They
+    are read-only views of ``_flat``, one buffer laid out as the
+    architecture's ``_parameter_layout``, and the mapping is read-only
+    too, so the buffer never goes stale. ``_from_flat`` builds every
+    instance; ``replace`` is the checking way in from caller arrays.
     """
-
-    def __init__(self, arch: ModelArchitecture, tensors: dict[str, Tensor]):
-        expected = arch.parameter_shapes
-        if tensors.keys() != expected.keys():
-            raise DimensionError(
-                f"parameter names {sorted(tensors)} do not match architecture "
-                f"layers {sorted(expected)}"
-            )
-        for name, shape in expected.items():
-            if tensors[name].shape != shape:
-                raise DimensionError(
-                    f"parameter {name}: shape {tensors[name].shape}, expected {shape}"
-                )
-        self.arch = arch
-        self.tensors = types.MappingProxyType({name: tensors[name] for name in expected})
 
     def names(self) -> list[str]:
         return list(self.tensors)
 
     def as_list(self) -> list[Tensor]:
         return list(self.tensors.values())
-
-    @functools.cached_property
-    def _flat(self) -> np.ndarray:
-        """Every value in one read-only vector laid out as _parameter_layout:
-        the buffer the tensors view when _from_flat built them."""
-        flat = np.concatenate([t.data for t in self.tensors.values()], axis=None)
-        flat.flags.writeable = False
-        return flat
 
     @classmethod
     def _from_flat(cls, arch: ModelArchitecture, flat: np.ndarray) -> "ModelParameters":
@@ -234,12 +200,13 @@ def init_parameters(arch: ModelArchitecture, seed: int) -> ModelParameters:
     if seed < 0:
         raise ValidationError(f"seed must be >= 0, got {seed}")
     rng = np.random.default_rng(seed)
-    tensors: dict[str, Tensor] = {}
-    for name, fan_in, fan_out in arch.layer_dims():
+    layout = arch._parameter_layout
+    flat = np.zeros(layout[-1][2])
+    # Weights are the even entries of the layout; biases stay zero.
+    for _, start, stop, (fan_in, fan_out) in layout[::2]:
         s = np.sqrt(6.0 / (fan_in + fan_out))
-        tensors[f"{name}.w"] = Tensor(rng.uniform(-s, s, size=(fan_in, fan_out)))
-        tensors[f"{name}.b"] = Tensor(np.zeros(fan_out))
-    return ModelParameters(arch, tensors)
+        flat[start:stop] = rng.uniform(-s, s, size=stop - start)
+    return ModelParameters._from_flat(arch, flat)
 
 
 def _check_batch(params: ModelParameters, x: Tensor | np.ndarray) -> None:
@@ -308,7 +275,7 @@ def _header_bytes(arch: ModelArchitecture) -> bytes:
 def save_checkpoint(params: ModelParameters, path: str | Path) -> None:
     """Write the container described in the module docstring."""
     header_bytes = _header_bytes(params.arch)
-    payload = b"".join(t.data.astype("<f8").tobytes(order="C") for t in params.as_list())
+    payload = params._flat.astype("<f8").tobytes()
     blob = (
         _MAGIC
         + struct.pack("<II", _FORMAT_VERSION, len(header_bytes))
@@ -343,8 +310,7 @@ def load_checkpoint(path: str | Path) -> ModelParameters:
     if header_bytes != _header_bytes(arch):
         raise CheckpointIntegrityError(f"{path}: header does not match its architecture")
 
-    shapes = arch.parameter_shapes
-    payload_len = sum(8 * math.prod(shape) for shape in shapes.values())
+    payload_len = 8 * arch._parameter_layout[-1][2]
     expected_len = 12 + header_len + payload_len + 4
     if len(blob) != expected_len:
         raise CheckpointIntegrityError(

@@ -50,6 +50,24 @@ def run(*argv):
 
 
 class TestGenData:
+    @pytest.mark.parametrize("spread", ["nan", "inf", "1e308"])
+    def test_spread_without_a_finite_distance_is_a_usage_error(self, tmp_path, spread):
+        # Such a spread once kept the class placement looping forever, so
+        # the command runs in a child process with a time limit.
+        package_root = str(Path(ul.__file__).parents[1])
+        pythonpath = os.pathsep.join(filter(None, [package_root, os.environ.get("PYTHONPATH")]))
+        out = subprocess.run(
+            [sys.executable, "-m", "unlearnlab", "gen-data", "--classes", "5", "--dim", "2",
+             "--spread", spread, "--out", str(tmp_path / "o")],
+            env={**os.environ, "PYTHONPATH": pythonpath},
+            capture_output=True,
+            text=True,
+            timeout=60,
+        )
+        assert out.returncode == 2
+        assert "error: " in out.stderr and "spread must be positive" in out.stderr
+        assert not (tmp_path / "o").exists()
+
     def test_writes_dataset_and_manifest(self, tmp_path, config_path):
         out = tmp_path / "data"
         assert run("gen-data", "--config", config_path, "--out", str(out)) == 0

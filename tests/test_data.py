@@ -142,6 +142,14 @@ class TestGeneration:
         with pytest.raises(ValidationError):
             generate_synthetic(3, 4, 0, 10)
 
+    @pytest.mark.parametrize("spread", [float("nan"), float("inf"), 1e308])
+    def test_spread_without_a_finite_distance_rejected(self, spread):
+        # Rejected before any draw. With more classes than dimensions the
+        # placement's rejection loop never accepted a candidate at these
+        # spreads; test_cli runs that case in a child process with a timeout.
+        with pytest.raises(ValidationError, match="spread must be positive"):
+            generate_synthetic(3, 4, 10, 10, spread=spread)
+
 
 class TestCsv:
     def test_round_trip_is_exact(self, tmp_path):
@@ -311,6 +319,25 @@ class TestDataset:
         bad[1, 1] = np.inf
         with pytest.raises(ValidationError):
             Dataset(bad, np.zeros(3, dtype=int), 2)
+
+    @pytest.mark.parametrize(
+        "labels, num_classes, match",
+        [
+            ([0.5, 1.7, 1.0], 2, "labels must be integers"),
+            ([0.0, float("nan"), 1.0], 2, "labels must be integers"),
+            ([0.0, float("inf"), 1.0], 2, "labels must be integers"),
+            ([0, 1, 1], 2.7, "num_classes must be an integer"),
+        ],
+    )
+    def test_non_integral_labels_and_class_count_rejected(self, labels, num_classes, match):
+        # Checked before the int64 cast, which truncated them (and warned
+        # on NaN) without a word.
+        with pytest.raises(ValidationError, match=match):
+            Dataset(np.zeros((3, 2)), labels, num_classes)
+
+    def test_integral_float_labels_accepted(self):
+        ds = Dataset(np.zeros((3, 2)), [0.0, 1.0, 1.0], np.int64(2))
+        assert ds.labels.dtype == np.int64 and np.array_equal(ds.labels, [0, 1, 1])
 
     def test_subset_and_class_indices(self, rng):
         ds = Dataset(rng.standard_normal((6, 2)), np.array([0, 1, 0, 1, 1, 0]), 2)

@@ -1,5 +1,6 @@
 """Training loop, unlearning loop semantics, and termination predicates."""
 
+import sys
 import warnings
 
 import numpy as np
@@ -202,7 +203,12 @@ class TestTrain:
             seed=0, batch_size=16, max_unlearn_epochs=1, loss=ul.LossConfig(variant="sample")
         )
 
+        build = ul.ModelParameters._from_flat.__func__
+
         def overflowing_update(cls, arch, flat):
+            # train's starting parameters come through _from_flat as well.
+            if sys._getframe(1).f_code.co_name == "init_parameters":
+                return build(cls, arch, flat)
             raise NonFiniteError("update overflowed")
 
         monkeypatch.setattr(ul.ModelParameters, "_from_flat", classmethod(overflowing_update))
@@ -255,6 +261,19 @@ class TestTrain:
     def test_negative_seed_rejected(self):
         with pytest.raises(ValidationError, match="seed"):
             ul.EngineConfig(seed=-1)
+
+    @pytest.mark.parametrize(
+        "field",
+        ["batch_size", "remaining_resamples", "max_epochs", "max_unlearn_epochs",
+         "termination_every", "seed"],
+    )
+    def test_non_integer_count_rejected(self, field):
+        # A float count used to fail later, inside train or numpy's
+        # SeedSequence, with a bare TypeError.
+        good = getattr(ul.EngineConfig(), field)
+        with pytest.raises(ValidationError, match=f"{field} must be an integer"):
+            ul.EngineConfig(**{field: good + 0.5})
+        assert getattr(ul.EngineConfig(**{field: np.int64(good)}), field) == good
 
 
 class TestTapeSize:

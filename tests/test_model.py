@@ -18,7 +18,6 @@ from unlearnlab.errors import (
 from composed_ops import l2_normalize, multiply, params_equal, reduce_sum
 from unlearnlab.model import (
     ModelArchitecture,
-    ModelParameters,
     _encode,
     encode,
     forward,
@@ -49,12 +48,15 @@ def constant_params(arch, emb_bias, head_bias=None):
 
 class TestArchitecture:
     def test_layer_dims_chain(self):
-        dims = ARCH.layer_dims()
-        assert dims == [
-            ("enc0", 5, 7),
-            ("enc1", 7, 6),
-            ("emb", 6, 4),
-            ("head", 4, 3),
+        assert list(ARCH.parameter_shapes.items()) == [
+            ("enc0.w", (5, 7)),
+            ("enc0.b", (7,)),
+            ("enc1.w", (7, 6)),
+            ("enc1.b", (6,)),
+            ("emb.w", (6, 4)),
+            ("emb.b", (4,)),
+            ("head.w", (4, 3)),
+            ("head.b", (3,)),
         ]
 
     def test_dict_round_trip(self):
@@ -75,9 +77,31 @@ class TestArchitecture:
 class TestInit:
     def test_shapes_and_zero_biases(self):
         params = init_parameters(ARCH, seed=3)
-        for name, fan_in, fan_out in ARCH.layer_dims():
-            assert params.tensors[f"{name}.w"].shape == (fan_in, fan_out)
-            assert np.array_equal(params.tensors[f"{name}.b"].data, np.zeros(fan_out))
+        assert params.names() == list(ARCH.parameter_shapes)
+        for name, shape in ARCH.parameter_shapes.items():
+            assert params.tensors[name].shape == shape
+            if name.endswith(".b"):
+                assert np.array_equal(params.tensors[name].data, np.zeros(shape))
+
+    @pytest.mark.parametrize("hidden", [(7, 6), (3,), (2, 5, 4)])
+    def test_matches_numpy_oracle_as_views_of_flat(self, hidden):
+        # The oracle draws each layer's weight matrix in layer order from
+        # one generator, the biases are zeros; init fills one buffer.
+        arch = ModelArchitecture(input_dim=5, hidden=hidden, embedding_dim=4, num_classes=3)
+        params = init_parameters(arch, seed=11)
+        rng = np.random.default_rng(11)
+        widths = (5, *hidden, 4, 3)
+        want = []
+        for fan_in, fan_out in zip(widths, widths[1:]):
+            s = np.sqrt(6.0 / (fan_in + fan_out))
+            want += [rng.uniform(-s, s, size=(fan_in, fan_out)), np.zeros(fan_out)]
+        assert not params._flat.flags.writeable
+        assert len(params.as_list()) == len(want)
+        for got, expected in zip(params.as_list(), want):
+            assert got.data.tobytes() == expected.tobytes()
+            assert got.data.shape == expected.shape
+            assert not got.data.flags.writeable
+            assert np.shares_memory(got.data, params._flat)
 
     def test_deterministic_in_seed(self):
         assert params_equal(init_parameters(ARCH, seed=9), init_parameters(ARCH, seed=9))
@@ -405,13 +429,6 @@ class TestCheckpoint:
 
 
 class TestParameters:
-    def test_rejects_missing_tensor(self):
-        params = init_parameters(ARCH, seed=0)
-        tensors = dict(params.tensors)
-        tensors.pop("head.b")
-        with pytest.raises(DimensionError):
-            ModelParameters(ARCH, tensors)
-
     def test_equals_is_bitwise(self):
         a = init_parameters(ARCH, seed=4)
         values = [t.data.copy() for t in a.as_list()]
