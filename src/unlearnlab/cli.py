@@ -29,6 +29,7 @@ from .data import (
     Dataset,
     TaskSpec,
     UnlearnTask,
+    _replacing,
     generate_synthetic,
     load_csv,
     make_task,
@@ -217,8 +218,10 @@ def _apply_flags(section: dict, args) -> dict:
 
 
 def _write_json(path: Path, obj: dict) -> None:
-    """Write one JSON artifact: sorted keys, two-space indent, final newline."""
-    path.write_text(json.dumps(obj, indent=2, sort_keys=True) + "\n")
+    """Write one JSON artifact atomically: sorted keys, two-space indent,
+    final newline."""
+    with _replacing(path) as fh:
+        fh.write(json.dumps(obj, indent=2, sort_keys=True) + "\n")
 
 
 def _echo_config(config: dict) -> Path:

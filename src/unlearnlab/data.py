@@ -9,12 +9,19 @@ the fixed evaluation subsets used by the termination checks.
 
 All randomness flows through numpy Generators seeded from explicit
 integers, so every split, batch order, and draw is reproducible.
+
+Every artifact the library writes, the CSVs here, checkpoints and the
+CLI's JSON reports, goes through ``_replacing``, so a failed write
+leaves the old file in place.
 """
 from __future__ import annotations
 
+import contextlib
 import csv
 import itertools
 import math
+import os
+import tempfile
 import warnings
 from dataclasses import dataclass
 from functools import cached_property
@@ -50,13 +57,13 @@ class Dataset:
     def __init__(self, features: np.ndarray, labels: np.ndarray, num_classes: int):
         features = np.asarray(features, dtype=np.float64)
         labels = np.asarray(labels)
-        # Float labels are checked before the int64 cast, which would
-        # truncate 1.7 to 1 and warn on NaN; int64 labels skip the check.
-        if labels.dtype.kind == "f" and not np.all(
-            np.isfinite(labels) & (labels == np.trunc(labels))
-        ):
+        # Float labels are checked, integrality and range, before the int64
+        # cast, which would truncate 1.7 to 1 and warn on NaN or on a whole
+        # value past int64. Other labels are cast first.
+        if labels.dtype.kind != "f":
+            labels = labels.astype(np.int64, copy=False)
+        elif not np.all(np.isfinite(labels) & (labels == np.trunc(labels))):
             raise ValidationError("invalid dataset: labels must be integers")
-        labels = labels.astype(np.int64, copy=False)
         problems = []
         if features.ndim != 2:
             problems.append("features must be a rank-2 array")
@@ -75,7 +82,7 @@ class Dataset:
         if problems:
             raise ValidationError("invalid dataset: " + "; ".join(problems))
         features = features.copy()
-        labels = labels.copy()
+        labels = labels.astype(np.int64)
         features.flags.writeable = False
         labels.flags.writeable = False
         self.features = features
@@ -115,7 +122,9 @@ def _place_means(num_classes: int, dim: int, min_distance: float, rng) -> np.nda
     When the classes fit into the ambient dimension the means are scaled
     columns of a random orthogonal matrix, which meets the distance bound
     exactly. Otherwise fall back to rejection sampling with a growing
-    radius, which terminates for any class count.
+    radius, which terminates for any class count while the radius stays
+    finite. Past that every candidate difference is inf - inf, so an
+    overflowed radius is a ValidationError.
     """
     if num_classes <= dim:
         q, _ = np.linalg.qr(rng.standard_normal((dim, dim)))
@@ -125,6 +134,10 @@ def _place_means(num_classes: int, dim: int, min_distance: float, rng) -> np.nda
     means: list[np.ndarray] = []
     failures = 0
     while len(means) < num_classes:
+        if not math.isfinite(radius):
+            raise ValidationError(
+                "invalid generator settings: spread too large to place the class means"
+            )
         candidate = rng.standard_normal(dim) * radius
         if all(np.linalg.norm(candidate - m) >= min_distance for m in means):
             means.append(candidate)
@@ -191,15 +204,52 @@ def save_csv(dataset: Dataset, path: str | Path) -> None:
     """Write an "f0,...,f{k-1},label" header and one row per sample.
 
     Each feature is written as its ``repr``, so it round-trips exactly,
-    and the label as a plain integer. Lines end in "\\r\\n", the csv
-    module's default, so the bytes are those ``csv.writer`` would write.
+    and the label as a plain integer.
+    """
+    rows = zip(dataset.features.tolist(), dataset.labels.tolist())
+    _write_csv(
+        path,
+        [f"f{i}" for i in range(dataset.num_features)] + ["label"],
+        ([*map(repr, row), str(label)] for row, label in rows),
+    )
+
+
+@contextlib.contextmanager
+def _replacing(path: str | Path, mode: str = "w", **open_args):
+    """A file to write path's new contents to, all of them or none.
+
+    The file is a temp file in path's directory. When the block ends
+    cleanly, ``os.replace`` puts it in path's place; when it raises, the
+    temp file is removed and path is left as it was. The new file gets
+    the mode an in-place write would create it with, 0o666 & ~umask
+    (``mkstemp`` alone gives 0o600).
     """
     path = Path(path)
-    header = ",".join([f"f{i}" for i in range(dataset.num_features)] + ["label"])
-    rows = zip(dataset.features.tolist(), dataset.labels.tolist())
-    with path.open("w", newline="") as fh:
-        fh.write(header + "\r\n")
-        fh.writelines(",".join(map(repr, row)) + f",{label}\r\n" for row, label in rows)
+    fd, tmp = tempfile.mkstemp(prefix=f".{path.name}.", suffix=".tmp", dir=path.parent)
+    try:
+        with open(fd, mode, **open_args) as fh:
+            yield fh
+        umask = os.umask(0)
+        os.umask(umask)
+        os.chmod(tmp, 0o666 & ~umask)
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise
+
+
+def _write_csv(path: str | Path, header: list[str], rows) -> None:
+    """Write the header and each row of field strings as one line, through
+    ``_replacing``.
+
+    Fields are joined by "," and lines end in "\\r\\n", the csv module's
+    default dialect, so for fields that need no quoting (numbers and
+    empty fields, never a lone empty one) the bytes are those
+    ``csv.writer`` would write.
+    """
+    with _replacing(path, newline="") as fh:
+        fh.write(",".join(header) + "\r\n")
+        fh.writelines(",".join(row) + "\r\n" for row in rows)
 
 
 def load_csv(path: str | Path) -> Dataset:

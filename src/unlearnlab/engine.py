@@ -393,7 +393,6 @@ def unlearn_contrastive(
         for b_index, ub in enumerate(unlearn_batches):
             record.batches_processed += 1
             for _ in range(cfg.remaining_resamples):
-                stepped = False
                 for _ in range(ANCHOR_RESAMPLE_LIMIT):
                     rb = sample_remaining(task, cfg.batch_size, remain_rng)
                     try:
@@ -409,9 +408,8 @@ def unlearn_contrastive(
                     record.gradient_steps += 1
                     ul_losses.append(ul.item())
                     ce_losses.append(ce.item())
-                    stepped = True
                     break
-                if not stepped:
+                else:
                     skipped += 1
         if cfg.loss.unlearn_weight > 0 and not ul_losses:
             raise UnlearnableConfigurationError(

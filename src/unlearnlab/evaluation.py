@@ -22,15 +22,12 @@ should fall as it is pushed out of the cluster.
 """
 from __future__ import annotations
 
-import csv
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
-from scipy.optimize import minimize
-from scipy.special import expit
 
-from .data import Dataset, UnlearnTask
+from .data import Dataset, UnlearnTask, _write_csv
 from .errors import ValidationError
 from .model import ModelParameters, encode, forward, predict_labels
 from .tensor import NORM_EPSILON
@@ -106,20 +103,17 @@ class GeometryReport:
     mean_max_other_similarity: float | None = None
 
     def write_csv(self, path: str | Path) -> None:
-        with Path(path).open("w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(
-                ["sample_index", "label", "own_class_similarity", "max_other_similarity"]
-            )
-            for row in self.rows:
-                writer.writerow(
-                    [
-                        row["sample_index"],
-                        row["label"],
-                        "" if row["own_class_similarity"] is None else repr(row["own_class_similarity"]),
-                        "" if row["max_other_similarity"] is None else repr(row["max_other_similarity"]),
-                    ]
-                )
+        """One line per row; a similarity of None is an empty field."""
+        columns = ("own_class_similarity", "max_other_similarity")
+        _write_csv(
+            path,
+            ["sample_index", "label", *columns],
+            (
+                [str(row["sample_index"]), str(row["label"])]
+                + ["" if row[c] is None else repr(row[c]) for c in columns]
+                for row in self.rows
+            ),
+        )
 
 
 def embedding_geometry(params: ModelParameters, task: UnlearnTask) -> GeometryReport:
@@ -189,6 +183,8 @@ class AttackModel:
     bias: float
 
     def member_scores(self, features: np.ndarray) -> np.ndarray:
+        from scipy.special import expit
+
         return expit(features @ self.weights + self.bias)
 
     def predict_member(self, features: np.ndarray) -> np.ndarray:
@@ -204,6 +200,11 @@ def fit_attack_model(features: np.ndarray, labels: np.ndarray) -> AttackModel:
     non-finite features raise ValidationError: the fit would otherwise
     stop at its zero start, an attack that calls nothing a member.
     """
+    # scipy is imported here, not with the module, so that only the
+    # commands that run the attack pay for its import.
+    from scipy.optimize import minimize
+    from scipy.special import expit
+
     features = np.asarray(features, dtype=np.float64)
     labels = np.asarray(labels, dtype=np.float64)
     if features.ndim != 2 or labels.shape != (features.shape[0],):

@@ -4,9 +4,9 @@ The model is a multilayer perceptron encoder whose final embedding is
 scaled to unit Euclidean norm, followed by a linear classification head.
 Normalized embeddings make dot products equal cosine similarities, which
 is what the contrastive losses operate on. One encoder pass is one tape
-entry (``tensor._encoder``). The public ``encode`` checks and copies an
-array batch, then calls ``_encode``, the core the engine calls directly
-on the rows of a checked Dataset.
+entry (``tensor._encoder``). The batch is an array: the public
+``encode`` checks and copies it, then calls ``_encode``, the core the
+engine calls directly on the rows of a checked Dataset.
 
 Checkpoints are a self-describing binary container: magic bytes, format
 version, a JSON header with the architecture and tensor manifest, then
@@ -38,6 +38,7 @@ from pathlib import Path
 import numpy as np
 
 from . import tensor as T
+from .data import _replacing
 from .errors import (
     CheckpointFormatError,
     CheckpointIntegrityError,
@@ -209,28 +210,23 @@ def init_parameters(arch: ModelArchitecture, seed: int) -> ModelParameters:
     return ModelParameters._from_flat(arch, flat)
 
 
-def _check_batch(params: ModelParameters, x: Tensor | np.ndarray) -> None:
+def encode(params: ModelParameters, x) -> Tensor:
+    """Unit-norm embeddings for an array batch, shape (B, embedding_dim).
+
+    The batch is checked, copied and then taped as a constant, so the
+    tape holds no adjoint for it.
+    """
+    x = np.asarray(x, dtype=np.float64)
     if x.ndim != 2:
         raise DimensionError(f"expected a batch of rank 2, got shape {x.shape}")
     if x.shape[1] != params.arch.input_dim:
         raise DimensionError(
             f"batch width {x.shape[1]} does not match input_dim {params.arch.input_dim}"
         )
+    return _encode(params, T._checked_copy(x))
 
 
-def encode(params: ModelParameters, x) -> Tensor:
-    """Unit-norm embeddings for a batch, shape (B, embedding_dim).
-
-    An array batch is checked, copied and then taped as a constant, so
-    the tape holds no adjoint for it; a Tensor batch keeps its gradient.
-    """
-    if not isinstance(x, Tensor):
-        x = np.asarray(x, dtype=np.float64)
-    _check_batch(params, x)
-    return _encode(params, x if isinstance(x, Tensor) else T._checked_copy(x))
-
-
-def _encode(params: ModelParameters, x) -> Tensor:
+def _encode(params: ModelParameters, x: np.ndarray) -> Tensor:
     """encode's core, one tape entry, without encode's copy and checks:
     the engine calls it directly on the rows of a checked Dataset."""
     return T._encoder(x, params.as_list()[:-2], params.arch.activation)
@@ -273,7 +269,8 @@ def _header_bytes(arch: ModelArchitecture) -> bytes:
 
 
 def save_checkpoint(params: ModelParameters, path: str | Path) -> None:
-    """Write the container described in the module docstring."""
+    """Write the container described in the module docstring, atomically
+    (see ``data._replacing``)."""
     header_bytes = _header_bytes(params.arch)
     payload = params._flat.astype("<f8").tobytes()
     blob = (
@@ -283,7 +280,8 @@ def save_checkpoint(params: ModelParameters, path: str | Path) -> None:
         + payload
         + struct.pack("<I", zlib.crc32(payload))
     )
-    Path(path).write_bytes(blob)
+    with _replacing(path, "wb") as fh:
+        fh.write(blob)
 
 
 def load_checkpoint(path: str | Path) -> ModelParameters:

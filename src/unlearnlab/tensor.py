@@ -27,10 +27,10 @@ of magnitude at most 1, so its output needs no second check), and the
 losses their intermediate sums. An op's result is a fresh array, so it
 is wrapped without a copy; only the public ``Tensor(...)`` and
 ``as_tensor(...)`` copy, which keeps a caller's array writable and
-unshared. ``dense`` copies and checks an array ``x`` the same way but
-builds no Tensor for it; ``_encoder`` takes an array ``x`` its caller
-has checked (``model.encode`` checks and copies it, the engine passes
-rows of a checked Dataset) and tapes it as a constant.
+unshared; ``dense`` takes ``x`` through ``as_tensor``, as it takes
+``w`` and ``b``. ``_encoder`` takes only an array batch its caller has
+checked (``model.encode`` checks and copies it, the engine passes rows
+of a checked Dataset) and tapes it as a constant.
 """
 from __future__ import annotations
 
@@ -166,9 +166,10 @@ class GradTape:
     def _replay(self, output: Tensor, inputs: Sequence[Tensor]) -> list[np.ndarray]:
         """Raw adjoint arrays of a scalar output, one per input, unchecked.
 
-        Runs the tape in exact reverse order. An input may be a leaf or an
-        intermediate result; one that did not participate in producing the
-        output gets an exact zero adjoint of its own shape.
+        Runs the tape in exact reverse order. Every op's backward returns
+        each input's adjoint in that input's shape. An input may be a leaf
+        or an intermediate result; one that did not participate in
+        producing the output gets an exact zero adjoint of its own shape.
         """
         if output.shape != ():
             raise ContractError(f"gradient of non-scalar output with shape {output.shape}")
@@ -187,8 +188,6 @@ class GradTape:
             g = adjoints.get(inp.tid)
             if g is None:
                 g = np.zeros(inp.shape)
-            if g.shape != inp.shape:
-                g = np.broadcast_to(g, inp.shape)
             out.append(g)
         return out
 
@@ -245,39 +244,26 @@ def dense(x, w, b, activation: str | None = None) -> Tensor:
     x is (B, fan_in), w is (fan_in, fan_out) and b is (fan_out,);
     activation is one of ACTIVATIONS or None. Forward and backward do
     the arithmetic of matmul, add and the activation in that order, so
-    the results are bit-identical to composing those ops. An x that
-    arrives as an array is a constant: it is copied and checked like
-    any array input, but no Tensor is built for it and the tape records
-    only w and b, so replay skips its adjoint.
+    the results are bit-identical to composing those ops.
     """
-    x_taped = isinstance(x, Tensor)
-    x_data = x.data if x_taped else _checked_copy(x)
-    w, b = as_tensor(w), as_tensor(b)
-    if (
-        x_data.ndim != 2
-        or w.ndim != 2
-        or x_data.shape[1] != w.shape[0]
-        or b.shape != w.shape[1:]
-    ):
-        raise DimensionError(
-            f"dense: incompatible shapes {x_data.shape}, {w.shape} and {b.shape}"
-        )
+    x, w, b = as_tensor(x), as_tensor(w), as_tensor(b)
+    if x.ndim != 2 or w.ndim != 2 or x.shape[1] != w.shape[0] or b.shape != w.shape[1:]:
+        raise DimensionError(f"dense: incompatible shapes {x.shape}, {w.shape} and {b.shape}")
     if activation is not None and activation not in ACTIVATIONS:
         raise ContractError(f"dense: unknown activation {activation!r}")
-    out_data = _layer(x_data, w.data, b.data, activation)
+    x_data, w_data = x.data, w.data
+    out_data = _layer(x_data, w_data, b.data, activation)
     out = _wrap(out_data)
-    w_data = w.data
 
     def backward(g):
         g = _layer_adjoint(g, out_data, activation)
-        grads = (x_data.T @ g, np.add.reduce(g, axis=0))
-        return (g @ w_data.T, *grads) if x_taped else grads
+        return g @ w_data.T, x_data.T @ g, np.add.reduce(g, axis=0)
 
-    _record(out, (x, w, b) if x_taped else (w, b), backward)
+    _record(out, (x, w, b), backward)
     return out
 
 
-def _encoder(x, weights: Sequence[Tensor], activation: str) -> Tensor:
+def _encoder(x: np.ndarray, weights: Sequence[Tensor], activation: str) -> Tensor:
     """The whole encoder as one tape entry: unit-norm rows of its embedding.
 
     weights is [w0, b0, w1, b1, ..., w_emb, b_emb]: every pair but the
@@ -287,14 +273,13 @@ def _encoder(x, weights: Sequence[Tensor], activation: str) -> Tensor:
     the row normalisation, in the order the composed entries would, so
     values and gradients are bit-identical to composing them.
 
-    The caller guarantees the shapes, and that an array x is a finite
-    float64 batch no one writes to: it is used without a copy and taped
-    as a constant, as in ``dense``. Untaped, no layer's activations
-    outlive the next layer.
+    The caller guarantees the shapes, and that x is a finite float64
+    batch no one writes to: it is used without a copy and taped as a
+    constant, so the tape records only the weights. Untaped, no layer's
+    activations outlive the next layer.
     """
-    x_taped = isinstance(x, Tensor)
     taped = _active_tape is not None
-    hidden = [x.data if x_taped else x]  # every layer's input, when taped
+    hidden = [x]  # every layer's input, when taped
     for i in range(0, len(weights) - 2, 2):
         h = _layer(hidden[-1], weights[i].data, weights[i + 1].data, activation)
         if taped:
@@ -327,7 +312,7 @@ def _encoder(x, weights: Sequence[Tensor], activation: str) -> Tensor:
                 g = _layer_adjoint(g @ weights[i + 2].data.T, hidden[i // 2 + 1], activation)
             grads += [np.add.reduce(g, axis=0), hidden[i // 2].T @ g]
         grads.reverse()
-        return (g @ weights[0].data.T, *grads) if x_taped else grads
+        return grads
 
-    _record(out, (x, *weights) if x_taped else weights, backward)
+    _record(out, weights, backward)
     return out

@@ -1,10 +1,16 @@
-"""Shared fixtures: the standard experiment pipeline, built once per seed.
+"""Shared fixtures: the standard experiment pipeline, built once per seed,
+and a child-process runner for calls that must not hang the suite.
 
 The acceptance suite and several module tests all need the same trained
 models, unlearning tasks, and retrain references. Building them is the
 expensive part of the test run, so one lazily-filled Pipeline per seed
 is shared across the whole session.
 """
+
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -166,3 +172,23 @@ def pipelines() -> dict[int, Pipeline]:
 @pytest.fixture()
 def rng():
     return np.random.default_rng(12345)
+
+
+@pytest.fixture()
+def python_in_child():
+    """Run the interpreter on args in a child process with a 60 s limit,
+    importing the package from where this process found it. A call that
+    once hung then fails by its timeout instead of hanging the suite."""
+    package_root = str(Path(ul.__file__).parents[1])
+    pythonpath = os.pathsep.join(filter(None, [package_root, os.environ.get("PYTHONPATH")]))
+
+    def run(*args) -> subprocess.CompletedProcess:
+        return subprocess.run(
+            [sys.executable, *args],
+            env={**os.environ, "PYTHONPATH": pythonpath},
+            capture_output=True,
+            text=True,
+            timeout=60,
+        )
+
+    return run

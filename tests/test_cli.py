@@ -2,6 +2,7 @@
 
 import json
 import os
+import stat
 import subprocess
 import sys
 from pathlib import Path
@@ -10,7 +11,7 @@ import pytest
 
 import unlearnlab as ul
 from composed_ops import datasets_equal
-from unlearnlab.cli import _build_engine_cfg, main, resolve_config
+from unlearnlab.cli import _build_engine_cfg, _write_json, main, resolve_config
 from unlearnlab.data import load_csv
 from unlearnlab.model import load_checkpoint
 
@@ -51,21 +52,26 @@ def run(*argv):
 
 class TestGenData:
     @pytest.mark.parametrize("spread", ["nan", "inf", "1e308"])
-    def test_spread_without_a_finite_distance_is_a_usage_error(self, tmp_path, spread):
+    def test_spread_without_a_finite_distance_is_a_usage_error(self, tmp_path, spread, python_in_child):
         # Such a spread once kept the class placement looping forever, so
         # the command runs in a child process with a time limit.
-        package_root = str(Path(ul.__file__).parents[1])
-        pythonpath = os.pathsep.join(filter(None, [package_root, os.environ.get("PYTHONPATH")]))
-        out = subprocess.run(
-            [sys.executable, "-m", "unlearnlab", "gen-data", "--classes", "5", "--dim", "2",
-             "--spread", spread, "--out", str(tmp_path / "o")],
-            env={**os.environ, "PYTHONPATH": pythonpath},
-            capture_output=True,
-            text=True,
-            timeout=60,
+        out = python_in_child(
+            "-m", "unlearnlab", "gen-data", "--classes", "5", "--dim", "2",
+            "--spread", spread, "--out", str(tmp_path / "o"),
         )
         assert out.returncode == 2
         assert "error: " in out.stderr and "spread must be positive" in out.stderr
+        assert not (tmp_path / "o").exists()
+
+    def test_overflowing_placement_radius_is_a_usage_error(self, tmp_path, python_in_child):
+        # 4 * spread is finite, but the placement's starting radius for 100
+        # classes in 2 dimensions is not; that too once looped forever.
+        out = python_in_child(
+            "-m", "unlearnlab", "gen-data", "--classes", "100", "--dim", "2",
+            "--spread", "1e307", "--out", str(tmp_path / "o"),
+        )
+        assert out.returncode == 2
+        assert "error: " in out.stderr and "spread too large" in out.stderr
         assert not (tmp_path / "o").exists()
 
     def test_writes_dataset_and_manifest(self, tmp_path, config_path):
@@ -508,6 +514,52 @@ class TestFailureModes:
         path = tmp_path / "broken.json"
         path.write_text("{not json")
         assert run("train", "--config", str(path), "--out", str(tmp_path / "o")) == 2
+
+
+def test_import_leaves_scipy_out(python_in_child):
+    # Only the membership attack uses scipy, and it imports it when it runs.
+    out = python_in_child("-c", "import sys, unlearnlab.cli; print('scipy' in sys.modules)")
+    assert out.returncode == 0, out.stderr
+    assert out.stdout == "False\n"
+
+
+class TestArtifactFiles:
+    """Every artifact is written to a temp file beside it, then moved into
+    place: a failed write leaves the old file and no temp file behind."""
+
+    WRITERS = {
+        "csv": lambda path: ul.save_csv(ul.generate_synthetic(3, 4, 5, 5)[0], path),
+        "checkpoint": lambda path: ul.save_checkpoint(
+            ul.init_parameters(ul.ModelArchitecture(4, (3,), 2, 3), seed=0), path
+        ),
+        "json": lambda path: _write_json(path, {"rows": 15}),
+    }
+
+    @pytest.mark.parametrize("writer", sorted(WRITERS))
+    def test_failed_replace_keeps_the_old_file(self, tmp_path, monkeypatch, writer):
+        path = tmp_path / "artifact"
+        path.write_bytes(b"old")
+
+        def fail(src, dst):
+            raise OSError("no space left on device")
+
+        monkeypatch.setattr(os, "replace", fail)
+        with pytest.raises(OSError, match="no space left"):
+            self.WRITERS[writer](path)
+        assert path.read_bytes() == b"old"
+        assert os.listdir(tmp_path) == ["artifact"]
+
+    @pytest.mark.parametrize("writer", sorted(WRITERS))
+    def test_new_file_mode_follows_the_umask(self, tmp_path, writer):
+        # The mode an in-place write would create the file with, not the
+        # temp file's own 0o600.
+        umask = os.umask(0o027)
+        try:
+            self.WRITERS[writer](tmp_path / "artifact")
+        finally:
+            os.umask(umask)
+        assert stat.S_IMODE(os.stat(tmp_path / "artifact").st_mode) == 0o640
+        assert os.listdir(tmp_path) == ["artifact"]
 
 
 def test_module_entrypoint_reports_version():

@@ -3,6 +3,7 @@
 import csv
 import io
 import tempfile
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -149,6 +150,23 @@ class TestGeneration:
         # spreads; test_cli runs that case in a child process with a timeout.
         with pytest.raises(ValidationError, match="spread must be positive"):
             generate_synthetic(3, 4, 10, 10, spread=spread)
+
+    def test_overflowing_placement_radius_rejected(self, python_in_child):
+        # 4 * spread is finite, but with 100 classes in 2 dimensions the
+        # placement's starting radius, 4 * spread * 10, is not. The loop
+        # once drew inf - inf differences forever, so the call runs in a
+        # child process with a time limit.
+        out = python_in_child(
+            "-c",
+            "from unlearnlab.data import generate_synthetic\n"
+            "from unlearnlab.errors import ValidationError\n"
+            "try:\n"
+            "    generate_synthetic(100, 2, 5, 5, spread=1e307)\n"
+            "except ValidationError as exc:\n"
+            "    print(exc)\n",
+        )
+        assert out.returncode == 0, out.stderr
+        assert "spread too large to place the class means" in out.stdout
 
 
 class TestCsv:
@@ -334,6 +352,14 @@ class TestDataset:
         # on NaN) without a word.
         with pytest.raises(ValidationError, match=match):
             Dataset(np.zeros((3, 2)), labels, num_classes)
+
+    @pytest.mark.parametrize("label", [1e30, -1e30])
+    def test_whole_float_label_past_int64_rejected_before_the_cast(self, label):
+        # The int64 cast of such a label warns; the range check comes first.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValidationError, match=r"labels must lie in \[0, 2\)"):
+                Dataset(np.zeros((2, 2)), [0.0, label], 2)
 
     def test_integral_float_labels_accepted(self):
         ds = Dataset(np.zeros((3, 2)), [0.0, 1.0, 1.0], np.int64(2))

@@ -1,6 +1,7 @@
 """Accuracy reports, embedding geometry, and the membership attack."""
 
 import csv
+import os
 
 import numpy as np
 import pytest
@@ -88,6 +89,20 @@ class TestGeometry:
             rows = list(csv.reader(fh))
         assert rows[0] == ["sample_index", "label", "own_class_similarity", "max_other_similarity"]
         assert len(rows) == 16
+
+    def test_failed_write_keeps_the_old_file(self, tmp_path):
+        train, test, params = small_world()
+        task = ul.make_task(train, test, ul.TaskSpec(kind="sample", sample_count=15))
+        report = embedding_geometry(params, task)
+        out = tmp_path / "geometry.csv"
+        report.write_csv(out)
+        old = out.read_bytes()
+        # The second row fails after the header and the first row are written.
+        del report.rows[1]["label"]
+        with pytest.raises(KeyError):
+            report.write_csv(out)
+        assert out.read_bytes() == old
+        assert os.listdir(tmp_path) == ["geometry.csv"]
 
     def test_absent_and_degenerate_centroids(self, tmp_path):
         # Hand-built embedding map: tanh encoder sends x=+2 and x=-2 to

@@ -191,13 +191,11 @@ class TestForwardPass:
         assert entry[0] == z.tid and entry[1] == encoder
         assert len(entry[2](np.ones(z.shape))) == len(encoder)
 
-    def test_tensor_batch_keeps_its_gradient(self, rng):
+    def test_tensor_batch_is_refused(self, rng):
+        # The batch is an array of features, never a taped value.
         params = init_parameters(ARCH, seed=1)
-        x = Tensor(rng.standard_normal((3, 5)))
-        with GradTape() as tape:
-            out = reduce_sum(multiply(encode(params, x), rng.standard_normal((3, 4))))
-        (gx,) = tape.gradient(out, [x])
-        assert gx.shape == (3, 5) and np.any(gx.data != 0.0)
+        with pytest.raises(TypeError):
+            encode(params, Tensor(rng.standard_normal((3, 5))))
 
     def test_non_finite_batch_is_rejected(self):
         params = init_parameters(ARCH, seed=1)
