@@ -200,7 +200,9 @@ def resolve_config(user: dict) -> dict:
 def _resolve_from_args(args, need_task: bool = False) -> dict:
     user = _load_json(args.config) if args.config else {}
     config = resolve_config(user)
-    if args.out:
+    if args.out is not None:
+        if not args.out:
+            raise ValidationError("--out: must be a non-empty path")
         config["output_dir"] = args.out
     if args.seed is not None:
         if args.seed < 0:

@@ -34,6 +34,8 @@ from .errors import (
     EmptyUnlearnSetError,
     ParseError,
     ValidationError,
+    integer_problems,
+    real_or_nan,
 )
 
 # Largest evaluation subset used by the sample-task termination check.
@@ -64,19 +66,15 @@ class Dataset:
             labels = labels.astype(np.int64, copy=False)
         elif not np.all(np.isfinite(labels) & (labels == np.trunc(labels))):
             raise ValidationError("invalid dataset: labels must be integers")
-        problems = []
+        problems = integer_problems(num_classes=(num_classes, 2))
+        if not problems and labels.size and (labels.min() < 0 or labels.max() >= num_classes):
+            problems.append(f"labels must lie in [0, {num_classes})")
         if features.ndim != 2:
             problems.append("features must be a rank-2 array")
         elif features.shape[0] < 1:
             problems.append("dataset must contain at least one sample")
         if labels.ndim != 1 or (features.ndim == 2 and labels.shape[0] != features.shape[0]):
             problems.append("labels must be one per feature row")
-        if not isinstance(num_classes, (int, np.integer)):
-            problems.append("num_classes must be an integer")
-        elif num_classes < 2:
-            problems.append("num_classes must be >= 2")
-        if labels.size and (labels.min() < 0 or labels.max() >= num_classes):
-            problems.append(f"labels must lie in [0, {num_classes})")
         if features.size and not np.all(np.isfinite(features)):
             problems.append("features must be finite")
         if problems:
@@ -122,9 +120,9 @@ def _place_means(num_classes: int, dim: int, min_distance: float, rng) -> np.nda
     When the classes fit into the ambient dimension the means are scaled
     columns of a random orthogonal matrix, which meets the distance bound
     exactly. Otherwise fall back to rejection sampling with a growing
-    radius, which terminates for any class count while the radius stays
-    finite. Past that every candidate difference is inf - inf, so an
-    overflowed radius is a ValidationError.
+    radius, which terminates for any class count while the candidates stay
+    finite; one that overflows is a ValidationError. A distance whose
+    square overflows reads inf and is accepted, without a warning.
     """
     if num_classes <= dim:
         q, _ = np.linalg.qr(rng.standard_normal((dim, dim)))
@@ -133,20 +131,21 @@ def _place_means(num_classes: int, dim: int, min_distance: float, rng) -> np.nda
     radius = min_distance * max(1.0, num_classes ** (1.0 / dim))
     means: list[np.ndarray] = []
     failures = 0
-    while len(means) < num_classes:
-        if not math.isfinite(radius):
-            raise ValidationError(
-                "invalid generator settings: spread too large to place the class means"
-            )
-        candidate = rng.standard_normal(dim) * radius
-        if all(np.linalg.norm(candidate - m) >= min_distance for m in means):
-            means.append(candidate)
-            failures = 0
-        else:
-            failures += 1
-            if failures > 200:
-                radius *= 1.5
+    with np.errstate(over="ignore", invalid="ignore"):
+        while len(means) < num_classes:
+            candidate = rng.standard_normal(dim) * radius
+            if not np.isfinite(candidate).all():
+                raise ValidationError(
+                    "invalid generator settings: spread too large to place the class means"
+                )
+            if all(np.linalg.norm(candidate - m) >= min_distance for m in means):
+                means.append(candidate)
                 failures = 0
+            else:
+                failures += 1
+                if failures > 200:
+                    radius *= 1.5
+                    failures = 0
     return np.stack(means)
 
 
@@ -165,20 +164,18 @@ def generate_synthetic(
     distance at least 4 * spread, so spread controls how separable the
     classes are. Train and test are drawn independently.
     """
-    problems = []
-    if num_classes < 2:
-        problems.append("num_classes must be >= 2")
-    if dim < 2:
-        problems.append("dim must be >= 2")
-    if per_class_train < 1 or per_class_test < 1:
-        problems.append("per-class sample counts must be >= 1")
+    problems = integer_problems(
+        num_classes=(num_classes, 2),
+        dim=(dim, 2),
+        per_class_train=(per_class_train, 1),
+        per_class_test=(per_class_test, 1),
+        seed=(seed, 0),
+    )
     # The means are placed 4 * spread apart; NaN, inf or an overflowing
     # product would keep the placement from ever accepting one.
-    min_distance = 4.0 * float(spread)
+    min_distance = 4.0 * real_or_nan(spread)
     if not 0 < min_distance < math.inf:
         problems.append("spread must be positive and 4 * spread finite")
-    if seed < 0:
-        problems.append("seed must be >= 0")
     if problems:
         raise ValidationError("invalid generator settings: " + "; ".join(problems))
 
@@ -489,21 +486,20 @@ def make_task(train: Dataset, test: Dataset, spec: TaskSpec) -> UnlearnTask:
 
     The evaluation subset of a sample task is drawn from the sorted
     unlearning indices, and the UnlearnTask constructor checks both, so
-    invalid explicit indices are rejected there. The seed must be
-    non-negative.
+    invalid explicit indices are rejected there. A sample_count that is
+    not an integer >= 1 raises EmptyUnlearnSetError.
     """
     if train.num_classes != test.num_classes:
         raise ValidationError("train and test disagree on the number of classes")
     if train.num_features != test.num_features:
         raise ValidationError("train and test disagree on the feature width")
-    if spec.seed < 0:
-        raise ValidationError(f"task seed must be >= 0, got {spec.seed}")
+    problems = integer_problems(seed=(spec.seed, 0))
+    if spec.kind == "class":
+        problems += integer_problems(class_id=(spec.class_id, 0, train.num_classes - 1))
+    if problems:
+        raise ValidationError("invalid task: " + "; ".join(problems))
 
     if spec.kind == "class":
-        if spec.class_id is None or not 0 <= spec.class_id < train.num_classes:
-            raise ValidationError(
-                f"class task requires class_id in [0, {train.num_classes})"
-            )
         u_tr = train.class_indices(spec.class_id)
         if u_tr.size == 0:
             raise EmptyUnlearnSetError(
@@ -521,8 +517,8 @@ def make_task(train: Dataset, test: Dataset, spec: TaskSpec) -> UnlearnTask:
             # past int64) for the constructor's check.
             u_tr = np.sort(np.asarray(spec.sample_indices, dtype=object))
         else:
-            if spec.sample_count is None or spec.sample_count < 1:
-                raise EmptyUnlearnSetError("sample task requires a positive sample_count")
+            if problems := integer_problems(sample_count=(spec.sample_count, 1)):
+                raise EmptyUnlearnSetError("invalid task: " + problems[0])
             if spec.sample_count > len(train):
                 raise ValidationError(
                     f"sample_count {spec.sample_count} exceeds train size {len(train)}"
@@ -546,8 +542,8 @@ def batches(view: Dataset, batch_size: int, seed) -> list[Batch]:
     Only the final chunk may be short, so every row appears exactly once
     per epoch.
     """
-    if batch_size < 1:
-        raise ValidationError("batch_size must be >= 1")
+    if problems := integer_problems(batch_size=(batch_size, 1)):
+        raise ValidationError(problems[0])
     order = np.random.default_rng(seed).permutation(len(view))
     # One gather per epoch; each batch is a slice of it.
     features, labels = view.features[order], view.labels[order]

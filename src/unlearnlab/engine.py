@@ -46,6 +46,8 @@ from .errors import (
     NoValidAnchorError,
     UnlearnableConfigurationError,
     ValidationError,
+    integer_problems,
+    real_or_nan,
 )
 from .evaluation import accuracy
 from .losses import (
@@ -95,24 +97,18 @@ class EngineConfig:
     loss: LossConfig = field(default_factory=LossConfig)
 
     def __post_init__(self):
-        problems = [
-            f"{name} must be an integer"
-            for name in ("batch_size", "remaining_resamples", "max_epochs",
-                         "max_unlearn_epochs", "termination_every", "seed")
-            if not isinstance(getattr(self, name), (int, np.integer))
-        ]
-        if self.batch_size < 2:
-            problems.append("batch_size must be >= 2")
-        if not 1 <= self.remaining_resamples <= 4:
-            problems.append("remaining_resamples must lie in [1, 4]")
-        if not (math.isfinite(self.learning_rate) and self.learning_rate > 0):
-            problems.append("learning_rate must be positive and finite")
-        if self.max_epochs < 0 or self.max_unlearn_epochs < 0:
-            problems.append("epoch caps must be >= 0")
-        if self.termination_every < 1:
-            problems.append("termination_every must be >= 1")
-        if self.seed < 0:
-            problems.append("seed must be >= 0")
+        problems = integer_problems(
+            batch_size=(self.batch_size, 2),
+            remaining_resamples=(self.remaining_resamples, 1, 4),
+            max_epochs=(self.max_epochs, 0),
+            max_unlearn_epochs=(self.max_unlearn_epochs, 0),
+            termination_every=(self.termination_every, 1),
+            seed=(self.seed, 0),
+        )
+        if not 0 < real_or_nan(self.learning_rate) < math.inf:
+            problems.append(
+                f"learning_rate must be a positive finite number, got {self.learning_rate!r}"
+            )
         if problems:
             raise ValidationError("invalid engine config: " + "; ".join(problems))
 

@@ -1,10 +1,17 @@
-"""Exception types raised by the library.
+"""Exception types raised by the library, and the rules for its settings.
 
 Everything derives from UnlearnLabError so callers can catch library
 failures in one clause. A validation error names every offending field
-in its message when more than one thing is wrong.
+in its message when more than one thing is wrong; ``integer_problems``
+checks every count and seed, and every real-valued setting is read
+through ``real_or_nan``.
 """
 from __future__ import annotations
+
+import math
+import numbers
+
+import numpy as np
 
 
 class UnlearnLabError(Exception):
@@ -51,8 +58,9 @@ class EmptyUnlearnSetError(ValidationError):
     """The requested unlearning target selects no samples."""
 
 
-class ConfigurationError(UnlearnLabError):
-    """A run cannot proceed with the given sizes or settings."""
+class ConfigurationError(ValidationError):
+    """A run cannot proceed with the given sizes or settings, such as a
+    batch larger than the rows it is drawn from."""
 
 
 class NoValidAnchorError(UnlearnLabError):
@@ -70,3 +78,29 @@ class DivergenceError(UnlearnLabError):
         super().__init__(message)
         self.epoch = epoch
         self.batch = batch
+
+
+def integer_problems(**fields: tuple) -> list[str]:
+    """A problem naming each name=(value, minimum[, maximum]) field whose
+    value is not a Python or numpy integer in that range, in argument
+    order. Bools and floats, even 2.0, are not integers."""
+    problems = []
+    for name, (value, minimum, *maximum) in fields.items():
+        integral = isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+        if not integral or value < minimum or maximum and value > maximum[0]:
+            bound = f"in [{minimum}, {maximum[0]}]" if maximum else f">= {minimum}"
+            problems.append(f"{name} must be an integer {bound}, got {value!r}")
+    return problems
+
+
+def real_or_nan(value) -> float:
+    """value as a float if it is a real number, else NaN, which every range
+    check fails, so a string, None or a bool is reported with the field's
+    range. An int past the float range reads as an infinity of its sign.
+    """
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        return math.nan
+    try:
+        return float(value)
+    except OverflowError:
+        return math.inf if value > 0 else -math.inf

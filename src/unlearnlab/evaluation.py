@@ -28,7 +28,7 @@ from pathlib import Path
 import numpy as np
 
 from .data import Dataset, UnlearnTask, _write_csv
-from .errors import ValidationError
+from .errors import ValidationError, integer_problems
 from .model import ModelParameters, encode, forward, predict_labels
 from .tensor import NORM_EPSILON
 
@@ -257,8 +257,8 @@ def run_mia(params: ModelParameters, task: UnlearnTask, split_seed: int = 0) -> 
     the attack calls members. Deterministic in split_seed, which must be
     a non-negative integer.
     """
-    if split_seed < 0:
-        raise ValidationError(f"split_seed must be >= 0, got {split_seed}")
+    if problems := integer_problems(split_seed=(split_seed, 0)):
+        raise ValidationError(problems[0])
     remain = task.remain_train
     test = task.test
     m = min(MIA_MAX_PER_SIDE, len(remain) // 2, len(test))

@@ -44,7 +44,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import tensor as T
-from .errors import ContractError, NoValidAnchorError, NonFiniteError, ValidationError
+from .errors import (
+    ContractError,
+    NoValidAnchorError,
+    NonFiniteError,
+    ValidationError,
+    real_or_nan,
+)
 from .tensor import Tensor
 
 VARIANTS = ("sample", "class")
@@ -61,13 +67,15 @@ class LossConfig:
 
     def __post_init__(self):
         problems = []
-        if not (math.isfinite(self.temperature) and self.temperature > 0):
-            problems.append("temperature must be positive and finite")
-        if not (math.isfinite(self.unlearn_weight) and math.isfinite(self.ce_weight)):
-            problems.append("term weights must be finite")
-        elif self.unlearn_weight < 0 or self.ce_weight < 0:
-            problems.append("term weights must be non-negative")
-        if self.unlearn_weight + self.ce_weight <= 0:
+        if not 0 < real_or_nan(self.temperature) < math.inf:
+            problems.append(
+                f"temperature must be a positive finite number, got {self.temperature!r}"
+            )
+        weights = {"unlearn_weight": self.unlearn_weight, "ce_weight": self.ce_weight}
+        for name, value in weights.items():
+            if not 0 <= real_or_nan(value) < math.inf:
+                problems.append(f"{name} must be a finite number >= 0, got {value!r}")
+        if sum(map(real_or_nan, weights.values())) <= 0:
             problems.append("at least one term weight must be positive")
         if self.variant not in VARIANTS:
             problems.append(f"variant must be one of {VARIANTS}")

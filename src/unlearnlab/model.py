@@ -45,6 +45,7 @@ from .errors import (
     DimensionError,
     NonFiniteError,
     ValidationError,
+    integer_problems,
 )
 from .tensor import ACTIVATIONS, Tensor
 
@@ -70,22 +71,23 @@ class ModelArchitecture:
     activation: str = "relu"
 
     def __post_init__(self):
-        object.__setattr__(self, "hidden", tuple(int(h) for h in self.hidden))
-        problems = []
-        if self.input_dim < 1:
-            problems.append("input_dim must be >= 1")
-        if len(self.hidden) < 1:
+        hidden = tuple(self.hidden) if np.iterable(self.hidden) else ()
+        problems = integer_problems(
+            input_dim=(self.input_dim, 1),
+            **{f"hidden[{i}]": (h, 1) for i, h in enumerate(hidden)},
+            embedding_dim=(self.embedding_dim, 1),
+            num_classes=(self.num_classes, 2),
+        )
+        if not hidden:
             problems.append("at least one hidden layer is required")
-        if any(h < 1 for h in self.hidden):
-            problems.append("hidden widths must be >= 1")
-        if self.embedding_dim < 1:
-            problems.append("embedding_dim must be >= 1")
-        if self.num_classes < 2:
-            problems.append("num_classes must be >= 2")
         if self.activation not in ACTIVATIONS:
             problems.append(f"unknown activation {self.activation!r}")
         if problems:
             raise ValidationError("invalid architecture: " + "; ".join(problems))
+        # Plain ints, so that to_dict is JSON and equal sizes compare equal.
+        for name in ("input_dim", "embedding_dim", "num_classes"):
+            object.__setattr__(self, name, int(getattr(self, name)))
+        object.__setattr__(self, "hidden", tuple(map(int, hidden)))
 
     @functools.cached_property
     def _parameter_layout(self) -> tuple[tuple[str, int, int, tuple[int, ...]], ...]:
@@ -120,13 +122,7 @@ class ModelArchitecture:
 
     @staticmethod
     def from_dict(d: dict) -> "ModelArchitecture":
-        return ModelArchitecture(
-            input_dim=int(d["input_dim"]),
-            hidden=tuple(int(h) for h in d["hidden"]),
-            embedding_dim=int(d["embedding_dim"]),
-            num_classes=int(d["num_classes"]),
-            activation=str(d["activation"]),
-        )
+        return ModelArchitecture(**d)
 
 
 class ModelParameters:
@@ -196,10 +192,10 @@ def init_parameters(arch: ModelArchitecture, seed: int) -> ModelParameters:
 
     Weights are uniform on (-s, s) with s = sqrt(6 / (fan_in + fan_out));
     biases start at zero. The draw order is fixed by layer order, so one
-    seed always yields the same parameters. The seed must be non-negative.
+    seed always yields the same parameters. The seed must be an integer >= 0.
     """
-    if seed < 0:
-        raise ValidationError(f"seed must be >= 0, got {seed}")
+    if problems := integer_problems(seed=(seed, 0)):
+        raise ValidationError(problems[0])
     rng = np.random.default_rng(seed)
     layout = arch._parameter_layout
     flat = np.zeros(layout[-1][2])

@@ -469,9 +469,10 @@ class TestFailureModes:
             # A 4-row test split is too small for the attack.
             ({"num_classes": 2, "per_class_test": 2}, {}, ["mia"], 2,
              "not enough data for the attack"),
-            # Forgetting class 1 leaves 20 rows, fewer than one remaining batch.
+            # Forgetting class 1 leaves 20 rows, fewer than one remaining
+            # batch: a configuration problem, so exit 2.
             ({"num_classes": 2, "per_class_train": 20}, {"batch_size": 30},
-             ["unlearn", "--method", "contrastive"], 3,
+             ["unlearn", "--method", "contrastive"], 2,
              "remaining train view has 20 rows, need >= 30"),
         ],
         ids=["mia-small-test-split", "contrastive-small-remaining-view"],
@@ -490,6 +491,13 @@ class TestFailureModes:
         assert code_got == code
         assert f"error: {message}" in capsys.readouterr().err
         assert not Path("o").exists()
+
+    def test_empty_out_is_a_usage_error(self, tmp_path, monkeypatch, capsys, config_path):
+        # It once fell through to the config's output_dir, out/.
+        monkeypatch.chdir(tmp_path)
+        assert run("train", "--config", config_path, "--out", "") == 2
+        assert "error: --out: must be a non-empty path" in capsys.readouterr().err
+        assert not Path("out").exists()
 
     def test_numbers_take_their_field_type(self, tmp_path, config_path):
         cfg = json.loads(json.dumps(BASE_CONFIG))

@@ -168,6 +168,20 @@ class TestGeneration:
         assert out.returncode == 0, out.stderr
         assert "spread too large to place the class means" in out.stdout
 
+    @pytest.mark.parametrize("spread", [1e150, 1e160, 1e200, 4e306])
+    def test_huge_spread_places_the_means_without_a_warning(self, spread):
+        # With more classes than dimensions, the distance between two
+        # candidates past about 1e154 overflowed in np.linalg.norm with a
+        # RuntimeWarning; at 4e306 the candidates themselves overflowed.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            if spread > 1e300:
+                with pytest.raises(ValidationError, match="spread too large"):
+                    generate_synthetic(100, 2, 5, 5, spread=spread)
+            else:
+                train, test = generate_synthetic(100, 2, 5, 5, spread=spread)
+                assert np.isfinite(train.features).all() and np.isfinite(test.features).all()
+
 
 class TestCsv:
     def test_round_trip_is_exact(self, tmp_path):

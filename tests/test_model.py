@@ -63,8 +63,9 @@ class TestArchitecture:
         assert ModelArchitecture.from_dict(ARCH.to_dict()) == ARCH
 
     def test_rejects_bad_settings(self):
-        with pytest.raises(ValidationError):
-            ModelArchitecture(input_dim=5, hidden=(), embedding_dim=4, num_classes=3)
+        for hidden in ((), None):
+            with pytest.raises(ValidationError, match="hidden layer"):
+                ModelArchitecture(input_dim=5, hidden=hidden, embedding_dim=4, num_classes=3)
         with pytest.raises(ValidationError):
             ModelArchitecture(input_dim=5, hidden=(7,), embedding_dim=4, num_classes=1)
         with pytest.raises(ValidationError) as exc:
@@ -344,6 +345,19 @@ class TestCheckpoint:
         loaded = load_checkpoint(path)
         assert loaded.arch == ARCH
         assert params_equal(loaded, params)
+
+    def test_numpy_integer_sizes_save_as_the_int_built_model(self, tmp_path):
+        # The architecture stores numpy sizes as ints; a stored np.int64
+        # once made the JSON header unwritable.
+        plain = ModelArchitecture(8, (32,), 16, 4)
+        arch = ModelArchitecture(np.int64(8), (32,), 16, 4)
+        assert arch == plain and type(arch.input_dim) is int
+        for name, a in (("np", arch), ("int", plain)):
+            save_checkpoint(init_parameters(a, seed=1), tmp_path / f"{name}.ckpt")
+        assert (tmp_path / "np.ckpt").read_bytes() == (tmp_path / "int.ckpt").read_bytes()
+        loaded = load_checkpoint(tmp_path / "np.ckpt")
+        assert loaded.arch == plain
+        assert params_equal(loaded, init_parameters(plain, seed=1))
 
     def test_round_trip_gives_bit_exact_read_only_views(self, tmp_path, rng):
         params = init_parameters(ARCH, seed=7)
