@@ -114,6 +114,12 @@ def standardize_pair(train: Dataset, test: Dataset) -> tuple[Dataset, Dataset]:
     return tuple(Dataset((d.features - mean) / std, d.labels, d.num_classes) for d in (train, test))
 
 
+def _distance(a: np.ndarray, b: np.ndarray) -> float:
+    """The Euclidean distance, also where its square overflows."""
+    d = np.linalg.norm(a - b)
+    return math.hypot(*(a - b)) if d == math.inf else d
+
+
 def _place_means(num_classes: int, dim: int, min_distance: float, rng) -> np.ndarray:
     """Class means with every pairwise distance >= min_distance.
 
@@ -122,7 +128,9 @@ def _place_means(num_classes: int, dim: int, min_distance: float, rng) -> np.nda
     exactly. Otherwise fall back to rejection sampling with a growing
     radius, which terminates for any class count while the candidates stay
     finite; one that overflows is a ValidationError. A distance whose
-    square overflows reads inf and is accepted, without a warning.
+    square overflows (past about 1.3e154) reads inf in ``np.linalg.norm``
+    and is recomputed by ``math.hypot``, which scales before squaring, so
+    the bound holds at every spread.
     """
     if num_classes <= dim:
         q, _ = np.linalg.qr(rng.standard_normal((dim, dim)))
@@ -138,7 +146,7 @@ def _place_means(num_classes: int, dim: int, min_distance: float, rng) -> np.nda
                 raise ValidationError(
                     "invalid generator settings: spread too large to place the class means"
                 )
-            if all(np.linalg.norm(candidate - m) >= min_distance for m in means):
+            if all(_distance(candidate, m) >= min_distance for m in means):
                 means.append(candidate)
                 failures = 0
             else:
@@ -540,10 +548,15 @@ def batches(view: Dataset, batch_size: int, seed) -> list[Batch]:
     """Seeded permutation of a view, chunked into batches.
 
     Only the final chunk may be short, so every row appears exactly once
-    per epoch.
+    per epoch. The seed is an integer >= 0 or a sequence of them, such as
+    the engine's [seed, tag, epoch].
     """
-    if problems := integer_problems(batch_size=(batch_size, 1)):
-        raise ValidationError(problems[0])
+    if isinstance(seed, (list, tuple, np.ndarray)):
+        seeds = {f"seed[{i}]": (s, 0) for i, s in enumerate(seed)}
+    else:
+        seeds = {"seed": (seed, 0)}
+    if problems := integer_problems(batch_size=(batch_size, 1), **seeds):
+        raise ValidationError("; ".join(problems))
     order = np.random.default_rng(seed).permutation(len(view))
     # One gather per epoch; each batch is a slice of it.
     features, labels = view.features[order], view.labels[order]

@@ -20,8 +20,13 @@ unlearning data (with a divergence guard).
 Every batch a step sees is drawn from a Dataset, which checked its
 rows and labels when it was made, and ``_check_compat`` matches the
 model to the data once per run. So the steps call the cores of
-``encode``, ``build_contrast_sets`` and ``cross_entropy_loss``
-directly, without copying or re-checking the batch.
+``encode``, ``head_logits``, ``build_contrast_sets`` and
+``cross_entropy_loss`` directly, without copying or re-checking the
+batch.
+
+Each run updates one private working copy of its starting parameters
+in place (``ModelParameters._working_copy``): the caller's parameters
+are never written, and the run returns a frozen snapshot of the copy.
 """
 from __future__ import annotations
 
@@ -63,8 +68,8 @@ from .model import (
     ModelArchitecture,
     ModelParameters,
     _encode,
+    _head_logits,
     forward,
-    head_logits,
     init_parameters,
 )
 from .tensor import GradTape, as_tensor
@@ -97,7 +102,7 @@ class EngineConfig:
     loss: LossConfig = field(default_factory=LossConfig)
 
     def __post_init__(self):
-        problems = integer_problems(
+        counts = dict(
             batch_size=(self.batch_size, 2),
             remaining_resamples=(self.remaining_resamples, 1, 4),
             max_epochs=(self.max_epochs, 0),
@@ -105,12 +110,16 @@ class EngineConfig:
             termination_every=(self.termination_every, 1),
             seed=(self.seed, 0),
         )
+        problems = integer_problems(**counts)
         if not 0 < real_or_nan(self.learning_rate) < math.inf:
             problems.append(
                 f"learning_rate must be a positive finite number, got {self.learning_rate!r}"
             )
         if problems:
             raise ValidationError("invalid engine config: " + "; ".join(problems))
+        # Plain ints, so that to_dict is JSON, as ModelArchitecture's sizes are.
+        for name in counts:
+            object.__setattr__(self, name, int(getattr(self, name)))
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -182,16 +191,17 @@ def _diverged(exc: NonFiniteError, epoch: int, b_index: int | None = None) -> Di
 
 def _sgd_step(
     params: ModelParameters, objective, lr: float, epoch: int, b_index: int, sign: float = -1.0
-) -> tuple[ModelParameters, tuple]:
-    """One taped SGD step on objective(params) -> (loss, *terms); sign -1.0
-    descends, +1.0 ascends. Returns the new parameters and the tensors.
-    A non-finite loss, gradient or update raises DivergenceError.
+) -> tuple:
+    """One taped SGD step on objective(params) -> (loss, *terms), in place
+    on a run's working copy; sign -1.0 descends, +1.0 ascends. Returns
+    the tensors. A non-finite loss, gradient or update raises
+    DivergenceError and leaves params as they were.
 
     The step reads the tape's raw adjoints and updates all parameters as
     one flat buffer, elementwise, so its bits are those of a per-array
-    ``p + sign * lr * g``. The buffer's one finite check also covers the
-    gradients: lr is positive and finite, so a non-finite gradient gives
-    a non-finite update.
+    ``p + sign * lr * g``. The update's one finite check, before it is
+    written, also covers the gradients: lr is positive and finite, so a
+    non-finite gradient gives a non-finite update.
     """
     try:
         with GradTape() as tape:
@@ -199,28 +209,28 @@ def _sgd_step(
         update = np.concatenate(tape._replay(out[0], params.as_list()), axis=None)
         update *= sign * lr
         update += params._flat
-        params = ModelParameters._from_flat(params.arch, update)
+        params._overwrite(update)
     except NonFiniteError as exc:
         raise _diverged(exc, epoch, b_index) from exc
-    return params, out
+    return out
 
 
 def _ce_pass(view: Dataset, tag: int, cfg: EngineConfig, ascend: bool = False):
-    """run_pass(params, epoch, record) -> params: one epoch of SGD on mean
+    """run_pass(params, epoch, record): one epoch of SGD on mean
     cross-entropy over view's seeded batches, then its pass row. A
     non-finite step raises DivergenceError, except in ascent (neggrad),
     which ends the pass there and records "non-finite-loss".
     """
     sign = 1.0 if ascend else -1.0
 
-    def run_pass(params: ModelParameters, epoch: int, record: RunRecord) -> ModelParameters:
+    def run_pass(params: ModelParameters, epoch: int, record: RunRecord) -> None:
         losses = []
         for b_index, batch in enumerate(batches(view, cfg.batch_size, [cfg.seed, tag, epoch])):
             try:
-                params, (loss,) = _sgd_step(
+                (loss,) = _sgd_step(
                     params,
                     lambda p: (
-                        _cross_entropy(head_logits(p, _encode(p, batch.features)), batch.labels),
+                        _cross_entropy(_head_logits(p, _encode(p, batch.features)), batch.labels),
                     ),
                     cfg.learning_rate,
                     epoch,
@@ -242,7 +252,6 @@ def _ce_pass(view: Dataset, tag: int, cfg: EngineConfig, ascend: bool = False):
                 "mean_ce": float(np.mean(losses)) if losses else 0.0,
             }
         )
-        return params
 
     return run_pass
 
@@ -271,20 +280,20 @@ def train(
     bit-identical parameters. Parameters that overflow a step or the
     per-epoch accuracy raise DivergenceError.
     """
-    params = init_parameters(arch, cfg.seed)
+    params = init_parameters(arch, cfg.seed)._working_copy()
     _check_compat(params, data)
     record = RunRecord(method="train", config=cfg.to_dict())
     run_pass = _ce_pass(data, TAG_TRAIN_BATCHES, cfg)
     start = time.perf_counter()
     with np.errstate(over="ignore", invalid="ignore"):  # the ops check finiteness
         for epoch in range(cfg.max_epochs):
-            params = run_pass(params, epoch, record)
+            run_pass(params, epoch, record)
             try:
                 record.rows[-1]["train_accuracy"] = accuracy(params, data)
             except NonFiniteError as exc:
                 raise _diverged(exc, epoch) from exc
     record.duration_seconds = time.perf_counter() - start
-    return params, record
+    return params._snapshot(), record
 
 
 def retrain(
@@ -306,18 +315,20 @@ def _unlearn_loop(
 ) -> tuple[ModelParameters, RunRecord]:
     """Shared skeleton: evaluate, maybe stop, otherwise run one pass.
 
-    run_pass(params, epoch, record) -> params executes one pass over the
-    relevant data. extra_halt(params) -> str | None may force an error
-    stop (the gradient-ascent divergence guard); it is consulted at the
-    same cadence as the termination condition. Parameters that overflow
+    run_pass(params, epoch, record) executes one pass over the relevant
+    data, in place on the run's working copy of params. extra_halt(params)
+    -> str | None may force an error stop (the gradient-ascent divergence
+    guard); it is consulted at the same cadence as the termination
+    condition. Parameters that overflow
     the evaluation are such a stop, "non-finite-loss", in a run with a
     guard, and raise DivergenceError in one without.
     """
+    params = params._working_copy()
     record = RunRecord(method=method, config=cfg.to_dict())
     start = time.perf_counter()
     if cfg.max_unlearn_epochs == 0:
         record.duration_seconds = time.perf_counter() - start
-        return params, record
+        return params._snapshot(), record
     with np.errstate(over="ignore", invalid="ignore"):
         for epoch in range(cfg.max_unlearn_epochs + 1):
             if epoch % cfg.termination_every == 0:
@@ -341,12 +352,12 @@ def _unlearn_loop(
             if epoch == cfg.max_unlearn_epochs:
                 record.termination_reason = "epoch-cap"
                 break
-            params = run_pass(params, epoch, record)
+            run_pass(params, epoch, record)
             if record.termination_detail is not None:
                 record.termination_reason = "error"
                 break
     record.duration_seconds = time.perf_counter() - start
-    return params, record
+    return params._snapshot(), record
 
 
 def unlearn_contrastive(
@@ -376,12 +387,12 @@ def unlearn_contrastive(
         else:
             ul = as_tensor(0.0)
         if cfg.loss.ce_weight > 0:
-            ce = _cross_entropy(head_logits(params, z_r), rb.labels)
+            ce = _cross_entropy(_head_logits(params, z_r), rb.labels)
         else:
             ce = as_tensor(0.0)
         return combined_loss(ul, ce, cfg.loss), ul, ce
 
-    def run_pass(params: ModelParameters, epoch: int, record: RunRecord) -> ModelParameters:
+    def run_pass(params: ModelParameters, epoch: int, record: RunRecord) -> None:
         ul_losses, ce_losses, skipped = [], [], 0
         unlearn_batches = batches(
             task.unlearn_train, cfg.batch_size, [cfg.seed, TAG_UNLEARN_BATCHES, epoch]
@@ -392,7 +403,7 @@ def unlearn_contrastive(
                 for _ in range(ANCHOR_RESAMPLE_LIMIT):
                     rb = sample_remaining(task, cfg.batch_size, remain_rng)
                     try:
-                        params, (_, ul, ce) = _sgd_step(
+                        _, ul, ce = _sgd_step(
                             params,
                             lambda p: objective(p, ub, rb),
                             cfg.learning_rate,
@@ -420,7 +431,6 @@ def unlearn_contrastive(
                 "skipped_steps": skipped,
             }
         )
-        return params
 
     return _unlearn_loop(params, task, cfg, "contrastive", run_pass)
 

@@ -6,7 +6,9 @@ Normalized embeddings make dot products equal cosine similarities, which
 is what the contrastive losses operate on. One encoder pass is one tape
 entry (``tensor._encoder``). The batch is an array: the public
 ``encode`` checks and copies it, then calls ``_encode``, the core the
-engine calls directly on the rows of a checked Dataset.
+engine and ``evaluation.accuracy`` call directly on the rows of a
+checked Dataset; ``head_logits`` and its core ``_head_logits`` split
+the same way.
 
 Checkpoints are a self-describing binary container: magic bytes, format
 version, a JSON header with the architecture and tensor manifest, then
@@ -15,14 +17,18 @@ header must be exactly the one its architecture writes. Saving and
 loading round-trips bit-exactly.
 
 Parameters are read-only views of one flat float64 buffer, in the
-architecture's parameter order. ``ModelParameters._from_flat`` is their
-one constructor: it takes a fresh buffer, checks it for finiteness once
-and freezes it. ``init_parameters`` draws the weights into a zeroed
-buffer; ``replace`` owes its caller a copy and makes it in its one
-concatenation; the SGD step passes the concatenated update;
-``load_checkpoint`` passes the payload. Parameters pickle and copy as
-their architecture plus a copy of that buffer, and come back through
-``_from_flat``.
+architecture's parameter order. ``ModelParameters._from_flat`` is the
+constructor of every parameters a caller sees: it takes a fresh buffer,
+checks it for finiteness once and freezes it. ``init_parameters`` draws
+the weights into a zeroed buffer; ``replace`` owes its caller a copy
+and makes it in its one concatenation; ``load_checkpoint`` passes the
+payload; an engine run passes a copy of its working buffer when it
+returns (``_snapshot``). That working copy (``_working_copy``) is the
+one writable buffer: its views are read-only, and the run's SGD step
+writes each update into it through ``_overwrite``, after the update's
+one finite check, so the views persist across the run's steps.
+Parameters pickle and copy as their architecture plus a copy of that
+buffer, and come back through ``_from_flat``.
 """
 from __future__ import annotations
 
@@ -133,7 +139,8 @@ class ModelParameters:
     are read-only views of ``_flat``, one buffer laid out as the
     architecture's ``_parameter_layout``, and the mapping is read-only
     too, so the buffer never goes stale. ``_from_flat`` builds every
-    instance; ``replace`` is the checking way in from caller arrays.
+    instance a caller sees, ``_working_copy`` an engine run's own;
+    ``replace`` is the checking way in from caller arrays.
     """
 
     def names(self) -> list[str]:
@@ -149,6 +156,12 @@ class ModelParameters:
         if not T._all_finite(flat):
             raise NonFiniteError("tensor constructed with non-finite entries")
         flat.flags.writeable = False
+        return cls._views(arch, flat)
+
+    @classmethod
+    def _views(cls, arch: ModelArchitecture, flat: np.ndarray) -> "ModelParameters":
+        """Parameters as read-only views of flat, unchecked; flat itself
+        stays as writable as it was."""
         params = cls.__new__(cls)
         params.arch = arch
         params._flat = flat
@@ -159,6 +172,24 @@ class ModelParameters:
             }
         )
         return params
+
+    def _working_copy(self) -> "ModelParameters":
+        """Parameters over a private, writable copy of the buffer, for one
+        engine run to update in place through ``_overwrite``. Its tensors
+        are read-only views that persist across the run's steps; the run
+        hands out only ``_snapshot``s of it."""
+        return ModelParameters._views(self.arch, self._flat.copy())
+
+    def _overwrite(self, flat: np.ndarray) -> None:
+        """Write flat into a working copy's buffer after one finite check,
+        so that a non-finite update leaves the parameters as they were."""
+        if not T._all_finite(flat):
+            raise NonFiniteError("parameter update has non-finite entries")
+        self._flat[...] = flat
+
+    def _snapshot(self) -> "ModelParameters":
+        """Frozen parameters over a fresh copy of the buffer."""
+        return ModelParameters._from_flat(self.arch, self._flat.copy())
 
     def __reduce__(self):
         # Pickled and copied as the architecture plus a copy of the flat
@@ -236,7 +267,13 @@ def head_logits(params: ModelParameters, z) -> Tensor:
             f"embedding batch shape {z.shape} does not match embedding_dim "
             f"{params.arch.embedding_dim}"
         )
-    return T.dense(z, params.tensors["head.w"], params.tensors["head.b"])
+    return _head_logits(params, z)
+
+
+def _head_logits(params: ModelParameters, z: Tensor) -> Tensor:
+    """head_logits' core, one tape entry, without its conversion and check:
+    the engine and ``accuracy`` call it on the output of ``_encode``."""
+    return T._dense(z, params.tensors["head.w"], params.tensors["head.b"], None)
 
 
 def forward(params: ModelParameters, x) -> Tensor:

@@ -28,13 +28,16 @@ losses their intermediate sums. An op's result is a fresh array, so it
 is wrapped without a copy; only the public ``Tensor(...)`` and
 ``as_tensor(...)`` copy, which keeps a caller's array writable and
 unshared; ``dense`` takes ``x`` through ``as_tensor``, as it takes
-``w`` and ``b``. ``_encoder`` takes only an array batch its caller has
-checked (``model.encode`` checks and copies it, the engine passes rows
-of a checked Dataset) and tapes it as a constant.
+``w`` and ``b``, checks the shapes and the activation, then calls its
+core ``_dense``, which ``model._head_logits`` calls directly.
+``_encoder`` takes only an array batch its caller has checked
+(``model.encode`` checks and copies it, the engine and ``accuracy``
+pass rows of a checked Dataset) and tapes it as a constant.
 """
 from __future__ import annotations
 
 import itertools
+import math
 from typing import Callable, Sequence
 
 import numpy as np
@@ -59,10 +62,12 @@ _active_tape: "GradTape | None" = None
 class Tensor:
     """Immutable dense float64 array participating in autodiff.
 
-    Wraps a read-only numpy array. Tensors are written once by the
-    operation that produced them; updates (such as SGD steps) build new
-    tensors instead of mutating. The constructor copies and checks
-    ``values``; operations wrap their fresh results without a copy.
+    Wraps a read-only numpy array. An op's result is written once, by
+    the op that produced it. The one exception is the parameters of an
+    engine run: read-only views of the run's private buffer, which its
+    SGD step overwrites between steps, so they keep their ids across a
+    run. The constructor copies and checks ``values``; operations wrap
+    their fresh results without a copy.
     """
 
     __slots__ = ("data", "tid")
@@ -122,11 +127,13 @@ def _wrap(arr: np.ndarray) -> Tensor:
 def _fresh(arr, op: str) -> Tensor:
     """An op's freshly computed result after its one finite check.
 
-    A full reduction yields a numpy scalar; it becomes a 0-d array.
+    A full reduction yields a numpy scalar; it becomes a 0-d array. A
+    single value, such as a loss, is checked by ``math.isfinite``, which
+    costs less than the array reduction and gives the same answer.
     """
     if type(arr) is not np.ndarray:
         arr = np.asarray(arr)
-    if not _all_finite(arr):
+    if not (math.isfinite(arr) if arr.ndim == 0 else _all_finite(arr)):
         raise NonFiniteError(f"{op} produced non-finite values")
     return _wrap(arr)
 
@@ -251,6 +258,12 @@ def dense(x, w, b, activation: str | None = None) -> Tensor:
         raise DimensionError(f"dense: incompatible shapes {x.shape}, {w.shape} and {b.shape}")
     if activation is not None and activation not in ACTIVATIONS:
         raise ContractError(f"dense: unknown activation {activation!r}")
+    return _dense(x, w, b, activation)
+
+
+def _dense(x: Tensor, w: Tensor, b: Tensor, activation) -> Tensor:
+    """dense's core, without its conversions and checks: the caller
+    guarantees Tensors of matching shapes and a known activation."""
     x_data, w_data = x.data, w.data
     out_data = _layer(x_data, w_data, b.data, activation)
     out = _wrap(out_data)

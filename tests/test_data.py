@@ -1,7 +1,9 @@
 """Synthetic data, CSV handling, task partitions, and batch plumbing."""
 
 import csv
+import hashlib
 import io
+import math
 import tempfile
 import warnings
 from pathlib import Path
@@ -181,6 +183,24 @@ class TestGeneration:
             else:
                 train, test = generate_synthetic(100, 2, 5, 5, spread=spread)
                 assert np.isfinite(train.features).all() and np.isfinite(test.features).all()
+
+    @pytest.mark.parametrize("spread", [1e150, 1e155, 1e160, 1e200])
+    def test_huge_spread_keeps_the_means_apart(self, spread):
+        # Past about 1.3e154 the square of a distance overflows, so
+        # np.linalg.norm reads inf; such a distance was taken as far enough,
+        # and at 1e155 and beyond 16 pairs ended up 0.48 x min_distance apart.
+        min_distance = 4.0 * spread
+        means = _place_means(100, 2, min_distance, np.random.default_rng(0))
+        for i in range(100):
+            for j in range(i + 1, 100):
+                assert math.hypot(*(means[i] - means[j])) >= min_distance
+
+    def test_spread_without_overflowing_distances_draws_the_same_data(self):
+        # At 1e150 no distance overflows, so the data are those the
+        # placement drew before overflowing distances were recomputed.
+        train, test = generate_synthetic(100, 2, 5, 5, spread=1e150)
+        digest = hashlib.sha256(train.features.tobytes() + test.features.tobytes())
+        assert digest.hexdigest()[:16] == "5967f5177b71c98c"
 
 
 class TestCsv:

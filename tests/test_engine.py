@@ -1,6 +1,5 @@
 """Training loop, unlearning loop semantics, and termination predicates."""
 
-import sys
 import warnings
 
 import numpy as np
@@ -203,15 +202,11 @@ class TestTrain:
             seed=0, batch_size=16, max_unlearn_epochs=1, loss=ul.LossConfig(variant="sample")
         )
 
-        build = ul.ModelParameters._from_flat.__func__
-
-        def overflowing_update(cls, arch, flat):
-            # train's starting parameters come through _from_flat as well.
-            if sys._getframe(1).f_code.co_name == "init_parameters":
-                return build(cls, arch, flat)
+        def overflowing_update(params, flat):
             raise NonFiniteError("update overflowed")
 
-        monkeypatch.setattr(ul.ModelParameters, "_from_flat", classmethod(overflowing_update))
+        # Every step writes its update to the run's working copy here.
+        monkeypatch.setattr(ul.ModelParameters, "_overwrite", overflowing_update)
         runs = (
             lambda: ul.train(SMALL_ARCH, train, cfg),
             lambda: ul.unlearn_finetune(params, task, unlearn_cfg),
@@ -573,6 +568,22 @@ class TestNegGrad:
         assert record.termination_reason == "error"
         assert record.termination_detail == "non-finite-loss"
 
+    def test_overflowing_first_update_returns_the_starting_parameters(self):
+        # On features of size 1e-6 the first forward stays finite and the
+        # first update overflows (as in test_overflowing_update_is_a_divergence).
+        # The update is checked before it is written, so the run ends on the
+        # parameters it started from.
+        train, test, _ = small_setup()
+        tiny = ul.Dataset(train.features * 1e-6, train.labels, 2)
+        tiny_test = ul.Dataset(test.features * 1e-6, test.labels, 2)
+        task = ul.make_task(tiny, tiny_test, ul.TaskSpec(kind="sample", sample_count=10, seed=2))
+        params = ul.init_parameters(SMALL_ARCH, seed=0)
+        ncfg = ul.EngineConfig(seed=0, batch_size=16, learning_rate=1e306, max_unlearn_epochs=3)
+        out, record = ul.unlearn_neggrad(params, task, ncfg)
+        assert record.gradient_steps == 0 and record.rows[-1]["kind"] == "pass"
+        assert record.termination_detail == "non-finite-loss"
+        assert_same_parameters(params, out)
+
     def test_overflowing_evaluation_is_recorded_not_raised(self):
         # One batch holds all 20 unlearning rows, so the ascent step stays
         # finite and the termination evaluation is the first to overflow.
@@ -604,18 +615,16 @@ class TestNegGrad:
     def test_overflowing_update_keeps_last_good_parameters(self, monkeypatch):
         params, task = harder_setup()
         ncfg = ul.EngineConfig(seed=0, batch_size=4, learning_rate=0.01, max_unlearn_epochs=5)
-        from_flat = ul.ModelParameters._from_flat
+        overwrite = ul.ModelParameters._overwrite
         good = []
 
-        def overflows_on_third_update(cls, arch, flat):
+        def overflows_on_third_update(params, flat):
             if len(good) == 2:
                 raise NonFiniteError("update overflowed")
-            good.append(from_flat(arch, flat))
-            return good[-1]
+            overwrite(params, flat)
+            good.append(params._snapshot())
 
-        monkeypatch.setattr(
-            ul.ModelParameters, "_from_flat", classmethod(overflows_on_third_update)
-        )
+        monkeypatch.setattr(ul.ModelParameters, "_overwrite", overflows_on_third_update)
         out, record = ul.unlearn_neggrad(params, task, ncfg)
         assert_same_parameters(good[-1], out)
         assert record.gradient_steps == 2
@@ -638,3 +647,52 @@ def test_overflowing_runs_emit_no_runtime_warning():
         _, record = ul.unlearn_neggrad(params, task, ncfg)
     assert record.termination_reason == "error"
     assert record.termination_detail == "non-finite-loss"
+
+
+class TestRunOwnership:
+    """Each run updates a private working copy of its starting parameters
+    and returns a frozen snapshot of it."""
+
+    @staticmethod
+    def runs():
+        params, task = harder_setup()
+        cfg = ul.EngineConfig(
+            seed=0, batch_size=16, learning_rate=0.1, max_epochs=2, max_unlearn_epochs=2
+        )
+        contrastive_cfg = ul.EngineConfig(
+            seed=0, batch_size=16, learning_rate=0.1, max_unlearn_epochs=2,
+            loss=ul.LossConfig(variant="sample"),
+        )
+        zero_cfg = ul.EngineConfig(seed=0, batch_size=16, max_unlearn_epochs=0)
+        return params, {
+            "train": lambda: ul.train(SMALL_ARCH, task.train, cfg),
+            "retrain": lambda: ul.retrain(SMALL_ARCH, task, cfg),
+            "contrastive": lambda: ul.unlearn_contrastive(params, task, contrastive_cfg),
+            "finetune": lambda: ul.unlearn_finetune(params, task, cfg),
+            "neggrad": lambda: ul.unlearn_neggrad(params, task, cfg),
+            "finetune-no-epochs": lambda: ul.unlearn_finetune(params, task, zero_cfg),
+        }
+
+    @pytest.mark.parametrize(
+        "run", ["train", "retrain", "contrastive", "finetune", "neggrad", "finetune-no-epochs"]
+    )
+    def test_run_leaves_its_input_and_returns_an_unshared_frozen_copy(self, run):
+        params, runs = self.runs()
+        before = params._flat.tobytes()
+        out, record = runs[run]()
+        again, _ = runs[run]()
+        if run != "finetune-no-epochs":
+            assert record.gradient_steps > 0
+        # The caller's parameters: same bytes, still read-only views of one buffer.
+        assert params._flat.tobytes() == before
+        assert not params._flat.flags.writeable
+        assert all(
+            not t.data.flags.writeable and np.shares_memory(t.data, params._flat)
+            for t in params.as_list()
+        )
+        # The result: read-only, and its own memory.
+        assert not out._flat.flags.writeable
+        assert all(not t.data.flags.writeable for t in out.as_list())
+        assert not np.shares_memory(out._flat, params._flat)
+        assert not np.shares_memory(out._flat, again._flat)
+        assert params_equal(out, again)

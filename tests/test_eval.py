@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import unlearnlab as ul
-from unlearnlab.errors import ValidationError
+from unlearnlab.errors import DimensionError, ValidationError
 from unlearnlab.evaluation import (
     AttackModel,
     accuracy,
@@ -36,6 +36,33 @@ class TestAccuracy:
         preds = ul.predict_labels(params, train.features)
         correct = sum(1 for p, y in zip(preds, train.labels) if p == y)
         assert got == correct / len(train)
+
+    @pytest.mark.parametrize(
+        "spec, views",
+        [
+            (
+                ul.TaskSpec(kind="class", class_id=1),
+                ["train", "test", "unlearn_train", "remain_train", "unlearn_test", "remain_test"],
+            ),
+            (
+                ul.TaskSpec(kind="sample", sample_count=15),
+                ["unlearn_train", "remain_train", "eval_unlearn", "eval_test"],
+            ),
+        ],
+    )
+    def test_equals_the_mean_of_predict_labels_on_task_views(self, spec, views):
+        train, test, params = small_world()
+        task = ul.make_task(train, test, spec)
+        for name in views:
+            view = getattr(task, name)
+            want = float(np.mean(ul.predict_labels(params, view.features) == view.labels))
+            assert accuracy(params, view) == want, name
+
+    def test_width_mismatch_is_a_dimension_error(self):
+        _, _, params = small_world()
+        narrow = ul.Dataset(np.zeros((3, 3)), [0, 1, 2], 3)
+        with pytest.raises(DimensionError, match="batch width 3 does not match input_dim 4"):
+            accuracy(params, narrow)
 
 
 class TestEvaluate:

@@ -3,9 +3,10 @@
 Each entry point that takes a count or a seed rejects a bool, a float
 (even a whole one), a string, None and a value below its minimum with a
 ValidationError that names the field, and takes numpy integers as it
-takes ints.
+takes ints; a seed sequence is checked entry by entry.
 """
 
+import json
 import re
 
 import numpy as np
@@ -59,6 +60,9 @@ CASES = [
     ("make_task", "sample_count", 1, 3,
      lambda v: ul.make_task(TRAIN, TEST, ul.TaskSpec(kind="sample", sample_count=v))),
     ("batches", "batch_size", 1, 4, lambda v: batches(TRAIN, v, 0)),
+    ("batches", "seed", 0, 3, lambda v: batches(TRAIN, 4, v)),
+    # A sequence of seeds, as the engine passes [seed, tag, epoch].
+    ("batches", "seed[1]", 0, 3, lambda v: batches(TRAIN, 4, [0, v, 1])),
     ("run_mia", "split_seed", 0, 1, lambda v: ul.run_mia(PARAMS, TASK, split_seed=v)),
 ]
 IDS = [f"{entry}-{field}" for entry, field, *_ in CASES]
@@ -91,6 +95,16 @@ def test_numpy_integer_is_taken_as_an_int(entry, field, minimum, valid, call):
 def test_value_above_its_maximum_is_named(call, field):
     with pytest.raises(ValidationError, match=f"{field} must be an integer in "):
         call()
+
+
+def test_engine_config_with_numpy_counts_dumps_to_json():
+    counts = dict(
+        batch_size=16, remaining_resamples=2, max_epochs=3, max_unlearn_epochs=4,
+        termination_every=2, seed=5,
+    )
+    cfg = ul.EngineConfig(**{name: np.int64(v) for name, v in counts.items()})
+    assert json.dumps(cfg.to_dict()) == json.dumps(ul.EngineConfig(**counts).to_dict())
+    assert all(type(getattr(cfg, name)) is int for name in counts)
 
 
 def test_every_bad_count_is_listed():
