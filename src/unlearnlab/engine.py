@@ -52,6 +52,7 @@ from .errors import (
     UnlearnableConfigurationError,
     ValidationError,
     integer_problems,
+    plain_number,
     real_or_nan,
 )
 from .evaluation import accuracy
@@ -117,9 +118,11 @@ class EngineConfig:
             )
         if problems:
             raise ValidationError("invalid engine config: " + "; ".join(problems))
-        # Plain ints, so that to_dict is JSON, as ModelArchitecture's sizes are.
+        # Plain ints and a Python learning rate, so that to_dict is JSON, as
+        # ModelArchitecture's sizes are.
         for name in counts:
             object.__setattr__(self, name, int(getattr(self, name)))
+        object.__setattr__(self, "learning_rate", plain_number(self.learning_rate))
 
     def to_dict(self) -> dict:
         return asdict(self)

@@ -4,7 +4,7 @@ Everything derives from UnlearnLabError so callers can catch library
 failures in one clause. A validation error names every offending field
 in its message when more than one thing is wrong; ``integer_problems``
 checks every count and seed, and every real-valued setting is read
-through ``real_or_nan``.
+through ``real_or_nan`` and stored through ``plain_number``.
 """
 from __future__ import annotations
 
@@ -93,11 +93,20 @@ def integer_problems(**fields: tuple) -> list[str]:
     return problems
 
 
+def plain_number(value):
+    """A numpy scalar as its Python number (``.item()``), so that a config
+    holding it dumps to JSON; any other value as given, so an int setting
+    still reads as an int."""
+    return value.item() if isinstance(value, np.generic) else value
+
+
 def real_or_nan(value) -> float:
     """value as a float if it is a real number, else NaN, which every range
     check fails, so a string, None or a bool is reported with the field's
     range. An int past the float range reads as an infinity of its sign.
     """
+    if type(value) is float:  # the common case, without the ABC checks
+        return value
     if isinstance(value, bool) or not isinstance(value, numbers.Real):
         return math.nan
     try:

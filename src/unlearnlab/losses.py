@@ -28,7 +28,13 @@ expressions of the same loss composed from the primitive tensor ops of
 are bit-identical to the composed version, while constants such as the
 row max, the labels, the masks and the weights get no adjoint.
 A value the composed ops would have rejected as non-finite still raises
-NonFiniteError.
+NonFiniteError. Matrix products go through ``tensor._dot``, as the
+layers' do; ``combined_loss`` adds its two weighted terms as Python
+floats, which give the IEEE results of the 0-d array ops in fewer numpy
+calls; and where a composed sum would turn a -0.0 into 0.0 (the
+cross-entropy adjoint off the label), the fused backward does too, so
+the bits match to the sign of every zero. A temperature passed to a
+loss is checked by ``LossConfig``'s rule, with its message.
 
 ``build_contrast_sets`` and ``cross_entropy_loss`` check their inputs
 and then call their cores, ``_contrast_sets`` and ``_cross_entropy``,
@@ -49,6 +55,7 @@ from .errors import (
     NoValidAnchorError,
     NonFiniteError,
     ValidationError,
+    plain_number,
     real_or_nan,
 )
 from .tensor import Tensor
@@ -81,6 +88,8 @@ class LossConfig:
             problems.append(f"variant must be one of {VARIANTS}")
         if problems:
             raise ValidationError("invalid loss config: " + "; ".join(problems))
+        for name in ("temperature", "unlearn_weight", "ce_weight"):
+            object.__setattr__(self, name, plain_number(getattr(self, name)))
 
 
 @dataclass
@@ -149,9 +158,10 @@ def _contrast_sets(
     )
 
 
-def _check_temperature(temperature: float) -> None:
-    if not (math.isfinite(temperature) and temperature > 0):
-        raise ValidationError("temperature must be positive and finite")
+def _check_temperature(temperature) -> None:
+    """LossConfig's temperature rule, for a temperature passed directly."""
+    if not 0 < real_or_nan(temperature) < math.inf:
+        raise ValidationError(f"temperature must be a positive finite number, got {temperature!r}")
 
 
 def _require_finite(arr: np.ndarray, what: str) -> np.ndarray:
@@ -162,7 +172,8 @@ def _require_finite(arr: np.ndarray, what: str) -> np.ndarray:
 
 def _similarities(sets: ContrastSets, temperature: float) -> np.ndarray:
     """Scaled similarities s = (a @ r.T) / t, checked: a tiny t overflows them."""
-    s = (sets.anchor_embeddings.data @ sets.remaining_embeddings.data.T) * (1.0 / temperature)
+    a, r = sets.anchor_embeddings.data, sets.remaining_embeddings.data
+    s = T._dot(a, r.T) * (1.0 / temperature)
     return _require_finite(s, "scaled similarities")
 
 
@@ -184,7 +195,7 @@ def _record_contrastive(
         # (a.T @ g_s).T is the product the composed transpose and matmul
         # formed; g_s.T @ a can differ from it in the last bits where BLAS
         # picks another kernel, as OpenBLAS does for large shapes.
-        return (g_s @ r_data, (a_data.T @ g_s).T)
+        return (T._dot(g_s, r_data), T._dot(a_data.T, g_s).T)
 
     T._record(out, (a, r), backward)
     return out
@@ -212,9 +223,13 @@ def sample_unlearn_loss(sets: ContrastSets, temperature: float) -> Tensor:
     neg_sum = np.add.reduce(s * negative, axis=1)
     exp_s = _require_finite(np.exp(s), "exp of the scaled similarities")
     # Pad invalid rows so the log stays finite; their term is zeroed below.
-    pos_den = np.add.reduce(exp_s * positive, axis=1) + (~valid).astype(np.float64)
-    with np.errstate(divide="ignore"):
-        log_den = _require_finite(np.log(pos_den), "log of the positive sum")
+    pos_den = np.add.reduce(exp_s * positive, axis=1) + (1.0 - valid_f)
+    # A sum of finite non-negative terms lies in [0, inf], so its log is
+    # finite exactly where it is positive and finite. Checked before the
+    # log, which then never takes a zero and raises no divide warning.
+    if not (np.minimum.reduce(pos_den) > 0.0 and np.maximum.reduce(pos_den) < math.inf):
+        raise NonFiniteError("log of the positive sum is not finite")
+    log_den = np.log(pos_den)
     neg_coeff = np.where(valid, -1.0 / np.maximum(n_neg, 1), 0.0)
     # A sum over the negatives can still overflow; it stays infinite (or
     # turns NaN) through the rest, so the final value's check catches it.
@@ -288,15 +303,22 @@ def _cross_entropy(logits: Tensor, labels: np.ndarray) -> Tensor:
     log_norm = np.log(sum_exp)
     # The composed ops multiply by a one-hot matrix and sum (forward) or add
     # (backward). Adding the exact zeros off the label changes no bit, so
-    # indexing the label entry gives the same values.
+    # indexing the label entry gives the same values; the backward's one
+    # exception, a signed zero, is spelled out there.
     rows = np.arange(batch)
     picked = shifted[rows, labels]
     inv_batch = 1.0 / batch
     out = T._fresh(np.add.reduce(log_norm - picked) * inv_batch, "cross_entropy_loss")
 
     def backward(g):
-        g = g * inv_batch
+        # As a Python float: the same IEEE product as on the 0-d array.
+        g = float(g) * inv_batch
         grad = (g / sum_exp)[:, None] * e
+        # Off the label the composed ops add (-g) * 0.0. That is -0.0, which
+        # changes no bit, unless g is negative or -0.0: then it is +0.0, which
+        # turns a -0.0 entry (an exp that underflowed, or g = -0.0) into 0.0.
+        if math.copysign(1.0, g) < 0.0:
+            grad += 0.0
         grad[rows, labels] -= g
         return (grad,)
 
@@ -307,7 +329,10 @@ def _cross_entropy(logits: Tensor, labels: np.ndarray) -> Tensor:
 def combined_loss(unlearn: Tensor, ce: Tensor, cfg: LossConfig) -> Tensor:
     """Weighted sum of the unlearning and cross-entropy terms."""
     unlearn, ce = T.as_tensor(unlearn), T.as_tensor(ce)
+    if unlearn.shape != () or ce.shape != ():
+        raise ContractError(f"combined_loss of non-scalar terms {unlearn.shape} and {ce.shape}")
     uw, cw = cfg.unlearn_weight, cfg.ce_weight
-    out = T._fresh(unlearn.data * uw + ce.data * cw, "combined_loss")
+    # As Python floats: the same IEEE products and sum as on 0-d arrays.
+    out = T._fresh(float(unlearn.data) * uw + float(ce.data) * cw, "combined_loss")
     T._record(out, (unlearn, ce), lambda g: (g * uw, g * cw))
     return out

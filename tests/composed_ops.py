@@ -1,5 +1,5 @@
 """The test suite's oracles: composed tensor ops, finite differences and
-bit-exact equality of models and datasets.
+bit-exact equality of arrays, models and datasets.
 
 The library runs only fused ops (``tensor.dense``, the encoder and the
 losses), each one tape entry with a hand-written backward. The composed
@@ -42,6 +42,12 @@ def params_equal(a: ModelParameters, b: ModelParameters) -> bool:
     if a.arch != b.arch or a.names() != b.names():
         return False
     return all(np.array_equal(a.tensors[n].data, b.tensors[n].data) for n in a.names())
+
+
+def bits_equal(a: np.ndarray, b: np.ndarray) -> bool:
+    """Same dtype, shape and bytes: unlike ``np.array_equal``, -0.0 and 0.0
+    differ."""
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
 def datasets_equal(a: Dataset, b: Dataset) -> bool:

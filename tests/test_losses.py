@@ -31,6 +31,7 @@ from unlearnlab.losses import (
 )
 from composed_ops import (
     add,
+    bits_equal,
     exp,
     finite_difference_gradient,
     gradient_relative_error,
@@ -527,7 +528,7 @@ class TestFusedLosses:
             got = self.run_contrastive(fused, case, weight)
             want = self.run_contrastive(composed, case, weight)
             for g, w in zip(got, want):
-                assert np.array_equal(g, w)
+                assert bits_equal(g, w)
 
     @settings(max_examples=120, deadline=None, database=None)
     @given(
@@ -547,7 +548,7 @@ class TestFusedLosses:
         got = self.run_cross_entropy(cross_entropy_loss, x0, y, weight)
         want = self.run_cross_entropy(composed_cross_entropy, x0, y, weight)
         for g, w in zip(got, want):
-            assert np.array_equal(g, w)
+            assert bits_equal(g, w)
 
     @settings(max_examples=120, deadline=None, database=None)
     @given(
@@ -567,7 +568,34 @@ class TestFusedLosses:
         got = run(lambda u, ce: combined_loss(u, ce, cfg))
         want = run(lambda u, ce: add(multiply(u, weights[0]), multiply(ce, weights[1])))
         for g, w in zip(got, want):
-            assert np.array_equal(g, w)
+            assert bits_equal(g, w)
+
+    def test_one_anchor_with_underflowing_products_bit_identical_to_composed(self):
+        # One anchor makes the remaining embeddings' adjoint a.T @ g_s a
+        # product over an inner width of 1; subnormal weights make its
+        # products underflow to zeros whose sign np.dot keeps and @ does not.
+        rng = np.random.default_rng(0)
+        case = (unit_rows(rng, 1, 3), np.array([0]), unit_rows(rng, 6, 3), np.arange(6) % 2, 0.5)
+        for fused, composed in (
+            (sample_unlearn_loss, composed_sample_loss),
+            (class_unlearn_loss, composed_class_loss),
+        ):
+            for weight in (-5e-324, 5e-324, -1e-323):
+                got = self.run_contrastive(fused, case, weight)
+                want = self.run_contrastive(composed, case, weight)
+                for g, w in zip(got, want):
+                    assert bits_equal(g, w)
+
+    @pytest.mark.parametrize("weight", [-0.0, -1.0, 0.0, 1.0])
+    def test_cross_entropy_signed_zero_adjoints_bit_identical_to_composed(self, weight):
+        # An exp that underflows to 0.0 (the -1e4 logit) or g = -0.0 makes
+        # the off-label adjoint a zero whose sign the composed sum sets.
+        x0 = np.array([[0.0, -1e4, 0.5], [2.0, 1.0, -1e4]])
+        labels = np.array([0, 1])
+        got = self.run_cross_entropy(cross_entropy_loss, x0, labels, weight)
+        want = self.run_cross_entropy(composed_cross_entropy, x0, labels, weight)
+        for g, w in zip(got, want):
+            assert bits_equal(g, w)
 
     def test_combined_overflow_rejected(self):
         cfg = LossConfig(unlearn_weight=10.0)
@@ -603,6 +631,13 @@ class TestFusedLosses:
             with pytest.raises(NonFiniteError):
                 sample_unlearn_loss(sets, 1e-3)
 
+    def test_positive_sum_underflow_rejected(self):
+        # At t = 1e-3 the one positive's similarity of -1 scales to -1000,
+        # whose exp underflows to 0.0, so the log of its sum would be -inf.
+        sets = sets_of([[1.0, 0.0]], [0], [[-1.0, 0.0], [0.0, 1.0]], [0, 1])
+        with pytest.raises(NonFiniteError, match="log of the positive sum"):
+            sample_unlearn_loss(sets, 1e-3)
+
     def test_similarity_overflow_rejected(self):
         sets = sets_of([[1.0, 0.0]], [0], [[1.0, 0.0], [0.0, 1.0]], [0, 1])
         with np.errstate(over="ignore", invalid="ignore"):
@@ -610,9 +645,22 @@ class TestFusedLosses:
                 with pytest.raises(NonFiniteError):
                     loss_fn(sets, 1e-310)
 
-    @pytest.mark.parametrize("bad", [float("inf"), float("nan"), 0.0, -1.0])
+    @pytest.mark.parametrize("bad", [float("inf"), float("nan"), 0.0, -1.0, None, "0.5", True])
     def test_temperature_must_be_positive_and_finite(self, bad):
+        # The rule and the message of LossConfig's temperature: a string,
+        # None or a bool is not a number.
         sets = sets_of([[1.0, 0.0]], [0], [[0.0, 1.0], [1.0, 0.0]], [0, 1])
         for loss_fn in (sample_unlearn_loss, class_unlearn_loss):
-            with pytest.raises(ValidationError):
+            with pytest.raises(ValidationError, match=r"^temperature must be a positive finite"):
                 loss_fn(sets, bad)
+
+    def test_temperature_takes_any_real_number(self):
+        sets = sets_of([[1.0, 0.0]], [0], [[0.0, 1.0], [1.0, 0.0]], [0, 1])
+        for loss_fn in (sample_unlearn_loss, class_unlearn_loss):
+            want = loss_fn(sets, 1.0).data
+            for t in (1, np.float32(1.0), np.int64(1)):
+                assert bits_equal(loss_fn(sets, t).data, want)
+
+    def test_combined_rejects_non_scalar_terms(self):
+        with pytest.raises(ContractError, match="non-scalar"):
+            combined_loss(as_tensor([1.0, 2.0]), as_tensor(0.5), LossConfig())

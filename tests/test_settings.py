@@ -107,6 +107,24 @@ def test_engine_config_with_numpy_counts_dumps_to_json():
     assert all(type(getattr(cfg, name)) is int for name in counts)
 
 
+def test_numpy_real_settings_dump_to_json_as_python_numbers():
+    cfg = ul.EngineConfig(
+        learning_rate=np.float32(0.5),
+        loss=ul.LossConfig(
+            temperature=np.float32(0.25), unlearn_weight=np.int64(1), ce_weight=np.float64(2.0)
+        ),
+    )
+    assert json.loads(json.dumps(cfg.to_dict()))["loss"] == {
+        "temperature": 0.25, "unlearn_weight": 1, "ce_weight": 2.0, "variant": "sample",
+    }
+    assert type(cfg.learning_rate) is float and type(cfg.loss.unlearn_weight) is int
+    assert type(cfg.loss.temperature) is float and type(cfg.loss.ce_weight) is float
+    # Python numbers stay as given, so an int setting still reads as an int.
+    given = ul.EngineConfig(learning_rate=1, loss=ul.LossConfig(temperature=2, ce_weight=0.5))
+    assert (given.learning_rate, given.loss.temperature, given.loss.ce_weight) == (1, 2, 0.5)
+    assert type(given.learning_rate) is int and type(given.loss.temperature) is int
+
+
 def test_every_bad_count_is_listed():
     with pytest.raises(ValidationError) as info:
         ul.EngineConfig(batch_size="x", seed=None, max_epochs=-1)

@@ -13,6 +13,7 @@ from unlearnlab.errors import (
 )
 from composed_ops import (
     add,
+    bits_equal,
     exp,
     finite_difference_gradient,
     gradient_relative_error,
@@ -29,7 +30,16 @@ from composed_ops import (
     transpose,
 )
 from unlearnlab.losses import cross_entropy_loss
-from unlearnlab.tensor import GradTape, Tensor, _encoder, as_tensor, dense
+from unlearnlab.tensor import (
+    NORM_EPSILON,
+    GradTape,
+    Tensor,
+    _encoder,
+    _layer_adjoint,
+    _row_norms,
+    as_tensor,
+    dense,
+)
 
 
 class TestForward:
@@ -301,9 +311,10 @@ class TestDense:
         for analytic, fd in zip((gx, gw, gb), fds):
             np.testing.assert_allclose(analytic.data, fd, rtol=1e-6, atol=1e-8)
 
-    @pytest.mark.parametrize("activation", ACTIVATIONS)
-    def test_bit_identical_to_composed_ops(self, activation):
-        x0, w0, b0, r = _dense_case(7, 6, 5, 3)
+    @staticmethod
+    def fused_and_composed(case, activation):
+        """Output and leaf gradients of dense and of its composed ops."""
+        x0, w0, b0, r = case
 
         def run(layer):
             xt, wt, bt = as_tensor(x0), as_tensor(w0), as_tensor(b0)
@@ -314,8 +325,62 @@ class TestDense:
 
         fused = run(lambda x, w, b: dense(x, w, b, activation))
         composed = run(lambda x, w, b: APPLY[activation](add(matmul(x, w), b)))
+        return fused, composed
+
+    @pytest.mark.parametrize("activation", ACTIVATIONS)
+    def test_bit_identical_to_composed_ops(self, activation):
+        fused, composed = self.fused_and_composed(_dense_case(7, 6, 5, 3), activation)
         for got, want in zip(fused, composed):
-            assert np.array_equal(got, want)
+            assert bits_equal(got, want)
+
+    @pytest.mark.parametrize("activation", ACTIVATIONS)
+    def test_one_row_batch_bit_identical_to_composed_ops(self, activation):
+        fused, composed = self.fused_and_composed(_dense_case(7, 1, 5, 3), activation)
+        for got, want in zip(fused, composed):
+            assert bits_equal(got, want)
+
+    @pytest.mark.parametrize("batch", [6, 1])
+    def test_relu_with_dead_units_bit_identical_to_composed_ops(self, batch):
+        # Units 0 and 2 are dead for every row, unit 1 for some, and every
+        # upstream adjoint is negative, so the composed mask makes -0.0s.
+        x0, w0, _, r = _dense_case(5, batch, 5, 3)
+        b0 = np.array([-50.0, 0.0, -50.0])
+        x0[0] = 0.0  # a pre-activation of exactly 0.0 in unit 1
+        fused, composed = self.fused_and_composed((x0, w0, b0, -np.abs(r)), "relu")
+        assert not np.any(fused[0][:, [0, 2]])
+        for got, want in zip(fused, composed):
+            assert bits_equal(got, want)
+
+    def test_underflowing_products_bit_identical_to_composed_ops(self):
+        # A one-row batch makes the weight gradient x.T @ g a product over
+        # an inner width of 1. At these scales each of its products
+        # underflows to a zero whose sign np.dot keeps and @ does not.
+        x0, w0, b0, r = _dense_case(3, 1, 4, 3)
+        fused, composed = self.fused_and_composed((x0 * 1e-170, w0, b0, r * 1e-170), None)
+        assert not fused[2].any() and np.signbit(composed[2]).sum() == 0
+        for got, want in zip(fused, composed):
+            assert bits_equal(got, want)
+
+    @pytest.mark.parametrize("activation", ACTIVATIONS)
+    def test_layer_adjoint_bit_identical_to_composed_activation(self, activation):
+        # The adjoint of the pre-activation, which the leaf gradients see
+        # only through products and sums that turn -0.0 into 0.0: dead
+        # units (negative, -0.0 and 0.0 pre-activations) under negative
+        # upstream adjoints give -0.0 in the composed relu's g * mask.
+        rng = np.random.default_rng(2)
+        pre = rng.standard_normal((4, 6))
+        pre[0, :3] = [-0.0, 0.0, 5e-324]
+        up = rng.standard_normal((4, 6))
+        up[:, :3] = -1.0
+        leaf = as_tensor(pre)
+        with GradTape() as tape:
+            out = reduce_sum(multiply(APPLY[activation](leaf), up))
+        (want,) = tape.gradient(out, [leaf])
+        act = {None: lambda v: v, "relu": lambda v: np.maximum(v, 0.0), "tanh": np.tanh}
+        got = _layer_adjoint(up, act[activation](pre.copy()), activation)
+        if activation == "relu":
+            assert np.signbit(want.data[0, :2]).all()
+        assert bits_equal(got, want.data)
 
     def test_one_tape_entry_per_call(self, rng):
         x = as_tensor(rng.standard_normal((4, 3)))
@@ -372,7 +437,25 @@ class TestEncoder:
     @pytest.mark.parametrize("hidden", [(4,), (4, 3), (6, 2, 5)])
     @pytest.mark.parametrize("activation", ["relu", "tanh"])
     def test_bit_identical_to_composed_ops(self, activation, hidden, x_kind):
-        x0, weights, r = _encoder_case(11, hidden)
+        self.check_bit_identical(_encoder_case(11, hidden), activation, len(hidden))
+
+    @pytest.mark.parametrize("hidden", [(4,), (6, 2, 5)])
+    @pytest.mark.parametrize("activation", ["relu", "tanh"])
+    def test_one_row_batch_bit_identical_to_composed_ops(self, activation, hidden):
+        self.check_bit_identical(_encoder_case(11, hidden, batch=1), activation, len(hidden))
+
+    def test_dead_relu_units_bit_identical_to_composed_ops(self):
+        # Half the first layer's units are dead for every row, and the
+        # downstream weighting is negative.
+        x0, weights, r = _encoder_case(4, (6, 3))
+        b0 = weights[1].data.copy()
+        b0[::2] = -50.0
+        weights[1] = as_tensor(b0)
+        self.check_bit_identical((x0, weights, -np.abs(r)), "relu", 2)
+
+    @staticmethod
+    def check_bit_identical(case, activation, n_hidden):
+        x0, weights, r = case
 
         def run(encoder):
             with GradTape() as tape:
@@ -382,10 +465,61 @@ class TestEncoder:
 
         fused_entries, fused = run(_encoder)
         composed_entries, composed = run(_composed_encoder)
-        assert fused_entries == 3 and composed_entries == len(hidden) + 4
+        assert fused_entries == 3 and composed_entries == n_hidden + 4
         assert len(fused) == len(composed)
         for got, want in zip(fused, composed):
-            assert np.array_equal(got, want)
+            assert bits_equal(got, want)
+
+    # x rows of zeros map to a zero embedding, rows of ones to a finite one
+    # whose norm overflows; both in one batch must report the overflow.
+    @pytest.mark.parametrize(
+        "rows",
+        [[0.0], [1.0], [0.0, 1.0], [1.0, 0.0]],
+        ids=["zero-row", "infinite-norm-row", "zero-then-infinite", "infinite-then-zero"],
+    )
+    def test_norm_bounds_fail_like_the_composed_encoder(self, rows):
+        layers = (np.eye(5), np.zeros(5), np.full((5, 3), 1e200), np.zeros(3))
+        weights = [as_tensor(w) for w in layers]
+        x = np.repeat(np.array(rows)[:, None], 5, axis=1)
+        errors = []
+        with np.errstate(over="ignore"):
+            for encoder in (_encoder, _composed_encoder):
+                with pytest.raises((NonFiniteError, DegenerateEmbeddingError)) as exc:
+                    encoder(x, weights, "relu")
+                errors.append((type(exc.value), str(exc.value)))
+        want = NonFiniteError if 1.0 in rows else DegenerateEmbeddingError
+        assert errors[0] == errors[1] and errors[0][0] is want
+
+    @pytest.mark.parametrize(
+        "rows, error",
+        [
+            ([[3.0, 4.0], [np.nan, 0.0]], NonFiniteError),
+            ([[3.0, 4.0], [1e200, 0.0]], NonFiniteError),
+            ([[3.0, 4.0], [0.0, 0.0]], DegenerateEmbeddingError),
+            ([[3.0, 4.0], [1e-13, 0.0]], DegenerateEmbeddingError),
+            ([[0.0, 0.0], [1e200, 1.0]], NonFiniteError),
+            ([[np.nan, 1.0], [0.0, 0.0]], NonFiniteError),
+        ],
+        ids=["nan-row", "infinite-norm-row", "zero-row", "near-zero-row",
+             "zero-and-infinite-norm-rows", "nan-and-zero-rows"],
+    )
+    def test_row_norm_bounds(self, rows, error):
+        # A NaN row never reaches the norms from the encoder, whose layers
+        # reject it first; the bounds still must not pass it.
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(error):
+                _row_norms(np.array(rows))
+
+    @pytest.mark.parametrize(
+        "rows", [[[3.0, 4.0], [0.0, 2 * NORM_EPSILON]], np.zeros((0, 2))], ids=["two", "none"]
+    )
+    def test_row_norms_within_bounds(self, rows):
+        v = np.array(rows)
+        assert bits_equal(_row_norms(v), np.sqrt(np.add.reduce(v * v, axis=1, keepdims=True)))
+
+    def test_empty_batch_encodes_to_no_rows(self):
+        _, weights, _ = _encoder_case(3, (4,))
+        assert _encoder(np.zeros((0, 5)), weights, "relu").shape == (0, 3)
 
     @pytest.mark.parametrize("activation", ["relu", "tanh"])
     def test_untaped_values_match_taped(self, activation):
