@@ -57,17 +57,20 @@ class Dataset:
     """Feature matrix plus labels for a fixed number of classes."""
 
     def __init__(self, features: np.ndarray, labels: np.ndarray, num_classes: int):
-        features = np.asarray(features, dtype=np.float64)
-        labels = np.asarray(labels)
-        # Float labels are checked, integrality and range, before the int64
-        # cast, which would truncate 1.7 to 1 and warn on NaN or on a whole
-        # value past int64. Other labels are cast first.
-        if labels.dtype.kind != "f":
-            labels = labels.astype(np.int64, copy=False)
-        elif not np.all(np.isfinite(labels) & (labels == np.trunc(labels))):
-            raise ValidationError("invalid dataset: labels must be integers")
         problems = integer_problems(num_classes=(num_classes, 2))
-        if not problems and labels.size and (labels.min() < 0 or labels.max() >= num_classes):
+        features = _real_array(features, "features", problems)
+        labels = _real_array(labels, "labels", problems)
+        if features is None or labels is None:
+            raise ValidationError("invalid dataset: " + "; ".join(problems))
+        features = features.astype(np.float64, order="C")
+        # Labels are checked, integrality and range, before the int64 cast,
+        # which would truncate 1.7 to 1, warn on NaN or on a whole float
+        # past int64, and wrap an unsigned one past it.
+        if labels.dtype.kind == "f" and not np.all(
+            np.isfinite(labels) & (labels == np.trunc(labels))
+        ):
+            problems.append("labels must be integers")
+        elif not problems and labels.size and (labels.min() < 0 or labels.max() >= num_classes):
             problems.append(f"labels must lie in [0, {num_classes})")
         if features.ndim != 2:
             problems.append("features must be a rank-2 array")
@@ -79,7 +82,6 @@ class Dataset:
             problems.append("features must be finite")
         if problems:
             raise ValidationError("invalid dataset: " + "; ".join(problems))
-        features = features.copy()
         labels = labels.astype(np.int64)
         features.flags.writeable = False
         labels.flags.writeable = False
@@ -100,6 +102,21 @@ class Dataset:
 
     def class_indices(self, class_id: int) -> np.ndarray:
         return np.flatnonzero(self.labels == class_id)
+
+
+def _real_array(values, name: str, problems: list[str]) -> np.ndarray | None:
+    """values as an array of integers or floats, or None after appending a
+    problem naming it. Bools, strings, objects (an int past int64 among
+    them) and complex numbers are not real numbers here, and neither are
+    values numpy cannot make one array of, such as ragged rows."""
+    try:
+        arr = np.asarray(values)
+    except (ValueError, TypeError):
+        arr = None
+    if arr is None or arr.dtype.kind not in "iuf":
+        problems.append(f"{name} must be an array of real numbers")
+        return None
+    return arr
 
 
 def standardize_pair(train: Dataset, test: Dataset) -> tuple[Dataset, Dataset]:
@@ -394,7 +411,7 @@ def _row_indices(values, split: Dataset, what: str) -> np.ndarray:
         idx = np.asarray(values, dtype=np.int64)
     except OverflowError:
         raise out_of_range from None
-    except ValueError:
+    except (ValueError, TypeError):
         raise not_integral from None
     if idx.size and (idx.min() < 0 or idx.max() >= len(split)):
         raise out_of_range
@@ -521,9 +538,7 @@ def make_task(train: Dataset, test: Dataset, spec: TaskSpec) -> UnlearnTask:
 
     if spec.kind == "sample":
         if spec.sample_indices is not None:
-            # An object array keeps each value as given (a float, or an int
-            # past int64) for the constructor's check.
-            u_tr = np.sort(np.asarray(spec.sample_indices, dtype=object))
+            u_tr = np.sort(_row_indices(spec.sample_indices, train, "unlearning"))
         else:
             if problems := integer_problems(sample_count=(spec.sample_count, 1)):
                 raise EmptyUnlearnSetError("invalid task: " + problems[0])

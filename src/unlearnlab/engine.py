@@ -17,12 +17,10 @@ like for like: retraining from scratch on the remaining data, plain
 fine-tuning on the remaining data, and gradient ascent on the
 unlearning data (with a divergence guard).
 
-Every batch a step sees is drawn from a Dataset, which checked its
-rows and labels when it was made, and ``_check_compat`` matches the
-model to the data once per run. So the steps call the cores of
+Every batch a step sees is drawn from a Dataset that each run first
+holds to ``model._check_fits``, so the steps call the cores of
 ``encode``, ``head_logits``, ``build_contrast_sets`` and
-``cross_entropy_loss`` directly, without copying or re-checking the
-batch.
+``cross_entropy_loss`` directly (see ``model``).
 
 Each run updates one private working copy of its starting parameters
 in place (``ModelParameters._working_copy``): the caller's parameters
@@ -62,15 +60,14 @@ from .losses import (
     _cross_entropy,
     class_unlearn_loss,
     combined_loss,
-    cross_entropy_loss,
     sample_unlearn_loss,
 )
 from .model import (
     ModelArchitecture,
     ModelParameters,
+    _check_fits,
     _encode,
     _head_logits,
-    forward,
     init_parameters,
 )
 from .tensor import GradTape, as_tensor
@@ -259,20 +256,6 @@ def _ce_pass(view: Dataset, tag: int, cfg: EngineConfig, ascend: bool = False):
     return run_pass
 
 
-def _check_compat(params: ModelParameters, data: Dataset) -> None:
-    problems = []
-    if params.arch.input_dim != data.num_features:
-        problems.append(
-            f"model input_dim {params.arch.input_dim} != feature width {data.num_features}"
-        )
-    if params.arch.num_classes != data.num_classes:
-        problems.append(
-            f"model num_classes {params.arch.num_classes} != dataset classes {data.num_classes}"
-        )
-    if problems:
-        raise ValidationError("model does not fit the data: " + "; ".join(problems))
-
-
 def train(
     arch: ModelArchitecture, data: Dataset, cfg: EngineConfig
 ) -> tuple[ModelParameters, RunRecord]:
@@ -284,7 +267,7 @@ def train(
     per-epoch accuracy raise DivergenceError.
     """
     params = init_parameters(arch, cfg.seed)._working_copy()
-    _check_compat(params, data)
+    _check_fits(params, data)
     record = RunRecord(method="train", config=cfg.to_dict())
     run_pass = _ce_pass(data, TAG_TRAIN_BATCHES, cfg)
     start = time.perf_counter()
@@ -373,7 +356,7 @@ def unlearn_contrastive(
     whole pass finishes without a single usable anchor the task is
     reported unlearnable.
     """
-    _check_compat(params, task.train)
+    _check_fits(params, task.train)
     if cfg.loss.variant != task.kind:
         raise ValidationError(
             f"loss variant {cfg.loss.variant!r} does not match task kind {task.kind!r}"
@@ -446,7 +429,7 @@ def unlearn_finetune(
     Uses the same termination checks and epoch cap as contrastive
     unlearning so the records are comparable.
     """
-    _check_compat(params, task.train)
+    _check_fits(params, task.train)
     run_pass = _ce_pass(task.remain_train, TAG_TRAIN_BATCHES, cfg)
     return _unlearn_loop(params, task, cfg, "finetune", run_pass)
 
@@ -462,12 +445,13 @@ def unlearn_neggrad(
     the same way rather than raised: blowing up is this baseline's
     known failure mode, not a caller bug.
     """
-    _check_compat(params, task.train)
+    _check_fits(params, task.train)
     ce_cap = DIVERGENCE_FACTOR * float(np.log(task.train.num_classes))
 
     def extra_halt(params: ModelParameters) -> str | None:
         view = task.eval_unlearn
-        if cross_entropy_loss(forward(params, view.features), view.labels).item() > ce_cap:
+        logits = _head_logits(params, _encode(params, view.features))
+        if _cross_entropy(logits, view.labels).item() > ce_cap:
             return "divergence-guard"
         return None
 

@@ -18,10 +18,6 @@ class UnlearnLabError(Exception):
     """Base class for all library errors."""
 
 
-class DimensionError(UnlearnLabError):
-    """Operand shapes are incompatible for the requested operation."""
-
-
 class NonFiniteError(UnlearnLabError):
     """A public operation produced NaN or infinity."""
 
@@ -52,6 +48,11 @@ class ValidationError(UnlearnLabError):
     Where several things are wrong, the message lists every one of them,
     so a caller fixes them at once instead of one by one.
     """
+
+
+class DimensionError(ValidationError):
+    """Operand shapes are incompatible for the requested operation, or a
+    model does not fit a Dataset's width or class count."""
 
 
 class EmptyUnlearnSetError(ValidationError):

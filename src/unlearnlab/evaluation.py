@@ -28,24 +28,15 @@ from pathlib import Path
 import numpy as np
 
 from .data import Dataset, UnlearnTask, _write_csv
-from .errors import DimensionError, ValidationError, integer_problems
-from .model import ModelParameters, _encode, _head_logits, encode, forward
+from .errors import ValidationError, integer_problems
+from .model import ModelParameters, _check_fits, _encode, _head_logits
 from .tensor import NORM_EPSILON
 
 
 def accuracy(params: ModelParameters, dataset: Dataset) -> float:
     """Fraction of samples whose predicted label (``predict_labels``)
-    matches the label.
-
-    The Dataset checked its rows when it was made, so they go through the
-    cores of ``encode`` and ``head_logits`` without a copy or a second
-    check; only their width is checked against the model.
-    """
-    if dataset.num_features != params.arch.input_dim:
-        raise DimensionError(
-            f"batch width {dataset.num_features} does not match input_dim "
-            f"{params.arch.input_dim}"
-        )
+    matches the label."""
+    _check_fits(params, dataset)
     logits = _head_logits(params, _encode(params, dataset.features)).data
     return float(np.mean(np.argmax(logits, axis=1) == dataset.labels))
 
@@ -132,10 +123,11 @@ def embedding_geometry(params: ModelParameters, task: UnlearnTask) -> GeometryRe
 
     Each similarity is its own np.dot: a matrix product may round differently.
     """
+    _check_fits(params, task.train)
     remain = task.remain_train
-    remain_z = encode(params, remain.features).data
+    remain_z = _encode(params, remain.features).data
     unlearn = task.unlearn_train
-    unlearn_z = encode(params, unlearn.features).data
+    unlearn_z = _encode(params, unlearn.features).data
 
     centroids: dict[int, np.ndarray] = {}
     report = GeometryReport()
@@ -174,7 +166,8 @@ def embedding_geometry(params: ModelParameters, task: UnlearnTask) -> GeometryRe
 
 def attack_features(params: ModelParameters, dataset: Dataset) -> np.ndarray:
     """Softmax probability vectors sorted in descending order per row."""
-    logits = forward(params, dataset.features).data
+    _check_fits(params, dataset)
+    logits = _head_logits(params, _encode(params, dataset.features)).data
     shifted = logits - logits.max(axis=1, keepdims=True)
     probs = np.exp(shifted)
     probs /= probs.sum(axis=1, keepdims=True)

@@ -39,8 +39,8 @@ loss is checked by ``LossConfig``'s rule, with its message.
 ``build_contrast_sets`` and ``cross_entropy_loss`` check their inputs
 and then call their cores, ``_contrast_sets`` and ``_cross_entropy``,
 which the engine calls directly: its labels come from a Dataset whose
-class count it matched to the model's, and its embeddings from the
-encoder, which makes them unit-norm.
+class count ``model._check_fits`` matched to the model's, and its
+embeddings from the encoder, which makes them unit-norm.
 """
 from __future__ import annotations
 
@@ -63,6 +63,14 @@ from .tensor import Tensor
 VARIANTS = ("sample", "class")
 
 
+def _temperature_problems(temperature) -> list[str]:
+    """The temperature rule of LossConfig and of every loss that takes a
+    temperature directly: a problem unless it is a positive finite number."""
+    if 0 < real_or_nan(temperature) < math.inf:
+        return []
+    return [f"temperature must be a positive finite number, got {temperature!r}"]
+
+
 @dataclass(frozen=True)
 class LossConfig:
     """Temperature, term weights, and which unlearning variant to use."""
@@ -73,11 +81,7 @@ class LossConfig:
     variant: str = "sample"
 
     def __post_init__(self):
-        problems = []
-        if not 0 < real_or_nan(self.temperature) < math.inf:
-            problems.append(
-                f"temperature must be a positive finite number, got {self.temperature!r}"
-            )
+        problems = _temperature_problems(self.temperature)
         weights = {"unlearn_weight": self.unlearn_weight, "ce_weight": self.ce_weight}
         for name, value in weights.items():
             if not 0 <= real_or_nan(value) < math.inf:
@@ -158,12 +162,6 @@ def _contrast_sets(
     )
 
 
-def _check_temperature(temperature) -> None:
-    """LossConfig's temperature rule, for a temperature passed directly."""
-    if not 0 < real_or_nan(temperature) < math.inf:
-        raise ValidationError(f"temperature must be a positive finite number, got {temperature!r}")
-
-
 def _require_finite(arr: np.ndarray, what: str) -> np.ndarray:
     if not T._all_finite(arr):
         raise NonFiniteError(f"{what} is not finite")
@@ -208,7 +206,8 @@ def sample_unlearn_loss(sets: ContrastSets, temperature: float) -> Tensor:
     contribute exactly zero. Raises when no anchor is valid so the
     caller can resample the remaining batch.
     """
-    _check_temperature(temperature)
+    if problems := _temperature_problems(temperature):
+        raise ValidationError(problems[0])
     n_pos = sets.positive_counts
     n_neg = sets.negative_counts
     valid = (n_pos >= 1) & (n_neg >= 1)
@@ -248,7 +247,8 @@ def class_unlearn_loss(sets: ContrastSets, temperature: float) -> Tensor:
     Only a negative set is required; the positive-sum denominator is
     replaced by the negative count.
     """
-    _check_temperature(temperature)
+    if problems := _temperature_problems(temperature):
+        raise ValidationError(problems[0])
     n_neg = sets.negative_counts
     valid = n_neg >= 1
     if not np.logical_or.reduce(valid):

@@ -4,11 +4,19 @@ The model is a multilayer perceptron encoder whose final embedding is
 scaled to unit Euclidean norm, followed by a linear classification head.
 Normalized embeddings make dot products equal cosine similarities, which
 is what the contrastive losses operate on. One encoder pass is one tape
-entry (``tensor._encoder``). The batch is an array: the public
-``encode`` checks and copies it, then calls ``_encode``, the core the
-engine and ``evaluation.accuracy`` call directly on the rows of a
-checked Dataset; ``head_logits`` and its core ``_head_logits`` split
-the same way.
+entry (``tensor._encoder``).
+
+A model meets data in one of two ways. A raw array goes through the
+public ``encode``, ``head_logits``, ``forward`` and ``predict_labels``,
+which check its shape and finiteness and copy it. A Dataset goes
+through ``_check_fits``, the one rule that its width and class count
+are the model's (a ``DimensionError`` naming each mismatch), and then
+its rows go straight to the cores ``_encode`` and ``_head_logits``,
+with no copy and no second check: the Dataset checked and froze them
+when it was made, and its labels lie below its class count, so below
+the model's. Every library entry that runs a model on a Dataset (the
+engine's runs, ``accuracy``, ``attack_features`` and
+``embedding_geometry``) calls ``_check_fits`` and then the cores.
 
 Checkpoints are a self-describing binary container: magic bytes, format
 version, a JSON header with the architecture and tensor manifest, then
@@ -44,7 +52,7 @@ from pathlib import Path
 import numpy as np
 
 from . import tensor as T
-from .data import _replacing
+from .data import Dataset, _replacing
 from .errors import (
     CheckpointFormatError,
     CheckpointIntegrityError,
@@ -253,9 +261,27 @@ def encode(params: ModelParameters, x) -> Tensor:
     return _encode(params, T._checked_copy(x))
 
 
+def _check_fits(params: ModelParameters, data: Dataset) -> None:
+    """The one rule that data's rows may go to the cores (see the module
+    docstring): its width is input_dim and its class count num_classes.
+    A DimensionError names every mismatch."""
+    arch = params.arch
+    problems = []
+    if data.num_features != arch.input_dim:
+        problems.append(
+            f"batch width {data.num_features} does not match input_dim {arch.input_dim}"
+        )
+    if data.num_classes != arch.num_classes:
+        problems.append(
+            f"class count {data.num_classes} does not match num_classes {arch.num_classes}"
+        )
+    if problems:
+        raise DimensionError("model does not fit the data: " + "; ".join(problems))
+
+
 def _encode(params: ModelParameters, x: np.ndarray) -> Tensor:
-    """encode's core, one tape entry, without encode's copy and checks:
-    the engine calls it directly on the rows of a checked Dataset."""
+    """encode's core, one tape entry, without encode's copy and checks,
+    for the rows of a Dataset that passed ``_check_fits``."""
     return T._encoder(x, params.as_list()[:-2], params.arch.activation)
 
 
@@ -271,8 +297,8 @@ def head_logits(params: ModelParameters, z) -> Tensor:
 
 
 def _head_logits(params: ModelParameters, z: Tensor) -> Tensor:
-    """head_logits' core, one tape entry, without its conversion and check:
-    the engine and ``accuracy`` call it on the output of ``_encode``."""
+    """head_logits' core, one tape entry, without its conversion and check,
+    for the output of ``_encode``."""
     return T._dense(z, params.tensors["head.w"], params.tensors["head.b"], None)
 
 

@@ -38,9 +38,8 @@ is wrapped without a copy; only the public ``Tensor(...)`` and
 unshared; ``dense`` takes ``x`` through ``as_tensor``, as it takes
 ``w`` and ``b``, checks the shapes and the activation, then calls its
 core ``_dense``, which ``model._head_logits`` calls directly.
-``_encoder`` takes only an array batch its caller has checked
-(``model.encode`` checks and copies it, the engine and ``accuracy``
-pass rows of a checked Dataset) and tapes it as a constant.
+``_encoder`` takes only an array batch its caller has checked (see
+``model``) and tapes it as a constant.
 """
 from __future__ import annotations
 

@@ -13,6 +13,7 @@ import unlearnlab as ul
 from composed_ops import datasets_equal
 from unlearnlab.cli import _build_engine_cfg, _write_json, main, resolve_config
 from unlearnlab.data import load_csv
+from unlearnlab.errors import DimensionError
 from unlearnlab.model import load_checkpoint
 
 BASE_CONFIG = {
@@ -331,6 +332,17 @@ class TestFailureModes:
             "--method", "retrain",
         )
         assert code == 2
+
+    def test_dimension_error_is_an_input_problem(self, tmp_path, monkeypatch, config_path, capsys):
+        # No command reaches one (the CLI builds the architecture from the
+        # data), but a DimensionError is a ValidationError, so it exits 2.
+        def misfit(*args):
+            raise DimensionError("model does not fit the data")
+
+        monkeypatch.setattr("unlearnlab.cli.train", misfit)
+        assert run("train", "--config", config_path, "--out", str(tmp_path / "o")) == 2
+        assert "model does not fit the data" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
 
     def test_garbage_checkpoint_is_reported(self, tmp_path, config_path, capsys):
         bad = tmp_path / "junk.ckpt"

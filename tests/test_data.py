@@ -395,6 +395,28 @@ class TestDataset:
             with pytest.raises(ValidationError, match=r"labels must lie in \[0, 2\)"):
                 Dataset(np.zeros((2, 2)), [0.0, label], 2)
 
+    @pytest.mark.parametrize(
+        "features, labels, name",
+        [
+            (np.zeros((2, 2)), np.array(["a", "b"]), "labels"),
+            (np.zeros((2, 2)), None, "labels"),
+            (np.zeros((2, 2)), [2**70, 0], "labels"),
+            (np.zeros((2, 2)), ["1", "0"], "labels"),
+            (np.zeros((2, 2)), [True, False], "labels"),
+            ([[1.0, 2.0], [1.0]], [0, 1], "features"),
+            (np.array([[1 + 1j, 0.0], [0.0, 0.0]]), [0, 1], "features"),
+        ],
+        ids=["str-labels", "none-labels", "object-labels", "numeric-str-labels",
+             "bool-labels", "ragged-features", "complex-features"],
+    )
+    def test_only_real_number_arrays_accepted(self, features, labels, name):
+        # Each was a bare numpy error, a ComplexWarning (the imaginary part
+        # dropped outside a warnings filter) or, for "1" and True, accepted.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValidationError, match=f"{name} must be an array of real numbers"):
+                Dataset(features, labels, 2)
+
     def test_integral_float_labels_accepted(self):
         ds = Dataset(np.zeros((3, 2)), [0.0, 1.0, 1.0], np.int64(2))
         assert ds.labels.dtype == np.int64 and np.array_equal(ds.labels, [0, 1, 1])
@@ -546,6 +568,13 @@ class TestTaskValidation:
                 )
         with pytest.raises(ValidationError, match="integers"):
             make_task(train, test, TaskSpec(kind="sample", sample_indices=(1.9, 3.5)))
+
+    @pytest.mark.parametrize("bad", ["a", None])
+    def test_non_numeric_explicit_indices_rejected(self, bad):
+        # Checked before the sort, which raised a bare TypeError on them.
+        train, test = generate_synthetic(3, 4, 10, 5, seed=0)
+        with pytest.raises(ValidationError, match="unlearning indices must be integers"):
+            make_task(train, test, TaskSpec(kind="sample", sample_indices=(bad, 1)))
 
     def test_evaluation_indices_range_checked(self):
         train, test = generate_synthetic(3, 4, 10, 5, seed=0)

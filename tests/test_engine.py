@@ -14,6 +14,7 @@ from unlearnlab.engine import (
     check_termination_sample,
 )
 from unlearnlab.errors import (
+    DimensionError,
     DivergenceError,
     NonFiniteError,
     UnlearnableConfigurationError,
@@ -146,6 +147,17 @@ class TestTrain:
         wrong = ul.ModelArchitecture(input_dim=5, hidden=(8,), embedding_dim=4, num_classes=2)
         with pytest.raises(ValidationError):
             ul.train(wrong, train, cfg)
+
+    def test_fit_error_is_the_shared_dimension_error(self):
+        train, _, cfg = small_setup()
+        wrong = ul.ModelArchitecture(input_dim=5, hidden=(8,), embedding_dim=4, num_classes=3)
+        with pytest.raises(DimensionError) as exc:
+            ul.train(wrong, train, cfg)
+        assert isinstance(exc.value, ValidationError)
+        assert str(exc.value) == (
+            "model does not fit the data: batch width 2 does not match input_dim 5; "
+            "class count 2 does not match num_classes 3"
+        )
 
     def test_divergence_is_reported(self):
         train, _, _ = small_setup()
@@ -385,6 +397,16 @@ class TestTerminationPredicates:
 
 
 class TestUnlearnLoop:
+    @pytest.mark.parametrize(
+        "run", [ul.unlearn_contrastive, ul.unlearn_finetune, ul.unlearn_neggrad]
+    )
+    def test_a_model_of_another_class_count_is_refused(self, run):
+        train, test, cfg = small_setup()
+        task = ul.make_task(train, test, ul.TaskSpec(kind="sample", sample_count=5))
+        arch = ul.ModelArchitecture(input_dim=2, hidden=(8,), embedding_dim=4, num_classes=3)
+        with pytest.raises(DimensionError, match="class count 2 does not match num_classes 3"):
+            run(ul.init_parameters(arch, seed=0), task, cfg)
+
     def test_zero_epoch_cap_is_a_no_op(self):
         model, task = impossible_task()
         cfg = ul.EngineConfig(seed=0, batch_size=4, max_unlearn_epochs=0, learning_rate=1e-12)

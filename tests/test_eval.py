@@ -65,6 +65,49 @@ class TestAccuracy:
             accuracy(params, narrow)
 
 
+class TestFitRule:
+    """Every entry that runs a model on a Dataset refuses one that does not
+    fit it, by ``model._check_fits``: a DimensionError, which is a
+    ValidationError, naming each mismatch."""
+
+    @staticmethod
+    def four_class_task():
+        train, test = ul.generate_synthetic(4, 4, 50, 20, seed=0)
+        return ul.make_task(train, test, ul.TaskSpec(kind="class", class_id=3))
+
+    def test_dimension_error_is_a_validation_error(self):
+        assert issubclass(DimensionError, ValidationError)
+
+    @pytest.mark.parametrize(
+        "entry",
+        [
+            lambda p, task: accuracy(p, task.test),
+            lambda p, task: attack_features(p, task.test),
+            evaluate,
+            embedding_geometry,
+            run_mia,
+        ],
+        ids=["accuracy", "attack_features", "evaluate", "embedding_geometry", "run_mia"],
+    )
+    def test_class_count_mismatch_is_refused(self, entry):
+        # A 3-class model on 4-class data: the rows fit, the labels do not.
+        params = ul.init_parameters(ARCH3, seed=0)
+        message = "class count 4 does not match num_classes 3"
+        with pytest.raises(DimensionError, match=message) as exc:
+            entry(params, self.four_class_task())
+        assert isinstance(exc.value, ValidationError)
+
+    def test_every_mismatch_is_named(self):
+        arch = ul.ModelArchitecture(input_dim=5, hidden=(8,), embedding_dim=4, num_classes=3)
+        params = ul.init_parameters(arch, seed=0)
+        with pytest.raises(DimensionError) as exc:
+            accuracy(params, self.four_class_task().test)
+        assert str(exc.value) == (
+            "model does not fit the data: batch width 4 does not match input_dim 5; "
+            "class count 4 does not match num_classes 3"
+        )
+
+
 class TestEvaluate:
     def test_class_task_views_and_deltas(self):
         train, test, params = small_world()
@@ -116,6 +159,33 @@ class TestGeometry:
             rows = list(csv.reader(fh))
         assert rows[0] == ["sample_index", "label", "own_class_similarity", "max_other_similarity"]
         assert len(rows) == 16
+
+    @pytest.mark.parametrize(
+        "spec",
+        [ul.TaskSpec(kind="class", class_id=1), ul.TaskSpec(kind="sample", sample_count=15)],
+        ids=["class", "sample"],
+    )
+    def test_similarities_bit_identical_to_the_public_encode(self, spec):
+        # Oracle: the public encode of each view, one np.dot per sample and
+        # centroid; repr tells every float apart, -0.0 from 0.0 too.
+        train, test, params = small_world()
+        task = ul.make_task(train, test, spec)
+        remain_z = ul.encode(params, task.remain_train.features).data
+        centroids = {}
+        for c in range(3):
+            rows = remain_z[task.remain_train.labels == c]
+            if rows.shape[0]:
+                mean = rows.mean(axis=0)
+                centroids[c] = mean / np.linalg.norm(mean)
+        want = []
+        for z, label in zip(ul.encode(params, task.unlearn_train.features).data,
+                            task.unlearn_train.labels):
+            sims = {c: float(np.dot(z, centroid)) for c, centroid in centroids.items()}
+            own = sims.pop(int(label), None)
+            want.append((repr(own), repr(max(sims.values()))))
+        report = embedding_geometry(params, task)
+        columns = ("own_class_similarity", "max_other_similarity")
+        assert [tuple(repr(row[c]) for c in columns) for row in report.rows] == want
 
     def test_failed_write_keeps_the_old_file(self, tmp_path):
         train, test, params = small_world()
@@ -186,6 +256,17 @@ class TestAttackFeatures:
         assert np.allclose(
             attack_features(params, train), attack_features(permuted, train), atol=1e-12
         )
+
+    def test_bit_identical_to_the_public_forward(self):
+        # The Dataset's rows go through the cores; the public forward copies
+        # and checks them first, to the same bits.
+        train, _, params = small_world()
+        logits = ul.forward(params, train.features).data
+        probs = np.exp(logits - logits.max(axis=1, keepdims=True))
+        probs /= probs.sum(axis=1, keepdims=True)
+        want = np.sort(probs, axis=1)[:, ::-1]
+        got = attack_features(params, train)
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
 
 
 class TestAttackModel:
