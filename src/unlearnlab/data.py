@@ -31,10 +31,13 @@ import numpy as np
 
 from .errors import (
     ConfigurationError,
+    DimensionError,
     EmptyUnlearnSetError,
     ParseError,
     ValidationError,
+    integer_array,
     integer_problems,
+    real_array,
     real_or_nan,
 )
 
@@ -49,8 +52,12 @@ TAG_REMAIN_SAMPLER = 3
 TAG_TASK_SELECT = 4
 TAG_EVAL_SUBSET = 5
 
-# Largest label a CSV row may carry: labels are stored as int64.
+# Largest label a CSV row may carry, as labels are stored as int64, and
+# largest count generate_synthetic takes.
 _LABEL_MAX = np.iinfo(np.int64).max
+
+# What a test split fits, in _check_fits' terms: its train split's sizes.
+_SPLITS = ("test split does not fit the train split", "train width", "train class count")
 
 
 class Dataset:
@@ -58,20 +65,13 @@ class Dataset:
 
     def __init__(self, features: np.ndarray, labels: np.ndarray, num_classes: int):
         problems = integer_problems(num_classes=(num_classes, 2))
-        features = _real_array(features, "features", problems)
-        labels = _real_array(labels, "labels", problems)
+        features = real_array(features, "features", problems)
+        labels = real_array(labels, "labels", problems)
         if features is None or labels is None:
             raise ValidationError("invalid dataset: " + "; ".join(problems))
         features = features.astype(np.float64, order="C")
-        # Labels are checked, integrality and range, before the int64 cast,
-        # which would truncate 1.7 to 1, warn on NaN or on a whole float
-        # past int64, and wrap an unsigned one past it.
-        if labels.dtype.kind == "f" and not np.all(
-            np.isfinite(labels) & (labels == np.trunc(labels))
-        ):
-            problems.append("labels must be integers")
-        elif not problems and labels.size and (labels.min() < 0 or labels.max() >= num_classes):
-            problems.append(f"labels must lie in [0, {num_classes})")
+        # The labels as int64; without a valid class count, still checked whole.
+        whole = integer_array(labels, "labels", problems, _LABEL_MAX if problems else num_classes)
         if features.ndim != 2:
             problems.append("features must be a rank-2 array")
         elif features.shape[0] < 1:
@@ -82,11 +82,10 @@ class Dataset:
             problems.append("features must be finite")
         if problems:
             raise ValidationError("invalid dataset: " + "; ".join(problems))
-        labels = labels.astype(np.int64)
         features.flags.writeable = False
-        labels.flags.writeable = False
+        whole.flags.writeable = False
         self.features = features
-        self.labels = labels
+        self.labels = whole
         self.num_classes = int(num_classes)
 
     def __len__(self) -> int:
@@ -97,34 +96,43 @@ class Dataset:
         return self.features.shape[1]
 
     def subset(self, indices: np.ndarray) -> "Dataset":
-        indices = np.asarray(indices, dtype=np.int64)
+        indices = _row_indices(indices, self, "subset")
         return Dataset(self.features[indices], self.labels[indices], self.num_classes)
 
     def class_indices(self, class_id: int) -> np.ndarray:
+        if problems := integer_problems(class_id=(class_id, 0, self.num_classes - 1)):
+            raise ValidationError(problems[0])
         return np.flatnonzero(self.labels == class_id)
 
 
-def _real_array(values, name: str, problems: list[str]) -> np.ndarray | None:
-    """values as an array of integers or floats, or None after appending a
-    problem naming it. Bools, strings, objects (an int past int64 among
-    them) and complex numbers are not real numbers here, and neither are
-    values numpy cannot make one array of, such as ragged rows."""
-    try:
-        arr = np.asarray(values)
-    except (ValueError, TypeError):
-        arr = None
-    if arr is None or arr.dtype.kind not in "iuf":
-        problems.append(f"{name} must be an array of real numbers")
-        return None
-    return arr
+def _check_fits(
+    data: Dataset,
+    width: int,
+    num_classes: int,
+    against=("model does not fit the data", "input_dim", "num_classes"),
+) -> None:
+    """The one rule that data fits a model, or a test split its train
+    split: its width is width and its class count num_classes. against is
+    the message's subject and the names of the two sizes, a model's by
+    default. A DimensionError names every mismatch."""
+    subject, width_name, k_name = against
+    problems = []
+    if data.num_features != width:
+        problems.append(f"batch width {data.num_features} does not match {width_name} {width}")
+    if data.num_classes != num_classes:
+        problems.append(f"class count {data.num_classes} does not match {k_name} {num_classes}")
+    if problems:
+        raise DimensionError(f"{subject}: " + "; ".join(problems))
 
 
 def standardize_pair(train: Dataset, test: Dataset) -> tuple[Dataset, Dataset]:
     """Standardize both splits with the train split's column means and stds.
 
-    Constant columns carry no information; they are centred but left
-    unscaled instead of dividing by zero.
+    The test split must fit the train split (``_check_fits``). Constant
+    columns carry no information; they are centred but left unscaled
+    instead of dividing by zero.
     """
+    _check_fits(test, train.num_features, train.num_classes, _SPLITS)
     mean = train.features.mean(axis=0)
     std = train.features.std(axis=0)
     std = np.where(std < 1e-8, 1.0, std)
@@ -190,10 +198,10 @@ def generate_synthetic(
     classes are. Train and test are drawn independently.
     """
     problems = integer_problems(
-        num_classes=(num_classes, 2),
-        dim=(dim, 2),
-        per_class_train=(per_class_train, 1),
-        per_class_test=(per_class_test, 1),
+        num_classes=(num_classes, 2, _LABEL_MAX),
+        dim=(dim, 2, _LABEL_MAX),
+        per_class_train=(per_class_train, 1, _LABEL_MAX),
+        per_class_test=(per_class_test, 1, _LABEL_MAX),
         seed=(seed, 0),
     )
     # The means are placed 4 * spread apart; NaN, inf or an overflowing
@@ -402,22 +410,10 @@ class Batch:
 
 
 def _row_indices(values, split: Dataset, what: str) -> np.ndarray:
-    """values as int64 row indices of split; one outside int64 is out of range
-    too. A non-integral value, such as 1.5 or NaN, is rejected, not truncated.
-    """
-    out_of_range = ValidationError(f"{what} indices must lie in [0, {len(split)})")
-    not_integral = ValidationError(f"{what} indices must be integers")
-    try:
-        idx = np.asarray(values, dtype=np.int64)
-    except OverflowError:
-        raise out_of_range from None
-    except (ValueError, TypeError):
-        raise not_integral from None
-    if idx.size and (idx.min() < 0 or idx.max() >= len(split)):
-        raise out_of_range
-    if not np.array_equal(idx, values):
-        raise not_integral
-    return idx
+    """values as int64 row indices of split, by ``errors.integer_array``:
+    a non-integral value, such as 1.5 or NaN, a bool or a negative index is
+    a ValidationError, never a row."""
+    return integer_array(values, f"{what} indices", ValidationError, len(split))
 
 
 class UnlearnTask:
@@ -444,7 +440,7 @@ class UnlearnTask:
         eval_unlearn_idx: np.ndarray | None = None,
         eval_test_idx: np.ndarray | None = None,
     ):
-        if kind not in ("class", "sample"):
+        if not isinstance(kind, str) or kind not in ("class", "sample"):
             raise ValidationError(f"unknown task kind {kind!r}")
         if kind == "class" and class_id is None:
             raise ValidationError("class task requires class_id")
@@ -509,15 +505,15 @@ class UnlearnTask:
 def make_task(train: Dataset, test: Dataset, spec: TaskSpec) -> UnlearnTask:
     """Partition a train/test pair according to a task spec.
 
-    The evaluation subset of a sample task is drawn from the sorted
-    unlearning indices, and the UnlearnTask constructor checks both, so
-    invalid explicit indices are rejected there. A sample_count that is
+    The test split must fit the train split (``_check_fits``). The
+    evaluation subset of a sample task is drawn from the sorted unlearning
+    indices, and the UnlearnTask constructor checks both, so invalid
+    explicit indices are rejected there. A sample_count that is
     not an integer >= 1 raises EmptyUnlearnSetError.
     """
-    if train.num_classes != test.num_classes:
-        raise ValidationError("train and test disagree on the number of classes")
-    if train.num_features != test.num_features:
-        raise ValidationError("train and test disagree on the feature width")
+    _check_fits(test, train.num_features, train.num_classes, _SPLITS)
+    if not isinstance(spec.kind, str) or spec.kind not in ("class", "sample"):
+        raise ValidationError(f"unknown task kind {spec.kind!r}")
     problems = integer_problems(seed=(spec.seed, 0))
     if spec.kind == "class":
         problems += integer_problems(class_id=(spec.class_id, 0, train.num_classes - 1))
@@ -536,27 +532,24 @@ def make_task(train: Dataset, test: Dataset, spec: TaskSpec) -> UnlearnTask:
             )
         return UnlearnTask(train, test, "class", u_tr, class_id=spec.class_id)
 
-    if spec.kind == "sample":
-        if spec.sample_indices is not None:
-            u_tr = np.sort(_row_indices(spec.sample_indices, train, "unlearning"))
-        else:
-            if problems := integer_problems(sample_count=(spec.sample_count, 1)):
-                raise EmptyUnlearnSetError("invalid task: " + problems[0])
-            if spec.sample_count > len(train):
-                raise ValidationError(
-                    f"sample_count {spec.sample_count} exceeds train size {len(train)}"
-                )
-            rng = np.random.default_rng([spec.seed, TAG_TASK_SELECT])
-            u_tr = np.sort(rng.choice(len(train), size=spec.sample_count, replace=False))
-        eval_rng = np.random.default_rng([spec.seed, TAG_EVAL_SUBSET])
-        eval_u = np.sort(eval_rng.choice(u_tr, size=min(u_tr.size, EVAL_CAP), replace=False))
-        n_ts_eval = min(len(test), EVAL_CAP)
-        eval_ts = np.sort(eval_rng.choice(len(test), size=n_ts_eval, replace=False))
-        return UnlearnTask(
-            train, test, "sample", u_tr, eval_unlearn_idx=eval_u, eval_test_idx=eval_ts
-        )
-
-    raise ValidationError(f"unknown task kind {spec.kind!r}")
+    if spec.sample_indices is not None:
+        u_tr = np.sort(_row_indices(spec.sample_indices, train, "unlearning"), axis=None)
+    else:
+        if problems := integer_problems(sample_count=(spec.sample_count, 1)):
+            raise EmptyUnlearnSetError("invalid task: " + problems[0])
+        if spec.sample_count > len(train):
+            raise ValidationError(
+                f"sample_count {spec.sample_count} exceeds train size {len(train)}"
+            )
+        rng = np.random.default_rng([spec.seed, TAG_TASK_SELECT])
+        u_tr = np.sort(rng.choice(len(train), size=spec.sample_count, replace=False))
+    eval_rng = np.random.default_rng([spec.seed, TAG_EVAL_SUBSET])
+    eval_u = np.sort(eval_rng.choice(u_tr, size=min(u_tr.size, EVAL_CAP), replace=False))
+    n_ts_eval = min(len(test), EVAL_CAP)
+    eval_ts = np.sort(eval_rng.choice(len(test), size=n_ts_eval, replace=False))
+    return UnlearnTask(
+        train, test, "sample", u_tr, eval_unlearn_idx=eval_u, eval_test_idx=eval_ts
+    )
 
 
 def batches(view: Dataset, batch_size: int, seed) -> list[Batch]:
@@ -566,7 +559,7 @@ def batches(view: Dataset, batch_size: int, seed) -> list[Batch]:
     per epoch. The seed is an integer >= 0 or a sequence of them, such as
     the engine's [seed, tag, epoch].
     """
-    if isinstance(seed, (list, tuple, np.ndarray)):
+    if isinstance(seed, (list, tuple)) or isinstance(seed, np.ndarray) and seed.ndim:
         seeds = {f"seed[{i}]": (s, 0) for i, s in enumerate(seed)}
     else:
         seeds = {"seed": (seed, 0)}
@@ -588,9 +581,13 @@ def sample_remaining(task: UnlearnTask, batch_size: int, rng: np.random.Generato
     the engine resamples remaining batches within an epoch.
     """
     remain = task.remain_train
-    if len(remain) < batch_size:
-        raise ConfigurationError(
-            f"remaining train view has {len(remain)} rows, need >= {batch_size}"
-        )
+    # The count rule runs only where the plain test fails, off the engine's step.
+    if type(batch_size) is not int or not 1 <= batch_size <= len(remain):
+        if problems := integer_problems(batch_size=(batch_size, 1)):
+            raise ValidationError(problems[0])
+        if batch_size > len(remain):
+            raise ConfigurationError(
+                f"remaining train view has {len(remain)} rows, need >= {batch_size}"
+            )
     idx = rng.choice(len(remain), size=batch_size, replace=False)
     return Batch(remain.features[idx], remain.labels[idx], idx)

@@ -18,7 +18,7 @@ fine-tuning on the remaining data, and gradient ascent on the
 unlearning data (with a divergence guard).
 
 Every batch a step sees is drawn from a Dataset that each run first
-holds to ``model._check_fits``, so the steps call the cores of
+holds to ``data._check_fits``, so the steps call the cores of
 ``encode``, ``head_logits``, ``build_contrast_sets`` and
 ``cross_entropy_loss`` directly (see ``model``).
 
@@ -40,6 +40,7 @@ from .data import (
     TAG_UNLEARN_BATCHES,
     Dataset,
     UnlearnTask,
+    _check_fits,
     batches,
     sample_remaining,
 )
@@ -65,7 +66,6 @@ from .losses import (
 from .model import (
     ModelArchitecture,
     ModelParameters,
-    _check_fits,
     _encode,
     _head_logits,
     init_parameters,
@@ -113,6 +113,8 @@ class EngineConfig:
             problems.append(
                 f"learning_rate must be a positive finite number, got {self.learning_rate!r}"
             )
+        if not isinstance(self.loss, LossConfig):
+            problems.append(f"loss must be a LossConfig, got {self.loss!r}")
         if problems:
             raise ValidationError("invalid engine config: " + "; ".join(problems))
         # Plain ints and a Python learning rate, so that to_dict is JSON, as
@@ -267,7 +269,7 @@ def train(
     per-epoch accuracy raise DivergenceError.
     """
     params = init_parameters(arch, cfg.seed)._working_copy()
-    _check_fits(params, data)
+    _check_fits(data, params.arch.input_dim, params.arch.num_classes)
     record = RunRecord(method="train", config=cfg.to_dict())
     run_pass = _ce_pass(data, TAG_TRAIN_BATCHES, cfg)
     start = time.perf_counter()
@@ -356,7 +358,7 @@ def unlearn_contrastive(
     whole pass finishes without a single usable anchor the task is
     reported unlearnable.
     """
-    _check_fits(params, task.train)
+    _check_fits(task.train, params.arch.input_dim, params.arch.num_classes)
     if cfg.loss.variant != task.kind:
         raise ValidationError(
             f"loss variant {cfg.loss.variant!r} does not match task kind {task.kind!r}"
@@ -429,7 +431,7 @@ def unlearn_finetune(
     Uses the same termination checks and epoch cap as contrastive
     unlearning so the records are comparable.
     """
-    _check_fits(params, task.train)
+    _check_fits(task.train, params.arch.input_dim, params.arch.num_classes)
     run_pass = _ce_pass(task.remain_train, TAG_TRAIN_BATCHES, cfg)
     return _unlearn_loop(params, task, cfg, "finetune", run_pass)
 
@@ -445,7 +447,7 @@ def unlearn_neggrad(
     the same way rather than raised: blowing up is this baseline's
     known failure mode, not a caller bug.
     """
-    _check_fits(params, task.train)
+    _check_fits(task.train, params.arch.input_dim, params.arch.num_classes)
     ce_cap = DIVERGENCE_FACTOR * float(np.log(task.train.num_classes))
 
     def extra_halt(params: ModelParameters) -> str | None:

@@ -2,9 +2,27 @@
 
 Everything derives from UnlearnLabError so callers can catch library
 failures in one clause. A validation error names every offending field
-in its message when more than one thing is wrong; ``integer_problems``
-checks every count and seed, and every real-valued setting is read
-through ``real_or_nan`` and stored through ``plain_number``.
+in its message when more than one thing is wrong.
+
+What a caller may pass is decided here, by four rules:
+
+- ``integer_problems`` checks every count and seed;
+- every real-valued setting is read through ``real_or_nan`` and stored
+  through ``plain_number``;
+- ``real_array`` takes every array of real numbers (features, a batch,
+  tensor values, parameters): an array numpy makes of integers or
+  floats, never one of bools, strings, objects (an int past the int64
+  range among them) or complex numbers, nor values numpy cannot make
+  one array of, such as ragged rows;
+- ``integer_array`` takes every array of whole numbers (labels and row
+  indices): a real array of integers, or of finite integral floats, in
+  ``[0, stop)``, checked before the int64 cast, which would truncate 1.7
+  to 1, warn on NaN or on a float past int64 and wrap an unsigned value
+  past it.
+
+Both array rules return the array, or report a problem naming the
+argument: appended to a list of problems, so that an entry can list
+every one of them, or raised as the entry's error type.
 """
 from __future__ import annotations
 
@@ -114,3 +132,39 @@ def real_or_nan(value) -> float:
         return float(value)
     except OverflowError:
         return math.inf if value > 0 else -math.inf
+
+
+def real_array(values, name: str, problems) -> np.ndarray | None:
+    """values as an array of integers or floats (see the module docstring).
+    Otherwise "<name> must be an array of real numbers" is appended to
+    problems, a list, and None returned, or, where problems is an error
+    type, raised as one."""
+    try:
+        arr = np.asarray(values)
+    except (ValueError, TypeError):
+        arr = None
+    if arr is not None and arr.dtype.kind in "iuf":
+        return arr
+    message = f"{name} must be an array of real numbers"
+    if not isinstance(problems, list):
+        raise problems(message)
+    problems.append(message)
+
+
+def integer_array(values, name: str, problems, stop=np.iinfo(np.int64).max) -> np.ndarray | None:
+    """values as a fresh int64 array of whole numbers in [0, stop) (see the
+    module docstring). A value that is not a real number, or not whole, is
+    reported as "<name> must be integers", one outside the range as
+    "<name> must lie in [0, stop)"; problems is as for ``real_array``."""
+    arr = real_array(values, name, [])
+    if arr is None or arr.dtype.kind == "f" and not np.all(
+        np.isfinite(arr) & (arr == np.trunc(arr))
+    ):
+        message = f"{name} must be integers"
+    elif arr.size and (arr.min() < 0 or arr.max() >= stop):
+        message = f"{name} must lie in [0, {stop})"
+    else:
+        return arr.astype(np.int64)
+    if not isinstance(problems, list):
+        raise problems(message)
+    problems.append(message)

@@ -27,16 +27,16 @@ from pathlib import Path
 
 import numpy as np
 
-from .data import Dataset, UnlearnTask, _write_csv
-from .errors import ValidationError, integer_problems
-from .model import ModelParameters, _check_fits, _encode, _head_logits
+from .data import Dataset, UnlearnTask, _check_fits, _write_csv
+from .errors import ValidationError, integer_array, integer_problems, real_array
+from .model import ModelParameters, _encode, _head_logits
 from .tensor import NORM_EPSILON
 
 
 def accuracy(params: ModelParameters, dataset: Dataset) -> float:
     """Fraction of samples whose predicted label (``predict_labels``)
     matches the label."""
-    _check_fits(params, dataset)
+    _check_fits(dataset, params.arch.input_dim, params.arch.num_classes)
     logits = _head_logits(params, _encode(params, dataset.features)).data
     return float(np.mean(np.argmax(logits, axis=1) == dataset.labels))
 
@@ -123,7 +123,7 @@ def embedding_geometry(params: ModelParameters, task: UnlearnTask) -> GeometryRe
 
     Each similarity is its own np.dot: a matrix product may round differently.
     """
-    _check_fits(params, task.train)
+    _check_fits(task.train, params.arch.input_dim, params.arch.num_classes)
     remain = task.remain_train
     remain_z = _encode(params, remain.features).data
     unlearn = task.unlearn_train
@@ -166,7 +166,7 @@ def embedding_geometry(params: ModelParameters, task: UnlearnTask) -> GeometryRe
 
 def attack_features(params: ModelParameters, dataset: Dataset) -> np.ndarray:
     """Softmax probability vectors sorted in descending order per row."""
-    _check_fits(params, dataset)
+    _check_fits(dataset, params.arch.input_dim, params.arch.num_classes)
     logits = _head_logits(params, _encode(params, dataset.features)).data
     shifted = logits - logits.max(axis=1, keepdims=True)
     probs = np.exp(shifted)
@@ -200,25 +200,25 @@ def fit_attack_model(features: np.ndarray, labels: np.ndarray) -> AttackModel:
     """Fit the logistic attack by minimizing log-loss plus an ATTACK_L2 ridge.
 
     The ridge term keeps the optimum finite on separable data; the zero
-    start and deterministic L-BFGS-B make refits bit-identical. Empty or
-    non-finite features raise ValidationError: the fit would otherwise
-    stop at its zero start, an attack that calls nothing a member.
+    start and deterministic L-BFGS-B make refits bit-identical. Features
+    go through ``errors.real_array`` and labels, 0 (non-member) or 1
+    (member), through ``errors.integer_array``. Empty or non-finite
+    features raise ValidationError: the fit would otherwise stop at its
+    zero start, an attack that calls nothing a member.
     """
     # scipy is imported here, not with the module, so that only the
     # commands that run the attack pay for its import.
     from scipy.optimize import minimize
     from scipy.special import expit
 
-    features = np.asarray(features, dtype=np.float64)
-    labels = np.asarray(labels, dtype=np.float64)
+    features = real_array(features, "attack features", ValidationError)
+    labels = integer_array(labels, "attack labels", ValidationError, 2)
     if features.ndim != 2 or labels.shape != (features.shape[0],):
         raise ValidationError("attack features must be rank 2 with one label per row")
     if features.shape[0] == 0:
         raise ValidationError("attack features must have at least one row")
     if not np.isfinite(features).all():
         raise ValidationError("attack features must be finite")
-    if not (set(np.unique(labels)) <= {0.0, 1.0}):
-        raise ValidationError("attack labels must be 0 (non-member) or 1 (member)")
     signs = 2.0 * labels - 1.0
 
     def objective(w):

@@ -39,7 +39,7 @@ loss is checked by ``LossConfig``'s rule, with its message.
 ``build_contrast_sets`` and ``cross_entropy_loss`` check their inputs
 and then call their cores, ``_contrast_sets`` and ``_cross_entropy``,
 which the engine calls directly: its labels come from a Dataset whose
-class count ``model._check_fits`` matched to the model's, and its
+class count ``data._check_fits`` matched to the model's, and its
 embeddings from the encoder, which makes them unit-norm.
 """
 from __future__ import annotations
@@ -55,6 +55,7 @@ from .errors import (
     NoValidAnchorError,
     NonFiniteError,
     ValidationError,
+    integer_array,
     plain_number,
     real_or_nan,
 )
@@ -88,7 +89,7 @@ class LossConfig:
                 problems.append(f"{name} must be a finite number >= 0, got {value!r}")
         if sum(map(real_or_nan, weights.values())) <= 0:
             problems.append("at least one term weight must be positive")
-        if self.variant not in VARIANTS:
+        if not isinstance(self.variant, str) or self.variant not in VARIANTS:
             problems.append(f"variant must be one of {VARIANTS}")
         if problems:
             raise ValidationError("invalid loss config: " + "; ".join(problems))
@@ -127,15 +128,15 @@ def build_contrast_sets(
     remaining_embeddings: Tensor,
 ) -> ContrastSets:
     """Label-equality masks pairing each anchor with the remaining batch."""
-    anchor_labels = np.asarray(anchor_labels, dtype=np.int64)
-    remaining_labels = np.asarray(remaining_labels, dtype=np.int64)
+    anchor_labels = integer_array(anchor_labels, "anchor labels", ContractError)
+    remaining_labels = integer_array(remaining_labels, "remaining labels", ContractError)
     anchor_embeddings = T.as_tensor(anchor_embeddings)
     remaining_embeddings = T.as_tensor(remaining_embeddings)
     if anchor_embeddings.ndim != 2 or remaining_embeddings.ndim != 2:
         raise ContractError("embeddings must be rank-2 batches")
-    if anchor_embeddings.shape[0] != anchor_labels.shape[0]:
+    if anchor_labels.shape != anchor_embeddings.shape[:1]:
         raise ContractError("one label per anchor row is required")
-    if remaining_embeddings.shape[0] != remaining_labels.shape[0]:
+    if remaining_labels.shape != remaining_embeddings.shape[:1]:
         raise ContractError("one label per remaining row is required")
     if anchor_embeddings.shape[1] != remaining_embeddings.shape[1]:
         raise ContractError("anchor and remaining embeddings disagree on width")
@@ -273,16 +274,14 @@ def class_unlearn_loss(sets: ContrastSets, temperature: float) -> Tensor:
 def cross_entropy_loss(logits: Tensor, labels: np.ndarray) -> Tensor:
     """Mean softmax cross-entropy over a batch of logits."""
     logits = T.as_tensor(logits)
-    labels = np.asarray(labels, dtype=np.int64)
     if logits.ndim != 2:
         raise ContractError(f"logits must be rank 2, got shape {logits.shape}")
     batch, num_classes = logits.shape
     if batch == 0:
         raise ContractError("cross-entropy of an empty batch")
+    labels = integer_array(labels, "labels", ContractError, num_classes)
     if labels.shape != (batch,):
         raise ContractError("one label per logits row is required")
-    if np.minimum.reduce(labels) < 0 or np.maximum.reduce(labels) >= num_classes:
-        raise ContractError(f"labels must lie in [0, {num_classes})")
     return _cross_entropy(logits, labels)
 
 

@@ -8,15 +8,17 @@ entry (``tensor._encoder``).
 
 A model meets data in one of two ways. A raw array goes through the
 public ``encode``, ``head_logits``, ``forward`` and ``predict_labels``,
-which check its shape and finiteness and copy it. A Dataset goes
-through ``_check_fits``, the one rule that its width and class count
-are the model's (a ``DimensionError`` naming each mismatch), and then
-its rows go straight to the cores ``_encode`` and ``_head_logits``,
-with no copy and no second check: the Dataset checked and froze them
-when it was made, and its labels lie below its class count, so below
-the model's. Every library entry that runs a model on a Dataset (the
-engine's runs, ``accuracy``, ``attack_features`` and
-``embedding_geometry``) calls ``_check_fits`` and then the cores.
+which check that it is an array of real numbers
+(``errors.real_array``), its shape and finiteness, and copy it. A
+Dataset goes through ``data._check_fits``, the one rule that its width
+and class count are the model's (a ``DimensionError`` naming each
+mismatch), and then its rows go straight to the cores ``_encode`` and
+``_head_logits``, with no copy and no second check: the Dataset checked
+and froze them when it was made, and its labels lie below its class
+count, so below the model's. Every library entry that runs a model on a
+Dataset (the engine's runs, ``accuracy``, ``attack_features`` and
+``embedding_geometry``) calls ``_check_fits`` and then the cores; a
+train and a test split meet through the same rule.
 
 Checkpoints are a self-describing binary container: magic bytes, format
 version, a JSON header with the architecture and tensor manifest, then
@@ -60,6 +62,7 @@ from .errors import (
     NonFiniteError,
     ValidationError,
     integer_problems,
+    real_array,
 )
 from .tensor import ACTIVATIONS, Tensor
 
@@ -94,7 +97,7 @@ class ModelArchitecture:
         )
         if not hidden:
             problems.append("at least one hidden layer is required")
-        if self.activation not in ACTIVATIONS:
+        if not isinstance(self.activation, str) or self.activation not in ACTIVATIONS:
             problems.append(f"unknown activation {self.activation!r}")
         if problems:
             raise ValidationError("invalid architecture: " + "; ".join(problems))
@@ -216,13 +219,14 @@ class ModelParameters:
             raise DimensionError(
                 f"replace: got {len(new_values)} arrays for {len(layout)} parameters"
             )
+        values = []
         for (name, _, _, shape), value in zip(layout, new_values):
-            if np.shape(value) != shape:
-                raise DimensionError(
-                    f"parameter {name}: shape {np.shape(value)}, expected {shape}"
-                )
+            value = real_array(value, f"parameter {name}", ValidationError)
+            if value.shape != shape:
+                raise DimensionError(f"parameter {name}: shape {value.shape}, expected {shape}")
+            values.append(value)
         return ModelParameters._from_flat(
-            self.arch, np.concatenate(new_values, axis=None, dtype=np.float64)
+            self.arch, np.concatenate(values, axis=None, dtype=np.float64)
         )
 
 
@@ -251,32 +255,14 @@ def encode(params: ModelParameters, x) -> Tensor:
     The batch is checked, copied and then taped as a constant, so the
     tape holds no adjoint for it.
     """
-    x = np.asarray(x, dtype=np.float64)
+    x = T._checked_copy(x, "batch")
     if x.ndim != 2:
         raise DimensionError(f"expected a batch of rank 2, got shape {x.shape}")
     if x.shape[1] != params.arch.input_dim:
         raise DimensionError(
             f"batch width {x.shape[1]} does not match input_dim {params.arch.input_dim}"
         )
-    return _encode(params, T._checked_copy(x))
-
-
-def _check_fits(params: ModelParameters, data: Dataset) -> None:
-    """The one rule that data's rows may go to the cores (see the module
-    docstring): its width is input_dim and its class count num_classes.
-    A DimensionError names every mismatch."""
-    arch = params.arch
-    problems = []
-    if data.num_features != arch.input_dim:
-        problems.append(
-            f"batch width {data.num_features} does not match input_dim {arch.input_dim}"
-        )
-    if data.num_classes != arch.num_classes:
-        problems.append(
-            f"class count {data.num_classes} does not match num_classes {arch.num_classes}"
-        )
-    if problems:
-        raise DimensionError("model does not fit the data: " + "; ".join(problems))
+    return _encode(params, x)
 
 
 def _encode(params: ModelParameters, x: np.ndarray) -> Tensor:

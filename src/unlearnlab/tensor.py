@@ -54,6 +54,8 @@ from .errors import (
     DegenerateEmbeddingError,
     DimensionError,
     NonFiniteError,
+    ValidationError,
+    real_array,
 )
 
 # Row norms at or below this are treated as zero vectors.
@@ -111,9 +113,10 @@ def _all_finite(arr: np.ndarray) -> bool:
     return bool(np.logical_and.reduce(np.isfinite(arr), axis=None))
 
 
-def _checked_copy(values) -> np.ndarray:
-    """A fresh float64 copy of array-like input, checked for finiteness."""
-    arr = np.array(values, dtype=np.float64)
+def _checked_copy(values, name: str = "tensor values") -> np.ndarray:
+    """A fresh float64 copy of array-like input, checked by
+    ``errors.real_array`` and for finiteness."""
+    arr = real_array(values, name, ValidationError).astype(np.float64)
     if not _all_finite(arr):
         raise NonFiniteError("tensor constructed with non-finite entries")
     return arr
@@ -278,7 +281,7 @@ def dense(x, w, b, activation: str | None = None) -> Tensor:
     x, w, b = as_tensor(x), as_tensor(w), as_tensor(b)
     if x.ndim != 2 or w.ndim != 2 or x.shape[1] != w.shape[0] or b.shape != w.shape[1:]:
         raise DimensionError(f"dense: incompatible shapes {x.shape}, {w.shape} and {b.shape}")
-    if activation is not None and activation not in ACTIVATIONS:
+    if activation is not None and not (isinstance(activation, str) and activation in ACTIVATIONS):
         raise ContractError(f"dense: unknown activation {activation!r}")
     return _dense(x, w, b, activation)
 

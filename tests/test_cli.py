@@ -504,6 +504,28 @@ class TestFailureModes:
         assert f"error: {message}" in capsys.readouterr().err
         assert not Path("o").exists()
 
+    @pytest.mark.parametrize("command", ["train", "eval", "mia"])
+    def test_test_split_of_another_width_is_a_usage_error(
+        self, tmp_path, monkeypatch, capsys, command
+    ):
+        # A 1-column test split was broadcast to the train split's 4 columns,
+        # and all three commands exited 0; eval reported a test accuracy.
+        monkeypatch.chdir(tmp_path)
+        train, test = ul.generate_synthetic(3, 4, 40, 20, spread=2.0, seed=1)
+        ul.save_csv(train, "train.csv")
+        ul.save_csv(test, "test.csv")
+        ul.save_csv(ul.Dataset(test.features[:, :1], test.labels, 3), "narrow.csv")
+        cfg = json.loads(json.dumps(BASE_CONFIG))
+        cfg["dataset"] = {"csv": {"train": "train.csv", "test": "test.csv"}}
+        Path("cfg.json").write_text(json.dumps(cfg))
+        assert run("train", "--config", "cfg.json", "--out", "base") == 0
+        cfg["dataset"]["csv"]["test"] = "narrow.csv"
+        Path("narrow.json").write_text(json.dumps(cfg))
+        model = [] if command == "train" else ["--model", "base/model.ckpt"]
+        assert run(command, *model, "--config", "narrow.json", "--out", "o") == 2
+        assert "batch width 1 does not match train width 4" in capsys.readouterr().err
+        assert not Path("o").exists()
+
     def test_empty_out_is_a_usage_error(self, tmp_path, monkeypatch, capsys, config_path):
         # It once fell through to the config's output_dir, out/.
         monkeypatch.chdir(tmp_path)

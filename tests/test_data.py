@@ -31,6 +31,7 @@ from unlearnlab.data import (
 )
 from unlearnlab.errors import (
     ConfigurationError,
+    DimensionError,
     EmptyUnlearnSetError,
     ParseError,
     ValidationError,
@@ -144,6 +145,13 @@ class TestGeneration:
             generate_synthetic(3, 4, 10, 10, spread=0.0)
         with pytest.raises(ValidationError):
             generate_synthetic(3, 4, 0, 10)
+
+    @pytest.mark.parametrize("field", ["dim", "per_class_train", "per_class_test"])
+    def test_count_past_int64_rejected(self, field):
+        # Each was a bare ValueError from numpy's allocation.
+        settings = dict(num_classes=3, dim=2, per_class_train=4, per_class_test=2, seed=0)
+        with pytest.raises(ValidationError, match=f"{field} must be an integer in "):
+            generate_synthetic(**{**settings, field: 2**63})
 
     @pytest.mark.parametrize("spread", [float("nan"), float("inf"), 1e308])
     def test_spread_without_a_finite_distance_rejected(self, spread):
@@ -361,6 +369,38 @@ class TestStandardizer:
         assert np.array_equal(s_train.labels, train.labels)
 
 
+class TestSplitsFit:
+    # A test split of another width was standardized by broadcasting, and
+    # make_task compared the splits with a check of its own.
+    TRAIN = Dataset(np.arange(12.0).reshape(3, 4), [0, 1, 2], 3)
+
+    @pytest.mark.parametrize(
+        "test, message",
+        [
+            (Dataset(np.zeros((2, 1)), [0, 1], 3), "batch width 1 does not match train width 4"),
+            (
+                Dataset(np.zeros((2, 4)), [0, 1], 2),
+                "class count 2 does not match train class count 3",
+            ),
+            (
+                Dataset(np.zeros((2, 1)), [0, 1], 2),
+                "batch width 1 does not match train width 4; "
+                "class count 2 does not match train class count 3",
+            ),
+        ],
+        ids=["width", "class-count", "both"],
+    )
+    @pytest.mark.parametrize(
+        "entry",
+        [standardize_pair, lambda train, test: make_task(train, test, TaskSpec("class", 0))],
+        ids=["standardize_pair", "make_task"],
+    )
+    def test_test_split_must_fit_the_train_split(self, entry, test, message):
+        with pytest.raises(DimensionError) as info:
+            entry(self.TRAIN, test)
+        assert str(info.value) == "test split does not fit the train split: " + message
+
+
 class TestDataset:
     def test_validation(self, rng):
         with pytest.raises(ValidationError):
@@ -420,6 +460,31 @@ class TestDataset:
     def test_integral_float_labels_accepted(self):
         ds = Dataset(np.zeros((3, 2)), [0.0, 1.0, 1.0], np.int64(2))
         assert ds.labels.dtype == np.int64 and np.array_equal(ds.labels, [0, 1, 1])
+
+    @pytest.mark.parametrize(
+        "indices, match",
+        [
+            ([1.9], "subset indices must be integers"),
+            ([True, False], "subset indices must be integers"),
+            (["a"], "subset indices must be integers"),
+            ([-1], r"subset indices must lie in \[0, 6\)"),
+            ([10**6], r"subset indices must lie in \[0, 6\)"),
+        ],
+        ids=["fraction", "bool", "string", "negative", "past-the-end"],
+    )
+    def test_subset_takes_only_row_indices(self, indices, match):
+        # 1.9 gave row 1, -1 the last row and the bools rows 1 and 0; "a"
+        # and 10**6 were a bare ValueError and IndexError.
+        ds = Dataset(np.zeros((6, 2)), [0, 1, 0, 1, 1, 0], 2)
+        with pytest.raises(ValidationError, match=match):
+            ds.subset(indices)
+
+    @pytest.mark.parametrize("class_id", ["a", 9, 1.0, -1, True])
+    def test_class_indices_takes_a_class(self, class_id):
+        # "a" and 9 gave no rows, and 1.0 and True the rows of class 1.
+        ds = Dataset(np.zeros((6, 2)), [0, 1, 0, 1, 1, 0], 2)
+        with pytest.raises(ValidationError, match=r"class_id must be an integer in \[0, 1\]"):
+            ds.class_indices(class_id)
 
     def test_subset_and_class_indices(self, rng):
         ds = Dataset(rng.standard_normal((6, 2)), np.array([0, 1, 0, 1, 1, 0]), 2)
@@ -594,6 +659,18 @@ class TestTaskValidation:
             with pytest.raises(ValidationError, match="seed"):
                 make_task(train, test, spec)
 
+    def test_array_kind_is_named(self):
+        # Its comparison with "class" raised a bare "truth value is ambiguous".
+        train, test = generate_synthetic(3, 4, 10, 5, seed=0)
+        with pytest.raises(ValidationError, match="unknown task kind"):
+            make_task(train, test, TaskSpec(kind=np.array(["class", "sample"])))
+
+    def test_rank_0_explicit_index_is_one_row(self):
+        # np.sort of it was a bare AxisError; UnlearnTask took it already.
+        train, test = generate_synthetic(3, 4, 10, 5, seed=0)
+        task = make_task(train, test, TaskSpec(kind="sample", sample_indices=np.array(3)))
+        assert task.unlearn_train_idx.tolist() == [3]
+
     def test_incomplete_request_rejected(self):
         train, test = generate_synthetic(3, 4, 10, 5, seed=0)
         with pytest.raises(ValidationError):
@@ -632,6 +709,12 @@ class TestBatches:
         with pytest.raises(ValidationError):
             batches(train, 0, seed=0)
 
+    def test_rank_0_array_seed_is_named(self):
+        # It was iterated as a sequence of seeds: a bare TypeError.
+        train, _ = generate_synthetic(3, 4, 10, 5, seed=0)
+        with pytest.raises(ValidationError, match="seed must be an integer"):
+            batches(train, 4, seed=np.array(0))
+
 
 class TestSampleRemaining:
     def test_fresh_draws_without_replacement(self):
@@ -642,6 +725,21 @@ class TestSampleRemaining:
         b = sample_remaining(task, 16, rng)
         assert np.unique(a.indices).size == 16
         assert not np.array_equal(a.indices, b.indices)
+
+    @pytest.mark.parametrize("batch_size", [2.5, -1, 0, True, "4"])
+    def test_batch_size_follows_the_count_rule(self, batch_size):
+        # 2.5 was a bare TypeError, -1 a bare ValueError and 0 an empty batch.
+        train, test = generate_synthetic(3, 4, 10, 5, seed=0)
+        task = make_task(train, test, TaskSpec(kind="sample", sample_count=5, seed=0))
+        with pytest.raises(ValidationError, match="batch_size must be an integer >= 1"):
+            sample_remaining(task, batch_size, np.random.default_rng(0))
+
+    def test_numpy_batch_size_draws_as_an_int(self):
+        train, test = generate_synthetic(3, 4, 10, 5, seed=0)
+        task = make_task(train, test, TaskSpec(kind="sample", sample_count=5, seed=0))
+        a = sample_remaining(task, np.int64(8), np.random.default_rng(0))
+        b = sample_remaining(task, 8, np.random.default_rng(0))
+        assert np.array_equal(a.indices, b.indices)
 
     def test_batch_larger_than_remaining_rejected(self):
         train, test = generate_synthetic(3, 4, 10, 5, seed=0)

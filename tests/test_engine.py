@@ -269,6 +269,11 @@ class TestTrain:
         with pytest.raises(ValidationError, match="seed"):
             ul.EngineConfig(seed=-1)
 
+    def test_loss_must_be_a_loss_config(self):
+        # None was accepted, and a contrastive run then raised AttributeError.
+        with pytest.raises(ValidationError, match="loss must be a LossConfig, got None"):
+            ul.EngineConfig(loss=None)
+
     @pytest.mark.parametrize(
         "field",
         ["batch_size", "remaining_resamples", "max_epochs", "max_unlearn_epochs",

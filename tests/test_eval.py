@@ -294,13 +294,29 @@ class TestAttackModel:
             (np.zeros((0, 3)), np.zeros(0)),
             (np.array([[0.5, np.nan, 0.5], [0.2, 0.3, 0.5]]), np.array([1.0, 0.0])),
             (np.array([[0.5, 0.5, 0.0], [np.inf, 0.3, 0.5]]), np.array([1.0, 0.0])),
+            (np.array([["0.5", "0.5"], ["0.2", "0.3"]]), np.array([1.0, 0.0])),
         ],
-        ids=["no-rows", "nan-feature", "inf-feature"],
+        ids=["no-rows", "nan-feature", "inf-feature", "string-features"],
     )
     def test_unfittable_features_are_rejected(self, features, labels):
         # Both used to end in a RuntimeWarning and the zero-start model.
         with pytest.raises(ValidationError, match="attack features"):
             fit_attack_model(features, labels)
+
+    @pytest.mark.parametrize(
+        "labels, match",
+        [
+            (["1", "0"], "attack labels must be integers"),
+            ([True, False], "attack labels must be integers"),
+            ([1.0, 0.5], "attack labels must be integers"),
+            ([1, 2], r"attack labels must lie in \[0, 2\)"),
+        ],
+        ids=["string", "bool", "fraction", "two"],
+    )
+    def test_labels_must_be_zero_or_one(self, labels, match):
+        # The attack fitted on the strings and the bools as on 1 and 0.
+        with pytest.raises(ValidationError, match=match):
+            fit_attack_model(np.eye(2), labels)
 
     def test_no_signal_means_chance_accuracy(self, rng):
         # Two halves of the same test split: nothing to learn, accuracy

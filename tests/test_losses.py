@@ -322,6 +322,25 @@ class TestValidity:
 
 
 class TestContracts:
+    @pytest.mark.parametrize(
+        "labels, match",
+        [
+            ([0.5, 1.5], "anchor labels must be integers"),
+            (["a", "b"], "anchor labels must be integers"),
+            ([True, False], "anchor labels must be integers"),
+            ([-1, 0], r"anchor labels must lie in \[0, "),
+            (np.array(0), "one label per anchor row"),
+        ],
+        ids=["float", "string", "bool", "negative", "rank-0"],
+    )
+    def test_labels_must_be_whole_numbers(self, labels, match):
+        # Floats were truncated into masks, strings a bare ValueError and a
+        # rank-0 label a bare IndexError.
+        with pytest.raises(ContractError, match=match):
+            build_contrast_sets(
+                labels, as_tensor([[1.0, 0.0], [0.0, 1.0]]), [0], as_tensor([[1.0, 0.0]])
+            )
+
     def test_non_unit_embeddings_rejected(self):
         with pytest.raises(ContractError):
             sets_of([[2.0, 0.0]], [0], [[0.0, 1.0]], [1])
@@ -425,6 +444,17 @@ class TestCrossEntropy:
         with pytest.raises(ContractError):
             cross_entropy_loss(np.zeros((0, 3)), np.zeros(0, int))
 
+    @pytest.mark.parametrize(
+        "labels",
+        [[0.7, 1.9, 2.2, 3.5, 0.1], [True, False, True, False, True], ["0", "1", "2", "3", "0"]],
+        ids=["float", "bool", "string"],
+    )
+    def test_labels_must_be_whole_numbers(self, labels):
+        # The floats gave the loss of [0, 1, 2, 3, 0], 1.4496, the bools
+        # that of 1 and 0, and the strings a bare ValueError.
+        with pytest.raises(ContractError, match="labels must be integers"):
+            cross_entropy_loss(np.zeros((5, 4)), labels)
+
     @pytest.mark.parametrize("label", [-1, 3])
     def test_labels_out_of_range_rejected(self, label):
         # The engine's core skips this check on Dataset labels; the public
@@ -455,6 +485,11 @@ class TestCombined:
         cfg = LossConfig(unlearn_weight=0.0, ce_weight=1.0)
         got = combined_loss(as_tensor(123.0), as_tensor(0.25), cfg).item()
         assert got == pytest.approx(0.25, abs=1e-12)
+
+    def test_array_variant_is_named(self):
+        # Its membership test raised a bare "truth value is ambiguous".
+        with pytest.raises(ValidationError, match="variant must be one of"):
+            LossConfig(variant=np.array(["sample", "class"]))
 
     def test_config_validation(self):
         with pytest.raises(ValidationError):

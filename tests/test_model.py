@@ -3,6 +3,7 @@
 import copy
 import pickle
 import struct
+import warnings
 
 import numpy as np
 import pytest
@@ -73,6 +74,11 @@ class TestArchitecture:
                 input_dim=5, hidden=(7,), embedding_dim=4, num_classes=3, activation="gelu"
             )
         assert "gelu" in str(exc.value)
+
+    def test_array_activation_is_named(self):
+        # Its membership test raised a bare "truth value is ambiguous".
+        with pytest.raises(ValidationError, match="unknown activation"):
+            ModelArchitecture(5, (7,), 4, 3, activation=np.array(["relu", "tanh"]))
 
 
 class TestInit:
@@ -146,6 +152,14 @@ class TestInit:
             with pytest.raises(DimensionError):
                 params.replace(wrong)
 
+    @pytest.mark.parametrize("dtype", [str, bool], ids=["string", "bool"])
+    def test_replace_takes_only_real_number_arrays(self, dtype):
+        # Strings were a bare TypeError, and bools were taken as 0.0 and 1.0.
+        params = init_parameters(ARCH, seed=0)
+        values = [np.ones(t.shape, dtype=dtype) for t in params.as_list()]
+        with pytest.raises(ValidationError, match="parameter enc0.w must be an array of real"):
+            params.replace(values)
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_replace_rejects_non_finite_values(self, bad):
         params = init_parameters(ARCH, seed=0)
@@ -195,8 +209,28 @@ class TestForwardPass:
     def test_tensor_batch_is_refused(self, rng):
         # The batch is an array of features, never a taped value.
         params = init_parameters(ARCH, seed=1)
-        with pytest.raises(TypeError):
+        with pytest.raises(ValidationError):
             encode(params, Tensor(rng.standard_normal((3, 5))))
+
+    @pytest.mark.parametrize(
+        "batch",
+        [[["1"] * 5], np.ones((2, 5), dtype=bool), np.ones((2, 5), dtype=complex), "a"],
+        ids=["numeric-strings", "bool", "complex", "string"],
+    )
+    def test_only_real_number_batches_are_encoded(self, batch):
+        # Numeric strings and bools were encoded as numbers, a complex batch
+        # lost its imaginary part with a ComplexWarning, and "a" was a bare
+        # ValueError.
+        params = init_parameters(ARCH, seed=1)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValidationError, match="batch must be an array of real numbers"):
+                encode(params, batch)
+
+    def test_head_takes_only_real_number_embeddings(self):
+        params = init_parameters(ARCH, seed=1)
+        with pytest.raises(ValidationError, match="must be an array of real numbers"):
+            head_logits(params, [["0.1"] * 4])
 
     def test_non_finite_batch_is_rejected(self):
         params = init_parameters(ARCH, seed=1)

@@ -10,6 +10,7 @@ from unlearnlab.errors import (
     DegenerateEmbeddingError,
     DimensionError,
     NonFiniteError,
+    ValidationError,
 )
 from composed_ops import (
     add,
@@ -115,6 +116,12 @@ class TestForward:
     def test_non_finite_construction_rejected(self):
         with pytest.raises(NonFiniteError):
             Tensor([1.0, np.nan])
+
+    @pytest.mark.parametrize("values", [["1.5"], [True, False]], ids=["string", "bool"])
+    def test_only_real_numbers_construct_a_tensor(self, values):
+        # Both were taken as numbers, "1.5" as 1.5 and the bools as 1.0 and 0.0.
+        with pytest.raises(ValidationError, match="tensor values must be an array of real"):
+            Tensor(values)
 
     def test_non_finite_op_result_rejected(self):
         with np.errstate(over="ignore"):
@@ -399,6 +406,11 @@ class TestDense:
     def test_rejects_unknown_activation(self):
         with pytest.raises(ContractError):
             dense(np.ones((2, 3)), np.ones((3, 2)), np.zeros(2), "sigmoid")
+
+    def test_array_activation_is_named(self):
+        # Its membership test raised a bare "truth value is ambiguous".
+        with pytest.raises(ContractError, match="unknown activation"):
+            dense(np.ones((2, 3)), np.ones((3, 2)), np.zeros(2), np.array(["relu", "tanh"]))
 
     @pytest.mark.parametrize("activation", ACTIVATIONS)
     def test_overflow_rejected(self, activation):
