@@ -1,34 +1,17 @@
 """Train the standard desk-scale classifier and report its accuracy.
 
 Generates the four-cluster Gaussian dataset, fits the small embedding
-MLP, and prints overall and per-class accuracy. Every later demo starts
-from this same model.
+MLP (both as experiments/standard/train.json sets them), and prints
+overall and per-class accuracy. Every later demo starts from this same
+model.
 """
 
 import argparse
 
 import numpy as np
 
+import standard
 import unlearnlab as ul
-
-
-def build_dataset(seed: int):
-    return ul.generate_synthetic(
-        num_classes=4,
-        dim=8,
-        per_class_train=500,
-        per_class_test=100,
-        spread=0.7,
-        seed=seed,
-    )
-
-
-def train_base_model(train_data: ul.Dataset, seed: int):
-    arch = ul.ModelArchitecture(
-        input_dim=8, hidden=(32, 32), embedding_dim=16, num_classes=4
-    )
-    cfg = ul.EngineConfig(seed=seed, max_epochs=400, learning_rate=0.15, batch_size=32)
-    return ul.train(arch, train_data, cfg)
 
 
 def per_class_accuracy(params, data: ul.Dataset) -> np.ndarray:
@@ -46,11 +29,11 @@ def main() -> None:
     parser.add_argument("--seed", type=int, default=0)
     args = parser.parse_args()
 
-    train_data, test_data = build_dataset(args.seed)
+    train_data, test_data, arch, train_cfg = standard.training(args.seed)
     print(f"dataset: {len(train_data.labels)} train / {len(test_data.labels)} test rows, "
           f"{train_data.num_classes} classes, dim {train_data.features.shape[1]}")
 
-    params, record = train_base_model(train_data, args.seed)
+    params, record = ul.train(arch, train_data, train_cfg)
     print(f"trained {record.gradient_steps} steps in {record.duration_seconds:.1f}s "
           f"({record.termination_reason})")
 

@@ -8,9 +8,8 @@ the interesting part is matching its accuracy in a fraction of its time.
 
 import argparse
 
+import standard
 import unlearnlab as ul
-
-FORGOTTEN_CLASS = 2
 
 
 def main() -> None:
@@ -18,33 +17,13 @@ def main() -> None:
     parser.add_argument("--seed", type=int, default=0)
     args = parser.parse_args()
 
-    train_data, test_data = ul.generate_synthetic(
-        num_classes=4, dim=8, per_class_train=500, per_class_test=100,
-        spread=0.7, seed=args.seed,
-    )
-    arch = ul.ModelArchitecture(
-        input_dim=8, hidden=(32, 32), embedding_dim=16, num_classes=4
-    )
-    train_cfg = ul.EngineConfig(
-        seed=args.seed, max_epochs=400, learning_rate=0.15, batch_size=32
-    )
+    train_data, test_data, arch, train_cfg = standard.training(args.seed)
 
     print(f"training base model (seed {args.seed})...")
     base, base_record = ul.train(arch, train_data, train_cfg)
 
-    task = ul.make_task(
-        train_data, test_data, ul.TaskSpec(kind="class", class_id=FORGOTTEN_CLASS)
-    )
-
-    # The unlearning term sums over up to batch_size anchors while the
-    # restore term is a mean, so its weight sits well below 1/batch.
-    unlearn_cfg = ul.EngineConfig(
-        seed=args.seed,
-        batch_size=32,
-        learning_rate=0.05,
-        remaining_resamples=2,
-        loss=ul.LossConfig(variant="class", unlearn_weight=1.0 / 128.0, ce_weight=2.0),
-    )
+    # The class and the unlearning settings are experiments/standard/class.json's.
+    task, unlearn_cfg = standard.unlearning("class", args.seed, train_data, test_data)
     unlearned, unlearn_record = ul.unlearn_contrastive(base, task, unlearn_cfg)
     print(f"contrastive unlearning: {unlearn_record.termination_reason} after "
           f"{unlearn_record.gradient_steps} steps, {unlearn_record.duration_seconds:.2f}s")

@@ -9,19 +9,8 @@ accuracy alone is not enough; it damages the samples without hiding them.
 
 import argparse
 
+import standard
 import unlearnlab as ul
-
-SAMPLE_COUNT = 100
-
-
-def sample_config(seed: int) -> ul.EngineConfig:
-    return ul.EngineConfig(
-        seed=seed,
-        batch_size=32,
-        learning_rate=0.05,
-        remaining_resamples=1,
-        loss=ul.LossConfig(variant="sample", unlearn_weight=1.0 / 32.0, ce_weight=1.0),
-    )
 
 
 def describe(name: str, params, task: ul.UnlearnTask, seed: int) -> None:
@@ -39,27 +28,14 @@ def main() -> None:
     parser.add_argument("--seed", type=int, default=0)
     args = parser.parse_args()
 
-    train_data, test_data = ul.generate_synthetic(
-        num_classes=4, dim=8, per_class_train=500, per_class_test=100,
-        spread=0.7, seed=args.seed,
-    )
-    arch = ul.ModelArchitecture(
-        input_dim=8, hidden=(32, 32), embedding_dim=16, num_classes=4
-    )
-    train_cfg = ul.EngineConfig(
-        seed=args.seed, max_epochs=400, learning_rate=0.15, batch_size=32
-    )
+    train_data, test_data, arch, train_cfg = standard.training(args.seed)
 
     print(f"training base model (seed {args.seed})...")
     base, _ = ul.train(arch, train_data, train_cfg)
 
-    task = ul.make_task(
-        train_data, test_data,
-        ul.TaskSpec(kind="sample", sample_count=SAMPLE_COUNT, seed=args.seed),
-    )
-    cfg = sample_config(args.seed)
+    task, cfg = standard.unlearning("sample", args.seed, train_data, test_data)
 
-    print(f"unlearning {SAMPLE_COUNT} samples with each method...\n")
+    print(f"unlearning {len(task.unlearn_train)} samples with each method...\n")
     contrastive, _ = ul.unlearn_contrastive(base, task, cfg)
     neggrad, _ = ul.unlearn_neggrad(base, task, cfg)
     retrained, _ = ul.retrain(arch, task, train_cfg)

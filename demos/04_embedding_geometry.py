@@ -10,6 +10,7 @@ import argparse
 
 import numpy as np
 
+import standard
 import unlearnlab as ul
 
 
@@ -35,33 +36,12 @@ def main() -> None:
     parser.add_argument("--seed", type=int, default=0)
     args = parser.parse_args()
 
-    train_data, test_data = ul.generate_synthetic(
-        num_classes=4, dim=8, per_class_train=500, per_class_test=100,
-        spread=0.7, seed=args.seed,
-    )
-    arch = ul.ModelArchitecture(
-        input_dim=8, hidden=(32, 32), embedding_dim=16, num_classes=4
-    )
+    train_data, test_data, arch, train_cfg = standard.training(args.seed)
     print(f"training base model (seed {args.seed})...")
-    base, _ = ul.train(
-        arch, train_data,
-        ul.EngineConfig(seed=args.seed, max_epochs=400, learning_rate=0.15, batch_size=32),
-    )
+    base, _ = ul.train(arch, train_data, train_cfg)
 
-    task = ul.make_task(
-        train_data, test_data,
-        ul.TaskSpec(kind="sample", sample_count=100, seed=args.seed),
-    )
-    unlearned, _ = ul.unlearn_contrastive(
-        base, task,
-        ul.EngineConfig(
-            seed=args.seed,
-            batch_size=32,
-            learning_rate=0.05,
-            remaining_resamples=1,
-            loss=ul.LossConfig(variant="sample", unlearn_weight=1.0 / 32.0, ce_weight=1.0),
-        ),
-    )
+    task, unlearn_cfg = standard.unlearning("sample", args.seed, train_data, test_data)
+    unlearned, _ = ul.unlearn_contrastive(base, task, unlearn_cfg)
 
     mean_before, own_before, other_before = geometry_by_class(base, task)
     mean_after, own_after, other_after = geometry_by_class(unlearned, task)

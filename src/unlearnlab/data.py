@@ -424,7 +424,9 @@ class UnlearnTask:
     The remaining training rows are the complement of the unlearning
     rows, and a class task splits the test rows by class_id, so both
     splits are partitioned by construction. Index arrays refer to rows
-    of the full train or test split. The constructor rejects empty,
+    of the full train or test split. The constructor holds the test
+    split to the train split (``_check_fits``, a DimensionError) and a
+    class task's class_id to the integer rule, and rejects empty,
     duplicate, out-of-range and non-integral unlearning indices and
     out-of-range and non-integral evaluation indices, each with a
     ValidationError.
@@ -440,10 +442,13 @@ class UnlearnTask:
         eval_unlearn_idx: np.ndarray | None = None,
         eval_test_idx: np.ndarray | None = None,
     ):
+        _check_fits(test, train.num_features, train.num_classes, _SPLITS)
         if not isinstance(kind, str) or kind not in ("class", "sample"):
             raise ValidationError(f"unknown task kind {kind!r}")
-        if kind == "class" and class_id is None:
-            raise ValidationError("class task requires class_id")
+        if kind == "class" and (
+            problems := integer_problems(class_id=(class_id, 0, train.num_classes - 1))
+        ):
+            raise ValidationError("invalid task: " + problems[0])
         if kind == "sample" and (eval_unlearn_idx is None or eval_test_idx is None):
             raise ValidationError("sample task requires both evaluation subsets")
         idx = np.sort(_row_indices(unlearn_train_idx, train, "unlearning"), axis=None)

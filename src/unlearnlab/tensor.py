@@ -309,7 +309,10 @@ def _row_norms(v: np.ndarray) -> np.ndarray:
     one is at or below NORM_EPSILON.
     """
     # np.linalg.norm's own expression for real rows, without its wrapper.
-    norms = np.sqrt(np.add.reduce(v * v, axis=1, keepdims=True))
+    # A finite row's squares may overflow; the bounds below then pick the
+    # error, so numpy's warning is silenced.
+    with np.errstate(over="ignore"):
+        norms = np.sqrt(np.add.reduce(v * v, axis=1, keepdims=True))
     # Both bounds in two reductions: NaN fails both comparisons, and the
     # initial values pass an empty batch. Only a batch that fails them runs
     # the finite check, which picks the error: overflow first.

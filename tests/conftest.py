@@ -4,9 +4,11 @@ and a child-process runner for calls that must not hang the suite.
 The acceptance suite and several module tests all need the same trained
 models, unlearning tasks, and retrain references. Building them is the
 expensive part of the test run, so one lazily-filled Pipeline per seed
-is shared across the whole session.
+is shared across the whole session. The experiment is the one in
+experiments/standard/, built by the CLI's own builders.
 """
 
+import json
 import os
 import subprocess
 import sys
@@ -16,48 +18,27 @@ import numpy as np
 import pytest
 
 import unlearnlab as ul
-
-SEEDS = (0, 1, 2)
-NUM_CLASSES = 4
-DIM = 8
-PER_CLASS_TRAIN = 500
-PER_CLASS_TEST = 100
-# Cluster separation where the base model generalizes imperfectly; a
-# model with no train/test gap leaves nothing for unlearning or the
-# membership attack to detect.
-SPREAD = 0.7
-UNLEARN_CLASS = 2
-SAMPLE_COUNT = 100
-
-ARCH = ul.ModelArchitecture(
-    input_dim=DIM, hidden=(32, 32), embedding_dim=16, num_classes=NUM_CLASSES
+from unlearnlab.cli import (
+    _build_arch,
+    _build_datasets,
+    _build_engine_cfg,
+    _build_task,
+    resolve_config,
 )
 
-
-def train_config(seed: int) -> ul.EngineConfig:
-    return ul.EngineConfig(seed=seed, max_epochs=400, learning_rate=0.15, batch_size=32)
-
-
-def class_unlearn_config(seed: int) -> ul.EngineConfig:
-    # The unlearning term sums over up to batch_size anchors while the
-    # restore term is a mean, so its weight is scaled well below 1/B.
-    return ul.EngineConfig(
-        seed=seed,
-        batch_size=32,
-        learning_rate=0.05,
-        remaining_resamples=2,
-        loss=ul.LossConfig(variant="class", unlearn_weight=1.0 / 128.0, ce_weight=2.0),
-    )
+SEEDS = (0, 1, 2)
+STANDARD = Path(__file__).resolve().parents[1] / "experiments" / "standard"
+EXPERIMENTS = ("train", "class", "sample")
 
 
-def sample_unlearn_config(seed: int) -> ul.EngineConfig:
-    return ul.EngineConfig(
-        seed=seed,
-        batch_size=32,
-        learning_rate=0.05,
-        remaining_resamples=1,
-        loss=ul.LossConfig(variant="sample", unlearn_weight=1.0 / 32.0, ce_weight=1.0),
-    )
+def standard_config(name: str, seed: int) -> dict:
+    """experiments/standard/<name>.json, resolved, with its dataset, engine
+    and task seeds set to seed."""
+    config = resolve_config(json.loads((STANDARD / f"{name}.json").read_text()))
+    config["dataset"]["synthetic"]["seed"] = config["engine"]["seed"] = seed
+    if config["task"] is not None:
+        config["task"]["seed"] = seed
+    return config
 
 
 class Pipeline:
@@ -65,6 +46,7 @@ class Pipeline:
 
     def __init__(self, seed: int):
         self.seed = seed
+        self.configs = {name: standard_config(name, seed) for name in EXPERIMENTS}
         self._cache: dict = {}
 
     def _get(self, key, build):
@@ -81,59 +63,50 @@ class Pipeline:
         return self._data()[1]
 
     def _data(self):
+        return self._get("data", lambda: _build_datasets(self.configs["train"]))
+
+    @property
+    def arch(self) -> ul.ModelArchitecture:
+        return _build_arch(self.configs["train"], self.train_data)
+
+    def engine_config(self, name: str) -> ul.EngineConfig:
+        """The EngineConfig the CLI builds from one of EXPERIMENTS: the task's
+        loss variant, or for train, which reads no loss, the sample one."""
+        task = self.configs[name]["task"]
+        return _build_engine_cfg(self.configs[name], task["kind"] if task else "sample")
+
+    def _task(self, name: str) -> ul.UnlearnTask:
         return self._get(
-            "data",
-            lambda: ul.generate_synthetic(
-                NUM_CLASSES,
-                DIM,
-                PER_CLASS_TRAIN,
-                PER_CLASS_TEST,
-                spread=SPREAD,
-                seed=self.seed,
-            ),
+            f"{name}_task", lambda: _build_task(self.configs[name], self.train_data, self.test_data)
         )
+
+    @property
+    def class_task(self) -> ul.UnlearnTask:
+        return self._task("class")
+
+    @property
+    def sample_task(self) -> ul.UnlearnTask:
+        return self._task("sample")
 
     @property
     def base(self):
         """(params, record) from training on the full train split."""
         return self._get(
-            "base", lambda: ul.train(ARCH, self.train_data, train_config(self.seed))
-        )
-
-    @property
-    def class_task(self) -> ul.UnlearnTask:
-        return self._get(
-            "class_task",
-            lambda: ul.make_task(
-                self.train_data,
-                self.test_data,
-                ul.TaskSpec(kind="class", class_id=UNLEARN_CLASS),
-            ),
-        )
-
-    @property
-    def sample_task(self) -> ul.UnlearnTask:
-        return self._get(
-            "sample_task",
-            lambda: ul.make_task(
-                self.train_data,
-                self.test_data,
-                ul.TaskSpec(kind="sample", sample_count=SAMPLE_COUNT, seed=self.seed),
-            ),
+            "base", lambda: ul.train(self.arch, self.train_data, self.engine_config("train"))
         )
 
     @property
     def class_retrain(self):
         return self._get(
             "class_retrain",
-            lambda: ul.retrain(ARCH, self.class_task, train_config(self.seed)),
+            lambda: ul.retrain(self.arch, self.class_task, self.engine_config("train")),
         )
 
     @property
     def sample_retrain(self):
         return self._get(
             "sample_retrain",
-            lambda: ul.retrain(ARCH, self.sample_task, train_config(self.seed)),
+            lambda: ul.retrain(self.arch, self.sample_task, self.engine_config("train")),
         )
 
     @property
@@ -141,7 +114,7 @@ class Pipeline:
         return self._get(
             "class_unlearn",
             lambda: ul.unlearn_contrastive(
-                self.base[0], self.class_task, class_unlearn_config(self.seed)
+                self.base[0], self.class_task, self.engine_config("class")
             ),
         )
 
@@ -150,7 +123,7 @@ class Pipeline:
         return self._get(
             "sample_unlearn",
             lambda: ul.unlearn_contrastive(
-                self.base[0], self.sample_task, sample_unlearn_config(self.seed)
+                self.base[0], self.sample_task, self.engine_config("sample")
             ),
         )
 
@@ -159,7 +132,7 @@ class Pipeline:
         return self._get(
             "sample_neggrad",
             lambda: ul.unlearn_neggrad(
-                self.base[0], self.sample_task, sample_unlearn_config(self.seed)
+                self.base[0], self.sample_task, self.engine_config("sample")
             ),
         )
 

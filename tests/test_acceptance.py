@@ -14,7 +14,7 @@ import numpy as np
 
 import unlearnlab as ul
 from composed_ops import add, finite_difference_gradient, gradient_relative_error, multiply
-from conftest import SEEDS, UNLEARN_CLASS
+from conftest import SEEDS
 from unlearnlab.cli import main as cli_main
 from unlearnlab.engine import check_termination_class, check_termination_sample
 from unlearnlab.losses import (
@@ -201,7 +201,7 @@ def test_criterion_3_class_unlearning(pipelines):
             f"seed {seed}: u_ts {u_ts:.3f} u_tr {u_tr:.3f} r_ts {r_ts:.3f} floor {floor:.3f} "
             f"in {record.duration_seconds:.1f}s"
         )
-    report(3, f"class unlearning (class {UNLEARN_CLASS})", ok, "; ".join(details))
+    report(3, f"class unlearning (class {task.class_id})", ok, "; ".join(details))
     assert ok, details
 
 

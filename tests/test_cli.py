@@ -1,5 +1,7 @@
 """Command-line workflow: every subcommand, exit codes, reproducibility."""
 
+import dataclasses
+import importlib
 import json
 import os
 import stat
@@ -11,7 +13,16 @@ import pytest
 
 import unlearnlab as ul
 from composed_ops import datasets_equal
-from unlearnlab.cli import _build_engine_cfg, _write_json, main, resolve_config
+from conftest import EXPERIMENTS, STANDARD, Pipeline, standard_config
+from unlearnlab.cli import (
+    _build_arch,
+    _build_datasets,
+    _build_engine_cfg,
+    _build_task,
+    _write_json,
+    main,
+    resolve_config,
+)
 from unlearnlab.data import load_csv
 from unlearnlab.errors import DimensionError
 from unlearnlab.model import load_checkpoint
@@ -695,3 +706,89 @@ class TestDefaults:
                 "variant": "sample",
             },
         }
+
+
+def _task_rows(task: ul.UnlearnTask) -> tuple:
+    """What a task is: its kind, class and index arrays as lists."""
+    rows = (task.unlearn_train_idx, task.eval_unlearn_idx, task.eval_test_idx)
+    return (task.kind, task.class_id, *(None if a is None else a.tolist() for a in rows))
+
+
+@pytest.fixture(scope="module")
+def workloads():
+    """perfbench/workloads.py, imported read-only: no bytecode is written
+    beside it, and floor.py, which it imports, is found beside it."""
+    perfbench = str(STANDARD.parents[1] / "perfbench")
+    sys.path.insert(0, perfbench)
+    writes, sys.dont_write_bytecode = sys.dont_write_bytecode, True
+    try:
+        return importlib.import_module("workloads")
+    finally:
+        sys.dont_write_bytecode = writes
+        sys.path.remove(perfbench)
+
+
+class TestStandardExperiment:
+    """experiments/standard/ holds the acceptance suite's experiment once.
+    The suite's pipelines, the demos and the README read it; the
+    benchmark keeps a copy of its own, which must equal it."""
+
+    @pytest.mark.parametrize("name", EXPERIMENTS)
+    def test_file_resolves_and_builds_without_training(self, name):
+        config = resolve_config(json.loads((STANDARD / f"{name}.json").read_text()))
+        train_ds, test_ds = _build_datasets(config)
+        assert _build_arch(config, train_ds).input_dim == train_ds.num_features
+        kind = name if name != "train" else "sample"
+        assert _build_engine_cfg(config, kind).loss.variant == kind
+        if name != "train":
+            task = _build_task(config, train_ds, test_ds)
+            assert task.kind == name and len(task.unlearn_train) > 0
+
+    def test_files_share_their_dataset_and_architecture(self):
+        configs = [standard_config(name, 0) for name in EXPERIMENTS]
+        for section in ("dataset", "architecture"):
+            assert all(c[section] == configs[0][section] for c in configs), section
+
+    def test_benchmark_constants_are_the_files(self, workloads):
+        w = workloads
+        train = standard_config("train", w.EXPERIMENT_SEED)
+        synthetic, engine = train["dataset"]["synthetic"], train["engine"]
+        assert (w.NUM_CLASSES, w.DIM, w.PER_CLASS_TRAIN, w.PER_CLASS_TEST, w.SPREAD) == tuple(
+            synthetic[k] for k in ("num_classes", "dim", "per_class_train", "per_class_test", "spread")
+        )
+        assert (w.BATCH_SIZE, w.TRAIN_LR, w.BASE_EPOCHS) == (
+            engine["batch_size"], engine["learning_rate"], engine["max_epochs"]
+        )
+        for name in ("class", "sample"):
+            assert w.MAX_PASSES == standard_config(name, 0)["engine"]["max_unlearn_epochs"]
+        assert w.conftest_arch(ul) == Pipeline(w.EXPERIMENT_SEED).arch
+
+    def test_benchmark_train_and_unlearn_configs_are_the_files(self, workloads, tmp_path):
+        w = workloads
+        p = Pipeline(w.EXPERIMENT_SEED)
+        # The train workload times one epoch per op, each with its own seed.
+        train = w.Train(ul, 0, tmp_path)
+        assert train._config(3) == dataclasses.replace(p.engine_config("train"), seed=3, max_epochs=1)
+        requests = {label: (spec, cfg) for label, spec, cfg in w.Unlearn(ul, 0, tmp_path)._requests()}
+        for name, task in (("class", p.class_task), ("sample", p.sample_task)):
+            label = f"class{task.class_id}" if name == "class" else f"sample{len(task.unlearn_train)}"
+            spec, cfg = requests[label]
+            assert cfg == p.engine_config(name)
+            assert _task_rows(ul.make_task(p.train_data, p.test_data, spec)) == _task_rows(task)
+
+    @pytest.mark.parametrize("name", ["class", "sample"])
+    def test_benchmark_audit_configs_are_the_files(self, workloads, tmp_path, name):
+        w = workloads
+        audit = w.Audit(ul, 0, tmp_path)
+        got = resolve_config(audit._config(tmp_path, name))
+        want = standard_config(name, 0)
+        for section in ("architecture", "loss", "task"):
+            assert got[section] == want[section], section
+        # One config per kind trains the audit's base and unlearns from it,
+        # so it takes the train file's learning rate, and its runs are short.
+        assert _build_engine_cfg(got, name) == dataclasses.replace(
+            Pipeline(0).engine_config(name),
+            learning_rate=standard_config("train", 0)["engine"]["learning_rate"],
+            max_epochs=audit.train_epochs,
+            max_unlearn_epochs=audit.unlearn_passes,
+        )

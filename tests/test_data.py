@@ -671,6 +671,26 @@ class TestTaskValidation:
         task = make_task(train, test, TaskSpec(kind="sample", sample_indices=np.array(3)))
         assert task.unlearn_train_idx.tolist() == [3]
 
+    @pytest.mark.parametrize("class_id", ["a", 3, -1, 1.0, True])
+    def test_class_id_follows_the_integer_rule(self, class_id):
+        # The constructor once took any class_id: a task for class "a"
+        # held every test row in remain_test and none in unlearn_test.
+        train, test = generate_synthetic(3, 4, 10, 5, seed=0)
+        with pytest.raises(ValidationError, match=r"class_id must be an integer in \[0, 2\]"):
+            UnlearnTask(train, test, "class", [0, 1], class_id=class_id)
+
+    @pytest.mark.parametrize(
+        "width, classes, message",
+        [(3, 3, "batch width 3 does not match train width 4"),
+         (4, 4, "class count 4 does not match train class count 3")],
+        ids=["narrower", "more-classes"],
+    )
+    def test_test_split_must_fit_the_train_split(self, width, classes, message):
+        train, test = generate_synthetic(3, 4, 10, 5, seed=0)
+        other = Dataset(test.features[:, :width], test.labels, classes)
+        with pytest.raises(DimensionError, match=message):
+            UnlearnTask(train, other, "sample", [0], **self.EVAL)
+
     def test_incomplete_request_rejected(self):
         train, test = generate_synthetic(3, 4, 10, 5, seed=0)
         with pytest.raises(ValidationError):

@@ -28,6 +28,8 @@ from unlearnlab.model import (
     predict_labels,
     save_checkpoint,
 )
+from unlearnlab.data import Dataset
+from unlearnlab.evaluation import accuracy
 from unlearnlab.tensor import GradTape, Tensor, dense
 
 ARCH = ModelArchitecture(input_dim=5, hidden=(7, 6), embedding_dim=4, num_classes=3)
@@ -313,6 +315,19 @@ class TestEncoderErrors:
                     path(params, x)
                 errors.append((type(exc.value), str(exc.value)))
         assert errors[1:] == errors[:1] * (len(errors) - 1)
+
+    @pytest.mark.parametrize("fill", [1e154, 1e300, -1e300])
+    def test_finite_rows_whose_squares_overflow_raise_no_warning(self, fill):
+        # Their squared row norms overflow; that once warned before the
+        # NonFiniteError, and raised the warning under warnings-as-errors.
+        params = init_parameters(ModelArchitecture(4, (6,), 3, 3), seed=0)
+        rows = np.full((2, 4), fill)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NonFiniteError, match="norm overflowed"):
+                encode(params, rows)
+            with pytest.raises(NonFiniteError, match="norm overflowed"):
+                accuracy(params, Dataset(rows, [0, 1], 3))
 
     def test_encode_copies_a_writable_batch(self, rng):
         params = init_parameters(ARCH, seed=1)

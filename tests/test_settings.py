@@ -243,19 +243,20 @@ SWEPT = {
     "fit_attack_model.labels": lambda v: ul.fit_attack_model(np.eye(2), v),
 }
 # Every listed value is tried on every entry, then hypothesis draws
-# arrays of rank 0-3 of each dtype. Their floats are the listed kinds: a
-# finite float large enough for the encoder's squared row norms to
-# overflow, which warns before the NonFiniteError, is a known defect of
-# the step's core (see CHANGES.md) and is left out.
+# arrays of rank 0-3 of each dtype. Their floats are the listed kinds.
 LISTED = [
     True, False, "a", "1", "2.5", None, math.nan, math.inf, -math.inf,
+    1e154, 1e300, -1e300, 1.7e308, 5e-324,
     2**63, -(2**63) - 1, 10**20, 2.0, 2.5, -1, 0, 1 + 1j,
     [], [[]], [[1.0], [1.0, 2.0]], [True, False], ["1", "0"], [0.5, 1.5],
     [2**70, 0], [1 + 1j, 0], [[math.nan] * 8], [[math.inf] * 4],
     np.zeros(()), np.zeros((0,)), np.zeros((0, 8)), np.zeros((2, 2, 2)),
     ul.Tensor(np.ones((2, 8))), ul.Tensor(np.ones((2, 4))),
 ]
-FLOATS = [math.nan, math.inf, -math.inf, -1.0, 0.0, 0.5, 1.0, 2.0, 2.5]
+FLOATS = [
+    math.nan, math.inf, -math.inf, -1.0, 0.0, 0.5, 1.0, 2.0, 2.5,
+    1e154, 1e300, -1e300, 1.7e308, 5e-324,
+]
 SHAPES = hnp.array_shapes(min_dims=0, max_dims=3, min_side=0, max_side=4)
 GENERATED = st.one_of(
     hnp.arrays(st.sampled_from(["?", "i8", "u8", "c16", "U2"]), SHAPES),
