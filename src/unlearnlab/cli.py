@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import argparse
 import copy
-import functools
 import json
 import sys
 from pathlib import Path
@@ -50,7 +49,15 @@ from .losses import LossConfig
 from .model import ModelArchitecture, load_checkpoint, save_checkpoint
 from . import __version__
 
-METHODS = ("contrastive", "retrain", "finetune", "neggrad")
+# Each unlearning method's run: retrain starts from the architecture, every
+# other method from a starting checkpoint.
+_RUNNERS = {
+    "contrastive": unlearn_contrastive,
+    "retrain": retrain,
+    "finetune": unlearn_finetune,
+    "neggrad": unlearn_neggrad,
+}
+METHODS = tuple(_RUNNERS)
 
 _SYNTHETIC_DEFAULTS = {
     "num_classes": 4,
@@ -234,6 +241,15 @@ def _echo_config(config: dict) -> Path:
     return out_dir
 
 
+def _write_run(config: dict, params, record) -> Path:
+    """Echo the config, then write a run's model.ckpt and run.json; return
+    the checkpoint's path."""
+    out_dir = _echo_config(config)
+    save_checkpoint(params, out_dir / "model.ckpt")
+    _write_json(out_dir / "run.json", record.to_dict())
+    return out_dir / "model.ckpt"
+
+
 def _build_datasets(config: dict) -> tuple[Dataset, Dataset]:
     dataset = config["dataset"]
     if "synthetic" in dataset:
@@ -270,14 +286,18 @@ def _read_index_file(path: str) -> tuple[int, ...]:
 def _build_task(config: dict, train_ds: Dataset, test_ds: Dataset) -> UnlearnTask:
     t = config["task"]
     if t["kind"] == "class":
-        spec = TaskSpec(kind="class", class_id=t["class_id"], seed=t["seed"])
+        rows = {"class_id": t["class_id"]}
     elif t["index_file"]:
-        spec = TaskSpec(
-            kind="sample", sample_indices=_read_index_file(t["index_file"]), seed=t["seed"]
-        )
+        rows = {"sample_indices": _read_index_file(t["index_file"])}
     else:
-        spec = TaskSpec(kind="sample", sample_count=t["count"], seed=t["seed"])
-    return make_task(train_ds, test_ds, spec)
+        rows = {"sample_count": t["count"]}
+    return make_task(train_ds, test_ds, TaskSpec(kind=t["kind"], seed=t["seed"], **rows))
+
+
+def _build_task_and_arch(config: dict) -> tuple[UnlearnTask, ModelArchitecture]:
+    """The datasets, then the task, then the architecture of a command on a task."""
+    train_ds, test_ds = _build_datasets(config)
+    return _build_task(config, train_ds, test_ds), _build_arch(config, train_ds)
 
 
 def _build_engine_cfg(config: dict, variant: str) -> EngineConfig:
@@ -320,14 +340,12 @@ def cmd_train(args) -> int:
     arch = _build_arch(config, train_ds)
     params, record = train(arch, train_ds, cfg)
 
-    out_dir = _echo_config(config)
-    save_checkpoint(params, out_dir / "model.ckpt")
-    _write_json(out_dir / "run.json", record.to_dict())
+    checkpoint = _write_run(config, params, record)
     last = record.rows[-1] if record.rows else {}
     print(
         f"trained {record.gradient_steps} steps; "
         f"train accuracy {last.get('train_accuracy', float('nan')):.4f}; "
-        f"saved {out_dir / 'model.ckpt'}"
+        f"saved {checkpoint}"
     )
     return 0
 
@@ -338,35 +356,26 @@ def cmd_unlearn(args) -> int:
     if method not in METHODS:
         raise ValidationError(f"unlearn.method must be one of {METHODS}")
     cfg = _build_engine_cfg(config, variant=config["task"]["kind"])
-    train_ds, test_ds = _build_datasets(config)
-    task = _build_task(config, train_ds, test_ds)
-    arch = _build_arch(config, train_ds)
+    task, arch = _build_task_and_arch(config)
 
     if method == "retrain":
         if config["unlearn"]["from"]:
             print("note: retrain ignores the starting checkpoint", file=sys.stderr)
-        run = functools.partial(retrain, arch)
+        start = arch
+    elif not config["unlearn"]["from"]:
+        raise ValidationError(
+            f"method {method} requires a starting checkpoint (unlearn.from or --from)"
+        )
     else:
-        if not config["unlearn"]["from"]:
-            raise ValidationError(
-                f"method {method} requires a starting checkpoint (unlearn.from or --from)"
-            )
-        runner = {
-            "contrastive": unlearn_contrastive,
-            "finetune": unlearn_finetune,
-            "neggrad": unlearn_neggrad,
-        }[method]
-        run = functools.partial(runner, _load_model_for(arch, config["unlearn"]["from"]))
+        start = _load_model_for(arch, config["unlearn"]["from"])
 
-    params, record = run(task, cfg)
+    params, record = _RUNNERS[method](start, task, cfg)
 
-    out_dir = _echo_config(config)
-    save_checkpoint(params, out_dir / "model.ckpt")
-    _write_json(out_dir / "run.json", record.to_dict())
+    checkpoint = _write_run(config, params, record)
     print(
         f"{method}: {record.termination_reason}"
         + (f" ({record.termination_detail})" if record.termination_detail else "")
-        + f" after {record.gradient_steps} steps; saved {out_dir / 'model.ckpt'}"
+        + f" after {record.gradient_steps} steps; saved {checkpoint}"
     )
     return 0
 
@@ -376,9 +385,7 @@ def cmd_eval(args) -> int:
     if not _apply_flags(config["eval"], args)["model"]:
         raise ValidationError("eval requires a model checkpoint (eval.model or --model)")
 
-    train_ds, test_ds = _build_datasets(config)
-    task = _build_task(config, train_ds, test_ds)
-    arch = _build_arch(config, train_ds)
+    task, arch = _build_task_and_arch(config)
     params = _load_model_for(arch, config["eval"]["model"])
     reference = None
     if config["eval"]["reference"]:
@@ -400,9 +407,8 @@ def cmd_mia(args) -> int:
     if not _apply_flags(config["mia"], args)["model"]:
         raise ValidationError("mia requires a model checkpoint (mia.model or --model)")
 
-    train_ds, test_ds = _build_datasets(config)
-    task = _build_task(config, train_ds, test_ds)
-    params = _load_model_for(_build_arch(config, train_ds), config["mia"]["model"])
+    task, arch = _build_task_and_arch(config)
+    params = _load_model_for(arch, config["mia"]["model"])
 
     report = run_mia(params, task, split_seed=config["mia"]["split_seed"])
 
@@ -424,40 +430,34 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
+    def command(name: str, fn, summary: str) -> argparse.ArgumentParser:
+        """A subcommand that runs fn, with the flags every command takes."""
+        p = sub.add_parser(name, help=summary)
         p.add_argument("--config", help="JSON config file")
         p.add_argument("--out", help="output directory (overrides config)")
         p.add_argument("--seed", type=int, help="seed override")
+        p.set_defaults(fn=fn)
+        return p
 
-    p = sub.add_parser("gen-data", help="generate a synthetic CSV dataset")
-    common(p)
+    p = command("gen-data", cmd_gen_data, "generate a synthetic CSV dataset")
     p.add_argument("--classes", type=int, dest="num_classes", help="number of classes")
     p.add_argument("--dim", type=int, help="feature dimension")
     p.add_argument("--train-per-class", type=int, dest="per_class_train")
     p.add_argument("--test-per-class", type=int, dest="per_class_test")
     p.add_argument("--spread", type=float, help="class separation multiplier")
-    p.set_defaults(fn=cmd_gen_data)
 
-    p = sub.add_parser("train", help="train a model")
-    common(p)
-    p.set_defaults(fn=cmd_train)
+    command("train", cmd_train, "train a model")
 
-    p = sub.add_parser("unlearn", help="unlearn a class or sample set")
-    common(p)
+    p = command("unlearn", cmd_unlearn, "unlearn a class or sample set")
     p.add_argument("--method", choices=METHODS, help="unlearning method")
     p.add_argument("--from", dest="from", help="starting checkpoint")
-    p.set_defaults(fn=cmd_unlearn)
 
-    p = sub.add_parser("eval", help="accuracy report and embedding geometry")
-    common(p)
+    p = command("eval", cmd_eval, "accuracy report and embedding geometry")
     p.add_argument("--model", help="checkpoint to evaluate")
     p.add_argument("--reference", help="reference checkpoint for deltas")
-    p.set_defaults(fn=cmd_eval)
 
-    p = sub.add_parser("mia", help="membership-inference attack report")
-    common(p)
+    p = command("mia", cmd_mia, "membership-inference attack report")
     p.add_argument("--model", help="checkpoint to attack")
-    p.set_defaults(fn=cmd_mia)
 
     return parser
 
@@ -469,10 +469,7 @@ def main(argv=None) -> int:
     except (ValidationError, ParseError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except UnlearnLabError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except OSError as exc:
+    except (UnlearnLabError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
 

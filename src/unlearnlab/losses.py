@@ -40,7 +40,10 @@ loss is checked by ``LossConfig``'s rule, with its message.
 and then call their cores, ``_contrast_sets`` and ``_cross_entropy``,
 which the engine calls directly: its labels come from a Dataset whose
 class count ``data._check_fits`` matched to the model's, and its
-embeddings from the encoder, which makes them unit-norm.
+embeddings from the encoder, which makes them unit-norm. The two
+wrappers run their arithmetic under an ``np.errstate`` that silences
+numpy's overflow warnings, as the engine's runs do, so finite inputs
+that overflow reach the checks without a warning.
 """
 from __future__ import annotations
 
@@ -140,10 +143,11 @@ def build_contrast_sets(
         raise ContractError("one label per remaining row is required")
     if anchor_embeddings.shape[1] != remaining_embeddings.shape[1]:
         raise ContractError("anchor and remaining embeddings disagree on width")
-    for name, emb in (("anchor", anchor_embeddings), ("remaining", remaining_embeddings)):
-        norms = np.linalg.norm(emb.data, axis=1)
-        if np.any(np.abs(norms - 1.0) > 1e-6):
-            raise ContractError(f"{name} embeddings must be unit-norm")
+    with np.errstate(over="ignore"):  # an overflowed norm fails the check
+        for name, emb in (("anchor", anchor_embeddings), ("remaining", remaining_embeddings)):
+            norms = np.linalg.norm(emb.data, axis=1)
+            if np.any(np.abs(norms - 1.0) > 1e-6):
+                raise ContractError(f"{name} embeddings must be unit-norm")
     return _contrast_sets(anchor_labels, anchor_embeddings, remaining_labels, remaining_embeddings)
 
 
@@ -282,7 +286,8 @@ def cross_entropy_loss(logits: Tensor, labels: np.ndarray) -> Tensor:
     labels = integer_array(labels, "labels", ContractError, num_classes)
     if labels.shape != (batch,):
         raise ContractError("one label per logits row is required")
-    return _cross_entropy(logits, labels)
+    with np.errstate(over="ignore"):  # the core's finite check picks the error
+        return _cross_entropy(logits, labels)
 
 
 def _cross_entropy(logits: Tensor, labels: np.ndarray) -> Tensor:

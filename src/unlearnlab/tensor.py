@@ -32,8 +32,11 @@ overflow, so NaN or overflow surfaces at the op that produced it rather
 than epochs later: every layer checks its pre-activation, the encoder
 its row norms (a finite row over a norm above NORM_EPSILON has entries
 of magnitude at most 1, so its output needs no second check), and the
-losses their intermediate sums. An op's result is a fresh array, so it
-is wrapped without a copy; only the public ``Tensor(...)`` and
+losses their intermediate sums. A finite input can still overflow, so
+each encoder pass and the public ``dense`` run under one ``np.errstate``
+that silences numpy's overflow and invalid warnings, and those checks
+pick the error. An op's result is a fresh array, so it is wrapped
+without a copy; only the public ``Tensor(...)`` and
 ``as_tensor(...)`` copy, which keeps a caller's array writable and
 unshared; ``dense`` takes ``x`` through ``as_tensor``, as it takes
 ``w`` and ``b``, checks the shapes and the activation, then calls its
@@ -283,7 +286,8 @@ def dense(x, w, b, activation: str | None = None) -> Tensor:
         raise DimensionError(f"dense: incompatible shapes {x.shape}, {w.shape} and {b.shape}")
     if activation is not None and not (isinstance(activation, str) and activation in ACTIVATIONS):
         raise ContractError(f"dense: unknown activation {activation!r}")
-    return _dense(x, w, b, activation)
+    with np.errstate(over="ignore", invalid="ignore"):  # the core's finite check picks the error
+        return _dense(x, w, b, activation)
 
 
 def _dense(x: Tensor, w: Tensor, b: Tensor, activation) -> Tensor:
@@ -310,9 +314,8 @@ def _row_norms(v: np.ndarray) -> np.ndarray:
     """
     # np.linalg.norm's own expression for real rows, without its wrapper.
     # A finite row's squares may overflow; the bounds below then pick the
-    # error, so numpy's warning is silenced.
-    with np.errstate(over="ignore"):
-        norms = np.sqrt(np.add.reduce(v * v, axis=1, keepdims=True))
+    # error (the encoder's errstate silences numpy's warning).
+    norms = np.sqrt(np.add.reduce(v * v, axis=1, keepdims=True))
     # Both bounds in two reductions: NaN fails both comparisons, and the
     # initial values pass an empty batch. Only a batch that fails them runs
     # the finite check, which picks the error: overflow first.
@@ -343,14 +346,18 @@ def _encoder(x: np.ndarray, weights: Sequence[Tensor], activation: str) -> Tenso
     """
     taped = _active_tape is not None
     hidden = [x]  # every layer's input, when taped
-    for i in range(0, len(weights) - 2, 2):
-        h = _layer(hidden[-1], weights[i].data, weights[i + 1].data, activation)
-        if taped:
-            hidden.append(h)
-        else:
-            hidden[-1] = h
-    emb = _layer(hidden[-1], weights[-2].data, weights[-1].data, None)
-    norms = _row_norms(emb)
+    # A finite batch's products and squared norms may overflow; each layer's
+    # finite check and the norms' bounds then pick the error, so numpy's
+    # warning is silenced, in one errstate per pass.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for i in range(0, len(weights) - 2, 2):
+            h = _layer(hidden[-1], weights[i].data, weights[i + 1].data, activation)
+            if taped:
+                hidden.append(h)
+            else:
+                hidden[-1] = h
+        emb = _layer(hidden[-1], weights[-2].data, weights[-1].data, None)
+        norms = _row_norms(emb)
     # A finite row over a finite norm above NORM_EPSILON is finite.
     z = emb / norms
     out = _wrap(z)

@@ -438,6 +438,7 @@ class TestFailureModes:
             (["unlearn", "--method", "retrain"], "task", {"kind": "sample", "count": 5, "seed": -3}, 2),
             (["unlearn", "--method", "retrain"], "task", {"kind": "sample", "index_file": "big.txt"}, 2),
             (["gen-data"], "dataset", {"csv": {"train": "ok.csv", "test": "ok.csv"}}, 2),
+            (["unlearn", "--from", "junk.ckpt"], "unlearn", {"method": "sgd"}, 2),
         ],
     )
     def test_bad_input_fails_before_any_write(

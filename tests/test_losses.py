@@ -8,6 +8,7 @@ tensor ops.
 """
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -345,6 +346,14 @@ class TestContracts:
         with pytest.raises(ContractError):
             sets_of([[2.0, 0.0]], [0], [[0.0, 1.0]], [1])
 
+    def test_embeddings_whose_norm_overflows_rejected_without_a_warning(self):
+        # The unit-norm check's squares overflow; that once warned before the
+        # ContractError, and raised the warning under warnings-as-errors.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ContractError, match="anchor embeddings must be unit-norm"):
+                sets_of([[1e200, 1e200]], [0], [[0.0, 1.0]], [1])
+
     def test_width_mismatch_rejected(self):
         with pytest.raises(ContractError):
             sets_of([[1.0, 0.0]], [0], [[0.0, 1.0, 0.0]], [1])
@@ -439,6 +448,15 @@ class TestCrossEntropy:
         logits = as_tensor([[0.0, 0.0], [1000.0, 0.0]])
         got = cross_entropy_loss(logits, np.array([0, 0])).item()
         assert got == pytest.approx(math.log(2.0) / 2.0, abs=1e-12)
+
+    def test_overflowing_shift_raises_no_warning(self):
+        # The row-max shift of two finite logits overflows; that once warned
+        # before the NonFiniteError, and raised the warning under
+        # warnings-as-errors.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NonFiniteError, match="shifted logits is not finite"):
+                cross_entropy_loss(np.array([[1e308, -1e308]]), np.array([0]))
 
     def test_empty_batch_rejected(self):
         with pytest.raises(ContractError):

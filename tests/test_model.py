@@ -29,7 +29,7 @@ from unlearnlab.model import (
     save_checkpoint,
 )
 from unlearnlab.data import Dataset
-from unlearnlab.evaluation import accuracy
+from unlearnlab.evaluation import accuracy, attack_features
 from unlearnlab.tensor import GradTape, Tensor, dense
 
 ARCH = ModelArchitecture(input_dim=5, hidden=(7, 6), embedding_dim=4, num_classes=3)
@@ -328,6 +328,25 @@ class TestEncoderErrors:
                 encode(params, rows)
             with pytest.raises(NonFiniteError, match="norm overflowed"):
                 accuracy(params, Dataset(rows, [0, 1], 3))
+
+    def test_finite_rows_whose_layer_overflows_raise_no_warning(self):
+        # Their first layer's product overflows; that once warned before the
+        # NonFiniteError, and raised the warning under warnings-as-errors.
+        params = init_parameters(ModelArchitecture(4, (6,), 3, 3), seed=0)
+        rows = np.full((1, 4), 1.7e308)
+        data = Dataset(rows, [0], 3)
+        calls = [
+            lambda: encode(params, rows),
+            lambda: forward(params, rows),
+            lambda: predict_labels(params, rows),
+            lambda: accuracy(params, data),
+            lambda: attack_features(params, data),
+        ]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for call in calls:
+                with pytest.raises(NonFiniteError, match="dense produced non-finite values"):
+                    call()
 
     def test_encode_copies_a_writable_batch(self, rng):
         params = init_parameters(ARCH, seed=1)

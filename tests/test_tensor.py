@@ -1,5 +1,7 @@
 """Autodiff core: forward values, exact gradients, tape mechanics."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -422,6 +424,15 @@ class TestDense:
         # A non-finite x is rejected on the way in, like a non-finite w or b.
         with pytest.raises(NonFiniteError):
             dense(np.full((2, 3), np.nan), np.ones((3, 2)), np.zeros(2), activation)
+
+    @pytest.mark.parametrize("activation", ACTIVATIONS)
+    def test_overflow_raises_no_warning(self, activation):
+        # The product of finite inputs overflows; that once warned before the
+        # NonFiniteError, and raised the warning under warnings-as-errors.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NonFiniteError, match="dense produced non-finite values"):
+                dense(np.full((1, 2), 1e308), np.full((2, 2), 1e308), np.zeros(2), activation)
 
 
 def _encoder_case(seed, hidden, batch=6, fan_in=5, width=3):
