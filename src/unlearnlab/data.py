@@ -130,13 +130,21 @@ def standardize_pair(train: Dataset, test: Dataset) -> tuple[Dataset, Dataset]:
 
     The test split must fit the train split (``_check_fits``). Constant
     columns carry no information; they are centred but left unscaled
-    instead of dividing by zero.
+    instead of dividing by zero. A column of finite values whose train
+    mean or std overflows (its std would scale it to zeros), or whose
+    test values overflow once centred, is a ValidationError naming the
+    column, raised without numpy's overflow warning.
     """
     _check_fits(test, train.num_features, train.num_classes, _SPLITS)
-    mean = train.features.mean(axis=0)
-    std = train.features.std(axis=0)
-    std = np.where(std < 1e-8, 1.0, std)
-    return tuple(Dataset((d.features - mean) / std, d.labels, d.num_classes) for d in (train, test))
+    with np.errstate(over="ignore", invalid="ignore"):  # refused below
+        mean = train.features.mean(axis=0)
+        std = train.features.std(axis=0)
+        std = np.where(std < 1e-8, 1.0, std)
+        scaled = [(d.features - mean) / std for d in (train, test)]
+    fine = np.isfinite(std) & np.isfinite(scaled[1]).all(axis=0)
+    if not fine.all():
+        raise ValidationError(f"cannot standardize column {np.argmin(fine)}: it overflows float64")
+    return tuple(Dataset(x, d.labels, d.num_classes) for x, d in zip(scaled, (train, test)))
 
 
 def _distance(a: np.ndarray, b: np.ndarray) -> float:
@@ -419,17 +427,25 @@ def _row_indices(values, split: Dataset, what: str) -> np.ndarray:
 class UnlearnTask:
     """Train/test pair partitioned for one unlearning request.
 
-    The task stores only the request: the training rows to unlearn, the
-    class of a class task, and the evaluation subsets of a sample task.
-    The remaining training rows are the complement of the unlearning
-    rows, and a class task splits the test rows by class_id, so both
-    splits are partitioned by construction. Index arrays refer to rows
-    of the full train or test split. The constructor holds the test
-    split to the train split (``_check_fits``, a DimensionError) and a
-    class task's class_id to the integer rule, and rejects empty,
-    duplicate, out-of-range and non-integral unlearning indices and
-    out-of-range and non-integral evaluation indices, each with a
-    ValidationError.
+    The task is made here and only here; ``make_task`` only draws a
+    sample task's rows. It stores the request: the sorted training rows
+    to unlearn, the class of a class task, and the evaluation subsets of
+    a sample task. A class task's rows are its class's training rows; a
+    caller may pass them, in any order, but no other rows. A sample
+    task's evaluation subsets are drawn from the seed's
+    ``TAG_EVAL_SUBSET`` stream: up to ``EVAL_CAP`` of its rows and of
+    the test rows. The remaining training rows are the complement of the
+    unlearning rows, and a class task splits the test rows by class_id,
+    so both splits are partitioned by construction. Index arrays refer
+    to rows of the full train or test split.
+
+    The constructor holds the test split to the train split
+    (``_check_fits``, a DimensionError), the kind to "class" or
+    "sample", the seed and a class task's class_id to the integer rule,
+    and the unlearning indices to non-empty, unique, in-range integers
+    (``errors.integer_array``), each with a ValidationError, an empty
+    set with an EmptyUnlearnSetError. A class with no training rows or
+    no test rows to evaluate termination on is an EmptyUnlearnSetError.
     """
 
     def __init__(
@@ -437,37 +453,47 @@ class UnlearnTask:
         train: Dataset,
         test: Dataset,
         kind: str,
-        unlearn_train_idx: np.ndarray,
+        unlearn_train_idx: np.ndarray | None = None,
         class_id: int | None = None,
-        eval_unlearn_idx: np.ndarray | None = None,
-        eval_test_idx: np.ndarray | None = None,
+        seed: int = 0,
     ):
         _check_fits(test, train.num_features, train.num_classes, _SPLITS)
         if not isinstance(kind, str) or kind not in ("class", "sample"):
             raise ValidationError(f"unknown task kind {kind!r}")
-        if kind == "class" and (
-            problems := integer_problems(class_id=(class_id, 0, train.num_classes - 1))
-        ):
-            raise ValidationError("invalid task: " + problems[0])
-        if kind == "sample" and (eval_unlearn_idx is None or eval_test_idx is None):
-            raise ValidationError("sample task requires both evaluation subsets")
-        idx = np.sort(_row_indices(unlearn_train_idx, train, "unlearning"), axis=None)
-        if idx.size == 0:
-            raise EmptyUnlearnSetError("unlearning set selects no training samples")
-        if np.any(idx[1:] == idx[:-1]):
-            raise ValidationError("unlearning indices contain duplicates")
+        problems = integer_problems(seed=(seed, 0))
+        if kind == "class":
+            problems += integer_problems(class_id=(class_id, 0, train.num_classes - 1))
+        if problems:
+            raise ValidationError("invalid task: " + "; ".join(problems))
+        if unlearn_train_idx is not None or kind == "sample":
+            idx = np.sort(_row_indices(unlearn_train_idx, train, "unlearning"), axis=None)
+            if idx.size == 0:
+                raise EmptyUnlearnSetError("unlearning set selects no training samples")
+            if np.any(idx[1:] == idx[:-1]):
+                raise ValidationError("unlearning indices contain duplicates")
+        self.eval_unlearn_idx = self.eval_test_idx = None
+        if kind == "class":
+            rows = train.class_indices(class_id)
+            if rows.size == 0:
+                raise EmptyUnlearnSetError(f"class {class_id} has no training samples")
+            if test.class_indices(class_id).size == 0:
+                raise EmptyUnlearnSetError(
+                    f"class {class_id} has no test samples to evaluate termination on"
+                )
+            if unlearn_train_idx is not None and not np.array_equal(idx, rows):
+                raise ValidationError(f"unlearning indices must be the rows of class {class_id}")
+            idx = rows
+        else:
+            rng = np.random.default_rng([seed, TAG_EVAL_SUBSET])
+            eval_u = rng.choice(idx, size=min(idx.size, EVAL_CAP), replace=False)
+            eval_ts = rng.choice(len(test), size=min(len(test), EVAL_CAP), replace=False)
+            self.eval_unlearn_idx, self.eval_test_idx = np.sort(eval_u), np.sort(eval_ts)
         remain = np.ones(len(train), dtype=bool)
         remain[idx] = False
-        self.train, self.test, self.kind, self.class_id = train, test, kind, class_id
+        self.train, self.test, self.kind = train, test, kind
+        self.class_id = class_id if kind == "class" else None
         self.unlearn_train_idx = idx
         self.remain_train_idx = np.flatnonzero(remain)
-        self.eval_unlearn_idx, self.eval_test_idx = (
-            None if a is None else _row_indices(a, split, what)
-            for a, split, what in (
-                (eval_unlearn_idx, train, "unlearning evaluation"),
-                (eval_test_idx, test, "test evaluation"),
-            )
-        )
 
     @cached_property
     def unlearn_train(self) -> Dataset:
@@ -510,36 +536,21 @@ class UnlearnTask:
 def make_task(train: Dataset, test: Dataset, spec: TaskSpec) -> UnlearnTask:
     """Partition a train/test pair according to a task spec.
 
-    The test split must fit the train split (``_check_fits``). The
-    evaluation subset of a sample task is drawn from the sorted unlearning
-    indices, and the UnlearnTask constructor checks both, so invalid
-    explicit indices are rejected there. A sample_count that is
-    not an integer >= 1 raises EmptyUnlearnSetError.
+    The ``UnlearnTask`` constructor holds every task rule and derives a
+    class task's rows and a sample task's evaluation subsets. What it
+    cannot see is a sample task's ``sample_count``: without explicit
+    ``sample_indices``, that many distinct training rows are drawn from
+    the seed's ``TAG_TASK_SELECT`` stream. A sample_count that is not an
+    integer >= 1 raises EmptyUnlearnSetError, and one past the train size
+    a ValidationError; the seed is checked before it seeds the draw.
     """
-    _check_fits(test, train.num_features, train.num_classes, _SPLITS)
-    if not isinstance(spec.kind, str) or spec.kind not in ("class", "sample"):
-        raise ValidationError(f"unknown task kind {spec.kind!r}")
-    problems = integer_problems(seed=(spec.seed, 0))
-    if spec.kind == "class":
-        problems += integer_problems(class_id=(spec.class_id, 0, train.num_classes - 1))
-    if problems:
-        raise ValidationError("invalid task: " + "; ".join(problems))
-
-    if spec.kind == "class":
-        u_tr = train.class_indices(spec.class_id)
-        if u_tr.size == 0:
-            raise EmptyUnlearnSetError(
-                f"class {spec.class_id} has no training samples"
-            )
-        if test.class_indices(spec.class_id).size == 0:
-            raise EmptyUnlearnSetError(
-                f"class {spec.class_id} has no test samples to evaluate termination on"
-            )
-        return UnlearnTask(train, test, "class", u_tr, class_id=spec.class_id)
-
-    if spec.sample_indices is not None:
-        u_tr = np.sort(_row_indices(spec.sample_indices, train, "unlearning"), axis=None)
-    else:
+    # A kind that is not a string, an array among them, goes to the
+    # constructor's named error unread.
+    sample = isinstance(spec.kind, str) and spec.kind == "sample"
+    rows = spec.sample_indices if sample else None
+    if sample and rows is None:
+        if problems := integer_problems(seed=(spec.seed, 0)):
+            raise ValidationError("invalid task: " + problems[0])
         if problems := integer_problems(sample_count=(spec.sample_count, 1)):
             raise EmptyUnlearnSetError("invalid task: " + problems[0])
         if spec.sample_count > len(train):
@@ -547,14 +558,8 @@ def make_task(train: Dataset, test: Dataset, spec: TaskSpec) -> UnlearnTask:
                 f"sample_count {spec.sample_count} exceeds train size {len(train)}"
             )
         rng = np.random.default_rng([spec.seed, TAG_TASK_SELECT])
-        u_tr = np.sort(rng.choice(len(train), size=spec.sample_count, replace=False))
-    eval_rng = np.random.default_rng([spec.seed, TAG_EVAL_SUBSET])
-    eval_u = np.sort(eval_rng.choice(u_tr, size=min(u_tr.size, EVAL_CAP), replace=False))
-    n_ts_eval = min(len(test), EVAL_CAP)
-    eval_ts = np.sort(eval_rng.choice(len(test), size=n_ts_eval, replace=False))
-    return UnlearnTask(
-        train, test, "sample", u_tr, eval_unlearn_idx=eval_u, eval_test_idx=eval_ts
-    )
+        rows = rng.choice(len(train), size=spec.sample_count, replace=False)
+    return UnlearnTask(train, test, spec.kind, rows, spec.class_id, spec.seed)
 
 
 def batches(view: Dataset, batch_size: int, seed) -> list[Batch]:

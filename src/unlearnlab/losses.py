@@ -41,9 +41,10 @@ and then call their cores, ``_contrast_sets`` and ``_cross_entropy``,
 which the engine calls directly: its labels come from a Dataset whose
 class count ``data._check_fits`` matched to the model's, and its
 embeddings from the encoder, which makes them unit-norm. The two
-wrappers run their arithmetic under an ``np.errstate`` that silences
-numpy's overflow warnings, as the engine's runs do, so finite inputs
-that overflow reach the checks without a warning.
+wrappers, and both contrastive losses, run their arithmetic under an
+``np.errstate`` that silences numpy's overflow warnings, as the
+engine's runs do, so finite inputs that overflow, such as a tiny
+temperature, reach the checks without a warning.
 """
 from __future__ import annotations
 
@@ -219,25 +220,26 @@ def sample_unlearn_loss(sets: ContrastSets, temperature: float) -> Tensor:
     if not np.logical_or.reduce(valid):
         raise NoValidAnchorError("every anchor lacks a positive or a negative")
 
-    s = _similarities(sets, temperature)
-    positive = sets.positive_mask.astype(np.float64)
-    negative = sets.negative_mask.astype(np.float64)
-    valid_f = valid.astype(np.float64)
-    # Per anchor i: -(1/|N_i|) sum_a s_ia + log(sum_p exp(s_ip)).
-    neg_sum = np.add.reduce(s * negative, axis=1)
-    exp_s = _require_finite(np.exp(s), "exp of the scaled similarities")
-    # Pad invalid rows so the log stays finite; their term is zeroed below.
-    pos_den = np.add.reduce(exp_s * positive, axis=1) + (1.0 - valid_f)
-    # A sum of finite non-negative terms lies in [0, inf], so its log is
-    # finite exactly where it is positive and finite. Checked before the
-    # log, which then never takes a zero and raises no divide warning.
-    if not (np.minimum.reduce(pos_den) > 0.0 and np.maximum.reduce(pos_den) < math.inf):
-        raise NonFiniteError("log of the positive sum is not finite")
-    log_den = np.log(pos_den)
-    neg_coeff = np.where(valid, -1.0 / np.maximum(n_neg, 1), 0.0)
-    # A sum over the negatives can still overflow; it stays infinite (or
-    # turns NaN) through the rest, so the final value's check catches it.
-    value = np.add.reduce(neg_sum * neg_coeff + log_den * valid_f)
+    with np.errstate(over="ignore", invalid="ignore"):  # the finite checks pick the error
+        s = _similarities(sets, temperature)
+        positive = sets.positive_mask.astype(np.float64)
+        negative = sets.negative_mask.astype(np.float64)
+        valid_f = valid.astype(np.float64)
+        # Per anchor i: -(1/|N_i|) sum_a s_ia + log(sum_p exp(s_ip)).
+        neg_sum = np.add.reduce(s * negative, axis=1)
+        exp_s = _require_finite(np.exp(s), "exp of the scaled similarities")
+        # Pad invalid rows so the log stays finite; their term is zeroed below.
+        pos_den = np.add.reduce(exp_s * positive, axis=1) + (1.0 - valid_f)
+        # A sum of finite non-negative terms lies in [0, inf], so its log is
+        # finite exactly where it is positive and finite. Checked before the
+        # log, which then never takes a zero and raises no divide warning.
+        if not (np.minimum.reduce(pos_den) > 0.0 and np.maximum.reduce(pos_den) < math.inf):
+            raise NonFiniteError("log of the positive sum is not finite")
+        log_den = np.log(pos_den)
+        neg_coeff = np.where(valid, -1.0 / np.maximum(n_neg, 1), 0.0)
+        # A sum over the negatives can still overflow; it stays infinite (or
+        # turns NaN) through the rest, so the final value's check catches it.
+        value = np.add.reduce(neg_sum * neg_coeff + log_den * valid_f)
 
     def similarity_adjoint(g):
         g_den = (g * valid_f) / pos_den
@@ -259,15 +261,16 @@ def class_unlearn_loss(sets: ContrastSets, temperature: float) -> Tensor:
     if not np.logical_or.reduce(valid):
         raise NoValidAnchorError("every anchor lacks a negative")
 
-    s = _similarities(sets, temperature)
-    negative = sets.negative_mask.astype(np.float64)
-    # Per anchor i: -(1/|N_i|) sum_a s_ia + log(|N_i|).
-    neg_sum = np.add.reduce(s * negative, axis=1)
-    neg_coeff = np.where(valid, -1.0 / np.maximum(n_neg, 1), 0.0)
-    constant = float(np.add.reduce(np.log(n_neg[valid])))
-    # Only the sums can overflow past the similarities; an infinite sum
-    # stays non-finite through the rest, so the final value's check catches it.
-    value = np.add.reduce(neg_sum * neg_coeff) + constant
+    with np.errstate(over="ignore", invalid="ignore"):  # the finite checks pick the error
+        s = _similarities(sets, temperature)
+        negative = sets.negative_mask.astype(np.float64)
+        # Per anchor i: -(1/|N_i|) sum_a s_ia + log(|N_i|).
+        neg_sum = np.add.reduce(s * negative, axis=1)
+        neg_coeff = np.where(valid, -1.0 / np.maximum(n_neg, 1), 0.0)
+        constant = float(np.add.reduce(np.log(n_neg[valid])))
+        # Only the sums can overflow past the similarities; an infinite sum
+        # stays non-finite through the rest, so the final value's check catches it.
+        value = np.add.reduce(neg_sum * neg_coeff) + constant
 
     def similarity_adjoint(g):
         return (g * neg_coeff)[:, None] * negative

@@ -439,6 +439,7 @@ class TestFailureModes:
             (["unlearn", "--method", "retrain"], "task", {"kind": "sample", "index_file": "big.txt"}, 2),
             (["gen-data"], "dataset", {"csv": {"train": "ok.csv", "test": "ok.csv"}}, 2),
             (["unlearn", "--from", "junk.ckpt"], "unlearn", {"method": "sgd"}, 2),
+            (["train"], "dataset", {"csv": {"train": "overflow.csv", "test": "ok.csv"}}, 2),
         ],
     )
     def test_bad_input_fails_before_any_write(
@@ -451,6 +452,8 @@ class TestFailureModes:
         (tmp_path / "big.txt").write_text("0\n99999999999999999999\n")
         (tmp_path / "huge.csv").write_text("f0,f1,label\n1.0,2.0,0\n1.0,2.0,99999999999999999999\n")
         (tmp_path / "long.csv").write_text("f0,f1,label\n" + "0" * 200_000 + "1.5,2.0,0\n1.0,2.0,1.0\n")
+        # Column f0's train std overflows: it warned, then became zeros.
+        (tmp_path / "overflow.csv").write_text("f0,f1,label\n1.7e308,1.0,0\n-1.7e308,2.0,1\n")
         cfg = json.loads(json.dumps(BASE_CONFIG))
         if section is not None:
             *parents, field = section.split(".")

@@ -368,6 +368,25 @@ class TestStandardizer:
         assert np.array_equal(s_test.features, (test.features - mean) / std)
         assert np.array_equal(s_train.labels, train.labels)
 
+    @pytest.mark.parametrize(
+        "train, test, column",
+        [
+            # The std overflows: the column was scaled to zeros.
+            ([[1.7e308, 1.0], [-1.7e308, 2.0]], [[0.0, 1.0]], 0),
+            # The mean overflows: finite features were "features must be finite".
+            ([[1.0, 1.7e308], [2.0, 1.7e308]], [[0.0, 1.0]], 1),
+            # The statistics are finite, but a test value overflows once centred.
+            ([[1.0, -8e307], [2.0, -8e307]], [[0.0, 1e308]], 1),
+        ],
+        ids=["std", "mean", "test-value"],
+    )
+    def test_overflowing_column_is_named_without_a_warning(self, train, test, column):
+        pair = Dataset(np.array(train), [0, 1], 2), Dataset(np.array(test), [0], 2)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValidationError, match=f"cannot standardize column {column}:"):
+                standardize_pair(*pair)
+
 
 class TestSplitsFit:
     # A test split of another width was standardized by broadcasting, and
@@ -518,6 +537,32 @@ class TestClassTask:
         with pytest.raises(ValidationError):
             make_task(train, test, TaskSpec(kind="class", class_id=7))
 
+    def test_constructor_derives_the_class_rows(self):
+        train, test = generate_synthetic(3, 4, 10, 5, seed=0)
+        rows = train.class_indices(1)
+        for given in (None, rows, rows[::-1]):
+            task = UnlearnTask(train, test, "class", given, class_id=1)
+            assert np.array_equal(task.unlearn_train_idx, rows)
+
+    def test_rows_other_than_the_class_rows_rejected(self):
+        # They were taken: [0, 1] with class_id=2 forgot two rows of class 0
+        # and retrained on every row of class 2.
+        train, test = generate_synthetic(3, 4, 10, 5, seed=0)
+        rows = train.class_indices(1)
+        for bad in (rows[:-1], np.append(rows, train.class_indices(2)[0]), train.class_indices(0)):
+            with pytest.raises(ValidationError, match="unlearning indices must be the rows of class 1"):
+                UnlearnTask(train, test, "class", bad, class_id=1)
+
+    def test_class_without_rows_is_refused_at_construction(self, rng):
+        # A class with no test rows was taken, and unlearning then failed on
+        # an empty termination view.
+        train = Dataset(rng.standard_normal((9, 2)), np.array([0, 1, 2] * 3), 3)
+        test = Dataset(rng.standard_normal((4, 2)), np.array([0, 1, 0, 1]), 3)
+        with pytest.raises(EmptyUnlearnSetError, match="class 2 has no test samples"):
+            UnlearnTask(train, test, "class", train.class_indices(2), class_id=2)
+        with pytest.raises(EmptyUnlearnSetError, match="class 2 has no training samples"):
+            UnlearnTask(test, train, "class", class_id=2)
+
 
 class TestSampleTask:
     def test_seeded_selection_is_deterministic(self):
@@ -571,6 +616,34 @@ class TestSampleTask:
         with pytest.raises(EmptyUnlearnSetError):
             make_task(train, test, TaskSpec(kind="sample", sample_count=0))
 
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            *[TaskSpec(kind="class", class_id=c, seed=c) for c in range(4)],
+            TaskSpec(kind="sample", sample_count=25, seed=1),
+            TaskSpec(kind="sample", sample_count=650, seed=2),
+            TaskSpec(kind="sample", sample_indices=(700, 5, 1, 9), seed=3),
+            TaskSpec(kind="sample", sample_indices=np.array(3)),
+        ],
+        ids=["class0", "class1", "class2", "class3", "count-25", "count-650", "explicit", "rank-0"],
+    )
+    def test_make_task_is_the_constructor(self, spec):
+        # make_task only draws a count's rows; the constructor, given the
+        # same rows and the spec's other fields, makes the same task,
+        # evaluation subsets included (650 rows and 600 test rows are both
+        # past EVAL_CAP).
+        train, test = generate_synthetic(4, 3, 200, 150, seed=1)
+        task = make_task(train, test, spec)
+        rows = task.unlearn_train_idx if spec.sample_count else spec.sample_indices
+        built = UnlearnTask(train, test, spec.kind, rows, spec.class_id, spec.seed)
+        assert (built.kind, built.class_id) == (task.kind, task.class_id)
+        for name in ("unlearn_train_idx", "remain_train_idx", "eval_unlearn_idx", "eval_test_idx"):
+            want, got = getattr(task, name), getattr(built, name)
+            assert got is want is None or got.tobytes() == want.tobytes()
+        if spec.kind == "sample":
+            assert len(task.eval_unlearn_idx) == min(len(task.unlearn_train_idx), EVAL_CAP)
+            assert len(task.eval_test_idx) == min(len(test), EVAL_CAP)
+
     def test_sample_task_has_no_test_partition(self):
         train, test = generate_synthetic(3, 4, 20, 10, seed=0)
         task = make_task(train, test, TaskSpec(kind="sample", sample_count=5))
@@ -579,19 +652,17 @@ class TestSampleTask:
 
 
 class TestTaskValidation:
-    EVAL = dict(eval_unlearn_idx=[0], eval_test_idx=[0])
-
     def test_non_partition_rejected(self):
         # Duplicate or out-of-range unlearning rows cannot form a partition
         # with their complement, so the constructor refuses them.
         train, test = generate_synthetic(3, 4, 10, 5, seed=0)
         for bad in ([0, 1, 1], [0, len(train)], [-1, 2]):
             with pytest.raises(ValidationError):
-                UnlearnTask(train, test, "sample", np.array(bad), **self.EVAL)
+                UnlearnTask(train, test, "sample", np.array(bad))
 
     def test_remaining_rows_are_the_sorted_complement(self):
         train, test = generate_synthetic(3, 4, 10, 5, seed=0)
-        task = UnlearnTask(train, test, "sample", [7, 0, 3], **self.EVAL)
+        task = UnlearnTask(train, test, "sample", [7, 0, 3])
         assert task.unlearn_train_idx.tolist() == [0, 3, 7]
         assert task.remain_train_idx.tolist() == [i for i in range(len(train)) if i not in (0, 3, 7)]
         assert datasets_equal(task.remain_train, train.subset(task.remain_train_idx))
@@ -599,7 +670,7 @@ class TestTaskValidation:
     def test_empty_unlearning_set_rejected(self):
         train, test = generate_synthetic(3, 4, 10, 5, seed=0)
         with pytest.raises(EmptyUnlearnSetError):
-            UnlearnTask(train, test, "sample", [], **self.EVAL)
+            UnlearnTask(train, test, "sample", [])
         with pytest.raises(EmptyUnlearnSetError):
             make_task(train, test, TaskSpec(kind="sample", sample_indices=()))
 
@@ -613,24 +684,16 @@ class TestTaskValidation:
     def test_index_past_int64_rejected(self, big):
         train, test = generate_synthetic(3, 4, 10, 5, seed=0)
         with pytest.raises(ValidationError):
-            UnlearnTask(train, test, "sample", [0, big], **self.EVAL)
+            UnlearnTask(train, test, "sample", [0, big])
         with pytest.raises(ValidationError):
             make_task(train, test, TaskSpec(kind="sample", sample_indices=(0, big)))
 
     def test_non_integral_indices_rejected(self):
         # A non-integral index is an error, never truncated to a row (1.7 to 1).
         train, test = generate_synthetic(3, 4, 10, 5, seed=0)
-        for unlearn, eval_unlearn, eval_test in (
-            ([1.7, 2.2], [1], [0]),
-            ([1], [1.9], [0]),
-            ([1], [1], [0.5]),
-            ([1, np.nan], [1], [0]),
-        ):
+        for unlearn in ([1.7, 2.2], [1, np.nan]):
             with pytest.raises(ValidationError, match="integers"):
-                UnlearnTask(
-                    train, test, "sample", unlearn,
-                    eval_unlearn_idx=eval_unlearn, eval_test_idx=eval_test,
-                )
+                UnlearnTask(train, test, "sample", unlearn)
         with pytest.raises(ValidationError, match="integers"):
             make_task(train, test, TaskSpec(kind="sample", sample_indices=(1.9, 3.5)))
 
@@ -640,15 +703,6 @@ class TestTaskValidation:
         train, test = generate_synthetic(3, 4, 10, 5, seed=0)
         with pytest.raises(ValidationError, match="unlearning indices must be integers"):
             make_task(train, test, TaskSpec(kind="sample", sample_indices=(bad, 1)))
-
-    def test_evaluation_indices_range_checked(self):
-        train, test = generate_synthetic(3, 4, 10, 5, seed=0)
-        for eval_unlearn, eval_test in (([10**6], [0]), ([0], [-99]), ([0], [len(test)])):
-            with pytest.raises(ValidationError):
-                UnlearnTask(
-                    train, test, "sample", [0],
-                    eval_unlearn_idx=eval_unlearn, eval_test_idx=eval_test,
-                )
 
     def test_negative_task_seed_rejected(self):
         train, test = generate_synthetic(3, 4, 10, 5, seed=0)
@@ -689,14 +743,12 @@ class TestTaskValidation:
         train, test = generate_synthetic(3, 4, 10, 5, seed=0)
         other = Dataset(test.features[:, :width], test.labels, classes)
         with pytest.raises(DimensionError, match=message):
-            UnlearnTask(train, other, "sample", [0], **self.EVAL)
+            UnlearnTask(train, other, "sample", [0])
 
     def test_incomplete_request_rejected(self):
         train, test = generate_synthetic(3, 4, 10, 5, seed=0)
         with pytest.raises(ValidationError):
             UnlearnTask(train, test, "class", [0])  # no class_id
-        with pytest.raises(ValidationError):
-            UnlearnTask(train, test, "sample", [0])  # no evaluation subsets
         with pytest.raises(ValidationError):
             UnlearnTask(train, test, "subset", [0])
 

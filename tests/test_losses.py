@@ -698,6 +698,27 @@ class TestFusedLosses:
                 with pytest.raises(NonFiniteError):
                     loss_fn(sets, 1e-310)
 
+    @pytest.mark.parametrize(
+        "loss_fn, temperature",
+        [
+            # 1 / t = 1e300 scales the similarity of 1 to 1e300; its exp overflows.
+            (sample_unlearn_loss, 1e-300),
+            # 1 / t is inf, and the zero similarity times it NaN.
+            (class_unlearn_loss, 1e-310),
+            (sample_unlearn_loss, np.float64(1e-310)),
+            (class_unlearn_loss, np.float64(1e-310)),
+        ],
+        ids=["sample-1e-300", "class-1e-310", "sample-numpy-1e-310", "class-numpy-1e-310"],
+    )
+    def test_tiny_temperature_raises_no_warning(self, loss_fn, temperature):
+        # Each once warned before its NonFiniteError, and raised the warning
+        # under warnings-as-errors.
+        sets = sets_of([[1.0, 0.0]], [0], [[1.0, 0.0], [0.0, 1.0]], [0, 1])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NonFiniteError):
+                loss_fn(sets, temperature)
+
     @pytest.mark.parametrize("bad", [float("inf"), float("nan"), 0.0, -1.0, None, "0.5", True])
     def test_temperature_must_be_positive_and_finite(self, bad):
         # The rule and the message of LossConfig's temperature: a string,

@@ -177,12 +177,8 @@ SWEPT = {
     "Dataset.num_classes": lambda v: ul.Dataset(np.zeros((3, 2)), [0, 1, 1], v),
     "Dataset.subset": lambda v: TRAIN.subset(v),
     "Dataset.class_indices": lambda v: TRAIN.class_indices(v),
-    "UnlearnTask.unlearn_train_idx": lambda v: ul.UnlearnTask(
-        TRAIN, TEST, "sample", v, eval_unlearn_idx=[0], eval_test_idx=[0]
-    ),
-    "UnlearnTask.eval_test_idx": lambda v: ul.UnlearnTask(
-        TRAIN, TEST, "sample", [0], eval_unlearn_idx=[0], eval_test_idx=v
-    ),
+    "UnlearnTask.unlearn_train_idx": lambda v: ul.UnlearnTask(TRAIN, TEST, "sample", v),
+    "UnlearnTask.seed": lambda v: ul.UnlearnTask(TRAIN, TEST, "sample", [0], seed=v),
     "UnlearnTask.class_id": lambda v: ul.UnlearnTask(TRAIN, TEST, "class", [0], class_id=v),
     **{
         f"TaskSpec.{field}": lambda v, field=field: ul.make_task(
