@@ -285,13 +285,9 @@ def _read_index_file(path: str) -> tuple[int, ...]:
 
 def _build_task(config: dict, train_ds: Dataset, test_ds: Dataset) -> UnlearnTask:
     t = config["task"]
-    if t["kind"] == "class":
-        rows = {"class_id": t["class_id"]}
-    elif t["index_file"]:
-        rows = {"sample_indices": _read_index_file(t["index_file"])}
-    else:
-        rows = {"sample_count": t["count"]}
-    return make_task(train_ds, test_ds, TaskSpec(kind=t["kind"], seed=t["seed"], **rows))
+    rows = _read_index_file(t["index_file"]) if t["index_file"] else None
+    spec = TaskSpec(t["kind"], t["class_id"], t["count"], rows, t["seed"])
+    return make_task(train_ds, test_ds, spec)
 
 
 def _build_task_and_arch(config: dict) -> tuple[UnlearnTask, ModelArchitecture]:

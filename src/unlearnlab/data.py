@@ -442,10 +442,11 @@ class UnlearnTask:
     The constructor holds the test split to the train split
     (``_check_fits``, a DimensionError), the kind to "class" or
     "sample", the seed and a class task's class_id to the integer rule,
-    and the unlearning indices to non-empty, unique, in-range integers
-    (``errors.integer_array``), each with a ValidationError, an empty
-    set with an EmptyUnlearnSetError. A class with no training rows or
-    no test rows to evaluate termination on is an EmptyUnlearnSetError.
+    a sample task's class_id to None, and the unlearning indices to
+    non-empty, unique, in-range integers (``errors.integer_array``), each
+    with a ValidationError, an empty set with an EmptyUnlearnSetError. A
+    class with no training rows or no test rows to evaluate termination
+    on is an EmptyUnlearnSetError.
     """
 
     def __init__(
@@ -463,6 +464,8 @@ class UnlearnTask:
         problems = integer_problems(seed=(seed, 0))
         if kind == "class":
             problems += integer_problems(class_id=(class_id, 0, train.num_classes - 1))
+        elif class_id is not None:
+            problems.append(f"a sample task takes no class_id, got {class_id!r}")
         if problems:
             raise ValidationError("invalid task: " + "; ".join(problems))
         if unlearn_train_idx is not None or kind == "sample":
@@ -491,7 +494,7 @@ class UnlearnTask:
         remain = np.ones(len(train), dtype=bool)
         remain[idx] = False
         self.train, self.test, self.kind = train, test, kind
-        self.class_id = class_id if kind == "class" else None
+        self.class_id = class_id
         self.unlearn_train_idx = idx
         self.remain_train_idx = np.flatnonzero(remain)
 
@@ -542,13 +545,21 @@ def make_task(train: Dataset, test: Dataset, spec: TaskSpec) -> UnlearnTask:
     ``sample_indices``, that many distinct training rows are drawn from
     the seed's ``TAG_TASK_SELECT`` stream. A sample_count that is not an
     integer >= 1 raises EmptyUnlearnSetError, and one past the train size
-    a ValidationError; the seed is checked before it seeds the draw.
+    a ValidationError; the seed is checked before it seeds the draw. A
+    sample_count on a class spec, or beside ``sample_indices``, is a
+    ValidationError; the spec's other fields go to the constructor
+    whatever the kind, so it refuses a sample spec's class_id and a class
+    spec's indices other than the class's rows.
     """
     # A kind that is not a string, an array among them, goes to the
     # constructor's named error unread.
-    sample = isinstance(spec.kind, str) and spec.kind == "sample"
-    rows = spec.sample_indices if sample else None
-    if sample and rows is None:
+    kind = spec.kind if isinstance(spec.kind, str) else None
+    rows = spec.sample_indices
+    if spec.sample_count is not None and (kind == "class" or rows is not None):
+        raise ValidationError(
+            "invalid task: sample_count is for a sample task without sample_indices"
+        )
+    if kind == "sample" and rows is None:
         if problems := integer_problems(seed=(spec.seed, 0)):
             raise ValidationError("invalid task: " + problems[0])
         if problems := integer_problems(sample_count=(spec.sample_count, 1)):

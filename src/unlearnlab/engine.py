@@ -217,18 +217,17 @@ def _sgd_step(
     return out
 
 
-def _ce_pass(view: Dataset, tag: int, cfg: EngineConfig, ascend: bool = False):
+def _ce_pass(view: Dataset, tag: int, cfg: EngineConfig, sign: float = -1.0):
     """run_pass(params, epoch, record): one epoch of SGD on mean
-    cross-entropy over view's seeded batches, then its pass row. A
-    non-finite step raises DivergenceError, except in ascent (neggrad),
-    which ends the pass there and records "non-finite-loss".
+    cross-entropy over view's seeded batches, then its pass row; sign
+    -1.0 descends, +1.0 ascends (neggrad). A non-finite step raises
+    DivergenceError, after the row of the steps taken before it.
     """
-    sign = 1.0 if ascend else -1.0
 
     def run_pass(params: ModelParameters, epoch: int, record: RunRecord) -> None:
         losses = []
-        for b_index, batch in enumerate(batches(view, cfg.batch_size, [cfg.seed, tag, epoch])):
-            try:
+        try:
+            for b_index, batch in enumerate(batches(view, cfg.batch_size, [cfg.seed, tag, epoch])):
                 (loss,) = _sgd_step(
                     params,
                     lambda p: (
@@ -239,21 +238,17 @@ def _ce_pass(view: Dataset, tag: int, cfg: EngineConfig, ascend: bool = False):
                     b_index,
                     sign,
                 )
-            except DivergenceError:
-                if not ascend:
-                    raise
-                record.termination_detail = "non-finite-loss"
-                break
-            losses.append(loss.item())
-            record.gradient_steps += 1
-            record.batches_processed += 1
-        record.rows.append(
-            {
-                "kind": "pass",
-                "epoch": epoch,
-                "mean_ce": float(np.mean(losses)) if losses else 0.0,
-            }
-        )
+                losses.append(loss.item())
+                record.gradient_steps += 1
+                record.batches_processed += 1
+        finally:
+            record.rows.append(
+                {
+                    "kind": "pass",
+                    "epoch": epoch,
+                    "mean_ce": float(np.mean(losses)) if losses else 0.0,
+                }
+            )
 
     return run_pass
 
@@ -299,50 +294,55 @@ def _unlearn_loop(
     cfg: EngineConfig,
     method: str,
     run_pass,
-    extra_halt=None,
+    guard=None,
 ) -> tuple[ModelParameters, RunRecord]:
-    """Shared skeleton: evaluate, maybe stop, otherwise run one pass.
+    """The one place an unlearning run is checked and stopped.
 
-    run_pass(params, epoch, record) executes one pass over the relevant
-    data, in place on the run's working copy of params. extra_halt(params)
-    -> str | None may force an error stop (the gradient-ascent divergence
-    guard); it is consulted at the same cadence as the termination
-    condition. Parameters that overflow
-    the evaluation are such a stop, "non-finite-loss", in a run with a
-    guard, and raise DivergenceError in one without.
+    The task's train split must fit the model. Then, for each epoch up to
+    max_unlearn_epochs: evaluate (every termination_every epochs), maybe
+    stop, otherwise run one pass. run_pass(params, epoch, record) runs a
+    pass in place on the run's working copy of params. The run stops with
+    reason "condition-met" once the task's condition holds, and "error"
+    once guard(params) -> str | None (the gradient-ascent divergence
+    guard, consulted at each unmet evaluation) returns a detail. In a
+    guarded run, parameters that overflow the evaluation or a pass are
+    such a stop, detail "non-finite-loss"; without a guard they raise
+    DivergenceError. Otherwise the run ends at the cap, "epoch-cap",
+    after a last evaluation; a zero cap runs nothing.
     """
+    _check_fits(task.train, params.arch.input_dim, params.arch.num_classes)
     params = params._working_copy()
     record = RunRecord(method=method, config=cfg.to_dict())
+    cap = cfg.max_unlearn_epochs
     start = time.perf_counter()
-    if cfg.max_unlearn_epochs == 0:
-        record.duration_seconds = time.perf_counter() - start
-        return params._snapshot(), record
     with np.errstate(over="ignore", invalid="ignore"):
-        for epoch in range(cfg.max_unlearn_epochs + 1):
+        for epoch in range(cap + 1 if cap else 0):
             if epoch % cfg.termination_every == 0:
                 try:
                     met, metrics = _termination_metrics(params, task)
-                    detail = None if met or extra_halt is None else extra_halt(params)
+                    detail = None if met or guard is None else guard(params)
                 except NonFiniteError as exc:
-                    if extra_halt is None:
+                    if guard is None:
                         raise _diverged(exc, epoch) from exc
                     met, metrics, detail = False, {}, "non-finite-loss"
                 row = {"kind": "evaluation", "epoch": epoch, "condition_met": bool(met), **metrics}
                 if detail is not None:
-                    row["halt"] = record.termination_detail = detail
+                    row["halt"] = detail
                 record.rows.append(row)
                 if met:
                     record.termination_reason = "condition-met"
                     break
                 if detail is not None:
-                    record.termination_reason = "error"
+                    record.termination_reason, record.termination_detail = "error", detail
                     break
-            if epoch == cfg.max_unlearn_epochs:
-                record.termination_reason = "epoch-cap"
+            if epoch == cap:
                 break
-            run_pass(params, epoch, record)
-            if record.termination_detail is not None:
-                record.termination_reason = "error"
+            try:
+                run_pass(params, epoch, record)
+            except DivergenceError:
+                if guard is None:
+                    raise
+                record.termination_reason, record.termination_detail = "error", "non-finite-loss"
                 break
     record.duration_seconds = time.perf_counter() - start
     return params._snapshot(), record
@@ -358,7 +358,6 @@ def unlearn_contrastive(
     whole pass finishes without a single usable anchor the task is
     reported unlearnable.
     """
-    _check_fits(task.train, params.arch.input_dim, params.arch.num_classes)
     if cfg.loss.variant != task.kind:
         raise ValidationError(
             f"loss variant {cfg.loss.variant!r} does not match task kind {task.kind!r}"
@@ -431,7 +430,6 @@ def unlearn_finetune(
     Uses the same termination checks and epoch cap as contrastive
     unlearning so the records are comparable.
     """
-    _check_fits(task.train, params.arch.input_dim, params.arch.num_classes)
     run_pass = _ce_pass(task.remain_train, TAG_TRAIN_BATCHES, cfg)
     return _unlearn_loop(params, task, cfg, "finetune", run_pass)
 
@@ -447,15 +445,14 @@ def unlearn_neggrad(
     the same way rather than raised: blowing up is this baseline's
     known failure mode, not a caller bug.
     """
-    _check_fits(task.train, params.arch.input_dim, params.arch.num_classes)
     ce_cap = DIVERGENCE_FACTOR * float(np.log(task.train.num_classes))
 
-    def extra_halt(params: ModelParameters) -> str | None:
+    def guard(params: ModelParameters) -> str | None:
         view = task.eval_unlearn
         logits = _head_logits(params, _encode(params, view.features))
         if _cross_entropy(logits, view.labels).item() > ce_cap:
             return "divergence-guard"
         return None
 
-    run_pass = _ce_pass(task.unlearn_train, TAG_UNLEARN_BATCHES, cfg, ascend=True)
-    return _unlearn_loop(params, task, cfg, "neggrad", run_pass, extra_halt=extra_halt)
+    run_pass = _ce_pass(task.unlearn_train, TAG_UNLEARN_BATCHES, cfg, sign=1.0)
+    return _unlearn_loop(params, task, cfg, "neggrad", run_pass, guard=guard)

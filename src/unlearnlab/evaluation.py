@@ -165,10 +165,15 @@ def embedding_geometry(params: ModelParameters, task: UnlearnTask) -> GeometryRe
 
 
 def attack_features(params: ModelParameters, dataset: Dataset) -> np.ndarray:
-    """Softmax probability vectors sorted in descending order per row."""
+    """Softmax probability vectors sorted in descending order per row.
+
+    A logit more than the float range below its row's largest shifts to
+    -inf, so its probability is exactly 0.0, as the float64 softmax gives.
+    """
     _check_fits(dataset, params.arch.input_dim, params.arch.num_classes)
     logits = _head_logits(params, _encode(params, dataset.features)).data
-    shifted = logits - logits.max(axis=1, keepdims=True)
+    with np.errstate(over="ignore"):
+        shifted = logits - logits.max(axis=1, keepdims=True)
     probs = np.exp(shifted)
     probs /= probs.sum(axis=1, keepdims=True)
     return np.sort(probs, axis=1)[:, ::-1]
@@ -204,7 +209,9 @@ def fit_attack_model(features: np.ndarray, labels: np.ndarray) -> AttackModel:
     go through ``errors.real_array`` and labels, 0 (non-member) or 1
     (member), through ``errors.integer_array``. Empty or non-finite
     features raise ValidationError: the fit would otherwise stop at its
-    zero start, an attack that calls nothing a member.
+    zero start, an attack that calls nothing a member. So does a fit that
+    L-BFGS-B does not report as a success, such as one on finite features
+    of about 1e20, whose first line search fails at that start.
     """
     # scipy is imported here, not with the module, so that only the
     # commands that run the attack pay for its import.
@@ -232,7 +239,10 @@ def fit_attack_model(features: np.ndarray, labels: np.ndarray) -> AttackModel:
         return loss, np.concatenate([grad_w, [grad_b]])
 
     start = np.zeros(features.shape[1] + 1)
-    result = minimize(objective, start, jac=True, method="L-BFGS-B")
+    with np.errstate(over="ignore", invalid="ignore"):
+        result = minimize(objective, start, jac=True, method="L-BFGS-B")
+    if not result.success:
+        raise ValidationError("the attack fit failed: L-BFGS-B did not report success")
     return AttackModel(weights=result.x[:-1].copy(), bias=float(result.x[-1]))
 
 

@@ -440,6 +440,9 @@ class TestFailureModes:
             (["gen-data"], "dataset", {"csv": {"train": "ok.csv", "test": "ok.csv"}}, 2),
             (["unlearn", "--from", "junk.ckpt"], "unlearn", {"method": "sgd"}, 2),
             (["train"], "dataset", {"csv": {"train": "overflow.csv", "test": "ok.csv"}}, 2),
+            # A task section that mixes kinds: the field was dropped.
+            (["unlearn", "--method", "retrain"], "task.count", 5, 2),
+            (["unlearn", "--method", "retrain"], "task", {"kind": "sample", "count": 5, "class_id": 1}, 2),
         ],
     )
     def test_bad_input_fails_before_any_write(

@@ -713,6 +713,48 @@ class TestTaskValidation:
             with pytest.raises(ValidationError, match="seed"):
                 make_task(train, test, spec)
 
+    @pytest.mark.parametrize(
+        "build, match",
+        [
+            # Each was taken: the class task forgot all of class 1, the
+            # sample task forgot rows 0 and 1, and the sample task stored None.
+            (
+                lambda tr, te: make_task(
+                    tr, te, TaskSpec(kind="class", class_id=1, sample_indices=(0, 1), sample_count=5)
+                ),
+                "sample_count is for a sample task without sample_indices",
+            ),
+            (
+                lambda tr, te: make_task(tr, te, TaskSpec(kind="class", class_id=1, sample_count=5)),
+                "sample_count is for a sample task without sample_indices",
+            ),
+            (
+                lambda tr, te: make_task(tr, te, TaskSpec(kind="class", class_id=1, sample_indices=(0, 1))),
+                "unlearning indices must be the rows of class 1",
+            ),
+            (
+                lambda tr, te: make_task(tr, te, TaskSpec(kind="sample", sample_count=3, sample_indices=(0, 1))),
+                "sample_count is for a sample task without sample_indices",
+            ),
+            (
+                lambda tr, te: make_task(tr, te, TaskSpec(kind="sample", sample_count=3, class_id="a")),
+                "a sample task takes no class_id, got 'a'",
+            ),
+            (
+                lambda tr, te: UnlearnTask(tr, te, "sample", [0, 1], class_id=7),
+                "a sample task takes no class_id, got 7",
+            ),
+        ],
+        ids=["class-indices-count", "class-count", "class-indices", "sample-count-indices",
+             "spec-sample-class-id", "sample-class-id"],
+    )
+    def test_a_field_of_the_other_kind_is_refused(self, build, match):
+        train, test = generate_synthetic(3, 4, 10, 5, seed=0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValidationError, match=match):
+                build(train, test)
+
     def test_array_kind_is_named(self):
         # Its comparison with "class" raised a bare "truth value is ambiguous".
         train, test = generate_synthetic(3, 4, 10, 5, seed=0)

@@ -2,6 +2,7 @@
 
 import csv
 import os
+import warnings
 
 import numpy as np
 import pytest
@@ -269,6 +270,20 @@ class TestAttackFeatures:
         assert got.shape == want.shape and got.tobytes() == want.tobytes()
 
 
+    def test_logits_past_the_float_range_give_exact_zeros(self):
+        # Head biases of +1e308 and -1e308: the shift of the far class
+        # overflowed with a warning; its probability is exactly 0.0.
+        train, _, params = small_world()
+        values = {n: t.data.copy() for n, t in zip(params.names(), params.as_list())}
+        values["head.w"][:] = 0.0
+        values["head.b"][:] = [1e308, -1e308, 0.0]
+        far = params.replace([values[n] for n in params.names()])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = attack_features(far, train)
+        assert np.array_equal(got, np.tile([1.0, 0.0, 0.0], (len(train), 1)))
+
+
 class TestAttackModel:
     def test_indifferent_attack_names_no_members(self):
         train, _, params = small_world()
@@ -302,6 +317,16 @@ class TestAttackModel:
         # Both used to end in a RuntimeWarning and the zero-start model.
         with pytest.raises(ValidationError, match="attack features"):
             fit_attack_model(features, labels)
+
+    @pytest.mark.parametrize("scale", [1e20, 1e160])
+    def test_a_fit_that_fails_is_refused(self, scale):
+        # L-BFGS-B stopped "ABNORMAL" at its zero start, an attack that calls
+        # nothing a member; at 1e160 numpy also warned in logaddexp.
+        features = np.array([[scale, 0.0], [-scale, 1.0]] * 5)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValidationError, match="the attack fit failed"):
+                fit_attack_model(features, [1, 0] * 5)
 
     @pytest.mark.parametrize(
         "labels, match",

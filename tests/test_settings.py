@@ -184,8 +184,11 @@ SWEPT = {
         f"TaskSpec.{field}": lambda v, field=field: ul.make_task(
             TRAIN, TEST, ul.TaskSpec(**{"kind": "sample", "sample_count": 3, field: v})
         )
-        for field in ("kind", "class_id", "sample_count", "sample_indices", "seed")
+        for field in ("kind", "class_id", "sample_count", "seed")
     },
+    "TaskSpec.sample_indices": lambda v: ul.make_task(
+        TRAIN, TEST, ul.TaskSpec(kind="sample", sample_indices=v)
+    ),
     "TaskSpec.class_id-of-a-class-task": lambda v: ul.make_task(
         TRAIN, TEST, ul.TaskSpec(kind="class", class_id=v)
     ),
