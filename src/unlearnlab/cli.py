@@ -153,7 +153,9 @@ def resolve_config(user: dict) -> dict:
     an integral float and a float field any number (bools are not numbers).
     hidden takes a list of integers. A None default takes a path string or
     null; task.class_id and task.count take an integer or null. Seeds must
-    be non-negative.
+    be non-negative. A task section holds its kind's fields only: a count
+    on a class task or beside an index_file, and a class_id on a sample
+    task, are refused by their config names, before any data is made.
     """
     problems: list[str] = []
     config = copy.deepcopy(_DEFAULTS)
@@ -190,8 +192,12 @@ def resolve_config(user: dict) -> dict:
             problems.append("task.kind: must be 'class' or 'sample'")
         elif task["kind"] == "class" and task["class_id"] is None:
             problems.append("task.class_id: required for a class task")
-        elif task["kind"] == "sample" and task["count"] is None and task["index_file"] is None:
+        elif task["kind"] == "sample" and task["count"] is None and not task["index_file"]:
             problems.append("task.count or task.index_file: required for a sample task")
+        if task["count"] is not None and (task["kind"] == "class" or task["index_file"]):
+            problems.append("task.count: only for a sample task without task.index_file")
+        if task["kind"] == "sample" and task["class_id"] is not None:
+            problems.append("task.class_id: only for a class task")
 
     if "output_dir" in user:
         if not isinstance(user["output_dir"], str) or not user["output_dir"]:
@@ -462,12 +468,9 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except (ValidationError, ParseError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except (UnlearnLabError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 3
+        return 2 if isinstance(exc, (ValidationError, ParseError)) else 3
 
 
 def entrypoint() -> None:

@@ -219,6 +219,13 @@ def generate_synthetic(
         problems.append("spread must be positive and 4 * spread finite")
     if problems:
         raise ValidationError("invalid generator settings: " + "; ".join(problems))
+    # numpy refuses a float64 array past np.intp's byte range with a bare
+    # ValueError; Python ints count the bytes without wrapping.
+    n, d, rows = int(num_classes), int(dim), max(int(per_class_train), int(per_class_test))
+    if 8 * max(d * d, n * rows * d) > np.iinfo(np.intp).max:
+        raise ValidationError(
+            f"invalid generator settings: a {d} x {d} or {n} x {rows} x {d} array is too big"
+        )
 
     rng = np.random.default_rng(seed)
     means = _place_means(num_classes, dim, min_distance, rng)
@@ -380,9 +387,6 @@ def _load_csv_lines(path: Path) -> Dataset:
                 )
             try:
                 rows.append([float(v) for v in row[:-1]])
-            except ValueError as exc:
-                raise ParseError(f"{path}: line {lineno}: {exc}") from exc
-            try:
                 label = int(row[-1])
             except ValueError as exc:
                 raise ParseError(f"{path}: line {lineno}: {exc}") from exc

@@ -28,8 +28,11 @@ expressions of the same loss composed from the primitive tensor ops of
 are bit-identical to the composed version, while constants such as the
 row max, the labels, the masks and the weights get no adjoint.
 A value the composed ops would have rejected as non-finite still raises
-NonFiniteError. Matrix products go through ``tensor._dot``, as the
-layers' do; ``combined_loss`` adds its two weighted terms as Python
+NonFiniteError: an intermediate array through
+``tensor._require_finite``, the one check for computed arrays, and the
+value through ``tensor._fresh``; the sample loss's positive sums have
+their own bound, since their log needs them positive as well as finite.
+Matrix products go through ``tensor._dot``, as the layers' do; ``combined_loss`` adds its two weighted terms as Python
 floats, which give the IEEE results of the 0-d array ops in fewer numpy
 calls; and where a composed sum would turn a -0.0 into 0.0 (the
 cross-entropy adjoint off the label), the fused backward does too, so
@@ -168,17 +171,11 @@ def _contrast_sets(
     )
 
 
-def _require_finite(arr: np.ndarray, what: str) -> np.ndarray:
-    if not T._all_finite(arr):
-        raise NonFiniteError(f"{what} is not finite")
-    return arr
-
-
 def _similarities(sets: ContrastSets, temperature: float) -> np.ndarray:
     """Scaled similarities s = (a @ r.T) / t, checked: a tiny t overflows them."""
     a, r = sets.anchor_embeddings.data, sets.remaining_embeddings.data
     s = T._dot(a, r.T) * (1.0 / temperature)
-    return _require_finite(s, "scaled similarities")
+    return T._require_finite(s, "scaled similarities is not finite")
 
 
 def _record_contrastive(
@@ -227,7 +224,7 @@ def sample_unlearn_loss(sets: ContrastSets, temperature: float) -> Tensor:
         valid_f = valid.astype(np.float64)
         # Per anchor i: -(1/|N_i|) sum_a s_ia + log(sum_p exp(s_ip)).
         neg_sum = np.add.reduce(s * negative, axis=1)
-        exp_s = _require_finite(np.exp(s), "exp of the scaled similarities")
+        exp_s = T._require_finite(np.exp(s), "exp of the scaled similarities is not finite")
         # Pad invalid rows so the log stays finite; their term is zeroed below.
         pos_den = np.add.reduce(exp_s * positive, axis=1) + (1.0 - valid_f)
         # A sum of finite non-negative terms lies in [0, inf], so its log is
@@ -302,9 +299,8 @@ def _cross_entropy(logits: Tensor, labels: np.ndarray) -> Tensor:
     # [1, num_classes] and each row's log_norm - picked is finite; only
     # the batch sum can overflow, into the checked final value.
     # The ufunc reductions directly; the ndarray methods add Python wrappers.
-    shifted = _require_finite(
-        logits.data - np.maximum.reduce(logits.data, axis=1, keepdims=True), "shifted logits"
-    )
+    row_max = np.maximum.reduce(logits.data, axis=1, keepdims=True)
+    shifted = T._require_finite(logits.data - row_max, "shifted logits is not finite")
     e = np.exp(shifted)
     sum_exp = np.add.reduce(e, axis=1)
     log_norm = np.log(sum_exp)

@@ -29,14 +29,16 @@ loading round-trips bit-exactly.
 Parameters are read-only views of one flat float64 buffer, in the
 architecture's parameter order. ``ModelParameters._from_flat`` is the
 constructor of every parameters a caller sees: it takes a fresh buffer,
-checks it for finiteness once and freezes it. ``init_parameters`` draws
-the weights into a zeroed buffer; ``replace`` owes its caller a copy
-and makes it in its one concatenation; ``load_checkpoint`` passes the
+checks it for finiteness once (``tensor._require_finite``, the one check
+for computed arrays) and freezes it. ``init_parameters`` draws the
+weights into a zeroed buffer; ``replace`` owes its caller a copy and
+makes it in its one concatenation; ``load_checkpoint`` passes the
 payload; an engine run passes a copy of its working buffer when it
 returns (``_snapshot``). That working copy (``_working_copy``) is the
 one writable buffer: its views are read-only, and the run's SGD step
 writes each update into it through ``_overwrite``, after the update's
-one finite check, so the views persist across the run's steps.
+one finite check by the same helper, so the views persist across the
+run's steps.
 Parameters pickle and copy as their architecture plus a copy of that
 buffer, and come back through ``_from_flat``.
 """
@@ -59,7 +61,6 @@ from .errors import (
     CheckpointFormatError,
     CheckpointIntegrityError,
     DimensionError,
-    NonFiniteError,
     ValidationError,
     integer_problems,
     real_array,
@@ -164,8 +165,7 @@ class ModelParameters:
     def _from_flat(cls, arch: ModelArchitecture, flat: np.ndarray) -> "ModelParameters":
         """Parameters as read-only views of flat, a fresh 1-d float64 buffer
         laid out as arch._parameter_layout, after one finite check."""
-        if not T._all_finite(flat):
-            raise NonFiniteError("tensor constructed with non-finite entries")
+        T._require_finite(flat, "tensor constructed with non-finite entries")
         flat.flags.writeable = False
         return cls._views(arch, flat)
 
@@ -194,9 +194,7 @@ class ModelParameters:
     def _overwrite(self, flat: np.ndarray) -> None:
         """Write flat into a working copy's buffer after one finite check,
         so that a non-finite update leaves the parameters as they were."""
-        if not T._all_finite(flat):
-            raise NonFiniteError("parameter update has non-finite entries")
-        self._flat[...] = flat
+        self._flat[...] = T._require_finite(flat, "parameter update has non-finite entries")
 
     def _snapshot(self) -> "ModelParameters":
         """Frozen parameters over a fresh copy of the buffer."""

@@ -32,17 +32,23 @@ overflow, so NaN or overflow surfaces at the op that produced it rather
 than epochs later: every layer checks its pre-activation, the encoder
 its row norms (a finite row over a norm above NORM_EPSILON has entries
 of magnitude at most 1, so its output needs no second check), and the
-losses their intermediate sums. A finite input can still overflow, so
-each encoder pass and the public ``dense`` run under one ``np.errstate``
-that silences numpy's overflow and invalid warnings, and those checks
-pick the error. An op's result is a fresh array, so it is wrapped
-without a copy; only the public ``Tensor(...)`` and
-``as_tensor(...)`` copy, which keeps a caller's array writable and
+losses their intermediate sums. ``_require_finite(arr, message)`` is the
+one check for computed arrays, here and in ``model`` and ``losses``: it
+raises NonFiniteError with its site's message. A loss value or a
+gradient goes through ``_fresh``, which checks a single value by
+``math.isfinite``, cheaper than the array reduction. A finite input can
+still overflow, so each encoder pass and the public ``dense`` run under
+one ``np.errstate`` that silences numpy's overflow and invalid
+warnings, and those checks pick the error. An op's result is a fresh
+array, so it is wrapped without a copy; only the public ``Tensor(...)``
+and ``as_tensor(...)`` copy, which keeps a caller's array writable and
 unshared; ``dense`` takes ``x`` through ``as_tensor``, as it takes
 ``w`` and ``b``, checks the shapes and the activation, then calls its
 core ``_dense``, which ``model._head_logits`` calls directly.
 ``_encoder`` takes only an array batch its caller has checked (see
-``model``) and tapes it as a constant.
+``model``) and tapes it as a constant. It runs one way, taped or not:
+it keeps every layer's input for its backward, and ``_record`` does
+nothing while no tape is active.
 """
 from __future__ import annotations
 
@@ -116,13 +122,19 @@ def _all_finite(arr: np.ndarray) -> bool:
     return bool(np.logical_and.reduce(np.isfinite(arr), axis=None))
 
 
+def _require_finite(arr: np.ndarray, message: str) -> np.ndarray:
+    """arr, after the one finite check for computed arrays: NonFiniteError
+    with message unless every entry is finite."""
+    if not _all_finite(arr):
+        raise NonFiniteError(message)
+    return arr
+
+
 def _checked_copy(values, name: str = "tensor values") -> np.ndarray:
     """A fresh float64 copy of array-like input, checked by
     ``errors.real_array`` and for finiteness."""
     arr = real_array(values, name, ValidationError).astype(np.float64)
-    if not _all_finite(arr):
-        raise NonFiniteError("tensor constructed with non-finite entries")
-    return arr
+    return _require_finite(arr, "tensor constructed with non-finite entries")
 
 
 def _wrap(arr: np.ndarray) -> Tensor:
@@ -249,8 +261,7 @@ def _layer(h: np.ndarray, w: np.ndarray, b: np.ndarray, activation) -> np.ndarra
     """
     out = _dot(h, w)
     out += b
-    if not _all_finite(out):
-        raise NonFiniteError("dense produced non-finite values")
+    _require_finite(out, "dense produced non-finite values")
     if activation == "relu":
         np.maximum(out, 0.0, out=out)
     elif activation == "tanh":
@@ -323,8 +334,7 @@ def _row_norms(v: np.ndarray) -> np.ndarray:
         np.maximum.reduce(norms, axis=None, initial=0.0) < math.inf
         and np.minimum.reduce(norms, axis=None, initial=math.inf) > NORM_EPSILON
     ):
-        if not _all_finite(norms):
-            raise NonFiniteError("l2_normalize: norm overflowed")
+        _require_finite(norms, "l2_normalize: norm overflowed")
         raise DegenerateEmbeddingError("l2_normalize: row with (near-)zero norm")
     return norms
 
@@ -341,28 +351,20 @@ def _encoder(x: np.ndarray, weights: Sequence[Tensor], activation: str) -> Tenso
 
     The caller guarantees the shapes, and that x is a finite float64
     batch no one writes to: it is used without a copy and taped as a
-    constant, so the tape records only the weights. Untaped, no layer's
-    activations outlive the next layer.
+    constant, so the tape records only the weights.
     """
-    taped = _active_tape is not None
-    hidden = [x]  # every layer's input, when taped
+    hidden = [x]  # every layer's input
     # A finite batch's products and squared norms may overflow; each layer's
     # finite check and the norms' bounds then pick the error, so numpy's
     # warning is silenced, in one errstate per pass.
     with np.errstate(over="ignore", invalid="ignore"):
         for i in range(0, len(weights) - 2, 2):
-            h = _layer(hidden[-1], weights[i].data, weights[i + 1].data, activation)
-            if taped:
-                hidden.append(h)
-            else:
-                hidden[-1] = h
+            hidden.append(_layer(hidden[-1], weights[i].data, weights[i + 1].data, activation))
         emb = _layer(hidden[-1], weights[-2].data, weights[-1].data, None)
         norms = _row_norms(emb)
     # A finite row over a finite norm above NORM_EPSILON is finite.
     z = emb / norms
     out = _wrap(z)
-    if not taped:
-        return out
 
     def backward(g):
         # For z = v / |v|: dv = (g - z (z.g)) / |v|, applied per row.

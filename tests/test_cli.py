@@ -14,6 +14,7 @@ import pytest
 import unlearnlab as ul
 from composed_ops import datasets_equal
 from conftest import EXPERIMENTS, STANDARD, Pipeline, standard_config
+from unlearnlab import cli
 from unlearnlab.cli import (
     _build_arch,
     _build_datasets,
@@ -24,7 +25,7 @@ from unlearnlab.cli import (
     resolve_config,
 )
 from unlearnlab.data import load_csv
-from unlearnlab.errors import DimensionError
+from unlearnlab.errors import DimensionError, ValidationError
 from unlearnlab.model import load_checkpoint
 
 BASE_CONFIG = {
@@ -85,6 +86,13 @@ class TestGenData:
         assert out.returncode == 2
         assert "error: " in out.stderr and "spread too large" in out.stderr
         assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("flags", [["--dim", str(2**31)], ["--train-per-class", str(2**59)]])
+    def test_an_array_too_big_to_make_is_a_usage_error(self, tmp_path, config_path, capsys, flags):
+        out = tmp_path / "o"
+        assert run("gen-data", "--config", config_path, "--out", str(out), *flags) == 2
+        assert "array is too big" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_writes_dataset_and_manifest(self, tmp_path, config_path):
         out = tmp_path / "data"
@@ -468,6 +476,75 @@ class TestFailureModes:
         assert run(*argv, "--config", "bad.json", "--out", "o") == code
         assert "error" in capsys.readouterr().err
         assert not Path("o").exists()
+
+    @pytest.mark.parametrize(
+        "task, problem",
+        [
+            pytest.param(
+                {"kind": "class", "class_id": 1, "count": 5},
+                "task.count: only for a sample task without task.index_file",
+                id="class-count",
+            ),
+            pytest.param(
+                {"kind": "class", "class_id": 1, "count": 5, "index_file": "missing.txt"},
+                "task.count: only for a sample task without task.index_file",
+                id="class-count-index",
+            ),
+            pytest.param(
+                {"kind": "sample", "count": 5, "index_file": "missing.txt"},
+                "task.count: only for a sample task without task.index_file",
+                id="sample-count-index",
+            ),
+            pytest.param(
+                {"kind": "sample", "count": 5, "class_id": 1},
+                "task.class_id: only for a class task",
+                id="sample-count-class",
+            ),
+            pytest.param(
+                {"kind": "sample", "index_file": "missing.txt", "class_id": 1},
+                "task.class_id: only for a class task",
+                id="sample-index-class",
+            ),
+            # An empty path is no index file, as the task is built.
+            pytest.param(
+                {"kind": "sample", "index_file": ""},
+                "task.count or task.index_file: required for a sample task",
+                id="sample-empty-index",
+            ),
+        ],
+    )
+    def test_a_task_of_the_wrong_fields_is_refused_by_their_config_names(
+        self, tmp_path, monkeypatch, capsys, task, problem
+    ):
+        # Refused while the config is resolved: no dataset is built and the
+        # index file, which does not exist, is never opened.
+        def unreachable(*args):
+            raise AssertionError("reached past resolve_config")
+
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setattr(cli, "_build_datasets", unreachable)
+        monkeypatch.setattr(cli, "_read_index_file", unreachable)
+        Path("bad.json").write_text(json.dumps({**BASE_CONFIG, "task": task}))
+        assert run("unlearn", "--method", "retrain", "--config", "bad.json", "--out", "o") == 2
+        err = capsys.readouterr().err
+        assert problem in err and "missing.txt" not in err
+        assert not Path("o").exists()
+        with pytest.raises(ValidationError) as exc:
+            resolve_config({"task": task})
+        assert str(exc.value) == f"invalid config: {problem}"
+
+    def test_a_class_index_file_lists_exactly_the_class_rows(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        train_ds, _ = ul.generate_synthetic(**BASE_CONFIG["dataset"]["synthetic"])
+        rows = train_ds.class_indices(1)
+        task = {"kind": "class", "class_id": 1, "index_file": "rows.txt"}
+        Path("run.json").write_text(json.dumps({**BASE_CONFIG, "task": task}))
+        for listed, code in ((rows[::-1], 0), (rows[1:], 2), (rows + 1, 2)):
+            Path("rows.txt").write_text("".join(f"{i}\n" for i in listed))
+            out = f"o{len(listed)}-{listed[0]}"
+            assert run("unlearn", "--method", "retrain", "--config", "run.json", "--out", out) == code
+            assert Path(out).exists() == (code == 0)
+        assert capsys.readouterr().err.count("must be the rows of class 1") == 2
 
     @pytest.mark.parametrize(
         "section, field, value",

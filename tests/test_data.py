@@ -5,6 +5,7 @@ import hashlib
 import io
 import math
 import tempfile
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -101,6 +102,25 @@ class TestGeneration:
         for k in range(4):
             assert (train.labels == k).sum() == 50
             assert (test.labels == k).sum() == 10
+
+    @pytest.mark.parametrize(
+        "sizes",
+        [{"dim": 2**62}, {"dim": 2**31}, {"per_class_train": 2**59}, {"dim": np.int64(2**31)}],
+        ids=["dim-2**62", "dim-2**31", "per-class-train-2**59", "numpy-dim-2**31"],
+    )
+    def test_an_array_past_the_byte_range_is_refused_before_any_draw(self, sizes):
+        # Each needs a float64 array of more than np.intp's maximum bytes
+        # (numpy's own refusal is a bare ValueError): the dim x dim draw of
+        # the means, or a split's num_classes x per_class x dim features.
+        args = {"num_classes": 4, "dim": 8, "per_class_train": 10, "per_class_test": 10, **sizes}
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValidationError, match=r"invalid generator settings: .* too big"):
+                generate_synthetic(**args)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
 
     @pytest.mark.parametrize("num_classes,dim", [(4, 8), (6, 2)])
     def test_placed_means_respect_min_distance(self, num_classes, dim, rng):

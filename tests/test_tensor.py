@@ -12,6 +12,7 @@ from unlearnlab.errors import (
     DegenerateEmbeddingError,
     DimensionError,
     NonFiniteError,
+    UnlearnLabError,
     ValidationError,
 )
 from composed_ops import (
@@ -32,7 +33,13 @@ from composed_ops import (
     tanh,
     transpose,
 )
-from unlearnlab.losses import cross_entropy_loss
+from unlearnlab.losses import (
+    build_contrast_sets,
+    class_unlearn_loss,
+    cross_entropy_loss,
+    sample_unlearn_loss,
+)
+from unlearnlab.model import ModelArchitecture, init_parameters
 from unlearnlab.tensor import (
     NORM_EPSILON,
     GradTape,
@@ -643,3 +650,83 @@ class TestNumericHelpers:
         # Both gradients tiny: the floored denominator keeps the error small.
         assert gradient_relative_error(np.zeros(3), np.full(3, 1e-12)) < 1e-3
         assert gradient_relative_error(np.ones(3), np.ones(3)) == 0.0
+
+
+
+def _encode_with(last_weight):
+    """The encoder on one row through an identity hidden layer and the
+    given embedding weight."""
+    weights = [Tensor(np.eye(2)), Tensor(np.zeros(2)), Tensor(last_weight), Tensor(np.zeros(2))]
+    return _encoder(np.ones((1, 2)), weights, "relu")
+
+
+def _sets():
+    unit = np.array([[1.0, 0.0]])
+    return build_contrast_sets([0], unit, [0, 1], np.concatenate([unit, unit]))
+
+
+def _parameters():
+    return init_parameters(ModelArchitecture(2, (2,), 2, 2), 0)
+
+
+def _nan_update():
+    params = _parameters()._working_copy()
+    params._overwrite(np.full(params._flat.size, np.nan))
+
+
+class TestFiniteRule:
+    """Every error of tensor._require_finite's sites, and of the norm
+    bounds beside it, with its type and message."""
+
+    @pytest.mark.parametrize(
+        "call, error, message",
+        [
+            pytest.param(
+                lambda: Tensor([1.0, np.inf]),
+                NonFiniteError, "tensor constructed with non-finite entries", id="tensor",
+            ),
+            pytest.param(
+                lambda: dense([[1e200]], [[1e200]], [0.0]),
+                NonFiniteError, "dense produced non-finite values", id="dense",
+            ),
+            pytest.param(
+                lambda: _encode_with(np.full((2, 2), 1e308)),
+                NonFiniteError, "dense produced non-finite values", id="encoder-layer",
+            ),
+            pytest.param(
+                lambda: _encode_with(1e200 * np.eye(2)),
+                NonFiniteError, "l2_normalize: norm overflowed", id="encoder-norm",
+            ),
+            pytest.param(
+                lambda: _encode_with(np.zeros((2, 2))),
+                DegenerateEmbeddingError, "l2_normalize: row with (near-)zero norm",
+                id="encoder-zero-norm",
+            ),
+            pytest.param(
+                lambda: _parameters().replace([np.full((2, 2), np.inf), np.zeros(2)] * 3),
+                NonFiniteError, "tensor constructed with non-finite entries", id="replace",
+            ),
+            pytest.param(
+                _nan_update, NonFiniteError, "parameter update has non-finite entries", id="update",
+            ),
+            pytest.param(
+                lambda: class_unlearn_loss(_sets(), 1e-310),
+                NonFiniteError, "scaled similarities is not finite", id="similarities",
+            ),
+            pytest.param(
+                lambda: sample_unlearn_loss(_sets(), 1e-300),
+                NonFiniteError, "exp of the scaled similarities is not finite",
+                id="exp-similarities",
+            ),
+            pytest.param(
+                lambda: cross_entropy_loss([[1.7e308, -1.7e308]], [0]),
+                NonFiniteError, "shifted logits is not finite", id="shifted-logits",
+            ),
+        ],
+    )
+    def test_each_site_raises_its_own_error(self, call, error, message):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(UnlearnLabError) as exc:
+                call()
+        assert type(exc.value) is error and exc.value.args == (message,)
