@@ -19,6 +19,16 @@ held-out true members.
 Embedding geometry gives a direct view: the cosine similarity of each
 forgotten sample's embedding to its own class's remaining centroid
 should fall as it is pushed out of the cluster.
+
+accuracy, attack_features and embedding_geometry run the model on
+fixed blocks of a split's rows (``model._blocks``), so that no
+activation grows past glibc's mmap threshold and each pass reuses the
+heap instead of faulting fresh pages in; training's per-epoch accuracy
+is such a pass. accuracy counts each block's hits, attack_features and
+embedding_geometry write each block into one array of the whole split,
+and the softmax, sorting and centroids then run on that array. Every
+value has the bits of one pass over the whole split, and a pass that
+fails raises that pass's error.
 """
 from __future__ import annotations
 
@@ -29,7 +39,7 @@ import numpy as np
 
 from .data import Dataset, UnlearnTask, _check_fits, _write_csv
 from .errors import ValidationError, integer_array, integer_problems, real_array
-from .model import ModelParameters, _encode, _head_logits
+from .model import ModelParameters, _blocks, _untaped
 from .tensor import NORM_EPSILON
 
 
@@ -37,8 +47,12 @@ def accuracy(params: ModelParameters, dataset: Dataset) -> float:
     """Fraction of samples whose predicted label (``predict_labels``)
     matches the label."""
     _check_fits(dataset, params.arch.input_dim, params.arch.num_classes)
-    logits = _head_logits(params, _encode(params, dataset.features)).data
-    return float(np.mean(np.argmax(logits, axis=1) == dataset.labels))
+    # The hit count over the row count: the float np.mean of the hits gives.
+    hits = sum(
+        int(np.count_nonzero(np.argmax(logits, axis=1) == dataset.labels[rows]))
+        for rows, logits in _blocks(params, dataset.features)
+    )
+    return hits / len(dataset)
 
 
 @dataclass
@@ -125,9 +139,9 @@ def embedding_geometry(params: ModelParameters, task: UnlearnTask) -> GeometryRe
     """
     _check_fits(task.train, params.arch.input_dim, params.arch.num_classes)
     remain = task.remain_train
-    remain_z = _encode(params, remain.features).data
+    remain_z = _untaped(params, remain.features, head=False)
     unlearn = task.unlearn_train
-    unlearn_z = _encode(params, unlearn.features).data
+    unlearn_z = _untaped(params, unlearn.features, head=False)
 
     centroids: dict[int, np.ndarray] = {}
     report = GeometryReport()
@@ -171,7 +185,7 @@ def attack_features(params: ModelParameters, dataset: Dataset) -> np.ndarray:
     -inf, so its probability is exactly 0.0, as the float64 softmax gives.
     """
     _check_fits(dataset, params.arch.input_dim, params.arch.num_classes)
-    logits = _head_logits(params, _encode(params, dataset.features)).data
+    logits = _untaped(params, dataset.features)
     with np.errstate(over="ignore"):
         shifted = logits - logits.max(axis=1, keepdims=True)
     probs = np.exp(shifted)

@@ -20,6 +20,18 @@ Dataset (the engine's runs, ``accuracy``, ``attack_features`` and
 ``embedding_geometry``) calls ``_check_fits`` and then the cores; a
 train and a test split meet through the same rule.
 
+The three untaped passes over a Dataset (``accuracy``,
+``attack_features`` and ``embedding_geometry``) run the cores on blocks
+of rows through ``_blocks``, not on the whole split at once. A layer of
+32 over 2,000 rows is 512 KB, past glibc's mmap threshold of 128 KiB, so
+a whole-split pass mapped each activation on allocation and unmapped it
+on free, and every later pass faulted its pages back in: about 340 minor
+faults per epoch of the standard training, whose per-epoch accuracy is
+such a pass. Every activation of a block stays within that threshold
+(``_BLOCK_VALUES``), so the blocks reuse the heap's memory; their rows
+have the bits of the whole pass, and a pass that fails raises the whole
+pass's error. Taped steps and neggrad's guard keep one pass.
+
 Checkpoints are a self-describing binary container: magic bytes, format
 version, a JSON header with the architecture and tensor manifest, then
 little-endian float64 payloads and a CRC of the payload bytes. The
@@ -60,7 +72,9 @@ from .data import Dataset, _replacing
 from .errors import (
     CheckpointFormatError,
     CheckpointIntegrityError,
+    DegenerateEmbeddingError,
     DimensionError,
+    NonFiniteError,
     ValidationError,
     integer_problems,
     real_array,
@@ -69,6 +83,10 @@ from .tensor import ACTIVATIONS, Tensor
 
 _MAGIC = b"ULCK"
 _FORMAT_VERSION = 1
+
+# Most float64 values of any one activation of a block of ``_blocks``:
+# 128 KiB, glibc's default mmap threshold.
+_BLOCK_VALUES = 16_384
 
 
 @dataclass(frozen=True)
@@ -123,6 +141,13 @@ class ModelArchitecture:
                 layout.append((name, start, stop, shape))
                 start = stop
         return tuple(layout)
+
+    @functools.cached_property
+    def _block_rows(self) -> int:
+        """Most rows of a block of ``_blocks``: _BLOCK_VALUES over the widest
+        layer, so that every activation of a block fits in _BLOCK_VALUES,
+        and at least 3, so that only a one-row split makes a one-row block."""
+        return max(3, _BLOCK_VALUES // max(*self.hidden, self.embedding_dim, self.num_classes))
 
     @property
     def parameter_shapes(self) -> dict[str, tuple[int, ...]]:
@@ -284,6 +309,46 @@ def _head_logits(params: ModelParameters, z: Tensor) -> Tensor:
     """head_logits' core, one tape entry, without its conversion and check,
     for the output of ``_encode``."""
     return T._dense(z, params.tensors["head.w"], params.tensors["head.b"], None)
+
+
+def _blocks(params: ModelParameters, x: np.ndarray, head: bool = True):
+    """Yield (rows, values) for each block of an untaped pass over x, the
+    rows of a Dataset that passed ``_check_fits``: the block's slice of x
+    and its head logits, or without head its embeddings, computed by the
+    cores on a view of those rows.
+
+    The k = ceil(n / arch._block_rows) blocks share the n rows as evenly
+    as they go. As _block_rows is at least 3, no block has one row unless
+    n is 1: numpy multiplies a one-row matrix as a vector, which may round
+    differently (a fixed 512-row block would leave one row of a 513-row
+    split). Each row's values then have the whole pass's bits, as they
+    depend on that row alone.
+
+    The whole pass checks every row at each layer before the next, and
+    every norm for overflow before any for zero, so a block's error may
+    not be the one it raises first; when a block fails, the whole pass
+    runs to raise its error. Without head, only the encoder can fail,
+    so the whole pass raises before it reaches the head.
+    """
+    n = x.shape[0]
+    k = -(-n // params.arch._block_rows)
+    try:
+        for i in range(k):
+            rows = slice(n * i // k, n * (i + 1) // k)
+            z = _encode(params, x[rows])
+            yield rows, (_head_logits(params, z) if head else z).data
+    except (NonFiniteError, DegenerateEmbeddingError):
+        _head_logits(params, _encode(params, x))
+        raise
+
+
+def _untaped(params: ModelParameters, x: np.ndarray, head: bool = True) -> np.ndarray:
+    """All rows of ``_blocks``, each block written into one array."""
+    arch = params.arch
+    out = np.empty((x.shape[0], arch.num_classes if head else arch.embedding_dim))
+    for rows, values in _blocks(params, x, head):
+        out[rows] = values
+    return out
 
 
 def forward(params: ModelParameters, x) -> Tensor:

@@ -1,0 +1,60 @@
+"""Print the minor page faults of a training epoch and of an accuracy pass.
+
+The counts are this process's own (``resource.getrusage(RUSAGE_SELF)
+.ru_minflt``), on the standard experiment's data and architecture
+(``experiments/standard/train.json``, built through the CLI's config
+rules): first the faults per epoch of a 20-epoch ``train``, which
+includes each epoch's accuracy over the 2,000 train rows, then the
+faults per ``accuracy`` call over those rows, averaged over 200 calls.
+A warm-up training runs first, so that one-time costs stay out of both.
+A pass that keeps an activation past glibc's mmap threshold (128 KiB)
+maps it on allocation and unmaps it on free, and its pages fault back
+in on every call; that shows here as tens or hundreds of faults per
+call. To compare two trees:
+
+    python tests/page_faults.py ../parent/src
+    python tests/page_faults.py
+
+The optional argument is the source directory to import ``unlearnlab``
+from, ``src`` next to this file's directory by default. The counts are
+printed, not checked: they depend on the C library and its settings.
+pytest does not collect this file; it is a script, not a test.
+"""
+import dataclasses
+import json
+import resource
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+EPOCHS = 20
+CALLS = 200
+
+
+def minor_faults() -> int:
+    return resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+
+
+def main(src: Path) -> None:
+    sys.path.insert(0, str(src))
+    import unlearnlab as ul
+    from unlearnlab import cli
+
+    config = cli.resolve_config(json.loads((ROOT / "experiments/standard/train.json").read_text()))
+    data, _ = cli._build_datasets(config)
+    arch = cli._build_arch(config, data)
+    cfg = dataclasses.replace(cli._build_engine_cfg(config, "sample"), max_epochs=EPOCHS)
+
+    params, _ = ul.train(arch, data, cfg)
+    before = minor_faults()
+    ul.train(arch, data, cfg)
+    print(f"{(minor_faults() - before) / EPOCHS:8.1f}  faults per train epoch")
+
+    before = minor_faults()
+    for _ in range(CALLS):
+        ul.accuracy(params, data)
+    print(f"{(minor_faults() - before) / CALLS:8.1f}  faults per accuracy call ({len(data)} rows)")
+
+
+if __name__ == "__main__":
+    main(Path(sys.argv[1]).resolve() if len(sys.argv) > 1 else ROOT / "src")

@@ -2,13 +2,15 @@
 
 import csv
 import os
+import re
+import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
 
 import unlearnlab as ul
-from unlearnlab.errors import DimensionError, ValidationError
+from unlearnlab.errors import DimensionError, NonFiniteError, ValidationError
 from unlearnlab.evaluation import (
     AttackModel,
     accuracy,
@@ -18,6 +20,7 @@ from unlearnlab.evaluation import (
     fit_attack_model,
     run_mia,
 )
+from unlearnlab.model import _BLOCK_VALUES
 
 ARCH3 = ul.ModelArchitecture(input_dim=4, hidden=(8,), embedding_dim=4, num_classes=3)
 
@@ -28,6 +31,39 @@ def small_world(seed=0):
         ARCH3, train, ul.EngineConfig(seed=seed, max_epochs=30, batch_size=16)
     )
     return train, test, params
+
+
+def geometry_oracle(params, task):
+    """The similarities of embedding_geometry from the public encode of each
+    whole view, one np.dot per sample and centroid, as reprs: repr tells
+    every float apart, -0.0 from 0.0 too."""
+    remain_z = ul.encode(params, task.remain_train.features).data
+    centroids = {}
+    for c in range(task.train.num_classes):
+        rows = remain_z[task.remain_train.labels == c]
+        if rows.shape[0]:
+            mean = rows.mean(axis=0)
+            centroids[c] = mean / np.linalg.norm(mean)
+    want = []
+    for z, label in zip(ul.encode(params, task.unlearn_train.features).data,
+                        task.unlearn_train.labels):
+        sims = {c: float(np.dot(z, centroid)) for c, centroid in centroids.items()}
+        own = sims.pop(int(label), None)
+        want.append((repr(own), repr(max(sims.values(), default=None))))
+    return want
+
+
+def geometry_columns(report):
+    columns = ("own_class_similarity", "max_other_similarity")
+    return [tuple(repr(row[c]) for c in columns) for row in report.rows]
+
+
+def attack_features_oracle(params, dataset):
+    """attack_features from the public forward of the whole split."""
+    logits = ul.forward(params, dataset.features).data
+    probs = np.exp(logits - logits.max(axis=1, keepdims=True))
+    probs /= probs.sum(axis=1, keepdims=True)
+    return np.sort(probs, axis=1)[:, ::-1]
 
 
 class TestAccuracy:
@@ -167,26 +203,9 @@ class TestGeometry:
         ids=["class", "sample"],
     )
     def test_similarities_bit_identical_to_the_public_encode(self, spec):
-        # Oracle: the public encode of each view, one np.dot per sample and
-        # centroid; repr tells every float apart, -0.0 from 0.0 too.
         train, test, params = small_world()
         task = ul.make_task(train, test, spec)
-        remain_z = ul.encode(params, task.remain_train.features).data
-        centroids = {}
-        for c in range(3):
-            rows = remain_z[task.remain_train.labels == c]
-            if rows.shape[0]:
-                mean = rows.mean(axis=0)
-                centroids[c] = mean / np.linalg.norm(mean)
-        want = []
-        for z, label in zip(ul.encode(params, task.unlearn_train.features).data,
-                            task.unlearn_train.labels):
-            sims = {c: float(np.dot(z, centroid)) for c, centroid in centroids.items()}
-            own = sims.pop(int(label), None)
-            want.append((repr(own), repr(max(sims.values()))))
-        report = embedding_geometry(params, task)
-        columns = ("own_class_similarity", "max_other_similarity")
-        assert [tuple(repr(row[c]) for c in columns) for row in report.rows] == want
+        assert geometry_columns(embedding_geometry(params, task)) == geometry_oracle(params, task)
 
     def test_failed_write_keeps_the_old_file(self, tmp_path):
         train, test, params = small_world()
@@ -262,10 +281,7 @@ class TestAttackFeatures:
         # The Dataset's rows go through the cores; the public forward copies
         # and checks them first, to the same bits.
         train, _, params = small_world()
-        logits = ul.forward(params, train.features).data
-        probs = np.exp(logits - logits.max(axis=1, keepdims=True))
-        probs /= probs.sum(axis=1, keepdims=True)
-        want = np.sort(probs, axis=1)[:, ::-1]
+        want = attack_features_oracle(params, train)
         got = attack_features(params, train)
         assert got.shape == want.shape and got.tobytes() == want.tobytes()
 
@@ -282,6 +298,99 @@ class TestAttackFeatures:
             warnings.simplefilter("error")
             got = attack_features(far, train)
         assert np.array_equal(got, np.tile([1.0, 0.0, 0.0], (len(train), 1)))
+
+
+# Two architectures whose widest layers give blocks of 512 and 256 rows.
+BLOCK_ARCHS = {
+    512: ul.ModelArchitecture(input_dim=8, hidden=(32, 32), embedding_dim=16, num_classes=4),
+    256: ul.ModelArchitecture(
+        input_dim=4, hidden=(64,), embedding_dim=8, num_classes=3, activation="tanh"
+    ),
+}
+
+
+def random_split(arch, n, seed=0):
+    features = np.random.default_rng(seed).normal(size=(n, arch.input_dim))
+    return ul.Dataset(features, np.arange(n) % arch.num_classes, arch.num_classes)
+
+
+class TestRowBlocks:
+    """accuracy, attack_features and embedding_geometry encode a split in
+    blocks of rows; across block edges they give the bits of one pass over
+    the whole split, and raise its error."""
+
+    @pytest.mark.parametrize("r", sorted(BLOCK_ARCHS))
+    @pytest.mark.parametrize(
+        "size", [lambda r: 1, lambda r: r - 1, lambda r: r, lambda r: r + 1, lambda r: 2 * r + 3],
+        ids=["1", "r-1", "r", "r+1", "2r+3"],
+    )
+    def test_bit_identical_to_the_whole_pass(self, r, size):
+        arch = BLOCK_ARCHS[r]
+        assert arch._block_rows == r
+        n = size(r)
+        params = ul.init_parameters(arch, seed=1)
+        data = random_split(arch, n)
+        want = float(np.mean(ul.predict_labels(params, data.features) == data.labels))
+        got = accuracy(params, data)
+        assert type(got) is float and got == want
+        assert attack_features(params, data).tobytes() == attack_features_oracle(params, data).tobytes()
+        # Geometry encodes the n remaining rows and the n forgotten ones.
+        train = random_split(arch, 2 * n, seed=2)
+        task = ul.make_task(
+            train, random_split(arch, 5, seed=3),
+            ul.TaskSpec(kind="sample", sample_indices=tuple(range(n, 2 * n))),
+        )
+        assert geometry_columns(embedding_geometry(params, task)) == geometry_oracle(params, task)
+
+    @pytest.mark.parametrize(
+        "evaluate_split",
+        [
+            accuracy,
+            attack_features,
+            lambda params, data: embedding_geometry(
+                params, ul.make_task(data, data, ul.TaskSpec(kind="sample", sample_indices=(1,)))
+            ),
+        ],
+        ids=["accuracy", "attack_features", "embedding_geometry"],
+    )
+    def test_a_failing_block_raises_the_whole_pass_error(self, evaluate_split):
+        # Row 0, all zeros, meets zero biases and embeds to the zero vector,
+        # in the first block; the last row's squared norm overflows, in the
+        # third. The whole pass checks every row's layers and norms for
+        # finiteness before any norm for zero, so it raises NonFiniteError.
+        # embedding_geometry meets both rows in the remaining train view.
+        arch = BLOCK_ARCHS[512]
+        params = ul.init_parameters(arch, seed=1)
+        features = np.random.default_rng(0).normal(size=(2 * 512 + 3, arch.input_dim))
+        features[0] = 0.0
+        features[-1] = 1e300
+        data = ul.Dataset(features, np.arange(len(features)) % 4, 4)
+        with pytest.raises(NonFiniteError) as whole:
+            ul.forward(params, data.features)
+        with pytest.raises(NonFiniteError, match=re.escape(str(whole.value))):
+            evaluate_split(params, data)
+
+    @pytest.mark.parametrize("evaluate_split", [accuracy, attack_features])
+    def test_memory_is_bounded_by_the_block(self, evaluate_split):
+        # A block holds at most 8 arrays of _BLOCK_VALUES float64 values at
+        # once (the layers, the squared and unit embeddings, the norms and
+        # the logits). attack_features also keeps at most 5 arrays of the
+        # whole split's logits; one pass over all 20,000 rows held several
+        # of its 5 MB activations at once.
+        arch = BLOCK_ARCHS[512]
+        params = ul.init_parameters(arch, seed=1)
+        data = random_split(arch, 20_000)
+        bound = 8 * _BLOCK_VALUES * 8
+        if evaluate_split is attack_features:
+            bound += 5 * len(data) * arch.num_classes * 8
+        evaluate_split(params, data)
+        tracemalloc.start()
+        try:
+            evaluate_split(params, data)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < bound
 
 
 class TestAttackModel:
