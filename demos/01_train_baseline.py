@@ -29,11 +29,12 @@ def main() -> None:
     parser.add_argument("--seed", type=int, default=0)
     args = parser.parse_args()
 
-    train_data, test_data, arch, train_cfg = standard.training(args.seed)
+    pipeline = standard.Pipeline(args.seed)
+    train_data, test_data = pipeline.train_data, pipeline.test_data
     print(f"dataset: {len(train_data.labels)} train / {len(test_data.labels)} test rows, "
           f"{train_data.num_classes} classes, dim {train_data.features.shape[1]}")
 
-    params, record = ul.train(arch, train_data, train_cfg)
+    params, record = pipeline.base
     print(f"trained {record.gradient_steps} steps in {record.duration_seconds:.1f}s "
           f"({record.termination_reason})")
 

@@ -17,18 +17,18 @@ def main() -> None:
     parser.add_argument("--seed", type=int, default=0)
     args = parser.parse_args()
 
-    train_data, test_data, arch, train_cfg = standard.training(args.seed)
+    pipeline = standard.Pipeline(args.seed)
 
     print(f"training base model (seed {args.seed})...")
-    base, base_record = ul.train(arch, train_data, train_cfg)
+    base, _ = pipeline.base
 
     # The class and the unlearning settings are experiments/standard/class.json's.
-    task, unlearn_cfg = standard.unlearning("class", args.seed, train_data, test_data)
-    unlearned, unlearn_record = ul.unlearn_contrastive(base, task, unlearn_cfg)
+    task = pipeline.class_task
+    unlearned, unlearn_record = pipeline.class_unlearn
     print(f"contrastive unlearning: {unlearn_record.termination_reason} after "
           f"{unlearn_record.gradient_steps} steps, {unlearn_record.duration_seconds:.2f}s")
 
-    retrained, retrain_record = ul.retrain(arch, task, train_cfg)
+    retrained, retrain_record = pipeline.class_retrain
     print(f"retrain reference: {retrain_record.gradient_steps} steps, "
           f"{retrain_record.duration_seconds:.2f}s")
 

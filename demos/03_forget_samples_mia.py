@@ -28,17 +28,17 @@ def main() -> None:
     parser.add_argument("--seed", type=int, default=0)
     args = parser.parse_args()
 
-    train_data, test_data, arch, train_cfg = standard.training(args.seed)
+    pipeline = standard.Pipeline(args.seed)
 
     print(f"training base model (seed {args.seed})...")
-    base, _ = ul.train(arch, train_data, train_cfg)
+    base, _ = pipeline.base
 
-    task, cfg = standard.unlearning("sample", args.seed, train_data, test_data)
+    task = pipeline.sample_task
 
     print(f"unlearning {len(task.unlearn_train)} samples with each method...\n")
-    contrastive, _ = ul.unlearn_contrastive(base, task, cfg)
-    neggrad, _ = ul.unlearn_neggrad(base, task, cfg)
-    retrained, _ = ul.retrain(arch, task, train_cfg)
+    contrastive, _ = pipeline.sample_unlearn
+    neggrad, _ = pipeline.sample_neggrad
+    retrained, _ = pipeline.sample_retrain
 
     describe("base", base, task, args.seed)
     describe("contrastive", contrastive, task, args.seed)

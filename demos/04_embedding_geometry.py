@@ -36,12 +36,12 @@ def main() -> None:
     parser.add_argument("--seed", type=int, default=0)
     args = parser.parse_args()
 
-    train_data, test_data, arch, train_cfg = standard.training(args.seed)
+    pipeline = standard.Pipeline(args.seed)
     print(f"training base model (seed {args.seed})...")
-    base, _ = ul.train(arch, train_data, train_cfg)
+    base, _ = pipeline.base
 
-    task, unlearn_cfg = standard.unlearning("sample", args.seed, train_data, test_data)
-    unlearned, _ = ul.unlearn_contrastive(base, task, unlearn_cfg)
+    task = pipeline.sample_task
+    unlearned, _ = pipeline.sample_unlearn
 
     mean_before, own_before, other_before = geometry_by_class(base, task)
     mean_after, own_after, other_after = geometry_by_class(unlearned, task)

@@ -98,8 +98,8 @@ _TYPE_NAMES = {
 
 def _load_json(path: str) -> dict:
     try:
-        text = Path(path).read_text()
-    except OSError as exc:
+        text = Path(path).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
         raise ValidationError(f"cannot read config {path}: {exc}") from exc
     try:
         loaded = json.loads(text)
@@ -274,8 +274,8 @@ def _build_arch(config: dict, train_ds: Dataset) -> ModelArchitecture:
 
 def _read_index_file(path: str) -> tuple[int, ...]:
     try:
-        lines = Path(path).read_text().splitlines()
-    except OSError as exc:
+        lines = Path(path).read_text(encoding="utf-8").splitlines()
+    except (OSError, UnicodeDecodeError) as exc:
         raise ParseError(f"{path}: {exc}") from exc
     indices = []
     for lineno, line in enumerate(lines, start=1):

@@ -317,14 +317,15 @@ def load_csv(path: str | Path) -> Dataset:
 
 def _open_csv(path: Path):
     try:
-        return path.open("r", newline="")
+        return path.open("r", newline="", encoding="utf-8")
     except OSError as exc:
         raise ParseError(f"{path}: {exc}") from exc
 
 
 def _csv_rows(path: Path, fh):
     """(line number, row) for each csv record of fh. A record the csv
-    module rejects, such as a field past its size limit, is a ParseError.
+    module rejects, such as a field past its size limit, is a ParseError,
+    and so is a byte that is not UTF-8 (see _utf8_error).
     """
     reader = csv.reader(fh)
     for lineno in itertools.count(1):
@@ -334,7 +335,22 @@ def _csv_rows(path: Path, fh):
             return
         except csv.Error as exc:
             raise ParseError(f"{path}: line {lineno}: {exc}") from None
+        except UnicodeDecodeError:
+            raise ParseError(f"{path}: {_utf8_error(path)}") from None
         yield lineno, row
+
+
+def _utf8_error(path: Path) -> str:
+    """The first byte of path that is not UTF-8, as "line N: <error>". A
+    text file decodes in chunks, so the record being read may sit lines
+    before the bad byte; this error path reads the file again to name its
+    line."""
+    raw = path.read_bytes()
+    try:
+        raw.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line = raw.count(b"\n", 0, exc.start) + 1
+        return f"line {line}: {exc}"
 
 
 def _read_header(path: Path, rows) -> int:

@@ -135,7 +135,9 @@ class GeometryReport:
 def embedding_geometry(params: ModelParameters, task: UnlearnTask) -> GeometryReport:
     """Centroid similarities for every unlearning sample (see GeometryReport).
 
-    Each similarity is its own np.dot: a matrix product may round differently.
+    Each centroid's similarities are one stacked product of every row,
+    (1 x d) @ (d x 1), which numpy computes as np.dot of the two vectors;
+    ``Z @ centroid`` goes through gemv, which may round differently.
     """
     _check_fits(task.train, params.arch.input_dim, params.arch.num_classes)
     remain = task.remain_train
@@ -157,8 +159,12 @@ def embedding_geometry(params: ModelParameters, task: UnlearnTask) -> GeometryRe
         else:
             centroids[c] = centroid / norm
 
-    for index, z, label in zip(task.unlearn_train_idx, unlearn_z, unlearn.labels):
-        sims = {c: float(np.dot(z, centroid)) for c, centroid in centroids.items()}
+    columns = {
+        c: np.matmul(unlearn_z[:, None, :], centroid[:, None])[:, 0, 0].tolist()
+        for c, centroid in centroids.items()
+    }
+    for i, (index, label) in enumerate(zip(task.unlearn_train_idx, unlearn.labels)):
+        sims = {c: column[i] for c, column in columns.items()}
         own = sims.pop(int(label), None)
         report.rows.append(
             {

@@ -1,11 +1,12 @@
 """Print the minor page faults of a training epoch and of an accuracy pass.
 
 The counts are this process's own (``resource.getrusage(RUSAGE_SELF)
-.ru_minflt``), on the standard experiment's data and architecture
-(``experiments/standard/train.json``, built through the CLI's config
-rules): first the faults per epoch of a 20-epoch ``train``, which
-includes each epoch's accuracy over the 2,000 train rows, then the
-faults per ``accuracy`` call over those rows, averaged over 200 calls.
+.ru_minflt``), on the seed-0 standard experiment's data and architecture,
+as ``demos/standard.py``'s ``Pipeline`` builds them from
+``experiments/standard/train.json``: first the faults per epoch of a
+20-epoch ``train``, which includes each epoch's accuracy over the 2,000
+train rows, then the faults per ``accuracy`` call over those rows,
+averaged over 200 calls.
 A warm-up training runs first, so that one-time costs stay out of both.
 A pass that keeps an activation past glibc's mmap threshold (128 KiB)
 maps it on allocation and unmaps it on free, and its pages fault back
@@ -16,12 +17,12 @@ call. To compare two trees:
     python tests/page_faults.py
 
 The optional argument is the source directory to import ``unlearnlab``
-from, ``src`` next to this file's directory by default. The counts are
-printed, not checked: they depend on the C library and its settings.
+from, ``src`` next to this file's directory by default; ``standard``
+comes from this tree's ``demos`` either way. The counts are printed, not
+checked: they depend on the C library and its settings.
 pytest does not collect this file; it is a script, not a test.
 """
 import dataclasses
-import json
 import resource
 import sys
 from pathlib import Path
@@ -37,13 +38,13 @@ def minor_faults() -> int:
 
 def main(src: Path) -> None:
     sys.path.insert(0, str(src))
+    sys.path.insert(1, str(ROOT / "demos"))
     import unlearnlab as ul
-    from unlearnlab import cli
+    from standard import Pipeline
 
-    config = cli.resolve_config(json.loads((ROOT / "experiments/standard/train.json").read_text()))
-    data, _ = cli._build_datasets(config)
-    arch = cli._build_arch(config, data)
-    cfg = dataclasses.replace(cli._build_engine_cfg(config, "sample"), max_epochs=EPOCHS)
+    pipeline = Pipeline(0)
+    data, arch = pipeline.train_data, pipeline.arch
+    cfg = dataclasses.replace(pipeline.engine_config("train"), max_epochs=EPOCHS)
 
     params, _ = ul.train(arch, data, cfg)
     before = minor_faults()

@@ -11,9 +11,9 @@ from pathlib import Path
 
 import pytest
 
+import standard
 import unlearnlab as ul
 from composed_ops import datasets_equal
-from conftest import EXPERIMENTS, STANDARD, Pipeline, standard_config
 from unlearnlab import cli
 from unlearnlab.cli import (
     _build_arch,
@@ -451,6 +451,11 @@ class TestFailureModes:
             # A task section that mixes kinds: the field was dropped.
             (["unlearn", "--method", "retrain"], "task.count", 5, 2),
             (["unlearn", "--method", "retrain"], "task", {"kind": "sample", "count": 5, "class_id": 1}, 2),
+            # A byte that is not UTF-8, in the config, a CSV or an index file,
+            # raised a bare UnicodeDecodeError.
+            (["train"], "architecture.activation", "r\xe9lu", 2),
+            (["train"], "dataset", {"csv": {"train": "latin1.csv", "test": "ok.csv"}}, 2),
+            (["unlearn", "--method", "retrain"], "task", {"kind": "sample", "index_file": "latin1.txt"}, 2),
         ],
     )
     def test_bad_input_fails_before_any_write(
@@ -465,6 +470,8 @@ class TestFailureModes:
         (tmp_path / "long.csv").write_text("f0,f1,label\n" + "0" * 200_000 + "1.5,2.0,0\n1.0,2.0,1.0\n")
         # Column f0's train std overflows: it warned, then became zeros.
         (tmp_path / "overflow.csv").write_text("f0,f1,label\n1.7e308,1.0,0\n-1.7e308,2.0,1\n")
+        (tmp_path / "latin1.csv").write_bytes(b"f0,f1,label\n1.0,2.0,0\n1.5,2.5,\xff1\n")
+        (tmp_path / "latin1.txt").write_bytes(b"0\n\xff1\n")
         cfg = json.loads(json.dumps(BASE_CONFIG))
         if section is not None:
             *parents, field = section.split(".")
@@ -472,7 +479,8 @@ class TestFailureModes:
             for key in parents:
                 target = target[key]
             target[field] = value
-        Path("bad.json").write_text(json.dumps(cfg))
+        # Written as Latin-1, a value's "\xe9" is one byte that is not UTF-8.
+        Path("bad.json").write_bytes(json.dumps(cfg, ensure_ascii=False).encode("latin-1"))
         assert run(*argv, "--config", "bad.json", "--out", "o") == code
         assert "error" in capsys.readouterr().err
         assert not Path("o").exists()
@@ -802,7 +810,7 @@ def _task_rows(task: ul.UnlearnTask) -> tuple:
 def workloads():
     """perfbench/workloads.py, imported read-only: no bytecode is written
     beside it, and floor.py, which it imports, is found beside it."""
-    perfbench = str(STANDARD.parents[1] / "perfbench")
+    perfbench = str(standard.STANDARD.parents[1] / "perfbench")
     sys.path.insert(0, perfbench)
     writes, sys.dont_write_bytecode = sys.dont_write_bytecode, True
     try:
@@ -817,9 +825,9 @@ class TestStandardExperiment:
     The suite's pipelines, the demos and the README read it; the
     benchmark keeps a copy of its own, which must equal it."""
 
-    @pytest.mark.parametrize("name", EXPERIMENTS)
+    @pytest.mark.parametrize("name", standard.EXPERIMENTS)
     def test_file_resolves_and_builds_without_training(self, name):
-        config = resolve_config(json.loads((STANDARD / f"{name}.json").read_text()))
+        config = resolve_config(json.loads((standard.STANDARD / f"{name}.json").read_text()))
         train_ds, test_ds = _build_datasets(config)
         assert _build_arch(config, train_ds).input_dim == train_ds.num_features
         kind = name if name != "train" else "sample"
@@ -829,13 +837,13 @@ class TestStandardExperiment:
             assert task.kind == name and len(task.unlearn_train) > 0
 
     def test_files_share_their_dataset_and_architecture(self):
-        configs = [standard_config(name, 0) for name in EXPERIMENTS]
+        configs = [standard.config(name, 0) for name in standard.EXPERIMENTS]
         for section in ("dataset", "architecture"):
             assert all(c[section] == configs[0][section] for c in configs), section
 
     def test_benchmark_constants_are_the_files(self, workloads):
         w = workloads
-        train = standard_config("train", w.EXPERIMENT_SEED)
+        train = standard.config("train", w.EXPERIMENT_SEED)
         synthetic, engine = train["dataset"]["synthetic"], train["engine"]
         assert (w.NUM_CLASSES, w.DIM, w.PER_CLASS_TRAIN, w.PER_CLASS_TEST, w.SPREAD) == tuple(
             synthetic[k] for k in ("num_classes", "dim", "per_class_train", "per_class_test", "spread")
@@ -844,12 +852,12 @@ class TestStandardExperiment:
             engine["batch_size"], engine["learning_rate"], engine["max_epochs"]
         )
         for name in ("class", "sample"):
-            assert w.MAX_PASSES == standard_config(name, 0)["engine"]["max_unlearn_epochs"]
-        assert w.conftest_arch(ul) == Pipeline(w.EXPERIMENT_SEED).arch
+            assert w.MAX_PASSES == standard.config(name, 0)["engine"]["max_unlearn_epochs"]
+        assert w.conftest_arch(ul) == standard.Pipeline(w.EXPERIMENT_SEED).arch
 
     def test_benchmark_train_and_unlearn_configs_are_the_files(self, workloads, tmp_path):
         w = workloads
-        p = Pipeline(w.EXPERIMENT_SEED)
+        p = standard.Pipeline(w.EXPERIMENT_SEED)
         # The train workload times one epoch per op, each with its own seed.
         train = w.Train(ul, 0, tmp_path)
         assert train._config(3) == dataclasses.replace(p.engine_config("train"), seed=3, max_epochs=1)
@@ -865,14 +873,14 @@ class TestStandardExperiment:
         w = workloads
         audit = w.Audit(ul, 0, tmp_path)
         got = resolve_config(audit._config(tmp_path, name))
-        want = standard_config(name, 0)
+        want = standard.config(name, 0)
         for section in ("architecture", "loss", "task"):
             assert got[section] == want[section], section
         # One config per kind trains the audit's base and unlearns from it,
         # so it takes the train file's learning rate, and its runs are short.
         assert _build_engine_cfg(got, name) == dataclasses.replace(
-            Pipeline(0).engine_config(name),
-            learning_rate=standard_config("train", 0)["engine"]["learning_rate"],
+            standard.Pipeline(0).engine_config(name),
+            learning_rate=standard.config("train", 0)["engine"]["learning_rate"],
             max_epochs=audit.train_epochs,
             max_unlearn_epochs=audit.unlearn_passes,
         )

@@ -266,6 +266,19 @@ class TestCsv:
         with pytest.raises(ParseError, match="line 1"):
             load_csv(path)
 
+    @pytest.mark.parametrize(
+        "text, line",
+        [(b"f0,f\xff1,label\n1.0,2.0,0\n", 1), (b"f0,f1,label\n1.0,2.0,0\n1.5,2.5,\xff1\n", 3)],
+        ids=["header", "body"],
+    )
+    def test_byte_not_utf8_reports_line_number(self, tmp_path, text, line):
+        # Both bytes sit in the first chunk the file decodes, so both fail
+        # while line 1 is read; the error must name the byte's own line.
+        path = tmp_path / "bad.csv"
+        path.write_bytes(text)
+        with pytest.raises(ParseError, match=f"line {line}: 'utf-8' codec can't decode byte 0xff"):
+            load_csv(path)
+
     def test_ragged_row_rejected(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("f0,f1,label\n1.0,0\n")

@@ -207,6 +207,16 @@ class TestGeometry:
         task = ul.make_task(train, test, spec)
         assert geometry_columns(embedding_geometry(params, task)) == geometry_oracle(params, task)
 
+    @pytest.mark.parametrize("count", [1, ARCH3._block_rows + 1], ids=["one-row", "past-a-block"])
+    def test_similarities_bit_identical_for_any_forgotten_count(self, count):
+        # Each centroid's column is one stacked (1 x d) @ (d x 1) product;
+        # a one-row set and one past a block must keep np.dot's bits too.
+        _, test, params = small_world()
+        train, _ = ul.generate_synthetic(3, 4, ARCH3._block_rows // 3 + 100, 1, spread=1.0, seed=1)
+        task = ul.make_task(train, test, ul.TaskSpec(kind="sample", sample_count=count))
+        assert set(task.remain_train.labels.tolist()) == {0, 1, 2}
+        assert geometry_columns(embedding_geometry(params, task)) == geometry_oracle(params, task)
+
     def test_failed_write_keeps_the_old_file(self, tmp_path):
         train, test, params = small_world()
         task = ul.make_task(train, test, ul.TaskSpec(kind="sample", sample_count=15))
