@@ -20,7 +20,10 @@ unlearning data (with a divergence guard).
 Every batch a step sees is drawn from a Dataset that each run first
 holds to ``data._check_fits``, so the steps call the cores of
 ``encode``, ``head_logits``, ``build_contrast_sets`` and
-``cross_entropy_loss`` directly (see ``model``).
+``cross_entropy_loss`` directly (see ``model``). A contrastive step
+whose forgotten batch has as many rows as its remaining batch, every
+step but those on a short last forgotten batch, encodes the two as one
+stacked pass (``tensor._encoder``), with the bits of one pass each.
 
 Each run updates one private working copy of its starting parameters
 in place (``ModelParameters._working_copy``): the caller's parameters
@@ -366,13 +369,15 @@ def unlearn_contrastive(
     remain_rng = np.random.default_rng([cfg.seed, TAG_REMAIN_SAMPLER])
 
     def objective(params: ModelParameters, ub, rb) -> tuple:
-        z_r = _encode(params, rb.features)
-        if cfg.loss.unlearn_weight > 0:
-            z_u = _encode(params, ub.features)
+        if cfg.loss.unlearn_weight <= 0:
+            z_r, ul = _encode(params, rb.features), as_tensor(0.0)
+        else:
+            if len(ub.features) == len(rb.features):
+                z_r, z_u = _encode(params, np.array((rb.features, ub.features)))
+            else:
+                z_r, z_u = _encode(params, rb.features), _encode(params, ub.features)
             sets = _contrast_sets(ub.labels, z_u, rb.labels, z_r)
             ul = unlearn_term(sets, cfg.loss.temperature)
-        else:
-            ul = as_tensor(0.0)
         if cfg.loss.ce_weight > 0:
             ce = _cross_entropy(_head_logits(params, z_r), rb.labels)
         else:

@@ -26,9 +26,11 @@ activation grows past glibc's mmap threshold and each pass reuses the
 heap instead of faulting fresh pages in; training's per-epoch accuracy
 is such a pass. accuracy counts each block's hits, attack_features and
 embedding_geometry write each block into one array of the whole split,
-and the softmax, sorting and centroids then run on that array. Every
-value has the bits of one pass over the whole split, and a pass that
-fails raises that pass's error.
+and the softmax, sorting and centroids then run on that array. The
+blocks are deterministic; every value has the bits of one pass over the
+whole split where no layer's rows depend on the product's row count, as
+in the standard recipe (see ``model._blocks``), and a pass that fails
+raises that pass's error.
 """
 from __future__ import annotations
 

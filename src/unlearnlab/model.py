@@ -4,7 +4,9 @@ The model is a multilayer perceptron encoder whose final embedding is
 scaled to unit Euclidean norm, followed by a linear classification head.
 Normalized embeddings make dot products equal cosine similarities, which
 is what the contrastive losses operate on. One encoder pass is one tape
-entry (``tensor._encoder``).
+entry (``tensor._encoder``), over one batch or over a stack of batches
+of equal rows, such as a contrastive step's remaining and forgotten
+batches.
 
 A model meets data in one of two ways. A raw array goes through the
 public ``encode``, ``head_logits``, ``forward`` and ``predict_labels``,
@@ -28,9 +30,12 @@ a whole-split pass mapped each activation on allocation and unmapped it
 on free, and every later pass faulted its pages back in: about 340 minor
 faults per epoch of the standard training, whose per-epoch accuracy is
 such a pass. Every activation of a block stays within that threshold
-(``_BLOCK_VALUES``), so the blocks reuse the heap's memory; their rows
-have the bits of the whole pass, and a pass that fails raises the whole
-pass's error. Taped steps and neggrad's guard keep one pass.
+(``_BLOCK_VALUES``), so the blocks reuse the heap's memory. The blocks
+are deterministic: each row has the bits of the public pass over its
+block. Those are the whole pass's bits wherever no layer's rows depend
+on the product's row count, as in the standard recipe, but not for
+every architecture (see ``_blocks``). A pass that fails raises the
+whole pass's error. Taped steps and neggrad's guard keep one pass.
 
 Checkpoints are a self-describing binary container: magic bytes, format
 version, a JSON header with the architecture and tensor manifest, then
@@ -288,9 +293,10 @@ def encode(params: ModelParameters, x) -> Tensor:
     return _encode(params, x)
 
 
-def _encode(params: ModelParameters, x: np.ndarray) -> Tensor:
+def _encode(params: ModelParameters, x: np.ndarray):
     """encode's core, one tape entry, without encode's copy and checks,
-    for the rows of a Dataset that passed ``_check_fits``."""
+    for the rows of a Dataset that passed ``_check_fits``: a Tensor for a
+    (B, K) batch, one per part for a (P, B, K) stack (see ``tensor._encoder``)."""
     return T._encoder(x, params.as_list()[:-2], params.arch.activation)
 
 
@@ -321,8 +327,13 @@ def _blocks(params: ModelParameters, x: np.ndarray, head: bool = True):
     as they go. As _block_rows is at least 3, no block has one row unless
     n is 1: numpy multiplies a one-row matrix as a vector, which may round
     differently (a fixed 512-row block would leave one row of a 513-row
-    split). Each row's values then have the whole pass's bits, as they
-    depend on that row alone.
+    split). Each row's values have the bits of the public pass over its
+    block. They are the whole pass's bits where a row's products depend
+    on that row alone, as for the standard architecture. They are not
+    for every architecture: on OpenBLAS 0.3.31 a product's rows can
+    depend on its row count once its inner width is at least 16 and its
+    output width is 1, 2 or 3 past a multiple of 8, as with hidden
+    (49, 26) and embedding width 18.
 
     The whole pass checks every row at each layer before the next, and
     every norm for overflow before any for zero, so a block's error may

@@ -9,7 +9,8 @@ update (non-finite whenever a gradient is, since the learning rate is
 positive and finite). The module holds only the ops the library runs:
 ``dense``, one layer ``act(x @ w + b)`` (the classifier's head), and
 ``_encoder``, the whole encoder (every layer, then each row scaled to
-unit norm). Both, and the losses in ``losses``, are fused: each records
+unit norm), over one batch or over a stack of batches of equal rows.
+Both, and the losses in ``losses``, are fused: each records
 one tape entry whose hand-written backward repeats the arithmetic of
 the same computation composed from primitive ops, so both give
 bit-identical results, to the sign of every zero. They share one
@@ -24,7 +25,16 @@ bits: every matrix product is ``_dot`` (np.dot, which skips the ufunc
 dispatch of ``@``, but ``@`` over an inner width of 1, where the two
 differ in the sign of a zero), the relu adjoint multiplies by the sign
 of the output rather than a cast boolean mask, and the row norms are
-bounded by one max and one min reduction (``_row_norms``).
+bounded by one max and one min reduction (``_row_norms``). A
+contrastive step encodes its remaining and forgotten batches as one
+(2, B, K) stack: one entry, whose products are one gemm per part
+(``@``) and whose reductions run along each part's own axes, so each
+part keeps the bits of its own pass. A (2B, K) concatenation would not:
+on OpenBLAS 0.3.31 a product's rows depend on its row count once its
+inner width is at least 16 and its output width is 1, 2 or 3 past a
+multiple of 8. The stack saves the second pass's per-layer calls; each
+output part gets its own Tensor, and ``_replay`` hands the entry's
+backward the list of the parts' adjoints.
 
 All values are 64-bit floats, and every Tensor holds finite values.
 Each op checks finiteness once, at the first place its arithmetic can
@@ -199,9 +209,12 @@ class GradTape:
         """Raw adjoint arrays of a scalar output, one per input, unchecked.
 
         Runs the tape in exact reverse order. Every op's backward returns
-        each input's adjoint in that input's shape. An input may be a leaf
-        or an intermediate result; one that did not participate in
-        producing the output gets an exact zero adjoint of its own shape.
+        each input's adjoint in that input's shape. An entry with several
+        outputs (an encoder stack's parts) gets the list of their adjoints,
+        None for a part nothing used, and runs if any part has one. An
+        input may be a leaf or an intermediate result; one that did not
+        participate in producing the output gets an exact zero adjoint of
+        its own shape.
         """
         if output.shape != ():
             raise ContractError(f"gradient of non-scalar output with shape {output.shape}")
@@ -209,7 +222,12 @@ class GradTape:
         for out_tid, in_tids, backward in reversed(self._entries):
             g_out = adjoints.get(out_tid)
             if g_out is None:
-                continue
+                if type(out_tid) is not tuple:
+                    continue
+                # A stack's parts: their adjoints, None where unused.
+                g_out = [adjoints.get(tid) for tid in out_tid]
+                if all(g is None for g in g_out):
+                    continue
             for tid, g_in in zip(in_tids, backward(g_out)):
                 if tid in adjoints:
                     adjoints[tid] = adjoints[tid] + g_in
@@ -232,11 +250,12 @@ class GradTape:
         return [_fresh(g, "gradient") for g in self._replay(output, inputs)]
 
 
-def _record(out: Tensor, inputs: Sequence[Tensor], backward: Callable) -> None:
+def _record(out, inputs: Sequence[Tensor], backward: Callable) -> None:
+    """Tape one entry: out is a Tensor, or the list of a stack's part
+    Tensors, whose entry's backward takes the list of their adjoints."""
     if _active_tape is not None:
-        _active_tape._entries.append(
-            (out.tid, tuple([t.tid for t in inputs]), backward)
-        )
+        out_tid = out.tid if type(out) is Tensor else tuple([t.tid for t in out])
+        _active_tape._entries.append((out_tid, tuple([t.tid for t in inputs]), backward))
 
 
 def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -248,8 +267,12 @@ def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     over an inner width of 1, np.dot keeps the sign of a zero product (one
     that underflowed, or a 1 x 1 product of a zero) where ``@`` adds it to
     +0.0.
+
+    A stack a of shape (P, B, K) also goes through ``@``, which multiplies
+    each part by its own gemm (np.dot would not): every part's product has
+    the bits of the part's own 2-d product.
     """
-    return np.dot(a, b) if a.shape[1] != 1 else a @ b
+    return np.dot(a, b) if a.ndim == 2 and a.shape[1] != 1 else a @ b
 
 
 def _layer(h: np.ndarray, w: np.ndarray, b: np.ndarray, activation) -> np.ndarray:
@@ -317,7 +340,8 @@ def _dense(x: Tensor, w: Tensor, b: Tensor, activation) -> Tensor:
 
 
 def _row_norms(v: np.ndarray) -> np.ndarray:
-    """The row norms of a batch, as a column, within their bounds.
+    """The row norms of a batch (or of each part of a stack), as a column,
+    within their bounds.
 
     NonFiniteError if a norm is not finite (unchecked, an overflowed norm
     would silently map its row to zeros), else DegenerateEmbeddingError if
@@ -326,7 +350,7 @@ def _row_norms(v: np.ndarray) -> np.ndarray:
     # np.linalg.norm's own expression for real rows, without its wrapper.
     # A finite row's squares may overflow; the bounds below then pick the
     # error (the encoder's errstate silences numpy's warning).
-    norms = np.sqrt(np.add.reduce(v * v, axis=1, keepdims=True))
+    norms = np.sqrt(np.add.reduce(v * v, axis=-1, keepdims=True))
     # Both bounds in two reductions: NaN fails both comparisons, and the
     # initial values pass an empty batch. Only a batch that fails them runs
     # the finite check, which picks the error: overflow first.
@@ -339,7 +363,17 @@ def _row_norms(v: np.ndarray) -> np.ndarray:
     return norms
 
 
-def _encoder(x: np.ndarray, weights: Sequence[Tensor], activation: str) -> Tensor:
+def _part_sum(a: np.ndarray) -> np.ndarray:
+    """a[0] + a[1] + ... in part order: the sum a replay forms over one
+    entry per part. np.add.reduce would start from +0.0, which turns a
+    -0.0 that every part shares into 0.0."""
+    out = a[0]
+    for p in range(1, len(a)):
+        out = out + a[p]
+    return out
+
+
+def _encoder(x: np.ndarray, weights: Sequence[Tensor], activation: str):
     """The whole encoder as one tape entry: unit-norm rows of its embedding.
 
     weights is [w0, b0, w1, b1, ..., w_emb, b_emb]: every pair but the
@@ -348,6 +382,18 @@ def _encoder(x: np.ndarray, weights: Sequence[Tensor], activation: str) -> Tenso
     Forward and backward do the arithmetic of ``dense`` per layer and of
     the row normalisation, in the order the composed entries would, so
     values and gradients are bit-identical to composing them.
+
+    x is a (B, K) batch, which returns one Tensor, or a (P, B, K) stack of
+    P batches of B rows, which returns a list of P Tensors, one per part,
+    from the same single entry. A stack's products go through ``@`` per
+    part (see ``_dot``) and its reductions run along each part's own rows
+    or columns, so every part's values and adjoints have the bits of the
+    part's own pass. The entry's weight adjoints are the parts' in part
+    order, summed, as a replay sums those of one entry per part; a part
+    with no adjoint adds nothing. A stack that fails reruns its parts one
+    by one, first to last, to raise the error of the first failing part's
+    own pass: the stack checks all parts at each layer before the next,
+    and every norm for overflow before any for zero.
 
     The caller guarantees the shapes, and that x is a finite float64
     batch no one writes to: it is used without a copy and taped as a
@@ -358,17 +404,23 @@ def _encoder(x: np.ndarray, weights: Sequence[Tensor], activation: str) -> Tenso
     # finite check and the norms' bounds then pick the error, so numpy's
     # warning is silenced, in one errstate per pass.
     with np.errstate(over="ignore", invalid="ignore"):
-        for i in range(0, len(weights) - 2, 2):
-            hidden.append(_layer(hidden[-1], weights[i].data, weights[i + 1].data, activation))
-        emb = _layer(hidden[-1], weights[-2].data, weights[-1].data, None)
-        norms = _row_norms(emb)
+        try:
+            for i in range(0, len(weights) - 2, 2):
+                hidden.append(_layer(hidden[-1], weights[i].data, weights[i + 1].data, activation))
+            emb = _layer(hidden[-1], weights[-2].data, weights[-1].data, None)
+            norms = _row_norms(emb)
+        except (NonFiniteError, DegenerateEmbeddingError):
+            if x.ndim == 3:  # on the error path only
+                for part in x:
+                    _encoder(part, weights, activation)
+            raise
     # A finite row over a finite norm above NORM_EPSILON is finite.
     z = emb / norms
-    out = _wrap(z)
 
-    def backward(g):
+    def adjoints(g, z=z, norms=norms, hidden=hidden):
+        # A batch's backward; a stack's passes the arrays of its used parts.
         # For z = v / |v|: dv = (g - z (z.g)) / |v|, applied per row.
-        inner = np.add.reduce(z * g, axis=1, keepdims=True)
+        inner = np.add.reduce(z * g, axis=-1, keepdims=True)
         g = (g - z * inner) / norms
         # Adjoints of the layers last to first, each bias before its
         # weight, reversed at the end into the order of weights.
@@ -376,9 +428,24 @@ def _encoder(x: np.ndarray, weights: Sequence[Tensor], activation: str) -> Tenso
         for i in range(len(weights) - 2, -1, -2):
             if i < len(weights) - 2:
                 g = _layer_adjoint(_dot(g, weights[i + 2].data.T), hidden[i // 2 + 1], activation)
-            grads += [np.add.reduce(g, axis=0), _dot(hidden[i // 2].T, g)]
+            grads += [np.add.reduce(g, axis=-2), _dot(hidden[i // 2].swapaxes(-1, -2), g)]
         grads.reverse()
         return grads
 
-    _record(out, weights, backward)
+    if x.ndim == 2:
+        out = _wrap(z)
+        _record(out, weights, adjoints)
+        return out
+
+    def stack_backward(gs):
+        used = [p for p, g in enumerate(gs) if g is not None]
+        if len(used) == len(gs):
+            grads = adjoints(np.array(gs))
+        else:  # a part no output used adds nothing
+            grads = adjoints(np.array([gs[p] for p in used]), z[used], norms[used],
+                             [h[used] for h in hidden])
+        return [_part_sum(per_part) for per_part in grads]
+
+    out = [_wrap(part) for part in z]
+    _record(out, weights, stack_backward)
     return out

@@ -8,7 +8,17 @@ read from an index file, each unlearned model followed by
 runs through ``cli.main`` in one temporary directory, on the
 criterion-8 configuration at spread 0.7, where every method takes
 steps on every task; the commands after ``gen-data`` read its CSVs.
-It prints ``sha256  relative/path`` per artifact, sorted by path.
+The whole pipeline then runs a second time under ``wide/``, with hidden
+widths 49 and 26, embedding width 18 and batches of 14 rows. At the
+first pipeline's widths (8 and 6, under an inner width of 16) no
+product's rows depend on its row count, so a change in how rows are
+grouped into products keeps its digests. On OpenBLAS 0.3.31 the second
+pipeline's widths and batch size do not hide it: there a row of a
+product with an inner width of at least 16 and an output width 1, 2 or
+3 past a multiple of 8 has other bits in a product of 2 x 14 rows than
+in one of 14.
+It prints ``sha256  relative/path`` per artifact, sorted by path: 65
+lines per pipeline, the first pipeline's first.
 ``duration_seconds`` is dropped from each ``run.json`` before hashing,
 and ``config.echo.json`` is skipped, since it holds absolute paths.
 
@@ -50,6 +60,14 @@ BASE_CONFIG = {
     },
     "loss": {"unlearn_weight": 0.05},
 }
+# Each pipeline's changes to BASE_CONFIG, by the directory it writes under.
+PIPELINES = {
+    "": {},
+    "wide": {
+        "architecture": {"hidden": [49, 26], "embedding_dim": 18},
+        "engine": {**BASE_CONFIG["engine"], "batch_size": 14},
+    },
+}
 # Every unlearning method, retrain first: it is the reference of the others.
 METHODS = ("retrain", "contrastive", "finetune", "neggrad")
 INDEX_FILE_ROWS = (3, 17, 40, 41, 95, 120, 150, 179)
@@ -69,14 +87,15 @@ def write_config(path: Path, config: dict) -> str:
     return str(path)
 
 
-def pipeline(inputs: Path, out: Path) -> None:
+def pipeline(inputs: Path, out: Path, changes: dict) -> None:
     """Write the configs and the index file to inputs, every artifact to out."""
+    inputs.mkdir(parents=True, exist_ok=True)
     data = out / "data"
     gen = write_config(inputs / "gen.json", {"dataset": {"synthetic": SYNTHETIC}})
     run("gen-data", "--config", gen, "--out", str(data))
     index_file = inputs / "indices.txt"
     index_file.write_text("".join(f"{i}\n" for i in INDEX_FILE_ROWS))
-    config = {**BASE_CONFIG, "dataset": {
+    config = {**BASE_CONFIG, **changes, "dataset": {
         "csv": {"train": str(data / "train.csv"), "test": str(data / "test.csv")}
     }}
     tasks = {
@@ -111,8 +130,8 @@ def digest(path: Path) -> str:
 def main() -> None:
     with tempfile.TemporaryDirectory() as tmp:
         inputs, out = Path(tmp, "inputs"), Path(tmp, "out")
-        inputs.mkdir()
-        pipeline(inputs, out)
+        for prefix, changes in PIPELINES.items():
+            pipeline(inputs / prefix, out / prefix, changes)
         for path in sorted(out.rglob("*")):
             if path.is_file() and path.name != "config.echo.json":
                 print(f"{digest(path)}  {path.relative_to(out).as_posix()}")

@@ -7,7 +7,7 @@ import pytest
 
 import unlearnlab as ul
 from unlearnlab import engine
-from unlearnlab.data import TAG_TRAIN_BATCHES, TAG_UNLEARN_BATCHES
+from unlearnlab.data import TAG_REMAIN_SAMPLER, TAG_TRAIN_BATCHES, TAG_UNLEARN_BATCHES
 from unlearnlab.engine import (
     _termination_metrics,
     check_termination_class,
@@ -17,6 +17,7 @@ from unlearnlab.errors import (
     DimensionError,
     DivergenceError,
     NonFiniteError,
+    NoValidAnchorError,
     UnlearnableConfigurationError,
     ValidationError,
 )
@@ -291,7 +292,8 @@ class TestTrain:
 class TestTapeSize:
     """Tape entries per step with two hidden layers: one per encoder pass
     (every layer and the row normalisation), the head's dense, one per
-    loss and one for the sum."""
+    loss and one for the sum. A contrastive step encodes a forgotten batch
+    of the remaining batch's rows with it, in one stacked pass."""
 
     ARCH = ul.ModelArchitecture(input_dim=2, hidden=(8, 8), embedding_dim=4, num_classes=2)
 
@@ -323,7 +325,7 @@ class TestTapeSize:
         if kind == "class":
             spec = ul.TaskSpec(kind="class", class_id=0)
         else:
-            spec = ul.TaskSpec(kind="sample", sample_count=10, seed=2)
+            spec = ul.TaskSpec(kind="sample", sample_count=20, seed=3)
         task = ul.make_task(train, test, spec)
         ucfg = ul.EngineConfig(
             seed=0,
@@ -333,8 +335,11 @@ class TestTapeSize:
         )
         sizes = self.recorded_sizes(monkeypatch)
         _, record = ul.unlearn_contrastive(params, task, ucfg)
-        assert len(sizes) == record.gradient_steps > 0
-        assert set(sizes) == {6}
+        # One pass; the last forgotten batch is short (50 and 20 rows).
+        unlearn_batches = ul.batches(task.unlearn_train, 16, [0, TAG_UNLEARN_BATCHES, 0])
+        want = [5 if len(b.labels) == 16 else 6 for b in unlearn_batches for _ in range(2)]
+        assert sizes == want and set(want) == {5, 6}
+        assert record.gradient_steps == len(want)
 
 
 class TestRetrain:
@@ -475,6 +480,61 @@ class TestContrastive:
         unlearn_batches = int(np.ceil(len(task.unlearn_train) / cfg.batch_size))
         assert record.batches_processed == n_pass * unlearn_batches
         assert record.gradient_steps == n_pass * unlearn_batches * cfg.remaining_resamples
+
+    @pytest.mark.parametrize("kind", ["class", "sample"])
+    def test_matches_reference_loop_of_public_primitives(self, kind):
+        # The engine's fast paths, its stacked encoder pass among them, must
+        # change no bit of the result. This loop runs the same steps from
+        # public primitives: an encode per batch, the public contrast sets,
+        # losses, head and sum, tape.gradient and ModelParameters.replace,
+        # with the engine's remaining draws and anchor redraws. Forgotten
+        # batches of 7 rows: 30 class rows and 20 sampled ones leave a short
+        # last batch, so both the stacked and the one-batch step run. The
+        # widths are those of test_tensor's STACK_ARCH; with them, on
+        # OpenBLAS 0.3.31, a product of 2 x 7 rows rounds rows differently
+        # from one of 7, so a (2B, K) concatenation would fail here.
+        arch = ul.ModelArchitecture(input_dim=4, hidden=(49, 26), embedding_dim=18, num_classes=3)
+        train, test = ul.generate_synthetic(3, 4, 30, 10, spread=0.8, seed=6)
+        params, _ = ul.train(arch, train, ul.EngineConfig(seed=6, max_epochs=30, batch_size=16))
+        if kind == "class":
+            spec = ul.TaskSpec(kind="class", class_id=1)
+        else:
+            spec = ul.TaskSpec(kind="sample", sample_count=20, seed=13)
+        task = ul.make_task(train, test, spec)
+        cfg = ul.EngineConfig(
+            seed=6, batch_size=7, learning_rate=0.05, remaining_resamples=2, max_unlearn_epochs=2,
+            loss=ul.LossConfig(variant=kind, unlearn_weight=0.5),
+        )
+        out, record = ul.unlearn_contrastive(params, task, cfg)
+        passes = sum(r["kind"] == "pass" for r in record.rows)
+        assert passes == 2 and len(task.unlearn_train) % cfg.batch_size != 0
+
+        unlearn_term = ul.class_unlearn_loss if kind == "class" else ul.sample_unlearn_loss
+        remain_rng = np.random.default_rng([cfg.seed, TAG_REMAIN_SAMPLER])
+        steps = 0
+        for epoch in range(passes):
+            for ub in ul.batches(task.unlearn_train, cfg.batch_size, [cfg.seed, TAG_UNLEARN_BATCHES, epoch]):
+                for _ in range(cfg.remaining_resamples):
+                    for _ in range(engine.ANCHOR_RESAMPLE_LIMIT):
+                        rb = ul.sample_remaining(task, cfg.batch_size, remain_rng)
+                        try:
+                            with ul.GradTape() as tape:
+                                z_r = ul.encode(params, rb.features)
+                                z_u = ul.encode(params, ub.features)
+                                sets = ul.build_contrast_sets(ub.labels, z_u, rb.labels, z_r)
+                                term = unlearn_term(sets, cfg.loss.temperature)
+                                ce = ul.cross_entropy_loss(ul.head_logits(params, z_r), rb.labels)
+                                loss = ul.combined_loss(term, ce, cfg.loss)
+                        except NoValidAnchorError:
+                            continue
+                        grads = tape.gradient(loss, params.as_list())
+                        params = params.replace(
+                            [w.data - cfg.learning_rate * g.data for w, g in zip(params.as_list(), grads)]
+                        )
+                        steps += 1
+                        break
+        assert steps == record.gradient_steps > 0
+        assert_same_parameters(params, out)
 
     def test_deterministic(self):
         params, task = self.trained_small()

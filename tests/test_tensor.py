@@ -559,6 +559,111 @@ class TestEncoder:
         assert np.array_equal(_encoder(x0, weights, activation).data, taped)
 
 
+# Widths 49, 26 and 18 leave 1, 2 and 2 over a multiple of 8, past an
+# inner width of 16: on OpenBLAS a 2-d product's rows then depend on its
+# row count, so a stack concatenated into one (2B, K) batch would change
+# bits where the per-part products of a (2, B, K) stack do not.
+STACK_ARCH = ModelArchitecture(4, (49, 26), 18, 3)
+
+
+def _stack_case(activation, batch, seed=5):
+    """Encoder weights of STACK_ARCH, a remaining and a forgotten batch of
+    `batch` rows, and a downstream weighting of each part's embedding."""
+    arch = ModelArchitecture(4, STACK_ARCH.hidden, STACK_ARCH.embedding_dim, 3, activation)
+    weights = init_parameters(arch, seed).as_list()[:-2]
+    r = np.random.default_rng(seed)
+    x_r, x_u = r.standard_normal((2, batch, 4))
+    return x_r, x_u, weights, r.standard_normal((2, batch, arch.embedding_dim))
+
+
+def _weighted_sum(parts, downstream):
+    """sum over the used parts of sum(z * r), composed; None skips a part."""
+    terms = [reduce_sum(multiply(z, r)) for z, r in zip(parts, downstream) if z is not None]
+    return terms[0] if len(terms) == 1 else add(terms[0], terms[1])
+
+
+class TestEncoderStack:
+    """A (2, B, K) stack is one tape entry whose values and gradients are
+    those of one entry per part, bit for bit."""
+
+    @staticmethod
+    def taped(encode, weights, downstream):
+        with GradTape() as tape:
+            parts = encode()
+            entries = len(tape)
+            out = _weighted_sum(parts, downstream)
+        return entries, parts, tape.gradient(out, weights)
+
+    @pytest.mark.parametrize("batch", [2, 3, 16, 32])
+    @pytest.mark.parametrize("activation", ["relu", "tanh"])
+    def test_bit_identical_to_one_entry_per_part(self, activation, batch):
+        x_r, x_u, weights, down = _stack_case(activation, batch)
+        stack_entries, stacked, stack_grads = self.taped(
+            lambda: _encoder(np.stack((x_r, x_u)), weights, activation), weights, down
+        )
+        part_entries, parts, part_grads = self.taped(
+            lambda: [_encoder(x, weights, activation) for x in (x_r, x_u)], weights, down
+        )
+        assert (stack_entries, part_entries) == (1, 2)
+        assert [z.shape for z in stacked] == [(batch, STACK_ARCH.embedding_dim)] * 2
+        for got, want in zip(stacked + stack_grads, parts + part_grads):
+            assert bits_equal(got.data, want.data)
+
+    @pytest.mark.parametrize("activation", ["relu", "tanh"])
+    def test_gradient_vs_finite_differences(self, activation):
+        x_r, x_u, weights, down = _stack_case(activation, 3)
+        stack = np.stack((x_r, x_u))
+        _, _, grads = self.taped(lambda: _encoder(stack, weights, activation), weights, down)
+        # The first layer's weight and the embedding's bias, one at each end.
+        for k in (0, len(weights) - 1):
+            def f(v, k=k):
+                changed = weights[:k] + [as_tensor(v)] + weights[k + 1:]
+                return _weighted_sum(_encoder(stack, changed, activation), down).item()
+
+            fd = finite_difference_gradient(f, weights[k].data)
+            assert gradient_relative_error(grads[k].data, fd) < 1e-6
+
+    @pytest.mark.parametrize("used", [0, 1], ids=["remaining-only", "forgotten-only"])
+    def test_unused_part_adds_nothing(self, used):
+        x_r, x_u, weights, down = _stack_case("relu", 16)
+        _, _, stack_grads = self.taped(
+            lambda: [z if p == used else None
+                     for p, z in enumerate(_encoder(np.stack((x_r, x_u)), weights, "relu"))],
+            weights, down,
+        )
+
+        def encode_alone():
+            parts = [None, None]
+            parts[used] = _encoder((x_r, x_u)[used], weights, "relu")
+            return parts
+
+        _, _, part_grads = self.taped(encode_alone, weights, down)
+        for got, want in zip(stack_grads, part_grads):
+            assert bits_equal(got.data, want.data)
+
+    # As in TestEncoder: a row of zeros embeds to the zero vector, a row of
+    # ones to a finite one whose norm overflows. The stack checks every
+    # norm for overflow before any for zero, so without its rerun a zero
+    # row in part 0 and an overflow in part 1 would raise NonFiniteError.
+    @pytest.mark.parametrize(
+        "first, second, error",
+        [(0.0, 1.0, DegenerateEmbeddingError), (1.0, 0.0, NonFiniteError)],
+        ids=["zero-then-overflow", "overflow-then-zero"],
+    )
+    def test_failing_stack_raises_the_first_failing_part_error(self, first, second, error):
+        layers = (np.eye(5), np.zeros(5), np.full((5, 3), 1e200), np.zeros(3))
+        weights = [as_tensor(w) for w in layers]
+        parts = [np.full((2, 5), first), np.full((2, 5), second)]
+        with pytest.raises(error) as by_part:
+            for x in parts:
+                _encoder(x, weights, "relu")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(error) as stacked:
+                _encoder(np.stack(parts), weights, "relu")
+        assert stacked.value.args == by_part.value.args
+
+
 class TestTape:
     def test_only_one_active_tape(self):
         with GradTape():
