@@ -44,6 +44,13 @@ from .errors import (
 # Largest evaluation subset used by the sample-task termination check.
 EVAL_CAP = 500
 
+# Most float64 values of one array of a block: 128 KiB, glibc's default
+# mmap threshold, so that a block's arrays come from the heap and reuse
+# its memory instead of faulting fresh pages in. The untaped model passes
+# (``model._blocks``) and a pass's remaining batches (``_remaining_batches``)
+# are drawn in such blocks.
+_BLOCK_VALUES = 16_384
+
 # Purpose tags keep RNG streams for different jobs independent even
 # when they share a base seed.
 TAG_TRAIN_BATCHES = 1
@@ -618,11 +625,28 @@ def batches(view: Dataset, batch_size: int, seed) -> list[Batch]:
 def sample_remaining(task: UnlearnTask, batch_size: int, rng: np.random.Generator) -> Batch:
     """One uniform without-replacement batch from the remaining train view.
 
-    Draws fresh from the supplied generator on every call, which is how
-    the engine resamples remaining batches within an epoch.
+    Draws fresh from the supplied generator on every call. An unlearning
+    pass draws its remaining batches through ``_remaining_batches``,
+    which makes the same draws, in the same order.
+    """
+    return next(_remaining_batches(task, batch_size, rng, 1))
+
+
+def _remaining_batches(
+    task: UnlearnTask, batch_size: int, rng: np.random.Generator, planned: int
+):
+    """Yield remaining batches, each drawn as ``sample_remaining`` draws
+    one, one ``rng.choice`` per batch in order, for as long as they are
+    asked for.
+
+    The first planned batches, those a pass is sure to use, are drawn in
+    blocks of as many batches as hold at most _BLOCK_VALUES feature values
+    (at least one), each block's rows gathered by one index; later ones
+    are drawn one at a time, so no batch is drawn that is not asked for.
+    The batch-size rule runs when the first batch is asked for.
     """
     remain = task.remain_train
-    # The count rule runs only where the plain test fails, off the engine's step.
+    # The count rule runs only where the plain test fails.
     if type(batch_size) is not int or not 1 <= batch_size <= len(remain):
         if problems := integer_problems(batch_size=(batch_size, 1)):
             raise ValidationError(problems[0])
@@ -630,5 +654,12 @@ def sample_remaining(task: UnlearnTask, batch_size: int, rng: np.random.Generato
             raise ConfigurationError(
                 f"remaining train view has {len(remain)} rows, need >= {batch_size}"
             )
-    idx = rng.choice(len(remain), size=batch_size, replace=False)
-    return Batch(remain.features[idx], remain.labels[idx], idx)
+    rows = len(remain)
+    per_block = max(1, _BLOCK_VALUES // (batch_size * remain.num_features))
+    while True:
+        count = max(1, min(per_block, planned))
+        planned -= count
+        idx = np.array([rng.choice(rows, size=batch_size, replace=False) for _ in range(count)])
+        features, labels = remain.features[idx], remain.labels[idx]
+        for j in range(count):
+            yield Batch(features[j], labels[j], idx[j])

@@ -19,11 +19,24 @@ unlearning data (with a divergence guard).
 
 Every batch a step sees is drawn from a Dataset that each run first
 holds to ``data._check_fits``, so the steps call the cores of
-``encode``, ``head_logits``, ``build_contrast_sets`` and
-``cross_entropy_loss`` directly (see ``model``). A contrastive step
-whose forgotten batch has as many rows as its remaining batch, every
-step but those on a short last forgotten batch, encodes the two as one
-stacked pass (``tensor._encoder``), with the bits of one pass each.
+``encode``, ``head_logits``, ``build_contrast_sets``,
+``cross_entropy_loss`` and the contrastive losses directly (see
+``model`` and ``losses``): the loss config has checked the temperature,
+and each run holds the one ``np.errstate`` its cores run under (the
+rule of ``tensor``). A contrastive step whose forgotten batch has as
+many rows as its remaining batch, every step but those on a short last
+forgotten batch, encodes the two as one stacked pass
+(``tensor._encoder``), with the bits of one pass each.
+
+A contrastive pass draws its remaining batches from one generator
+(``data._remaining_batches``), with the draws of ``sample_remaining`` in
+the same order. Each of the pass's (forgotten batches) x
+remaining_resamples slots takes at least one batch, so that many are
+drawn ahead, in blocks that each gather their rows with one index, the
+first when the first step asks for its batch. An anchor redraw takes the
+next batch, and past the planned count batches are drawn one at a time.
+So the stream is the one ``sample_remaining`` would give, draw for draw,
+and a pass draws no batch it does not use.
 
 Each run updates one private working copy of its starting parameters
 in place (``ModelParameters._working_copy``): the caller's parameters
@@ -44,8 +57,8 @@ from .data import (
     Dataset,
     UnlearnTask,
     _check_fits,
+    _remaining_batches,
     batches,
-    sample_remaining,
 )
 from .errors import (
     DivergenceError,
@@ -60,11 +73,11 @@ from .errors import (
 from .evaluation import accuracy
 from .losses import (
     LossConfig,
+    _class_unlearn,
     _contrast_sets,
     _cross_entropy,
-    class_unlearn_loss,
+    _sample_unlearn,
     combined_loss,
-    sample_unlearn_loss,
 )
 from .model import (
     ModelArchitecture,
@@ -365,7 +378,7 @@ def unlearn_contrastive(
         raise ValidationError(
             f"loss variant {cfg.loss.variant!r} does not match task kind {task.kind!r}"
         )
-    unlearn_term = sample_unlearn_loss if task.kind == "sample" else class_unlearn_loss
+    unlearn_term = _sample_unlearn if task.kind == "sample" else _class_unlearn
     remain_rng = np.random.default_rng([cfg.seed, TAG_REMAIN_SAMPLER])
 
     def objective(params: ModelParameters, ub, rb) -> tuple:
@@ -389,11 +402,16 @@ def unlearn_contrastive(
         unlearn_batches = batches(
             task.unlearn_train, cfg.batch_size, [cfg.seed, TAG_UNLEARN_BATCHES, epoch]
         )
+        # Every slot takes at least one remaining batch, so the pass draws
+        # that many ahead; a redraw takes the next one.
+        remaining = _remaining_batches(
+            task, cfg.batch_size, remain_rng, len(unlearn_batches) * cfg.remaining_resamples
+        )
         for b_index, ub in enumerate(unlearn_batches):
             record.batches_processed += 1
             for _ in range(cfg.remaining_resamples):
                 for _ in range(ANCHOR_RESAMPLE_LIMIT):
-                    rb = sample_remaining(task, cfg.batch_size, remain_rng)
+                    rb = next(remaining)
                     try:
                         _, ul, ce = _sgd_step(
                             params,

@@ -30,7 +30,9 @@ and the softmax, sorting and centroids then run on that array. The
 blocks are deterministic; every value has the bits of one pass over the
 whole split where no layer's rows depend on the product's row count, as
 in the standard recipe (see ``model._blocks``), and a pass that fails
-raises that pass's error.
+raises that pass's error. Each of the three holds one ``np.errstate``
+around its whole blocked pass, the rule of ``tensor``: the cores set
+none, and the blocks' generator may not hold one across its yields.
 """
 from __future__ import annotations
 
@@ -50,10 +52,11 @@ def accuracy(params: ModelParameters, dataset: Dataset) -> float:
     matches the label."""
     _check_fits(dataset, params.arch.input_dim, params.arch.num_classes)
     # The hit count over the row count: the float np.mean of the hits gives.
-    hits = sum(
-        int(np.count_nonzero(np.argmax(logits, axis=1) == dataset.labels[rows]))
-        for rows, logits in _blocks(params, dataset.features)
-    )
+    with np.errstate(over="ignore", invalid="ignore"):  # the cores' finite checks pick the error
+        hits = sum(
+            int(np.count_nonzero(np.argmax(logits, axis=1) == dataset.labels[rows]))
+            for rows, logits in _blocks(params, dataset.features)
+        )
     return hits / len(dataset)
 
 
@@ -142,10 +145,10 @@ def embedding_geometry(params: ModelParameters, task: UnlearnTask) -> GeometryRe
     ``Z @ centroid`` goes through gemv, which may round differently.
     """
     _check_fits(task.train, params.arch.input_dim, params.arch.num_classes)
-    remain = task.remain_train
-    remain_z = _untaped(params, remain.features, head=False)
-    unlearn = task.unlearn_train
-    unlearn_z = _untaped(params, unlearn.features, head=False)
+    remain, unlearn = task.remain_train, task.unlearn_train
+    with np.errstate(over="ignore", invalid="ignore"):  # the cores' finite checks pick the error
+        remain_z = _untaped(params, remain.features, head=False)
+        unlearn_z = _untaped(params, unlearn.features, head=False)
 
     centroids: dict[int, np.ndarray] = {}
     report = GeometryReport()
@@ -193,8 +196,8 @@ def attack_features(params: ModelParameters, dataset: Dataset) -> np.ndarray:
     -inf, so its probability is exactly 0.0, as the float64 softmax gives.
     """
     _check_fits(dataset, params.arch.input_dim, params.arch.num_classes)
-    logits = _untaped(params, dataset.features)
-    with np.errstate(over="ignore"):
+    with np.errstate(over="ignore", invalid="ignore"):  # the cores' finite checks pick the error
+        logits = _untaped(params, dataset.features)
         shifted = logits - logits.max(axis=1, keepdims=True)
     probs = np.exp(shifted)
     probs /= probs.sum(axis=1, keepdims=True)

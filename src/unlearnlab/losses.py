@@ -32,22 +32,25 @@ NonFiniteError: an intermediate array through
 ``tensor._require_finite``, the one check for computed arrays, and the
 value through ``tensor._fresh``; the sample loss's positive sums have
 their own bound, since their log needs them positive as well as finite.
-Matrix products go through ``tensor._dot``, as the layers' do; ``combined_loss`` adds its two weighted terms as Python
-floats, which give the IEEE results of the 0-d array ops in fewer numpy
-calls; and where a composed sum would turn a -0.0 into 0.0 (the
-cross-entropy adjoint off the label), the fused backward does too, so
-the bits match to the sign of every zero. A temperature passed to a
-loss is checked by ``LossConfig``'s rule, with its message.
+Matrix products go through ``tensor._dot``, as the layers' do;
+``combined_loss`` adds its two weighted terms as Python floats, which
+give the IEEE results of the 0-d array ops in fewer numpy calls; and
+where a composed sum would turn a -0.0 into 0.0 (the cross-entropy
+adjoint off the label), the fused backward does too, so the bits match
+to the sign of every zero. A temperature passed to a loss is checked by
+``LossConfig``'s rule, with its message.
 
-``build_contrast_sets`` and ``cross_entropy_loss`` check their inputs
-and then call their cores, ``_contrast_sets`` and ``_cross_entropy``,
-which the engine calls directly: its labels come from a Dataset whose
-class count ``data._check_fits`` matched to the model's, and its
-embeddings from the encoder, which makes them unit-norm. The two
-wrappers, and both contrastive losses, run their arithmetic under an
-``np.errstate`` that silences numpy's overflow warnings, as the
-engine's runs do, so finite inputs that overflow, such as a tiny
-temperature, reach the checks without a warning.
+Each public loss checks its inputs and then calls its core:
+``build_contrast_sets`` calls ``_contrast_sets``, ``cross_entropy_loss``
+``_cross_entropy``, and the two contrastive losses ``_sample_unlearn``
+and ``_class_unlearn``. The engine calls the cores directly: its labels
+come from a Dataset whose class count ``data._check_fits`` matched to the
+model's, its embeddings from the encoder, which makes them unit-norm,
+and its temperature from a ``LossConfig``, which checked it. The cores
+never set numpy's error state (the rule of ``tensor``): the public losses
+run them under an ``np.errstate`` that silences numpy's overflow
+warnings, as the engine's runs do, so finite inputs that overflow, such
+as a tiny temperature, reach the checks without a warning.
 """
 from __future__ import annotations
 
@@ -211,32 +214,37 @@ def sample_unlearn_loss(sets: ContrastSets, temperature: float) -> Tensor:
     """
     if problems := _temperature_problems(temperature):
         raise ValidationError(problems[0])
+    with np.errstate(over="ignore", invalid="ignore"):  # the core's finite checks pick the error
+        return _sample_unlearn(sets, temperature)
+
+
+def _sample_unlearn(sets: ContrastSets, temperature: float) -> Tensor:
+    """sample_unlearn_loss' core, without its temperature rule and errstate."""
     n_pos = sets.positive_counts
     n_neg = sets.negative_counts
     valid = (n_pos >= 1) & (n_neg >= 1)
     if not np.logical_or.reduce(valid):
         raise NoValidAnchorError("every anchor lacks a positive or a negative")
 
-    with np.errstate(over="ignore", invalid="ignore"):  # the finite checks pick the error
-        s = _similarities(sets, temperature)
-        positive = sets.positive_mask.astype(np.float64)
-        negative = sets.negative_mask.astype(np.float64)
-        valid_f = valid.astype(np.float64)
-        # Per anchor i: -(1/|N_i|) sum_a s_ia + log(sum_p exp(s_ip)).
-        neg_sum = np.add.reduce(s * negative, axis=1)
-        exp_s = T._require_finite(np.exp(s), "exp of the scaled similarities is not finite")
-        # Pad invalid rows so the log stays finite; their term is zeroed below.
-        pos_den = np.add.reduce(exp_s * positive, axis=1) + (1.0 - valid_f)
-        # A sum of finite non-negative terms lies in [0, inf], so its log is
-        # finite exactly where it is positive and finite. Checked before the
-        # log, which then never takes a zero and raises no divide warning.
-        if not (np.minimum.reduce(pos_den) > 0.0 and np.maximum.reduce(pos_den) < math.inf):
-            raise NonFiniteError("log of the positive sum is not finite")
-        log_den = np.log(pos_den)
-        neg_coeff = np.where(valid, -1.0 / np.maximum(n_neg, 1), 0.0)
-        # A sum over the negatives can still overflow; it stays infinite (or
-        # turns NaN) through the rest, so the final value's check catches it.
-        value = np.add.reduce(neg_sum * neg_coeff + log_den * valid_f)
+    s = _similarities(sets, temperature)
+    positive = sets.positive_mask.astype(np.float64)
+    negative = sets.negative_mask.astype(np.float64)
+    valid_f = valid.astype(np.float64)
+    # Per anchor i: -(1/|N_i|) sum_a s_ia + log(sum_p exp(s_ip)).
+    neg_sum = np.add.reduce(s * negative, axis=1)
+    exp_s = T._require_finite(np.exp(s), "exp of the scaled similarities is not finite")
+    # Pad invalid rows so the log stays finite; their term is zeroed below.
+    pos_den = np.add.reduce(exp_s * positive, axis=1) + (1.0 - valid_f)
+    # A sum of finite non-negative terms lies in [0, inf], so its log is
+    # finite exactly where it is positive and finite. Checked before the
+    # log, which then never takes a zero and raises no divide warning.
+    if not (np.minimum.reduce(pos_den) > 0.0 and np.maximum.reduce(pos_den) < math.inf):
+        raise NonFiniteError("log of the positive sum is not finite")
+    log_den = np.log(pos_den)
+    neg_coeff = np.where(valid, -1.0 / np.maximum(n_neg, 1), 0.0)
+    # A sum over the negatives can still overflow; it stays infinite (or
+    # turns NaN) through the rest, so the final value's check catches it.
+    value = np.add.reduce(neg_sum * neg_coeff + log_den * valid_f)
 
     def similarity_adjoint(g):
         g_den = (g * valid_f) / pos_den
@@ -253,21 +261,26 @@ def class_unlearn_loss(sets: ContrastSets, temperature: float) -> Tensor:
     """
     if problems := _temperature_problems(temperature):
         raise ValidationError(problems[0])
+    with np.errstate(over="ignore", invalid="ignore"):  # the core's finite checks pick the error
+        return _class_unlearn(sets, temperature)
+
+
+def _class_unlearn(sets: ContrastSets, temperature: float) -> Tensor:
+    """class_unlearn_loss' core, without its temperature rule and errstate."""
     n_neg = sets.negative_counts
     valid = n_neg >= 1
     if not np.logical_or.reduce(valid):
         raise NoValidAnchorError("every anchor lacks a negative")
 
-    with np.errstate(over="ignore", invalid="ignore"):  # the finite checks pick the error
-        s = _similarities(sets, temperature)
-        negative = sets.negative_mask.astype(np.float64)
-        # Per anchor i: -(1/|N_i|) sum_a s_ia + log(|N_i|).
-        neg_sum = np.add.reduce(s * negative, axis=1)
-        neg_coeff = np.where(valid, -1.0 / np.maximum(n_neg, 1), 0.0)
-        constant = float(np.add.reduce(np.log(n_neg[valid])))
-        # Only the sums can overflow past the similarities; an infinite sum
-        # stays non-finite through the rest, so the final value's check catches it.
-        value = np.add.reduce(neg_sum * neg_coeff) + constant
+    s = _similarities(sets, temperature)
+    negative = sets.negative_mask.astype(np.float64)
+    # Per anchor i: -(1/|N_i|) sum_a s_ia + log(|N_i|).
+    neg_sum = np.add.reduce(s * negative, axis=1)
+    neg_coeff = np.where(valid, -1.0 / np.maximum(n_neg, 1), 0.0)
+    constant = float(np.add.reduce(np.log(n_neg[valid])))
+    # Only the sums can overflow past the similarities; an infinite sum
+    # stays non-finite through the rest, so the final value's check catches it.
+    value = np.add.reduce(neg_sum * neg_coeff) + constant
 
     def similarity_adjoint(g):
         return (g * neg_coeff)[:, None] * negative

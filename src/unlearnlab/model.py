@@ -36,6 +36,9 @@ block. Those are the whole pass's bits wherever no layer's rows depend
 on the product's row count, as in the standard recipe, but not for
 every architecture (see ``_blocks``). A pass that fails raises the
 whole pass's error. Taped steps and neggrad's guard keep one pass.
+``encode`` and ``head_logits``, like every public entry that runs a core,
+run it under the ``np.errstate`` of ``tensor``'s rule; the cores set
+none.
 
 Checkpoints are a self-describing binary container: magic bytes, format
 version, a JSON header with the architecture and tensor manifest, then
@@ -73,7 +76,7 @@ from pathlib import Path
 import numpy as np
 
 from . import tensor as T
-from .data import Dataset, _replacing
+from .data import _BLOCK_VALUES, Dataset, _replacing
 from .errors import (
     CheckpointFormatError,
     CheckpointIntegrityError,
@@ -88,10 +91,6 @@ from .tensor import ACTIVATIONS, Tensor
 
 _MAGIC = b"ULCK"
 _FORMAT_VERSION = 1
-
-# Most float64 values of any one activation of a block of ``_blocks``:
-# 128 KiB, glibc's default mmap threshold.
-_BLOCK_VALUES = 16_384
 
 
 @dataclass(frozen=True)
@@ -290,7 +289,8 @@ def encode(params: ModelParameters, x) -> Tensor:
         raise DimensionError(
             f"batch width {x.shape[1]} does not match input_dim {params.arch.input_dim}"
         )
-    return _encode(params, x)
+    with np.errstate(over="ignore", invalid="ignore"):  # the core's finite checks pick the error
+        return _encode(params, x)
 
 
 def _encode(params: ModelParameters, x: np.ndarray):
@@ -308,7 +308,8 @@ def head_logits(params: ModelParameters, z) -> Tensor:
             f"embedding batch shape {z.shape} does not match embedding_dim "
             f"{params.arch.embedding_dim}"
         )
-    return _head_logits(params, z)
+    with np.errstate(over="ignore", invalid="ignore"):  # the core's finite check picks the error
+        return _head_logits(params, z)
 
 
 def _head_logits(params: ModelParameters, z: Tensor) -> Tensor:
@@ -340,6 +341,9 @@ def _blocks(params: ModelParameters, x: np.ndarray, head: bool = True):
     not be the one it raises first; when a block fails, the whole pass
     runs to raise its error. Without head, only the encoder can fail,
     so the whole pass raises before it reaches the head.
+
+    It sets no errstate, which would span its yields: its callers hold
+    one around the whole loop, as they do around any core.
     """
     n = x.shape[0]
     k = -(-n // params.arch._block_rows)

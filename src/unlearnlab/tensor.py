@@ -46,19 +46,27 @@ losses their intermediate sums. ``_require_finite(arr, message)`` is the
 one check for computed arrays, here and in ``model`` and ``losses``: it
 raises NonFiniteError with its site's message. A loss value or a
 gradient goes through ``_fresh``, which checks a single value by
-``math.isfinite``, cheaper than the array reduction. A finite input can
-still overflow, so each encoder pass and the public ``dense`` run under
-one ``np.errstate`` that silences numpy's overflow and invalid
-warnings, and those checks pick the error. An op's result is a fresh
-array, so it is wrapped without a copy; only the public ``Tensor(...)``
-and ``as_tensor(...)`` copy, which keeps a caller's array writable and
-unshared; ``dense`` takes ``x`` through ``as_tensor``, as it takes
-``w`` and ``b``, checks the shapes and the activation, then calls its
-core ``_dense``, which ``model._head_logits`` calls directly.
-``_encoder`` takes only an array batch its caller has checked (see
-``model``) and tapes it as a constant. It runs one way, taped or not:
-it keeps every layer's input for its backward, and ``_record`` does
-nothing while no tape is active.
+``math.isfinite``, cheaper than the array reduction.
+
+A finite input can still overflow; those checks then pick the error,
+and numpy's overflow and invalid warnings are silenced by one rule for
+the whole library: cores (``_encoder``, ``_dense``, the losses' cores)
+never set numpy's error state, while every public entry that runs one
+(``dense``, ``model.encode``, ``accuracy``, the public losses and the
+rest) and every engine run holds one ``np.errstate`` around it. No
+errstate spans a ``yield``: numpy's error state is a context variable,
+so a generator that held one would run its caller under it between
+items.
+
+An op's result is a fresh array, so it is wrapped without a copy; only
+the public ``Tensor(...)`` and ``as_tensor(...)`` copy, which keeps a
+caller's array writable and unshared; ``dense`` takes ``x`` through
+``as_tensor``, as it takes ``w`` and ``b``, checks the shapes and the
+activation, then calls its core ``_dense``, which ``model._head_logits``
+calls directly. ``_encoder`` takes only an array batch its caller has
+checked (see ``model``) and tapes it as a constant. It runs one way,
+taped or not: it keeps every layer's input for its backward, and
+``_record`` does nothing while no tape is active.
 """
 from __future__ import annotations
 
@@ -349,7 +357,7 @@ def _row_norms(v: np.ndarray) -> np.ndarray:
     """
     # np.linalg.norm's own expression for real rows, without its wrapper.
     # A finite row's squares may overflow; the bounds below then pick the
-    # error (the encoder's errstate silences numpy's warning).
+    # error (the caller's errstate silences numpy's warning).
     norms = np.sqrt(np.add.reduce(v * v, axis=-1, keepdims=True))
     # Both bounds in two reductions: NaN fails both comparisons, and the
     # initial values pass an empty batch. Only a batch that fails them runs
@@ -397,23 +405,24 @@ def _encoder(x: np.ndarray, weights: Sequence[Tensor], activation: str):
 
     The caller guarantees the shapes, and that x is a finite float64
     batch no one writes to: it is used without a copy and taped as a
-    constant, so the tape records only the weights.
+    constant, so the tape records only the weights. It also holds the
+    errstate that silences numpy's overflow and invalid warnings (see the
+    module docstring).
     """
     hidden = [x]  # every layer's input
     # A finite batch's products and squared norms may overflow; each layer's
-    # finite check and the norms' bounds then pick the error, so numpy's
-    # warning is silenced, in one errstate per pass.
-    with np.errstate(over="ignore", invalid="ignore"):
-        try:
-            for i in range(0, len(weights) - 2, 2):
-                hidden.append(_layer(hidden[-1], weights[i].data, weights[i + 1].data, activation))
-            emb = _layer(hidden[-1], weights[-2].data, weights[-1].data, None)
-            norms = _row_norms(emb)
-        except (NonFiniteError, DegenerateEmbeddingError):
-            if x.ndim == 3:  # on the error path only
-                for part in x:
-                    _encoder(part, weights, activation)
-            raise
+    # finite check and the norms' bounds then pick the error, under the
+    # caller's errstate.
+    try:
+        for i in range(0, len(weights) - 2, 2):
+            hidden.append(_layer(hidden[-1], weights[i].data, weights[i + 1].data, activation))
+        emb = _layer(hidden[-1], weights[-2].data, weights[-1].data, None)
+        norms = _row_norms(emb)
+    except (NonFiniteError, DegenerateEmbeddingError):
+        if x.ndim == 3:  # on the error path only
+            for part in x:
+                _encoder(part, weights, activation)
+        raise
     # A finite row over a finite norm above NORM_EPSILON is finite.
     z = emb / norms
 

@@ -1,4 +1,5 @@
-"""Print the minor page faults of a training epoch and of an accuracy pass.
+"""Print the minor page faults of a training epoch, an accuracy pass and a
+contrastive class pass.
 
 The counts are this process's own (``resource.getrusage(RUSAGE_SELF)
 .ru_minflt``), on the seed-0 standard experiment's data and architecture,
@@ -6,8 +7,11 @@ as ``demos/standard.py``'s ``Pipeline`` builds them from
 ``experiments/standard/train.json``: first the faults per epoch of a
 20-epoch ``train``, which includes each epoch's accuracy over the 2,000
 train rows, then the faults per ``accuracy`` call over those rows,
-averaged over 200 calls.
-A warm-up training runs first, so that one-time costs stay out of both.
+averaged over 200 calls. Last come the faults per pass of contrastive
+class unlearning with the recipe of ``experiments/standard/class.json``
+(its task and engine settings), from the 20-epoch model, over 10 passes
+with the stop check at the start only, so that every run has 10 passes.
+A warm-up run of each kind runs first, so that one-time costs stay out.
 A pass that keeps an activation past glibc's mmap threshold (128 KiB)
 maps it on allocation and unmaps it on free, and its pages fault back
 in on every call; that shows here as tens or hundreds of faults per
@@ -30,6 +34,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 EPOCHS = 20
 CALLS = 200
+PASSES = 10
 
 
 def minor_faults() -> int:
@@ -55,6 +60,17 @@ def main(src: Path) -> None:
     for _ in range(CALLS):
         ul.accuracy(params, data)
     print(f"{(minor_faults() - before) / CALLS:8.1f}  faults per accuracy call ({len(data)} rows)")
+
+    task = pipeline.class_task
+    class_cfg = dataclasses.replace(
+        pipeline.engine_config("class"), max_unlearn_epochs=PASSES, termination_every=PASSES + 1
+    )
+    ul.unlearn_contrastive(params, task, class_cfg)
+    before = minor_faults()
+    _, record = ul.unlearn_contrastive(params, task, class_cfg)
+    passes = sum(row["kind"] == "pass" for row in record.rows)
+    print(f"{(minor_faults() - before) / passes:8.1f}  faults per contrastive class pass "
+          f"({record.gradient_steps / passes:g} steps)")
 
 
 if __name__ == "__main__":

@@ -16,12 +16,14 @@ from hypothesis import strategies as st
 
 from composed_ops import datasets_equal
 from unlearnlab.data import (
+    _BLOCK_VALUES,
     EVAL_CAP,
     Dataset,
     TaskSpec,
     UnlearnTask,
     _load_csv_lines,
     _place_means,
+    _remaining_batches,
     batches,
     generate_synthetic,
     load_csv,
@@ -893,3 +895,50 @@ class TestSampleRemaining:
         task = make_task(train, test, TaskSpec(kind="sample", sample_count=25, seed=0))
         with pytest.raises(ConfigurationError):
             sample_remaining(task, 16, np.random.default_rng(0))
+
+
+class TestRemainingBatches:
+    """A pass's remaining batches: sample_remaining's draws, the planned
+    ones gathered in blocks of at most _BLOCK_VALUES feature values."""
+
+    @staticmethod
+    def task(width):
+        train, test = generate_synthetic(3, width, 20, 2, seed=0)
+        return make_task(train, test, TaskSpec(kind="sample", sample_count=5, seed=0))
+
+    @pytest.mark.parametrize("planned", [0, 1, 5, 8])
+    def test_draw_for_draw_those_of_sample_remaining(self, planned):
+        # Width 512 and batches of 16 fill a block with 2 batches, so 5
+        # planned batches come in blocks of 2, 2 and 1, then one at a time.
+        task = self.task(512)
+        pass_rng, one_rng = np.random.default_rng(4), np.random.default_rng(4)
+        draws = _remaining_batches(task, 16, pass_rng, planned)
+        for _ in range(8):
+            got, want = next(draws), sample_remaining(task, 16, one_rng)
+            for name in ("features", "labels", "indices"):
+                assert np.array_equal(getattr(got, name), getattr(want, name))
+        # Nothing was drawn that was not asked for.
+        assert pass_rng.bit_generator.state == one_rng.bit_generator.state
+
+    @pytest.mark.parametrize(
+        "width, batch_size, per_block", [(4, 16, 256), (512, 16, 2), (512, 40, 1)]
+    )
+    def test_blocks_hold_at_most_block_values(self, width, batch_size, per_block):
+        task = self.task(width)
+        planned = 2 * per_block + 1
+        draws = _remaining_batches(task, batch_size, np.random.default_rng(0), planned)
+        blocks = {}
+        for _ in range(planned + 2):
+            block = next(draws).features
+            while block.base is not None:  # the array the block's rows were gathered into
+                block = block.base
+            blocks.setdefault(id(block), block)
+        sizes = [block.shape[0] for block in blocks.values()]
+        assert sizes == [per_block, per_block, 1, 1, 1]
+        assert all(b.size <= _BLOCK_VALUES or b.shape[0] == 1 for b in blocks.values())
+
+    def test_errors_wait_for_the_first_batch(self):
+        task = self.task(4)
+        draws = _remaining_batches(task, 56, np.random.default_rng(0), 3)
+        with pytest.raises(ConfigurationError, match="remaining train view has 55 rows, need >= 56"):
+            next(draws)

@@ -105,6 +105,21 @@ def reference_ce_passes(params, view, tag, cfg, passes, ascend=False):
     return params
 
 
+# Widths 49, 26 and 18 (test_tensor's STACK_ARCH) leave 1, 2 and 2 over a
+# multiple of 8, past an inner width of 16: on OpenBLAS a product's rows
+# then depend on its row count, so a change in how a step groups rows into
+# products changes bits here, where the narrow widths above cannot show it.
+WIDE_ARCH = ul.ModelArchitecture(input_dim=4, hidden=(49, 26), embedding_dim=18, num_classes=3)
+
+
+def wide_setup():
+    """WIDE_ARCH trained for 30 epochs on 3 classes of 30 train rows (10
+    test rows each), with the train and test splits."""
+    train, test = ul.generate_synthetic(3, 4, 30, 10, spread=0.8, seed=6)
+    params, _ = ul.train(WIDE_ARCH, train, ul.EngineConfig(seed=6, max_epochs=30, batch_size=16))
+    return params, train, test
+
+
 def assert_same_parameters(want, got):
     assert want.names() == got.names()
     for w, g in zip(want.as_list(), got.as_list()):
@@ -205,6 +220,17 @@ class TestTrain:
         assert params.names() == engine_params.names()
         for want, got in zip(params.as_list(), engine_params.as_list()):
             assert np.array_equal(want.data, got.data)
+
+    def test_matches_reference_loop_on_wide_widths(self):
+        # Batches of 7 rows (the last of 6) on WIDE_ARCH, where a change in
+        # how a step groups rows into products would change bits.
+        train, _ = ul.generate_synthetic(3, 4, 30, 10, spread=0.8, seed=6)
+        cfg = ul.EngineConfig(seed=6, max_epochs=2, learning_rate=0.05, batch_size=7)
+        engine_params, record = ul.train(WIDE_ARCH, train, cfg)
+        assert record.gradient_steps == 2 * 13
+        start = ul.init_parameters(WIDE_ARCH, cfg.seed)
+        want = reference_ce_passes(start, train, TAG_TRAIN_BATCHES, cfg, cfg.max_epochs)
+        assert_same_parameters(want, engine_params)
 
     def test_non_finite_update_is_a_divergence(self, monkeypatch):
         # An update that overflows is reported like a non-finite loss, in
@@ -481,42 +507,23 @@ class TestContrastive:
         assert record.batches_processed == n_pass * unlearn_batches
         assert record.gradient_steps == n_pass * unlearn_batches * cfg.remaining_resamples
 
-    @pytest.mark.parametrize("kind", ["class", "sample"])
-    def test_matches_reference_loop_of_public_primitives(self, kind):
-        # The engine's fast paths, its stacked encoder pass among them, must
-        # change no bit of the result. This loop runs the same steps from
-        # public primitives: an encode per batch, the public contrast sets,
-        # losses, head and sum, tape.gradient and ModelParameters.replace,
-        # with the engine's remaining draws and anchor redraws. Forgotten
-        # batches of 7 rows: 30 class rows and 20 sampled ones leave a short
-        # last batch, so both the stacked and the one-batch step run. The
-        # widths are those of test_tensor's STACK_ARCH; with them, on
-        # OpenBLAS 0.3.31, a product of 2 x 7 rows rounds rows differently
-        # from one of 7, so a (2B, K) concatenation would fail here.
-        arch = ul.ModelArchitecture(input_dim=4, hidden=(49, 26), embedding_dim=18, num_classes=3)
-        train, test = ul.generate_synthetic(3, 4, 30, 10, spread=0.8, seed=6)
-        params, _ = ul.train(arch, train, ul.EngineConfig(seed=6, max_epochs=30, batch_size=16))
-        if kind == "class":
-            spec = ul.TaskSpec(kind="class", class_id=1)
-        else:
-            spec = ul.TaskSpec(kind="sample", sample_count=20, seed=13)
-        task = ul.make_task(train, test, spec)
-        cfg = ul.EngineConfig(
-            seed=6, batch_size=7, learning_rate=0.05, remaining_resamples=2, max_unlearn_epochs=2,
-            loss=ul.LossConfig(variant=kind, unlearn_weight=0.5),
-        )
-        out, record = ul.unlearn_contrastive(params, task, cfg)
-        passes = sum(r["kind"] == "pass" for r in record.rows)
-        assert passes == 2 and len(task.unlearn_train) % cfg.batch_size != 0
-
-        unlearn_term = ul.class_unlearn_loss if kind == "class" else ul.sample_unlearn_loss
+    @staticmethod
+    def reference_loop(params, task, cfg, passes):
+        """The engine's passes from public primitives: an encode per batch,
+        the public contrast sets, losses, head and sum, tape.gradient and
+        ModelParameters.replace, with sample_remaining's draws and the
+        anchor redraws. Returns the parameters, the step count and each
+        pass's count of remaining batches drawn."""
+        unlearn_term = ul.class_unlearn_loss if task.kind == "class" else ul.sample_unlearn_loss
         remain_rng = np.random.default_rng([cfg.seed, TAG_REMAIN_SAMPLER])
-        steps = 0
+        steps, draws = 0, []
         for epoch in range(passes):
+            draws.append(0)
             for ub in ul.batches(task.unlearn_train, cfg.batch_size, [cfg.seed, TAG_UNLEARN_BATCHES, epoch]):
                 for _ in range(cfg.remaining_resamples):
                     for _ in range(engine.ANCHOR_RESAMPLE_LIMIT):
                         rb = ul.sample_remaining(task, cfg.batch_size, remain_rng)
+                        draws[-1] += 1
                         try:
                             with ul.GradTape() as tape:
                                 z_r = ul.encode(params, rb.features)
@@ -533,8 +540,56 @@ class TestContrastive:
                         )
                         steps += 1
                         break
+        return params, steps, draws
+
+    @pytest.mark.parametrize("kind", ["class", "sample"])
+    def test_matches_reference_loop_of_public_primitives(self, kind):
+        # The engine's fast paths, its stacked encoder pass and its drawing
+        # of a pass's remaining batches ahead among them, must change no bit
+        # of the result. Forgotten batches of 7 rows: 30 class rows and 20
+        # sampled ones leave a short last batch, so both the stacked and the
+        # one-batch step run. With WIDE_ARCH's widths, on OpenBLAS 0.3.31, a
+        # product of 2 x 7 rows rounds rows differently from one of 7, so a
+        # (2B, K) concatenation would fail here.
+        params, train, test = wide_setup()
+        if kind == "class":
+            spec = ul.TaskSpec(kind="class", class_id=1)
+        else:
+            spec = ul.TaskSpec(kind="sample", sample_count=20, seed=13)
+        task = ul.make_task(train, test, spec)
+        cfg = ul.EngineConfig(
+            seed=6, batch_size=7, learning_rate=0.05, remaining_resamples=2, max_unlearn_epochs=2,
+            loss=ul.LossConfig(variant=kind, unlearn_weight=0.5),
+        )
+        out, record = ul.unlearn_contrastive(params, task, cfg)
+        passes = sum(r["kind"] == "pass" for r in record.rows)
+        assert passes == 2 and len(task.unlearn_train) % cfg.batch_size != 0
+
+        want, steps, _ = self.reference_loop(params, task, cfg, passes)
         assert steps == record.gradient_steps > 0
-        assert_same_parameters(params, out)
+        assert_same_parameters(want, out)
+
+    def test_redraws_past_the_planned_batches_match_the_reference_loop(self):
+        # The 28 forgotten rows are class 1, and only 2 of the 62 remaining
+        # rows are: about 4 in 5 remaining batches of 7 hold no positive, so
+        # the sample variant redraws often, past the 4 x 2 batches a pass
+        # draws ahead, and some slots use up ANCHOR_RESAMPLE_LIMIT draws.
+        params, train, test = wide_setup()
+        forgotten = tuple(train.class_indices(1)[:28])
+        task = ul.make_task(train, test, ul.TaskSpec(kind="sample", sample_indices=forgotten))
+        cfg = ul.EngineConfig(
+            seed=7, batch_size=7, learning_rate=0.05, remaining_resamples=2, max_unlearn_epochs=2,
+            loss=ul.LossConfig(variant="sample", unlearn_weight=0.5),
+        )
+        out, record = ul.unlearn_contrastive(params, task, cfg)
+        passes = [r for r in record.rows if r["kind"] == "pass"]
+        assert len(passes) == 2 and sum(r["skipped_steps"] for r in passes) > 0
+
+        want, steps, draws = self.reference_loop(params, task, cfg, len(passes))
+        planned = 4 * cfg.remaining_resamples
+        assert steps == record.gradient_steps > 0
+        assert max(draws) > planned
+        assert_same_parameters(want, out)
 
     def test_deterministic(self):
         params, task = self.trained_small()
@@ -619,6 +674,17 @@ class TestFinetune:
         want = reference_ce_passes(params, task.remain_train, TAG_TRAIN_BATCHES, fcfg, passes)
         assert_same_parameters(want, out)
 
+    def test_matches_reference_loop_on_wide_widths(self):
+        # Remaining batches of 7 rows on WIDE_ARCH (see TestTrain).
+        params, train, test = wide_setup()
+        task = ul.make_task(train, test, ul.TaskSpec(kind="sample", sample_count=20, seed=13))
+        fcfg = ul.EngineConfig(seed=6, batch_size=7, max_unlearn_epochs=2, learning_rate=0.05)
+        out, record = ul.unlearn_finetune(params, task, fcfg)
+        passes = sum(r["kind"] == "pass" for r in record.rows)
+        assert passes == 2 and record.gradient_steps == 2 * 10
+        want = reference_ce_passes(params, task.remain_train, TAG_TRAIN_BATCHES, fcfg, passes)
+        assert_same_parameters(want, out)
+
     def test_divergence_is_reported(self):
         # A constant-start model would have zero encoder gradients and
         # never overflow; the start must be a genuinely trained model.
@@ -694,6 +760,19 @@ class TestNegGrad:
         out, record = ul.unlearn_neggrad(params, task, ncfg)
         passes = sum(r["kind"] == "pass" for r in record.rows)
         assert passes == 2
+        want = reference_ce_passes(
+            params, task.unlearn_train, TAG_UNLEARN_BATCHES, ncfg, passes, ascend=True
+        )
+        assert_same_parameters(want, out)
+
+    def test_matches_reference_loop_on_wide_widths(self):
+        # Forgotten batches of 7, 7 and 6 rows on WIDE_ARCH (see TestTrain).
+        params, train, test = wide_setup()
+        task = ul.make_task(train, test, ul.TaskSpec(kind="sample", sample_count=20, seed=13))
+        ncfg = ul.EngineConfig(seed=6, batch_size=7, max_unlearn_epochs=2, learning_rate=0.05)
+        out, record = ul.unlearn_neggrad(params, task, ncfg)
+        passes = sum(r["kind"] == "pass" for r in record.rows)
+        assert passes == 2 and record.gradient_steps == 2 * 3
         want = reference_ce_passes(
             params, task.unlearn_train, TAG_UNLEARN_BATCHES, ncfg, passes, ascend=True
         )

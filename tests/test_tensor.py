@@ -7,10 +7,12 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import unlearnlab as ul
 from unlearnlab.errors import (
     ContractError,
     DegenerateEmbeddingError,
     DimensionError,
+    DivergenceError,
     NonFiniteError,
     UnlearnLabError,
     ValidationError,
@@ -654,11 +656,11 @@ class TestEncoderStack:
         layers = (np.eye(5), np.zeros(5), np.full((5, 3), 1e200), np.zeros(3))
         weights = [as_tensor(w) for w in layers]
         parts = [np.full((2, 5), first), np.full((2, 5), second)]
-        with pytest.raises(error) as by_part:
-            for x in parts:
-                _encoder(x, weights, "relu")
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
+        # The core sets no errstate; its callers do (see the tensor module).
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(error) as by_part:
+                for x in parts:
+                    _encoder(x, weights, "relu")
             with pytest.raises(error) as stacked:
                 _encoder(np.stack(parts), weights, "relu")
         assert stacked.value.args == by_part.value.args
@@ -760,9 +762,10 @@ class TestNumericHelpers:
 
 def _encode_with(last_weight):
     """The encoder on one row through an identity hidden layer and the
-    given embedding weight."""
+    given embedding weight, under the errstate its callers hold."""
     weights = [Tensor(np.eye(2)), Tensor(np.zeros(2)), Tensor(last_weight), Tensor(np.zeros(2))]
-    return _encoder(np.ones((1, 2)), weights, "relu")
+    with np.errstate(over="ignore", invalid="ignore"):
+        return _encoder(np.ones((1, 2)), weights, "relu")
 
 
 def _sets():
@@ -835,3 +838,93 @@ class TestFiniteRule:
             with pytest.raises(UnlearnLabError) as exc:
                 call()
         assert type(exc.value) is error and exc.value.args == (message,)
+
+
+def _overflowing_model():
+    """The encoder of TestEncoderStack's failing stack (an identity hidden
+    layer, embedding weights of 1e200) under a head: any row of ones
+    embeds to a finite row whose norm overflows."""
+    params = init_parameters(ModelArchitecture(5, (5,), 3, 2), 0)
+    layers = (np.eye(5), np.zeros(5), np.full((5, 3), 1e200), np.zeros(3), np.ones((3, 2)), np.zeros(2))
+    return params.replace(list(layers))
+
+
+def _ones_task():
+    ones = ul.Dataset(np.ones((6, 5)), [0, 1] * 3, 2)
+    return ul.make_task(ones, ones, ul.TaskSpec(kind="sample", sample_indices=(0, 1)))
+
+
+def _remaining_rows_overflow():
+    """A trained model and a sample task whose remaining train rows are
+    scaled by 1e200: the epoch-0 evaluation, on the forgotten and test
+    rows, stays finite and unmet, and the first step's encoding overflows."""
+    train, test = ul.generate_synthetic(2, 2, 50, 50, spread=0.8, seed=1)
+    params, _ = ul.train(
+        ModelArchitecture(2, (8,), 4, 2), train,
+        ul.EngineConfig(seed=1, max_epochs=60, learning_rate=0.1, batch_size=16),
+    )
+    task = ul.make_task(train, test, ul.TaskSpec(kind="sample", sample_count=10, seed=2))
+    scale = np.full(len(train), 1e200)
+    scale[task.unlearn_train_idx] = 1.0
+    huge = ul.Dataset(train.features * scale[:, None], train.labels, 2)
+    spec = ul.TaskSpec(kind="sample", sample_indices=tuple(task.unlearn_train_idx), seed=2)
+    return params, ul.make_task(huge, test, spec)
+
+
+def _contrastive_overflow():
+    params, task = _remaining_rows_overflow()
+    cfg = ul.EngineConfig(seed=0, batch_size=8, max_unlearn_epochs=2, loss=ul.LossConfig())
+    return ul.unlearn_contrastive(params, task, cfg)
+
+
+class TestErrstateRule:
+    """The cores set no errstate; every public entry and engine run holds
+    one. A finite input that overflows raises the library's error, with no
+    numpy warning, and leaves numpy's error state as it found it."""
+
+    @pytest.mark.parametrize(
+        "call, error",
+        [
+            pytest.param(lambda: ul.encode(_overflowing_model(), np.ones((2, 5))),
+                         NonFiniteError, id="encode"),
+            pytest.param(lambda: ul.head_logits(_overflowing_model(), np.full((2, 3), 1e308)),
+                         NonFiniteError, id="head_logits"),
+            pytest.param(lambda: ul.accuracy(_overflowing_model(), _ones_task().train),
+                         NonFiniteError, id="accuracy"),
+            pytest.param(lambda: ul.attack_features(_overflowing_model(), _ones_task().train),
+                         NonFiniteError, id="attack_features"),
+            pytest.param(lambda: ul.embedding_geometry(_overflowing_model(), _ones_task()),
+                         NonFiniteError, id="embedding_geometry"),
+            pytest.param(lambda: sample_unlearn_loss(_sets(), 1e-300),
+                         NonFiniteError, id="sample_unlearn_loss"),
+            pytest.param(lambda: class_unlearn_loss(_sets(), 1e-310),
+                         NonFiniteError, id="class_unlearn_loss"),
+            pytest.param(
+                lambda: ul.train(
+                    ModelArchitecture(5, (5,), 3, 2),
+                    ul.Dataset(np.full((6, 5), 1e200), [0, 1] * 3, 2),
+                    ul.EngineConfig(max_epochs=1),
+                ),
+                DivergenceError, id="train",
+            ),
+            pytest.param(
+                lambda: ul.unlearn_contrastive(
+                    _overflowing_model(), _ones_task(),
+                    ul.EngineConfig(batch_size=2, loss=ul.LossConfig()),
+                ),
+                DivergenceError, id="unlearn_contrastive-evaluation",
+            ),
+            pytest.param(_contrastive_overflow, (DivergenceError, "epoch 0, batch 0"),
+                         id="unlearn_contrastive-step"),
+        ],
+    )
+    def test_overflow_raises_the_library_error_without_a_warning(self, call, error):
+        error, where = error if isinstance(error, tuple) else (error, None)
+        before = np.geterr()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(error, match=where) as exc:
+                call()
+        assert np.geterr() == before
+        if error is DivergenceError:
+            assert isinstance(exc.value.__cause__, NonFiniteError)
