@@ -124,7 +124,10 @@ def _typed(value, default, name: str):
     if name in _SEEDS and number and value < 0:
         raise ValueError(f"{name}: must be a non-negative integer")
     if type(value) is kind or number and (kind is float or kind is int and value.is_integer()):
-        return kind(value)
+        try:
+            return kind(value)
+        except OverflowError:  # an integer past the float range
+            raise ValueError(f"{name}: must be a number within the float range") from None
     raise ValueError(f"{name}: must be {_TYPE_NAMES[kind]}" + (" or null" if optional else ""))
 
 

@@ -613,11 +613,18 @@ def batches(view: Dataset, batch_size: int, seed) -> list[Batch]:
         seeds = {"seed": (seed, 0)}
     if problems := integer_problems(batch_size=(batch_size, 1), **seeds):
         raise ValidationError("; ".join(problems))
+    return [Batch(*batch) for batch in _batches(view, batch_size, seed)]
+
+
+def _batches(view: Dataset, batch_size: int, seed) -> list[tuple]:
+    """batches' core, without its checks, for the engine, whose batch size
+    and seeds its EngineConfig checked: each batch as its (features,
+    labels, indices)."""
     order = np.random.default_rng(seed).permutation(len(view))
     # One gather per epoch; each batch is a slice of it.
     features, labels = view.features[order], view.labels[order]
     return [
-        Batch(features[s : s + batch_size], labels[s : s + batch_size], order[s : s + batch_size])
+        (features[s : s + batch_size], labels[s : s + batch_size], order[s : s + batch_size])
         for s in range(0, len(view), batch_size)
     ]
 

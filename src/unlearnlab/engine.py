@@ -20,13 +20,16 @@ unlearning data (with a divergence guard).
 Every batch a step sees is drawn from a Dataset that each run first
 holds to ``data._check_fits``, so the steps call the cores of
 ``encode``, ``head_logits``, ``build_contrast_sets``,
-``cross_entropy_loss`` and the contrastive losses directly (see
-``model`` and ``losses``): the loss config has checked the temperature,
-and each run holds the one ``np.errstate`` its cores run under (the
-rule of ``tensor``). A contrastive step whose forgotten batch has as
-many rows as its remaining batch, every step but those on a short last
-forgotten batch, encodes the two as one stacked pass
-(``tensor._encoder``), with the bits of one pass each.
+``cross_entropy_loss``, the contrastive losses and ``combined_loss``
+directly (see ``model`` and ``losses``), and each pass batches its
+view through the core of ``batches``: the EngineConfig has checked the
+batch size, the seed and the temperature, and each run holds the one
+``np.errstate`` its cores run under (the rule of ``tensor``). A step's
+objective is ``_ce_objective`` or ``_contrastive_objective``, and its
+losses are read as ``float(t.data)``. A contrastive step whose
+forgotten batch has as many rows as its remaining batch, every step but
+those on a short last forgotten batch, encodes the two as one stacked
+pass (``tensor._encoder``), with the bits of one pass each.
 
 A contrastive pass draws its remaining batches from one generator
 (``data._remaining_batches``), with the draws of ``sample_remaining`` in
@@ -56,9 +59,9 @@ from .data import (
     TAG_UNLEARN_BATCHES,
     Dataset,
     UnlearnTask,
+    _batches,
     _check_fits,
     _remaining_batches,
-    batches,
 )
 from .errors import (
     DivergenceError,
@@ -74,10 +77,10 @@ from .evaluation import accuracy
 from .losses import (
     LossConfig,
     _class_unlearn,
+    _combined,
     _contrast_sets,
     _cross_entropy,
     _sample_unlearn,
-    combined_loss,
 )
 from .model import (
     ModelArchitecture,
@@ -215,8 +218,9 @@ def _sgd_step(
     the tensors. A non-finite loss, gradient or update raises
     DivergenceError and leaves params as they were.
 
-    The step reads the tape's raw adjoints and updates all parameters as
-    one flat buffer, elementwise, so its bits are those of a per-array
+    The step reads the tape's raw adjoints for the parameters' cached
+    leaf tuple and updates all parameters as one flat buffer,
+    elementwise, so its bits are those of a per-array
     ``p + sign * lr * g``. The update's one finite check, before it is
     written, also covers the gradients: lr is positive and finite, so a
     non-finite gradient gives a non-finite update.
@@ -224,13 +228,39 @@ def _sgd_step(
     try:
         with GradTape() as tape:
             out = objective(params)
-        update = np.concatenate(tape._replay(out[0], params.as_list()), axis=None)
+        update = np.concatenate(tape._replay(out[0], params._leaves), axis=None)
         update *= sign * lr
         update += params._flat
         params._overwrite(update)
     except NonFiniteError as exc:
         raise _diverged(exc, epoch, b_index) from exc
     return out
+
+
+def _ce_objective(params: ModelParameters, features: np.ndarray, labels: np.ndarray) -> tuple:
+    """A cross-entropy step's objective: (mean cross-entropy,)."""
+    return (_cross_entropy(_head_logits(params, _encode(params, features)), labels),)
+
+
+def _contrastive_objective(
+    params: ModelParameters, uf, ul, rf, rl, loss: LossConfig, unlearn_term
+) -> tuple:
+    """A contrastive step's objective on a forgotten batch (features uf,
+    labels ul) and a remaining batch (rf, rl): (combined loss, unlearning
+    term, cross-entropy). Batches of equal rows are encoded as one stack."""
+    if loss.unlearn_weight <= 0:
+        z_r, term = _encode(params, rf), as_tensor(0.0)
+    else:
+        if len(uf) == len(rf):
+            z_r, z_u = _encode(params, np.array((rf, uf)))
+        else:
+            z_r, z_u = _encode(params, rf), _encode(params, uf)
+        term = unlearn_term(_contrast_sets(ul, z_u, rl, z_r), loss.temperature)
+    if loss.ce_weight > 0:
+        ce = _cross_entropy(_head_logits(params, z_r), rl)
+    else:
+        ce = as_tensor(0.0)
+    return _combined(term, ce, loss), term, ce
 
 
 def _ce_pass(view: Dataset, tag: int, cfg: EngineConfig, sign: float = -1.0):
@@ -243,18 +273,18 @@ def _ce_pass(view: Dataset, tag: int, cfg: EngineConfig, sign: float = -1.0):
     def run_pass(params: ModelParameters, epoch: int, record: RunRecord) -> None:
         losses = []
         try:
-            for b_index, batch in enumerate(batches(view, cfg.batch_size, [cfg.seed, tag, epoch])):
+            for b_index, (features, labels, _) in enumerate(
+                _batches(view, cfg.batch_size, [cfg.seed, tag, epoch])
+            ):
                 (loss,) = _sgd_step(
                     params,
-                    lambda p: (
-                        _cross_entropy(_head_logits(p, _encode(p, batch.features)), batch.labels),
-                    ),
+                    lambda p: _ce_objective(p, features, labels),
                     cfg.learning_rate,
                     epoch,
                     b_index,
                     sign,
                 )
-                losses.append(loss.item())
+                losses.append(float(loss.data))
                 record.gradient_steps += 1
                 record.batches_processed += 1
         finally:
@@ -380,26 +410,11 @@ def unlearn_contrastive(
         )
     unlearn_term = _sample_unlearn if task.kind == "sample" else _class_unlearn
     remain_rng = np.random.default_rng([cfg.seed, TAG_REMAIN_SAMPLER])
-
-    def objective(params: ModelParameters, ub, rb) -> tuple:
-        if cfg.loss.unlearn_weight <= 0:
-            z_r, ul = _encode(params, rb.features), as_tensor(0.0)
-        else:
-            if len(ub.features) == len(rb.features):
-                z_r, z_u = _encode(params, np.array((rb.features, ub.features)))
-            else:
-                z_r, z_u = _encode(params, rb.features), _encode(params, ub.features)
-            sets = _contrast_sets(ub.labels, z_u, rb.labels, z_r)
-            ul = unlearn_term(sets, cfg.loss.temperature)
-        if cfg.loss.ce_weight > 0:
-            ce = _cross_entropy(_head_logits(params, z_r), rb.labels)
-        else:
-            ce = as_tensor(0.0)
-        return combined_loss(ul, ce, cfg.loss), ul, ce
+    loss = cfg.loss
 
     def run_pass(params: ModelParameters, epoch: int, record: RunRecord) -> None:
         ul_losses, ce_losses, skipped = [], [], 0
-        unlearn_batches = batches(
+        unlearn_batches = _batches(
             task.unlearn_train, cfg.batch_size, [cfg.seed, TAG_UNLEARN_BATCHES, epoch]
         )
         # Every slot takes at least one remaining batch, so the pass draws
@@ -407,15 +422,17 @@ def unlearn_contrastive(
         remaining = _remaining_batches(
             task, cfg.batch_size, remain_rng, len(unlearn_batches) * cfg.remaining_resamples
         )
-        for b_index, ub in enumerate(unlearn_batches):
+        for b_index, (uf, ul, _) in enumerate(unlearn_batches):
             record.batches_processed += 1
             for _ in range(cfg.remaining_resamples):
                 for _ in range(ANCHOR_RESAMPLE_LIMIT):
                     rb = next(remaining)
                     try:
-                        _, ul, ce = _sgd_step(
+                        _, term, ce = _sgd_step(
                             params,
-                            lambda p: objective(p, ub, rb),
+                            lambda p: _contrastive_objective(
+                                p, uf, ul, rb.features, rb.labels, loss, unlearn_term
+                            ),
                             cfg.learning_rate,
                             epoch,
                             b_index,
@@ -423,12 +440,12 @@ def unlearn_contrastive(
                     except NoValidAnchorError:
                         continue
                     record.gradient_steps += 1
-                    ul_losses.append(ul.item())
-                    ce_losses.append(ce.item())
+                    ul_losses.append(float(term.data))
+                    ce_losses.append(float(ce.data))
                     break
                 else:
                     skipped += 1
-        if cfg.loss.unlearn_weight > 0 and not ul_losses:
+        if loss.unlearn_weight > 0 and not ul_losses:
             raise UnlearnableConfigurationError(
                 f"epoch {epoch}: no remaining batch yielded a usable anchor"
             )

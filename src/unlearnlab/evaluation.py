@@ -36,6 +36,7 @@ none, and the blocks' generator may not hold one across its yields.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
@@ -164,19 +165,29 @@ def embedding_geometry(params: ModelParameters, task: UnlearnTask) -> GeometryRe
         else:
             centroids[c] = centroid / norm
 
-    columns = {
-        c: np.matmul(unlearn_z[:, None, :], centroid[:, None])[:, 0, 0].tolist()
-        for c, centroid in centroids.items()
-    }
-    for i, (index, label) in enumerate(zip(task.unlearn_train_idx, unlearn.labels)):
-        sims = {c: column[i] for c, column in columns.items()}
-        own = sims.pop(int(label), None)
+    # One column per class with a centroid, in class order, then one of
+    # -inf, the column of every class without one (-inf marks no value). A
+    # row's own column is masked out of its maximum, which np.argmax takes
+    # at the first of equal values, as max over the classes in order would.
+    rows = np.arange(len(unlearn))
+    sims = np.full((len(rows), len(centroids) + 1), -math.inf)
+    column_of = np.full(task.train.num_classes, len(centroids))
+    for j, (c, centroid) in enumerate(centroids.items()):
+        sims[:, j] = np.matmul(unlearn_z[:, None, :], centroid[:, None])[:, 0, 0]
+        column_of[c] = j
+    own_column = column_of[unlearn.labels]
+    own = sims[rows, own_column].tolist()
+    sims[rows, own_column] = -math.inf
+    other = sims[rows, np.argmax(sims, axis=1)].tolist()
+    for index, label, own_sim, other_sim in zip(
+        task.unlearn_train_idx.tolist(), unlearn.labels.tolist(), own, other
+    ):
         report.rows.append(
             {
-                "sample_index": int(index),
-                "label": int(label),
-                "own_class_similarity": own,
-                "max_other_similarity": max(sims.values(), default=None),
+                "sample_index": index,
+                "label": label,
+                "own_class_similarity": None if own_sim == -math.inf else own_sim,
+                "max_other_similarity": None if other_sim == -math.inf else other_sim,
             }
         )
 

@@ -42,11 +42,13 @@ to the sign of every zero. A temperature passed to a loss is checked by
 
 Each public loss checks its inputs and then calls its core:
 ``build_contrast_sets`` calls ``_contrast_sets``, ``cross_entropy_loss``
-``_cross_entropy``, and the two contrastive losses ``_sample_unlearn``
-and ``_class_unlearn``. The engine calls the cores directly: its labels
-come from a Dataset whose class count ``data._check_fits`` matched to the
-model's, its embeddings from the encoder, which makes them unit-norm,
-and its temperature from a ``LossConfig``, which checked it. The cores
+``_cross_entropy``, the two contrastive losses ``_sample_unlearn``
+and ``_class_unlearn``, and ``combined_loss`` ``_combined``. The engine
+calls the cores directly: its labels come from a Dataset whose class
+count ``data._check_fits`` matched to the model's, its embeddings from
+the encoder, which makes them unit-norm, its combined terms from the
+cores, which make them scalars, and its temperature from a
+``LossConfig``, which checked it. The cores
 never set numpy's error state (the rule of ``tensor``): the public losses
 run them under an ``np.errstate`` that silences numpy's overflow
 warnings, as the engine's runs do, so finite inputs that overflow, such
@@ -107,7 +109,7 @@ class LossConfig:
             object.__setattr__(self, name, plain_number(getattr(self, name)))
 
 
-@dataclass
+@dataclass(slots=True)
 class ContrastSets:
     """Anchor embeddings plus per-anchor positive/negative membership.
 
@@ -347,6 +349,12 @@ def combined_loss(unlearn: Tensor, ce: Tensor, cfg: LossConfig) -> Tensor:
     unlearn, ce = T.as_tensor(unlearn), T.as_tensor(ce)
     if unlearn.shape != () or ce.shape != ():
         raise ContractError(f"combined_loss of non-scalar terms {unlearn.shape} and {ce.shape}")
+    return _combined(unlearn, ce, cfg)
+
+
+def _combined(unlearn: Tensor, ce: Tensor, cfg: LossConfig) -> Tensor:
+    """combined_loss' core, without its conversions and check, for two
+    scalar Tensors."""
     uw, cw = cfg.unlearn_weight, cfg.ce_weight
     # As Python floats: the same IEEE products and sum as on 0-d arrays.
     out = T._fresh(float(unlearn.data) * uw + float(ce.data) * cw, "combined_loss")

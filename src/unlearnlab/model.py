@@ -58,7 +58,9 @@ returns (``_snapshot``). That working copy (``_working_copy``) is the
 one writable buffer: its views are read-only, and the run's SGD step
 writes each update into it through ``_overwrite``, after the update's
 one finite check by the same helper, so the views persist across the
-run's steps.
+run's steps. ``_views``, which every way in goes through, also keeps
+the tensors as a tuple in layout order (``_leaves``): the tape's leaves
+for a step, and the weights ``_encode`` and ``_head_logits`` read.
 Parameters pickle and copy as their architecture plus a copy of that
 buffer, and come back through ``_from_flat``.
 """
@@ -178,17 +180,18 @@ class ModelParameters:
     Tensors are keyed "<layer>.w" / "<layer>.b" and kept in a fixed
     order so gradient lists and SGD updates line up positionally. They
     are read-only views of ``_flat``, one buffer laid out as the
-    architecture's ``_parameter_layout``, and the mapping is read-only
-    too, so the buffer never goes stale. ``_from_flat`` builds every
-    instance a caller sees, ``_working_copy`` an engine run's own;
-    ``replace`` is the checking way in from caller arrays.
+    architecture's ``_parameter_layout``, and the mapping and the
+    ``_leaves`` tuple of the same tensors are read-only too, so neither
+    goes stale. ``_from_flat`` builds every instance a caller sees,
+    ``_working_copy`` an engine run's own; ``replace`` is the checking
+    way in from caller arrays.
     """
 
     def names(self) -> list[str]:
         return list(self.tensors)
 
     def as_list(self) -> list[Tensor]:
-        return list(self.tensors.values())
+        return list(self._leaves)
 
     @classmethod
     def _from_flat(cls, arch: ModelArchitecture, flat: np.ndarray) -> "ModelParameters":
@@ -205,11 +208,11 @@ class ModelParameters:
         params = cls.__new__(cls)
         params.arch = arch
         params._flat = flat
+        layout = arch._parameter_layout
+        # The tensors in layout order, kept as the tape's leaves for a step.
+        params._leaves = tuple([T._wrap(flat[a:b].reshape(shape)) for _, a, b, shape in layout])
         params.tensors = types.MappingProxyType(
-            {
-                name: T._wrap(flat[start:stop].reshape(shape))
-                for name, start, stop, shape in arch._parameter_layout
-            }
+            {name: t for (name, _, _, _), t in zip(layout, params._leaves)}
         )
         return params
 
@@ -297,7 +300,7 @@ def _encode(params: ModelParameters, x: np.ndarray):
     """encode's core, one tape entry, without encode's copy and checks,
     for the rows of a Dataset that passed ``_check_fits``: a Tensor for a
     (B, K) batch, one per part for a (P, B, K) stack (see ``tensor._encoder``)."""
-    return T._encoder(x, params.as_list()[:-2], params.arch.activation)
+    return T._encoder(x, params._leaves[:-2], params.arch.activation)
 
 
 def head_logits(params: ModelParameters, z) -> Tensor:
@@ -315,7 +318,7 @@ def head_logits(params: ModelParameters, z) -> Tensor:
 def _head_logits(params: ModelParameters, z: Tensor) -> Tensor:
     """head_logits' core, one tape entry, without its conversion and check,
     for the output of ``_encode``."""
-    return T._dense(z, params.tensors["head.w"], params.tensors["head.b"], None)
+    return T._dense(z, params._leaves[-2], params._leaves[-1], None)
 
 
 def _blocks(params: ModelParameters, x: np.ndarray, head: bool = True):

@@ -2,7 +2,8 @@
 
 Operations record themselves on an explicit gradient tape while one is
 active. ``GradTape._replay`` is the one replay: it runs the tape in
-exact reverse order and accumulates adjoints. It has two callers: the
+exact reverse order and accumulates adjoints, starting from one shared
+read-only 0-d 1.0 (``_SEED``). It has two callers: the
 public ``gradient``, which wraps and checks each adjoint, and the
 engine's SGD step, which reads the raw arrays and checks only its
 update (non-finite whenever a gradient is, since the learning rate is
@@ -44,9 +45,10 @@ its row norms (a finite row over a norm above NORM_EPSILON has entries
 of magnitude at most 1, so its output needs no second check), and the
 losses their intermediate sums. ``_require_finite(arr, message)`` is the
 one check for computed arrays, here and in ``model`` and ``losses``: it
-raises NonFiniteError with its site's message. A loss value or a
-gradient goes through ``_fresh``, which checks a single value by
-``math.isfinite``, cheaper than the array reduction.
+counts the finite entries and raises NonFiniteError with its site's
+message unless all are. A loss value or a gradient goes through
+``_fresh``, which checks a single value by ``math.isfinite``, cheaper
+than the array check, before it makes the value a 0-d array.
 
 A finite input can still overflow; those checks then pick the error,
 and numpy's overflow and invalid warnings are silenced by one rule for
@@ -94,6 +96,11 @@ ACTIVATIONS = ("relu", "tanh")
 _tensor_ids = itertools.count()
 _active_tape: "GradTape | None" = None
 
+# The adjoint every replay starts from, shared: no backward writes to the
+# adjoint it is given, and a gradient of the output itself is read-only.
+_SEED = np.ones(())
+_SEED.setflags(write=False)
+
 
 class Tensor:
     """Immutable dense float64 array participating in autodiff.
@@ -135,15 +142,12 @@ class Tensor:
         return f"Tensor(shape={self.shape})"
 
 
-def _all_finite(arr: np.ndarray) -> bool:
-    # The ufunc reduction directly; np.all and ndarray.all add Python wrappers.
-    return bool(np.logical_and.reduce(np.isfinite(arr), axis=None))
-
-
 def _require_finite(arr: np.ndarray, message: str) -> np.ndarray:
     """arr, after the one finite check for computed arrays: NonFiniteError
     with message unless every entry is finite."""
-    if not _all_finite(arr):
+    # Counting the finite entries costs less than np.all or a logical_and
+    # reduction over them, and gives the same answer.
+    if np.count_nonzero(np.isfinite(arr)) != arr.size:
         raise NonFiniteError(message)
     return arr
 
@@ -160,25 +164,26 @@ def _wrap(arr: np.ndarray) -> Tensor:
 
     Op results are fresh arrays, or views of read-only op inputs.
     """
-    arr.flags.writeable = False
+    arr.setflags(write=False)  # cheaper than setting arr.flags.writeable
     out = Tensor.__new__(Tensor)
     out.data = arr
     out.tid = next(_tensor_ids)
     return out
 
 
-def _fresh(arr, op: str) -> Tensor:
+def _fresh(value, op: str) -> Tensor:
     """An op's freshly computed result after its one finite check.
 
-    A full reduction yields a numpy scalar; it becomes a 0-d array. A
-    single value, such as a loss, is checked by ``math.isfinite``, which
-    costs less than the array reduction and gives the same answer.
+    A single value, such as a loss (a Python float or the numpy scalar of
+    a full reduction), is checked by ``math.isfinite``, which costs less
+    than the array check and gives the same answer, and then becomes a
+    0-d array.
     """
-    if type(arr) is not np.ndarray:
-        arr = np.asarray(arr)
-    if not (math.isfinite(arr) if arr.ndim == 0 else _all_finite(arr)):
+    if type(value) is np.ndarray:
+        return _wrap(_require_finite(value, f"{op} produced non-finite values"))
+    if not math.isfinite(value):
         raise NonFiniteError(f"{op} produced non-finite values")
-    return _wrap(arr)
+    return _wrap(np.array(value))
 
 
 def as_tensor(values) -> Tensor:
@@ -226,7 +231,7 @@ class GradTape:
         """
         if output.shape != ():
             raise ContractError(f"gradient of non-scalar output with shape {output.shape}")
-        adjoints: dict[int, np.ndarray] = {output.tid: np.ones(())}
+        adjoints: dict[int, np.ndarray] = {output.tid: _SEED}
         for out_tid, in_tids, backward in reversed(self._entries):
             g_out = adjoints.get(out_tid)
             if g_out is None:
@@ -371,16 +376,6 @@ def _row_norms(v: np.ndarray) -> np.ndarray:
     return norms
 
 
-def _part_sum(a: np.ndarray) -> np.ndarray:
-    """a[0] + a[1] + ... in part order: the sum a replay forms over one
-    entry per part. np.add.reduce would start from +0.0, which turns a
-    -0.0 that every part shares into 0.0."""
-    out = a[0]
-    for p in range(1, len(a)):
-        out = out + a[p]
-    return out
-
-
 def _encoder(x: np.ndarray, weights: Sequence[Tensor], activation: str):
     """The whole encoder as one tape entry: unit-norm rows of its embedding.
 
@@ -453,7 +448,13 @@ def _encoder(x: np.ndarray, weights: Sequence[Tensor], activation: str):
         else:  # a part no output used adds nothing
             grads = adjoints(np.array([gs[p] for p in used]), z[used], norms[used],
                              [h[used] for h in hidden])
-        return [_part_sum(per_part) for per_part in grads]
+        # Each weight's part adjoints summed in part order, the sum a replay
+        # forms over one entry per part. np.add.reduce would start from +0.0,
+        # which turns a -0.0 that every part shares into 0.0.
+        sums = [g[0] for g in grads]
+        for p in range(1, len(used)):
+            sums = [s + g[p] for s, g in zip(sums, grads)]
+        return sums
 
     out = [_wrap(part) for part in z]
     _record(out, weights, stack_backward)

@@ -18,15 +18,15 @@ from typing import Callable
 import numpy as np
 
 from unlearnlab.data import Dataset
-from unlearnlab.errors import DegenerateEmbeddingError, DimensionError, NonFiniteError
+from unlearnlab.errors import DegenerateEmbeddingError, DimensionError
 from unlearnlab.model import ModelParameters
 from unlearnlab.tensor import (
     NORM_EPSILON,
     GradTape,
     Tensor,
-    _all_finite,
     _fresh,
     _record,
+    _require_finite,
     _wrap,
     as_tensor,
 )
@@ -226,8 +226,7 @@ def l2_normalize(a) -> Tensor:
         raise DimensionError(f"l2_normalize: rank-2 tensor required, got {a.shape}")
     # np.linalg.norm's own expression for real rows, without its wrapper.
     norms = np.sqrt(np.add.reduce(a.data * a.data, axis=1, keepdims=True))
-    if not _all_finite(norms):
-        raise NonFiniteError("l2_normalize: norm overflowed")
+    _require_finite(norms, "l2_normalize: norm overflowed")
     if np.logical_or.reduce(norms <= NORM_EPSILON, axis=None):
         raise DegenerateEmbeddingError("l2_normalize: row with (near-)zero norm")
     # A finite row over a finite norm above NORM_EPSILON is finite.

@@ -456,6 +456,16 @@ class TestFailureModes:
             (["train"], "architecture.activation", "r\xe9lu", 2),
             (["train"], "dataset", {"csv": {"train": "latin1.csv", "test": "ok.csv"}}, 2),
             (["unlearn", "--method", "retrain"], "task", {"kind": "sample", "index_file": "latin1.txt"}, 2),
+            # An integer past the float range in a float field raised a bare
+            # OverflowError.
+            *(
+                pytest.param(argv, field, 10**400, 2, id=f"{field}-past-the-float-range")
+                for argv, field in [
+                    (["train"], "engine.learning_rate"),
+                    (["unlearn", "--method", "retrain"], "loss.temperature"),
+                    (["train"], "dataset.synthetic.spread"),
+                ]
+            ),
         ],
     )
     def test_bad_input_fails_before_any_write(

@@ -514,3 +514,48 @@ class TestParameters:
         values = [t.data.copy() for t in a.as_list()]
         values[2][0, 0] = np.nextafter(values[2][0, 0], np.inf)  # one ulp
         assert not params_equal(a, a.replace(values))
+
+    @pytest.mark.parametrize(
+        "how", ["from_flat", "working_copy", "snapshot", "replace", "pickle", "deepcopy"]
+    )
+    def test_leaf_tuple_holds_the_views_of_its_own_buffer(self, how):
+        # The leaf tuple a step hands the tape is cached per instance: it must
+        # be the instance's own tensors, read-only views of its own buffer.
+        base = init_parameters(ARCH, seed=5)
+        params = {
+            "from_flat": lambda: base,
+            "working_copy": base._working_copy,
+            "snapshot": lambda: base._working_copy()._snapshot(),
+            "replace": lambda: base.replace([t.data * 2.0 for t in base.as_list()]),
+            "pickle": lambda: pickle.loads(pickle.dumps(base)),
+            "deepcopy": lambda: copy.deepcopy(base),
+        }[how]()
+        layout = ARCH._parameter_layout
+        assert type(params._leaves) is tuple and len(params._leaves) == len(layout)
+        for leaf, (name, start, stop, shape), tensor in zip(
+            params._leaves, layout, params.tensors.values()
+        ):
+            assert leaf is params.tensors[name] is tensor
+            assert not leaf.data.flags.writeable
+            assert np.shares_memory(leaf.data, params._flat)
+            assert leaf.data.tobytes() == params._flat[start:stop].reshape(shape).tobytes()
+        if how != "from_flat":
+            assert not np.shares_memory(params._flat, base._flat)
+
+    def test_working_copy_leaves_follow_each_overwrite(self):
+        params = init_parameters(ARCH, seed=5)._working_copy()
+        leaves = params._leaves
+        update = params._flat * 3.0
+        params._overwrite(update)
+        assert params._leaves is leaves
+        for leaf, (_, start, stop, shape) in zip(leaves, ARCH._parameter_layout):
+            assert np.array_equal(leaf.data, update[start:stop].reshape(shape))
+
+    def test_as_list_is_a_fresh_list_in_layout_order(self):
+        params = init_parameters(ARCH, seed=5)
+        first, second = params.as_list(), params.as_list()
+        assert type(first) is list and first is not second
+        assert [t.shape for t in first] == [shape for *_, shape in ARCH._parameter_layout]
+        assert all(a is b for a, b in zip(first, params.tensors.values()))
+        first.clear()
+        assert len(params.as_list()) == len(ARCH._parameter_layout)

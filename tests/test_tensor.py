@@ -8,6 +8,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import unlearnlab as ul
+from unlearnlab import tensor as tensor_module
 from unlearnlab.errors import (
     ContractError,
     DegenerateEmbeddingError,
@@ -743,6 +744,33 @@ class TestTape:
             assert not np.isfinite(raw).all()
             with pytest.raises(NonFiniteError):
                 tape.gradient(out, [x])
+
+    def test_shared_replay_seed_stays_read_only_and_one(self, rng, python_in_child):
+        # Every replay starts from one shared 0-d 1.0, and the gradient of an
+        # output with respect to itself is that seed: no caller may write it.
+        # It is read-only from import on, before any gradient wraps it (in a
+        # child, since a gradient in an earlier test freezes it too).
+        child = python_in_child(
+            "-c",
+            "from unlearnlab.tensor import _SEED; "
+            "print(_SEED.flags.writeable, _SEED.shape, _SEED.tobytes().hex())",
+        )
+        assert child.stdout.split() == ["False", "()", np.float64(1.0).tobytes().hex()]
+        x = as_tensor(rng.standard_normal((3, 2)))
+        for _ in range(3):
+            with GradTape() as tape:
+                y = cross_entropy_loss(x, np.array([0, 1, 1]))
+            (g_y,) = tape.gradient(y, [y])
+            (g_again,) = tape.gradient(y, [y])
+            for g in (g_y, g_again):
+                assert g.shape == () and g.data.tobytes() == np.float64(1.0).tobytes()
+                assert not g.data.flags.writeable
+                with pytest.raises(ValueError):
+                    g.data[()] = 2.0
+            (g_x,) = tape.gradient(y, [x])
+            assert np.any(g_x.data != 0.0)
+        assert tensor_module._SEED.tobytes() == np.float64(1.0).tobytes()
+        assert not tensor_module._SEED.flags.writeable
 
 
 class TestNumericHelpers:
