@@ -19,20 +19,16 @@ unlearning data (with a divergence guard).
 
 Every batch a step sees is drawn from a Dataset that each run first
 holds to ``data._check_fits``, so the steps call the cores of
-``encode``, ``head_logits``, ``build_contrast_sets``,
-``cross_entropy_loss``, the contrastive losses and ``combined_loss``
-directly (see ``model`` and ``losses``), and each pass batches its
-view through the core of ``batches``: the EngineConfig has checked the
-batch size, the seed and the temperature, and each run holds the one
-``np.errstate`` its cores run under (the rule of ``tensor``). A step's
-objective is ``_ce_objective`` or ``_contrastive_objective``, and its
-losses are read as ``float(t.data)``. A contrastive step whose
-forgotten batch has as many rows as its remaining batch, every step but
-those on a short last forgotten batch, encodes the two as one stacked
-pass (``tensor._encoder``), with the bits of one pass each.
+``encode``, ``head_logits``, ``cross_entropy_loss``, the contrastive
+losses and ``combined_loss`` directly (see ``model`` and ``losses``),
+and each pass batches its view through the core of ``batches``: the
+EngineConfig has checked the batch size, the seed and the temperature,
+and each run holds the one ``np.errstate`` its cores run under (the rule
+of ``tensor``). A step's objective is ``_ce_objective`` or
+``_contrastive_objective``, and its losses are read as ``float(t.data)``.
 
 A contrastive pass draws its remaining batches from one generator
-(``data._remaining_batches``), with the draws of ``sample_remaining`` in
+(``data._remaining_blocks``), with the draws of ``sample_remaining`` in
 the same order. Each of the pass's (forgotten batches) x
 remaining_resamples slots takes at least one batch, so that many are
 drawn ahead, in blocks that each gather their rows with one index, the
@@ -40,6 +36,17 @@ first when the first step asks for its batch. An anchor redraw takes the
 next batch, and past the planned count batches are drawn one at a time.
 So the stream is the one ``sample_remaining`` would give, draw for draw,
 and a pass draws no batch it does not use.
+
+What a step computes from its batches' labels alone, the contrast masks
+and the loss's label-only terms (``losses._sample_terms`` and
+``losses._class_terms``), and the (remaining, forgotten) stack of their
+features, which the step encodes as one stacked pass (``tensor._encoder``)
+with the bits of one pass each, are worked out per block of planned steps
+(``_contrastive_steps``), so a step does only the arithmetic that
+depends on the parameters. A step on the short last forgotten batch, or
+on a batch that an anchor redraw moved off its planned slot, works out
+its own terms through the same functions, with a leading axis of 1, and
+stacks its two batches itself where they have equal rows.
 
 Each run updates one private working copy of its starting parameters
 in place (``ModelParameters._working_copy``): the caller's parameters
@@ -61,7 +68,7 @@ from .data import (
     UnlearnTask,
     _batches,
     _check_fits,
-    _remaining_batches,
+    _remaining_blocks,
 )
 from .errors import (
     DivergenceError,
@@ -76,10 +83,12 @@ from .errors import (
 from .evaluation import accuracy
 from .losses import (
     LossConfig,
+    _class_terms,
     _class_unlearn,
     _combined,
-    _contrast_sets,
     _cross_entropy,
+    _positive_masks,
+    _sample_terms,
     _sample_unlearn,
 )
 from .model import (
@@ -96,6 +105,12 @@ from .tensor import GradTape, as_tensor
 # ANCHOR_RESAMPLE_LIMIT remaining batches in search of a usable anchor.
 DIVERGENCE_FACTOR = 10.0
 ANCHOR_RESAMPLE_LIMIT = 8
+
+# Each task kind's label-only terms and the unlearning term that reads them.
+_UNLEARN_TERMS = {
+    "sample": (_sample_terms, _sample_unlearn),
+    "class": (_class_terms, _class_unlearn),
+}
 
 
 @dataclass(frozen=True)
@@ -243,24 +258,60 @@ def _ce_objective(params: ModelParameters, features: np.ndarray, labels: np.ndar
 
 
 def _contrastive_objective(
-    params: ModelParameters, uf, ul, rf, rl, loss: LossConfig, unlearn_term
+    params: ModelParameters, uf, rf, rl, stacked, terms, loss: LossConfig, unlearn_term
 ) -> tuple:
-    """A contrastive step's objective on a forgotten batch (features uf,
-    labels ul) and a remaining batch (rf, rl): (combined loss, unlearning
-    term, cross-entropy). Batches of equal rows are encoded as one stack."""
+    """A contrastive step's objective on a forgotten batch (features uf)
+    and a remaining batch (rf, labels rl): (combined loss, unlearning term,
+    cross-entropy). stacked is the two batches as one (remaining,
+    forgotten) stack, which is encoded in one pass, or None when their rows
+    differ; terms are the step's label-only terms (see ``_contrastive_steps``)."""
     if loss.unlearn_weight <= 0:
         z_r, term = _encode(params, rf), as_tensor(0.0)
     else:
-        if len(uf) == len(rf):
-            z_r, z_u = _encode(params, np.array((rf, uf)))
+        if stacked is not None:
+            z_r, z_u = _encode(params, stacked)
         else:
             z_r, z_u = _encode(params, rf), _encode(params, uf)
-        term = unlearn_term(_contrast_sets(ul, z_u, rl, z_r), loss.temperature)
+        term = unlearn_term(z_u, z_r, terms, loss.temperature)
     if loss.ce_weight > 0:
         ce = _cross_entropy(_head_logits(params, z_r), rl)
     else:
         ce = as_tensor(0.0)
     return _combined(term, ce, loss), term, ce
+
+
+def _contrastive_steps(task: UnlearnTask, forgotten: list, cfg: EngineConfig, rng, label_terms):
+    """Yield a contrastive pass's remaining batches, each with what its step
+    reads: (features, labels, slot, stacked, terms).
+
+    The pass's forgotten batches are ``forgotten``, each taking
+    remaining_resamples slots in order, so planned batch k is planned for
+    forgotten batch k // remaining_resamples. The batches are drawn as
+    ``data._remaining_blocks`` draws them, the planned ones in blocks. A
+    planned batch for a forgotten batch of batch_size rows comes with that
+    batch's index as its slot, the (remaining, forgotten) stack of their
+    features and its label-only terms (``label_terms`` of their masks),
+    both worked out for the whole block at once; any other batch, for the
+    short last forgotten batch or past the plan, comes with slot -1 and
+    None. A block holds as many steps as keep each of its arrays within
+    ``_BLOCK_VALUES`` values (at least one): a step's stack holds 2 x
+    batch_size rows of features, its masks batch_size rows of batch_size.
+    """
+    size, resamples = cfg.batch_size, cfg.remaining_resamples
+    planned = sum(len(labels) == size for _, labels, _ in forgotten) * resamples
+    width = max(2 * task.train.num_features, size)
+    k = 0
+    for rf, rl, _ in _remaining_blocks(task, size, rng, len(forgotten) * resamples, width):
+        n = max(0, min(len(rl), planned - k))
+        if n:
+            slots = [j // resamples for j in range(k, k + n)]
+            stacked = np.empty((n, 2) + rf.shape[1:])
+            stacked[:, 0], stacked[:, 1] = rf[:n], [forgotten[b][0] for b in slots]
+            positive = _positive_masks(np.array([forgotten[b][1] for b in slots]), rl[:n])
+            yield from zip(rf, rl, slots, stacked, label_terms(positive, ~positive))
+        for j in range(n, len(rl)):
+            yield rf[j], rl[j], -1, None, None
+        k += len(rl)
 
 
 def _ce_pass(view: Dataset, tag: int, cfg: EngineConfig, sign: float = -1.0):
@@ -353,8 +404,9 @@ def _unlearn_loop(
     guard, consulted at each unmet evaluation) returns a detail. In a
     guarded run, parameters that overflow the evaluation or a pass are
     such a stop, detail "non-finite-loss"; without a guard they raise
-    DivergenceError. Otherwise the run ends at the cap, "epoch-cap",
-    after a last evaluation; a zero cap runs nothing.
+    DivergenceError. Otherwise the run ends at the cap, "epoch-cap", after
+    the cap's last pass, which an evaluation follows only when the cap is a
+    multiple of termination_every; a zero cap runs nothing.
     """
     _check_fits(task.train, params.arch.input_dim, params.arch.num_classes)
     params = params._working_copy()
@@ -408,7 +460,7 @@ def unlearn_contrastive(
         raise ValidationError(
             f"loss variant {cfg.loss.variant!r} does not match task kind {task.kind!r}"
         )
-    unlearn_term = _sample_unlearn if task.kind == "sample" else _class_unlearn
+    label_terms, unlearn_term = _UNLEARN_TERMS[task.kind]
     remain_rng = np.random.default_rng([cfg.seed, TAG_REMAIN_SAMPLER])
     loss = cfg.loss
 
@@ -417,21 +469,23 @@ def unlearn_contrastive(
         unlearn_batches = _batches(
             task.unlearn_train, cfg.batch_size, [cfg.seed, TAG_UNLEARN_BATCHES, epoch]
         )
-        # Every slot takes at least one remaining batch, so the pass draws
-        # that many ahead; a redraw takes the next one.
-        remaining = _remaining_batches(
-            task, cfg.batch_size, remain_rng, len(unlearn_batches) * cfg.remaining_resamples
-        )
+        steps = _contrastive_steps(task, unlearn_batches, cfg, remain_rng, label_terms)
         for b_index, (uf, ul, _) in enumerate(unlearn_batches):
             record.batches_processed += 1
             for _ in range(cfg.remaining_resamples):
                 for _ in range(ANCHOR_RESAMPLE_LIMIT):
-                    rb = next(remaining)
+                    rf, rl, slot, stacked, terms = next(steps)
+                    if slot != b_index:
+                        # The short last forgotten batch, or a batch that a
+                        # redraw moved off the slot it was planned for.
+                        positive = _positive_masks(ul[None], rl[None])
+                        (terms,) = label_terms(positive, ~positive)
+                        stacked = np.array((rf, uf)) if len(uf) == len(rf) else None
                     try:
                         _, term, ce = _sgd_step(
                             params,
                             lambda p: _contrastive_objective(
-                                p, uf, ul, rb.features, rb.labels, loss, unlearn_term
+                                p, uf, rf, rl, stacked, terms, loss, unlearn_term
                             ),
                             cfg.learning_rate,
                             epoch,

@@ -43,16 +43,27 @@ to the sign of every zero. A temperature passed to a loss is checked by
 Each public loss checks its inputs and then calls its core:
 ``build_contrast_sets`` calls ``_contrast_sets``, ``cross_entropy_loss``
 ``_cross_entropy``, the two contrastive losses ``_sample_unlearn``
-and ``_class_unlearn``, and ``combined_loss`` ``_combined``. The engine
-calls the cores directly: its labels come from a Dataset whose class
-count ``data._check_fits`` matched to the model's, its embeddings from
-the encoder, which makes them unit-norm, its combined terms from the
-cores, which make them scalars, and its temperature from a
-``LossConfig``, which checked it. The cores
-never set numpy's error state (the rule of ``tensor``): the public losses
-run them under an ``np.errstate`` that silences numpy's overflow
-warnings, as the engine's runs do, so finite inputs that overflow, such
-as a tiny temperature, reach the checks without a warning.
+and ``_class_unlearn``, and ``combined_loss`` ``_combined``. A
+contrastive core takes the anchor and remaining embeddings and its
+step's label-only terms, which depend on the labels alone: whether any
+anchor is valid, the float masks, the negatives' per-anchor
+coefficients, and the sample loss's valid anchors and pad or the class
+loss's constant. ``_sample_terms`` and ``_class_terms`` work them out for
+S steps at once from (S, anchors, remaining) masks, which
+``_positive_masks`` builds from labels for any leading axes; the public
+losses call them on their sets' masks with a leading axis of 1, and the
+engine once per block of planned steps. So a step's core does only the
+arithmetic that depends on the embeddings, and it raises
+NoValidAnchorError before any of it. The engine calls the cores
+directly: its labels come from a Dataset whose class count
+``data._check_fits`` matched to the model's, its embeddings from the
+encoder, which makes them unit-norm, its combined terms from the cores,
+which make them scalars, and its temperature from a ``LossConfig``,
+which checked it. The cores never set numpy's error state (the rule of
+``tensor``): the public losses run them under an ``np.errstate`` that
+silences numpy's overflow warnings, as the engine's runs do, so finite
+inputs that overflow, such as a tiny temperature, reach the checks
+without a warning.
 """
 from __future__ import annotations
 
@@ -167,7 +178,7 @@ def _contrast_sets(
     remaining_embeddings: Tensor,
 ) -> ContrastSets:
     """build_contrast_sets' core, without its checks (see the module docstring)."""
-    positive = anchor_labels[:, None] == remaining_labels[None, :]
+    positive = _positive_masks(anchor_labels, remaining_labels)
     return ContrastSets(
         anchor_embeddings=anchor_embeddings,
         remaining_embeddings=remaining_embeddings,
@@ -176,15 +187,76 @@ def _contrast_sets(
     )
 
 
-def _similarities(sets: ContrastSets, temperature: float) -> np.ndarray:
+def _positive_masks(anchor_labels: np.ndarray, remaining_labels: np.ndarray) -> np.ndarray:
+    """Which remaining rows share each anchor's label: (..., anchors,
+    remaining) from (..., anchors) and (..., remaining) labels."""
+    return anchor_labels[..., :, None] == remaining_labels[..., None, :]
+
+
+def _counts(mask: np.ndarray) -> np.ndarray:
+    """The entries of each row of a float 0/1 mask, exactly: every partial
+    sum of its product with ones is a whole number. The product takes a
+    fraction of the time of an add.reduce over rows this short."""
+    return mask @ np.ones(mask.shape[-1])
+
+
+def _sample_terms(positive: np.ndarray, negative: np.ndarray) -> list[tuple]:
+    """The sample loss's label-only terms of S steps, from their (S,
+    anchors, remaining) masks: per step, whether any anchor is valid, the
+    float masks, the valid anchors as floats, the positive sums' pad and
+    the negatives' per-anchor coefficients."""
+    positive, negative = positive.astype(np.float64), negative.astype(np.float64)
+    n_neg = _counts(negative)
+    valid = (_counts(positive) >= 1) & (n_neg >= 1)
+    valid_f = valid.astype(np.float64)
+    return list(
+        zip(
+            np.logical_or.reduce(valid, axis=1).tolist(),
+            positive,
+            negative,
+            valid_f,
+            # Pads invalid rows so the log stays finite; their term is zeroed.
+            1.0 - valid_f,
+            np.where(valid, -1.0 / np.maximum(n_neg, 1), 0.0),
+        )
+    )
+
+
+def _class_terms(positive: np.ndarray, negative: np.ndarray) -> list[tuple]:
+    """The class loss's label-only terms of S steps, from their (S,
+    anchors, remaining) masks, of which it reads only the negatives: per
+    step, whether any anchor is valid, the float negative mask, the
+    per-anchor coefficients and the constant, the sum over valid anchors
+    of log |N_i|."""
+    negative = negative.astype(np.float64)
+    n_neg = _counts(negative)
+    valid = n_neg >= 1
+    logs = np.log(np.maximum(n_neg, 1))
+    # A row's sum is the sum of that row alone; a row with an invalid anchor
+    # sums its valid anchors' logs alone, as their own array, since a zero
+    # in their place could regroup the pairwise sum.
+    constant = np.add.reduce(logs, axis=1)
+    if not np.logical_and.reduce(valid, axis=None):
+        for i in np.flatnonzero(~np.logical_and.reduce(valid, axis=1)):
+            constant[i] = np.add.reduce(logs[i][valid[i]])
+    return list(
+        zip(
+            np.logical_or.reduce(valid, axis=1).tolist(),
+            negative,
+            np.where(valid, -1.0 / np.maximum(n_neg, 1), 0.0),
+            constant.tolist(),
+        )
+    )
+
+
+def _similarities(a: np.ndarray, r: np.ndarray, temperature: float) -> np.ndarray:
     """Scaled similarities s = (a @ r.T) / t, checked: a tiny t overflows them."""
-    a, r = sets.anchor_embeddings.data, sets.remaining_embeddings.data
     s = T._dot(a, r.T) * (1.0 / temperature)
     return T._require_finite(s, "scaled similarities is not finite")
 
 
 def _record_contrastive(
-    value, sets: ContrastSets, temperature: float, similarity_adjoint, name: str
+    value, a: Tensor, r: Tensor, temperature: float, similarity_adjoint, name: str
 ) -> Tensor:
     """Tape a contrastive loss as one entry over both embedding batches.
 
@@ -193,7 +265,6 @@ def _record_contrastive(
     and the product to the anchor and remaining embeddings.
     """
     out = T._fresh(value, name)
-    a, r = sets.anchor_embeddings, sets.remaining_embeddings
     a_data, r_data, inv_t = a.data, r.data, 1.0 / temperature
 
     def backward(g):
@@ -207,6 +278,12 @@ def _record_contrastive(
     return out
 
 
+def _set_terms(label_terms, sets: ContrastSets) -> tuple:
+    """The label-only terms of the one step sets describes."""
+    (terms,) = label_terms(sets.positive_mask[None], sets.negative_mask[None])
+    return terms
+
+
 def sample_unlearn_loss(sets: ContrastSets, temperature: float) -> Tensor:
     """Sample-variant unlearning loss summed over valid anchors.
 
@@ -216,34 +293,31 @@ def sample_unlearn_loss(sets: ContrastSets, temperature: float) -> Tensor:
     """
     if problems := _temperature_problems(temperature):
         raise ValidationError(problems[0])
+    terms = _set_terms(_sample_terms, sets)
     with np.errstate(over="ignore", invalid="ignore"):  # the core's finite checks pick the error
-        return _sample_unlearn(sets, temperature)
+        return _sample_unlearn(
+            sets.anchor_embeddings, sets.remaining_embeddings, terms, temperature
+        )
 
 
-def _sample_unlearn(sets: ContrastSets, temperature: float) -> Tensor:
-    """sample_unlearn_loss' core, without its temperature rule and errstate."""
-    n_pos = sets.positive_counts
-    n_neg = sets.negative_counts
-    valid = (n_pos >= 1) & (n_neg >= 1)
-    if not np.logical_or.reduce(valid):
+def _sample_unlearn(a: Tensor, r: Tensor, terms: tuple, temperature: float) -> Tensor:
+    """sample_unlearn_loss' core on anchor and remaining embeddings and
+    one step's ``_sample_terms``, without the temperature rule and errstate."""
+    any_valid, positive, negative, valid_f, pad, neg_coeff = terms
+    if not any_valid:
         raise NoValidAnchorError("every anchor lacks a positive or a negative")
 
-    s = _similarities(sets, temperature)
-    positive = sets.positive_mask.astype(np.float64)
-    negative = sets.negative_mask.astype(np.float64)
-    valid_f = valid.astype(np.float64)
+    s = _similarities(a.data, r.data, temperature)
     # Per anchor i: -(1/|N_i|) sum_a s_ia + log(sum_p exp(s_ip)).
     neg_sum = np.add.reduce(s * negative, axis=1)
     exp_s = T._require_finite(np.exp(s), "exp of the scaled similarities is not finite")
-    # Pad invalid rows so the log stays finite; their term is zeroed below.
-    pos_den = np.add.reduce(exp_s * positive, axis=1) + (1.0 - valid_f)
+    pos_den = np.add.reduce(exp_s * positive, axis=1) + pad
     # A sum of finite non-negative terms lies in [0, inf], so its log is
     # finite exactly where it is positive and finite. Checked before the
     # log, which then never takes a zero and raises no divide warning.
     if not (np.minimum.reduce(pos_den) > 0.0 and np.maximum.reduce(pos_den) < math.inf):
         raise NonFiniteError("log of the positive sum is not finite")
     log_den = np.log(pos_den)
-    neg_coeff = np.where(valid, -1.0 / np.maximum(n_neg, 1), 0.0)
     # A sum over the negatives can still overflow; it stays infinite (or
     # turns NaN) through the rest, so the final value's check catches it.
     value = np.add.reduce(neg_sum * neg_coeff + log_den * valid_f)
@@ -252,7 +326,7 @@ def _sample_unlearn(sets: ContrastSets, temperature: float) -> Tensor:
         g_den = (g * valid_f) / pos_den
         return g_den[:, None] * positive * exp_s + (g * neg_coeff)[:, None] * negative
 
-    return _record_contrastive(value, sets, temperature, similarity_adjoint, "sample_unlearn_loss")
+    return _record_contrastive(value, a, r, temperature, similarity_adjoint, "sample_unlearn_loss")
 
 
 def class_unlearn_loss(sets: ContrastSets, temperature: float) -> Tensor:
@@ -263,23 +337,21 @@ def class_unlearn_loss(sets: ContrastSets, temperature: float) -> Tensor:
     """
     if problems := _temperature_problems(temperature):
         raise ValidationError(problems[0])
+    terms = _set_terms(_class_terms, sets)
     with np.errstate(over="ignore", invalid="ignore"):  # the core's finite checks pick the error
-        return _class_unlearn(sets, temperature)
+        return _class_unlearn(sets.anchor_embeddings, sets.remaining_embeddings, terms, temperature)
 
 
-def _class_unlearn(sets: ContrastSets, temperature: float) -> Tensor:
-    """class_unlearn_loss' core, without its temperature rule and errstate."""
-    n_neg = sets.negative_counts
-    valid = n_neg >= 1
-    if not np.logical_or.reduce(valid):
+def _class_unlearn(a: Tensor, r: Tensor, terms: tuple, temperature: float) -> Tensor:
+    """class_unlearn_loss' core on anchor and remaining embeddings and one
+    step's ``_class_terms``, without the temperature rule and errstate."""
+    any_valid, negative, neg_coeff, constant = terms
+    if not any_valid:
         raise NoValidAnchorError("every anchor lacks a negative")
 
-    s = _similarities(sets, temperature)
-    negative = sets.negative_mask.astype(np.float64)
+    s = _similarities(a.data, r.data, temperature)
     # Per anchor i: -(1/|N_i|) sum_a s_ia + log(|N_i|).
     neg_sum = np.add.reduce(s * negative, axis=1)
-    neg_coeff = np.where(valid, -1.0 / np.maximum(n_neg, 1), 0.0)
-    constant = float(np.add.reduce(np.log(n_neg[valid])))
     # Only the sums can overflow past the similarities; an infinite sum
     # stays non-finite through the rest, so the final value's check catches it.
     value = np.add.reduce(neg_sum * neg_coeff) + constant
@@ -287,7 +359,7 @@ def _class_unlearn(sets: ContrastSets, temperature: float) -> Tensor:
     def similarity_adjoint(g):
         return (g * neg_coeff)[:, None] * negative
 
-    return _record_contrastive(value, sets, temperature, similarity_adjoint, "class_unlearn_loss")
+    return _record_contrastive(value, a, r, temperature, similarity_adjoint, "class_unlearn_loss")
 
 
 def cross_entropy_loss(logits: Tensor, labels: np.ndarray) -> Tensor:

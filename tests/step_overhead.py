@@ -1,19 +1,23 @@
-"""Print what a training step and a class contrastive step cost in the
+"""Print what a training step and the two contrastive steps cost in the
 library against the same steps written inline in numpy.
 
-Both steps run on the seed-0 standard experiment's data and architecture
+The steps run on the seed-0 standard experiment's data and architecture
 (8 -> 32 -> 32 -> 16 -> 4, relu, batches of 32), as ``demos/standard.py``'s
 ``Pipeline`` builds them from ``experiments/standard/``: the training
 step with ``train.json``'s settings on the train split's first epoch of
 batches, the class contrastive step with ``class.json``'s settings on the
-class task's full forgotten batches, each against two remaining batches
-from ``sample_remaining``, every pair as one stacked encoder pass.
+class task, and the sample contrastive step with ``sample.json``'s on the
+sample task. A contrastive step takes the planned steps of a task's full
+forgotten batches in its first passes, as the engine's pass plans them
+(``engine._contrastive_steps``): each pair of batches as one stacked
+encoder pass, with its label-only terms worked out for the whole block.
 
 The library's step is ``engine._sgd_step`` on the engine's own objective
 (``engine._ce_objective``, ``engine._contrastive_objective``). The inline
 step makes the same numpy calls in the same order, with the same finite
-checks at the same sites, but keeps no tape, no Tensor and no helper
-functions: it is the floor the library's step can be compared with.
+checks at the same sites, and reads the same stacks and label-only
+terms, but keeps no tape, no Tensor and no helper functions: it is the
+floor the library's step can be compared with.
 Unlike ``perfbench/floor.py``, which skips the checks and rounds
 differently, it must give the library's update bit for bit, and the
 script raises ``AssertionError`` after the first step on which it does
@@ -36,6 +40,7 @@ as CI does. The times are printed, not checked: they depend on the
 machine and its load. pytest does not collect this file; it is a script,
 not a test.
 """
+import itertools
 import math
 import sys
 import time
@@ -143,37 +148,60 @@ def train_step(flat, ws, features, labels, lr) -> None:
     update(flat, grads + [g_wh, g_bh], lr)
 
 
-def class_forward(ws, uf, ul, rf, rl, loss):
-    z, norms, hidden = encoder(np.array((rf, uf)), ws[:-2])
-    z_r, z_u = z[0], z[1]
-    positive = ul[:, None] == rl[None, :]
-    negative_mask = ~positive
-    n_neg = np.add.reduce(negative_mask, axis=1)
-    valid = n_neg >= 1
-    if not np.logical_or.reduce(valid):
+def class_term(s, terms):
+    """The class loss's value from the scaled similarities s, and its
+    adjoint on s for the loss's adjoint g, before the scaling."""
+    any_valid, negative, neg_coeff, constant = terms
+    if not any_valid:
         raise ValueError("no valid anchor")
+    neg_sum = np.add.reduce(s * negative, axis=1)
+    term = np.add.reduce(neg_sum * neg_coeff) + constant
+    return term, lambda g: (g * neg_coeff)[:, None] * negative
+
+
+def sample_term(s, terms):
+    """The sample loss's value and adjoint, as class_term's."""
+    any_valid, positive, negative, valid_f, pad, neg_coeff = terms
+    if not any_valid:
+        raise ValueError("no valid anchor")
+    neg_sum = np.add.reduce(s * negative, axis=1)
+    exp_s = np.exp(s)
+    check(exp_s)
+    pos_den = np.add.reduce(exp_s * positive, axis=1) + pad
+    if not (np.minimum.reduce(pos_den) > 0.0 and np.maximum.reduce(pos_den) < math.inf):
+        raise FloatingPointError("log of the positive sum is not finite")
+    term = np.add.reduce(neg_sum * neg_coeff + np.log(pos_den) * valid_f)
+
+    def adjoint(g):
+        g_den = (g * valid_f) / pos_den
+        return g_den[:, None] * positive * exp_s + (g * neg_coeff)[:, None] * negative
+
+    return term, adjoint
+
+
+def contrastive_forward(ws, stacked, rl, terms, loss, unlearn_term):
+    z, norms, hidden = encoder(stacked, ws[:-2])
+    z_r, z_u = z[0], z[1]
     inv_t = 1.0 / loss.temperature
     s = np.dot(z_u, z_r.T) * inv_t
     check(s)
-    negative = negative_mask.astype(np.float64)
-    neg_sum = np.add.reduce(s * negative, axis=1)
-    neg_coeff = np.where(valid, -1.0 / np.maximum(n_neg, 1), 0.0)
-    constant = float(np.add.reduce(np.log(n_neg[valid])))
-    term = np.add.reduce(neg_sum * neg_coeff) + constant
+    term, adjoint = unlearn_term(s, terms)
     if not math.isfinite(term):
         raise FloatingPointError("non-finite loss")
     ce, saved = head_ce(z_r, rl, ws[-2], ws[-1])
     value = float(term) * loss.unlearn_weight + float(ce) * loss.ce_weight
     if not math.isfinite(value):
         raise FloatingPointError("non-finite loss")
-    return z, norms, hidden, saved, negative, neg_coeff, inv_t
+    return z, norms, hidden, saved, adjoint, inv_t
 
 
-def class_step(flat, ws, uf, ul, rf, rl, loss, lr) -> None:
-    z, norms, hidden, saved, negative, neg_coeff, inv_t = class_forward(ws, uf, ul, rf, rl, loss)
+def contrastive_step(flat, ws, stacked, rl, terms, loss, unlearn_term, lr) -> None:
+    z, norms, hidden, saved, adjoint, inv_t = contrastive_forward(
+        ws, stacked, rl, terms, loss, unlearn_term
+    )
     z_r, z_u = z[0], z[1]
     g_zr, g_wh, g_bh = head_ce_backward(loss.ce_weight, z_r, rl, ws[-2], saved)
-    g_s = ((loss.unlearn_weight * neg_coeff)[:, None] * negative) * inv_t
+    g_s = adjoint(loss.unlearn_weight) * inv_t
     g_zu = np.dot(g_s, z_r)
     g_zr = g_zr + np.dot(z_u.T, g_s).T
     grads = encoder_backward(np.array([g_zr, g_zu]), z, norms, hidden, ws[:-2])
@@ -249,33 +277,55 @@ def main(src: Path) -> None:
             equal,
         )
 
-    cfg = pipeline.engine_config("class")
-    task = pipeline.class_task
-    forgotten = [
-        (b.features, b.labels)
-        for b in ul.batches(task.unlearn_train, 32, [0, 2, 0])
-        if len(b.labels) == 32
-    ]
-    rng = np.random.default_rng(0)
-    remaining = [ul.sample_remaining(task, 32, rng) for _ in range(2 * len(forgotten))]
-    pairs = [(*forgotten[j // 2], r.features, r.labels) for j, r in enumerate(remaining)]
-    params, flat, ws, equal = sides()
+    for name, inline_term in (("class", class_term), ("sample", sample_term)):
+        cfg = pipeline.engine_config(name)
+        steps = planned_steps(engine, getattr(pipeline, f"{name}_task"), cfg)
+        unlearn_term = engine._UNLEARN_TERMS[name][1]
+        params, flat, ws, equal = sides()
 
-    def pair(i):
-        return pairs[i % len(pairs)]
+        def step(i):
+            return steps[i % len(steps)]
 
-    def objective(p, i):
-        return engine._contrastive_objective(p, *pair(i), cfg.loss, engine._class_unlearn)
+        def inline(i):
+            _, _, rl, stacked, terms = step(i)
+            return stacked, rl, terms
 
-    with np.errstate(over="ignore", invalid="ignore"):
-        compare(
-            "class",
-            lambda i: engine._sgd_step(params, lambda p: objective(p, i), cfg.learning_rate, 0, 0),
-            lambda i: _taped(ul, lambda: objective(params, i)),
-            lambda i: class_step(flat, ws, *pair(i), cfg.loss, cfg.learning_rate),
-            lambda i: class_forward(ws, *pair(i), cfg.loss),
-            equal,
+        def objective(p, i):
+            return engine._contrastive_objective(p, *step(i), cfg.loss, unlearn_term)
+
+        with np.errstate(over="ignore", invalid="ignore"):
+            compare(
+                name,
+                lambda i: engine._sgd_step(
+                    params, lambda p: objective(p, i), cfg.learning_rate, 0, 0
+                ),
+                lambda i: _taped(ul, lambda: objective(params, i)),
+                lambda i: contrastive_step(
+                    flat, ws, *inline(i), cfg.loss, inline_term, cfg.learning_rate
+                ),
+                lambda i: contrastive_forward(ws, *inline(i), cfg.loss, inline_term),
+                equal,
+            )
+
+
+def planned_steps(engine, task, cfg, count=30) -> list:
+    """The first count planned steps on full forgotten batches with a valid
+    anchor, as (forgotten features, remaining features, remaining labels,
+    stack, terms), from as many of the engine's passes as it takes."""
+    rng = np.random.default_rng([cfg.seed, engine.TAG_REMAIN_SAMPLER])
+    label_terms = engine._UNLEARN_TERMS[task.kind][0]
+    steps = []
+    for epoch in itertools.count():
+        forgotten = engine._batches(
+            task.unlearn_train, cfg.batch_size, [cfg.seed, engine.TAG_UNLEARN_BATCHES, epoch]
         )
+        planned = len(forgotten) * cfg.remaining_resamples
+        plan = engine._contrastive_steps(task, forgotten, cfg, rng, label_terms)
+        for rf, rl, slot, stacked, terms in itertools.islice(plan, planned):
+            if slot >= 0 and terms[0]:
+                steps.append((forgotten[slot][0], rf, rl, stacked, terms))
+        if len(steps) >= count:
+            return steps[:count]
 
 
 def _taped(ul, forward):

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import unlearnlab as ul
-from unlearnlab import engine
+from unlearnlab import data, engine, losses
 from unlearnlab.data import TAG_REMAIN_SAMPLER, TAG_TRAIN_BATCHES, TAG_UNLEARN_BATCHES
 from unlearnlab.engine import (
     _termination_metrics,
@@ -470,6 +470,21 @@ class TestUnlearnLoop:
         assert [r["epoch"] for r in passes] == list(range(7))
         assert record.termination_reason == "epoch-cap"
 
+    def test_one_pass_call_evaluates_once(self):
+        # A cap of 1 and a check every 2 epochs, as the benchmark's unlearn
+        # workload calls a contrastive run pass by pass: the check before the
+        # pass, the pass, and no check after it.
+        params, task = harder_setup()
+        cfg = ul.EngineConfig(
+            seed=0, batch_size=4, max_unlearn_epochs=1, termination_every=2,
+            loss=ul.LossConfig(variant="sample", unlearn_weight=0.05),
+        )
+        _, record = ul.unlearn_contrastive(params, task, cfg)
+        assert [(r["kind"], r["epoch"]) for r in record.rows] == [("evaluation", 0), ("pass", 0)]
+        assert record.rows[0]["condition_met"] is False
+        assert record.termination_reason == "epoch-cap"
+        assert record.gradient_steps > 0
+
     def test_met_condition_stops_before_any_pass(self):
         model, task = impossible_task()
         # Predicting class 1 scores 0 on the unlearning rows and 1.0 on
@@ -648,6 +663,118 @@ class TestContrastive:
         )
         with pytest.raises(UnlearnableConfigurationError):
             ul.unlearn_contrastive(start, task, cfg)
+
+
+class TestStepTerms:
+    """The label-only terms and the stack a contrastive step reads, worked
+    out per block of planned steps, are the public path's bit for bit."""
+
+    @staticmethod
+    def recorded_steps(monkeypatch, task, cfg, params):
+        """Run one contrastive pass and return each step's (forgotten
+        labels, remaining labels, forgotten features, remaining features,
+        stack, terms) as the objective received them."""
+        forgotten, steps = [], []
+        real_batches, real_objective = engine._batches, engine._contrastive_objective
+
+        def batches(view, size, seed):
+            out = real_batches(view, size, seed)
+            forgotten.extend(out)
+            return out
+
+        def objective(p, uf, rf, rl, stacked, terms, loss, unlearn_term):
+            (ul_,) = [labels for features, labels, _ in forgotten if features is uf]
+            steps.append((ul_, rl, uf, rf, stacked, terms))
+            return real_objective(p, uf, rf, rl, stacked, terms, loss, unlearn_term)
+
+        monkeypatch.setattr(engine, "_batches", batches)
+        monkeypatch.setattr(engine, "_contrastive_objective", objective)
+        _, record = ul.unlearn_contrastive(params, task, cfg)
+        assert [r["kind"] for r in record.rows].count("pass") == 1
+        return steps
+
+    @staticmethod
+    def assert_public_terms(kind, steps):
+        label_terms = losses._sample_terms if kind == "sample" else losses._class_terms
+        for ul_, rl, uf, rf, stacked, terms in steps:
+            unit = np.ones((len(ul_), 1)), np.ones((len(rl), 1))
+            sets = ul.build_contrast_sets(ul_, unit[0], rl, unit[1])
+            want = losses._set_terms(label_terms, sets)
+            assert len(terms) == len(want)
+            for got, w in zip(terms, want):
+                got, w = np.asarray(got), np.asarray(w)
+                assert got.dtype == w.dtype and got.shape == w.shape
+                assert got.tobytes() == w.tobytes()
+            if len(uf) == len(rf):
+                assert stacked.dtype == np.float64
+                assert np.array_equal(stacked, np.array((rf, uf)))
+            else:
+                assert stacked is None
+
+    @pytest.mark.parametrize("kind", ["class", "sample"])
+    @pytest.mark.parametrize("block_values", [None, 3 * 7 * 8])
+    def test_planned_terms_are_the_public_ones(self, monkeypatch, kind, block_values):
+        # Batches of 7 rows leave a short last forgotten batch (30 class
+        # rows, 20 sampled ones), which takes its terms one step at a time.
+        # At 168 values a block holds 3 steps (a mask batch is 7 x 7, a
+        # stack 2 x 7 x 4), so the pass's planned steps span 3 or 2 blocks.
+        params, train, test = wide_setup()
+        if kind == "class":
+            spec = ul.TaskSpec(kind="class", class_id=1)
+        else:
+            spec = ul.TaskSpec(kind="sample", sample_count=20, seed=13)
+        task = ul.make_task(train, test, spec)
+        cfg = ul.EngineConfig(
+            seed=6, batch_size=7, remaining_resamples=2, max_unlearn_epochs=1,
+            loss=ul.LossConfig(variant=kind, unlearn_weight=0.5),
+        )
+        if block_values is not None:
+            monkeypatch.setattr(data, "_BLOCK_VALUES", block_values)
+        steps = self.recorded_steps(monkeypatch, task, cfg, params)
+        self.assert_public_terms(kind, steps)
+        full = sum(len(uf) == 7 for _, _, uf, *_ in steps)
+        assert 0 < full < len(steps)
+        blocks = {id(stacked.base) for *_, stacked, _ in steps if stacked is not None}
+        assert len(blocks) == (1 if block_values is None else -(-full // 3))
+
+    def test_redrawn_terms_are_the_public_ones(self, monkeypatch):
+        # test_redraws_past_the_planned_batches_match_the_reference_loop's
+        # task: redraws move planned batches off their slots and run past
+        # the 4 x 2 planned ones.
+        params, train, test = wide_setup()
+        forgotten = tuple(train.class_indices(1)[:28])
+        task = ul.make_task(train, test, ul.TaskSpec(kind="sample", sample_indices=forgotten))
+        cfg = ul.EngineConfig(
+            seed=7, batch_size=7, remaining_resamples=2, max_unlearn_epochs=1,
+            loss=ul.LossConfig(variant="sample", unlearn_weight=0.5),
+        )
+        steps = self.recorded_steps(monkeypatch, task, cfg, params)
+        self.assert_public_terms("sample", steps)
+        assert len(steps) > 4 * cfg.remaining_resamples
+        assert all(len(uf) == 7 for _, _, uf, *_ in steps)
+
+    @pytest.mark.parametrize("kind", ["class", "sample"])
+    def test_large_pass_is_planned_in_blocks(self, kind):
+        # Batches of 32 rows of width 8: a block holds 16 steps, whose mask
+        # batches are 16 x 32 x 32 values and stacks 16 x 2 x 32 x 8. 300
+        # class rows make 9 full forgotten batches and a short one of 12, so
+        # 4 resamples plan 36 steps on full batches: blocks of 16, 16 and 4.
+        train, test = ul.generate_synthetic(4, 8, 300, 10, seed=0)
+        task = ul.make_task(train, test, ul.TaskSpec(kind="class", class_id=0))
+        cfg = ul.EngineConfig(seed=0, batch_size=32, remaining_resamples=4)
+        label_terms = engine._UNLEARN_TERMS[kind][0]
+        forgotten = engine._batches(task.unlearn_train, 32, [0, TAG_UNLEARN_BATCHES, 0])
+        rng = np.random.default_rng(0)
+        plan = engine._contrastive_steps(task, forgotten, cfg, rng, label_terms)
+        steps = [next(plan) for _ in range(len(forgotten) * cfg.remaining_resamples)]
+        assert [slot for _, _, slot, _, _ in steps] == [j // 4 for j in range(36)] + [-1] * 4
+        # A planned step's stack and term arrays are rows of its block's.
+        stacks = {id(s.base): s.base for _, _, _, s, _ in steps[:36]}
+        assert [block.shape[0] for block in stacks.values()] == [16, 16, 4]
+        arrays = list(stacks.values()) + [
+            t.base for *_, terms in steps[:36] for t in terms if isinstance(t, np.ndarray)
+        ]
+        assert max(a.size for a in arrays) <= data._BLOCK_VALUES
 
 
 class TestFinetune:

@@ -21,6 +21,7 @@ from unlearnlab.errors import (
     NoValidAnchorError,
     ValidationError,
 )
+from unlearnlab import losses
 from unlearnlab.losses import (
     LossConfig,
     _contrast_sets,
@@ -363,8 +364,9 @@ class TestContracts:
             sets_of([[1.0, 0.0]], [0, 1], [[0.0, 1.0]], [1])
 
     def test_engine_core_builds_the_public_masks(self, rng):
-        # The engine calls _contrast_sets on the encoder's unit-norm rows
-        # without the public checks; the sets are the same.
+        # _contrast_sets, the core without the public checks, gives the same
+        # sets, and the engine's masks for a block of steps, by
+        # _positive_masks over a leading step axis, hold the same rows.
         a_emb, r_emb = as_tensor(unit_rows(rng, 5, 3)), as_tensor(unit_rows(rng, 9, 3))
         a_lab, r_lab = rng.integers(0, 3, 5), rng.integers(0, 3, 9)
         public = build_contrast_sets(a_lab, a_emb, r_lab, r_emb)
@@ -373,6 +375,9 @@ class TestContracts:
         assert core.remaining_embeddings is public.remaining_embeddings
         assert np.array_equal(core.positive_mask, public.positive_mask)
         assert np.array_equal(core.negative_mask, public.negative_mask)
+        block = losses._positive_masks(np.array([a_lab, a_lab[::-1]]), np.array([r_lab, r_lab]))
+        assert np.array_equal(block[0], public.positive_mask)
+        assert np.array_equal(block[1], public.positive_mask[::-1])
 
 
 class TestGradients:
@@ -638,6 +643,24 @@ class TestFusedLosses:
                 want = self.run_contrastive(composed, case, weight)
                 for g, w in zip(got, want):
                     assert bits_equal(g, w)
+
+    def test_class_constant_sums_the_valid_anchors_alone(self):
+        # Eight anchors, three of them without a negative among the two
+        # remaining rows: the constant sums the five valid anchors' log 2 as
+        # the composed loss does, over their own array. Zeros in the
+        # invalid anchors' places regroup numpy's pairwise sum, here into
+        # 3.465735902799726 against 3.4657359027997265.
+        rng = np.random.default_rng(0)
+        a_lab, r_lab = np.array([0, 1, 0, 1, 1, 1, 1, 0]), np.array([0, 0])
+        sets = sets_of(unit_rows(rng, 8, 3), a_lab, unit_rows(rng, 2, 3), r_lab)
+        constant = losses._set_terms(losses._class_terms, sets)[3]
+        want = np.sum(np.log(sets.negative_counts[a_lab == 1]))
+        assert np.float64(constant).tobytes() == want.tobytes()
+        case = (sets.anchor_embeddings.data, a_lab, sets.remaining_embeddings.data, r_lab, 0.5)
+        got = self.run_contrastive(class_unlearn_loss, case, 1.0)
+        want = self.run_contrastive(composed_class_loss, case, 1.0)
+        for g, w in zip(got, want):
+            assert bits_equal(g, w)
 
     @pytest.mark.parametrize("weight", [-0.0, -1.0, 0.0, 1.0])
     def test_cross_entropy_signed_zero_adjoints_bit_identical_to_composed(self, weight):
