@@ -46,9 +46,8 @@ EVAL_CAP = 500
 
 # Most float64 values of one array of a block: 128 KiB, glibc's default
 # mmap threshold, so that a block's arrays come from the heap and reuse
-# its memory instead of faulting fresh pages in. The untaped model passes
-# (``model._blocks``) and a contrastive pass's remaining batches
-# (``_remaining_blocks``), with what its steps read of them, run in such blocks.
+# its memory instead of faulting fresh pages in (``model._blocks``,
+# ``engine._contrastive_steps``).
 _BLOCK_VALUES = 16_384
 
 # Purpose tags keep RNG streams for different jobs independent even
@@ -630,41 +629,17 @@ def _batches(view: Dataset, batch_size: int, seed) -> list[tuple]:
 
 
 def sample_remaining(task: UnlearnTask, batch_size: int, rng: np.random.Generator) -> Batch:
-    """One uniform without-replacement batch from the remaining train view.
-
-    Draws fresh from the supplied generator on every call. An unlearning
-    pass draws its remaining batches through ``_remaining_blocks``,
-    which makes the same draws, in the same order.
-    """
-    return next(_remaining_batches(task, batch_size, rng, 1))
+    """One uniform without-replacement batch from the remaining train view,
+    drawn fresh from the supplied generator: ``_remaining_draws`` of one."""
+    return Batch(*(a[0] for a in _remaining_draws(task, batch_size, rng, 1)))
 
 
-def _remaining_batches(
-    task: UnlearnTask, batch_size: int, rng: np.random.Generator, planned: int
-):
-    """Yield remaining batches, each drawn as ``sample_remaining`` draws
-    one, for as long as they are asked for: the batches of
-    ``_remaining_blocks`` with the width of a feature row."""
-    width = task.remain_train.num_features
-    for features, labels, idx in _remaining_blocks(task, batch_size, rng, planned, width):
-        for j in range(len(idx)):
-            yield Batch(features[j], labels[j], idx[j])
-
-
-def _remaining_blocks(
-    task: UnlearnTask, batch_size: int, rng: np.random.Generator, planned: int, width: int
-):
-    """Yield remaining batches in blocks of (features, labels, indices),
-    each batch drawn as ``sample_remaining`` draws one, one ``rng.choice``
-    per batch in order, for as long as they are asked for.
-
-    The first planned batches, those a pass is sure to use, come in blocks
-    of as many batches as hold at most _BLOCK_VALUES values in an array of
-    width values per batch row (at least one), each block's rows gathered
-    by one index; later ones come one at a time, so no batch is drawn that
-    is not asked for. The batch-size rule runs when the first block is
-    asked for.
-    """
+def _remaining_draws(
+    task: UnlearnTask, batch_size: int, rng: np.random.Generator, count: int
+) -> tuple:
+    """count remaining batches as (features, labels, indices) with a leading
+    axis of count: one ``rng.choice`` per batch, in order, so the draws of
+    count calls of ``sample_remaining``, their rows gathered by one index."""
     remain = task.remain_train
     # The count rule runs only where the plain test fails.
     if type(batch_size) is not int or not 1 <= batch_size <= len(remain):
@@ -675,9 +650,5 @@ def _remaining_blocks(
                 f"remaining train view has {len(remain)} rows, need >= {batch_size}"
             )
     rows = len(remain)
-    per_block = max(1, _BLOCK_VALUES // (batch_size * width))
-    while True:
-        count = max(1, min(per_block, planned))
-        planned -= count
-        idx = np.array([rng.choice(rows, size=batch_size, replace=False) for _ in range(count)])
-        yield remain.features[idx], remain.labels[idx], idx
+    idx = np.array([rng.choice(rows, size=batch_size, replace=False) for _ in range(count)])
+    return remain.features[idx], remain.labels[idx], idx

@@ -27,26 +27,8 @@ and each run holds the one ``np.errstate`` its cores run under (the rule
 of ``tensor``). A step's objective is ``_ce_objective`` or
 ``_contrastive_objective``, and its losses are read as ``float(t.data)``.
 
-A contrastive pass draws its remaining batches from one generator
-(``data._remaining_blocks``), with the draws of ``sample_remaining`` in
-the same order. Each of the pass's (forgotten batches) x
-remaining_resamples slots takes at least one batch, so that many are
-drawn ahead, in blocks that each gather their rows with one index, the
-first when the first step asks for its batch. An anchor redraw takes the
-next batch, and past the planned count batches are drawn one at a time.
-So the stream is the one ``sample_remaining`` would give, draw for draw,
-and a pass draws no batch it does not use.
-
-What a step computes from its batches' labels alone, the contrast masks
-and the loss's label-only terms (``losses._sample_terms`` and
-``losses._class_terms``), and the (remaining, forgotten) stack of their
-features, which the step encodes as one stacked pass (``tensor._encoder``)
-with the bits of one pass each, are worked out per block of planned steps
-(``_contrastive_steps``), so a step does only the arithmetic that
-depends on the parameters. A step on the short last forgotten batch, or
-on a batch that an anchor redraw moved off its planned slot, works out
-its own terms through the same functions, with a leading axis of 1, and
-stacks its two batches itself where they have equal rows.
+A contrastive pass is planned in one place, ``_contrastive_steps``,
+so that its steps do only the arithmetic that depends on the parameters.
 
 Each run updates one private working copy of its starting parameters
 in place (``ModelParameters._working_copy``): the caller's parameters
@@ -61,6 +43,7 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from .data import (
+    _BLOCK_VALUES,
     TAG_REMAIN_SAMPLER,
     TAG_TRAIN_BATCHES,
     TAG_UNLEARN_BATCHES,
@@ -68,7 +51,7 @@ from .data import (
     UnlearnTask,
     _batches,
     _check_fits,
-    _remaining_blocks,
+    _remaining_draws,
 )
 from .errors import (
     DivergenceError,
@@ -280,38 +263,58 @@ def _contrastive_objective(
     return _combined(term, ce, loss), term, ce
 
 
-def _contrastive_steps(task: UnlearnTask, forgotten: list, cfg: EngineConfig, rng, label_terms):
-    """Yield a contrastive pass's remaining batches, each with what its step
-    reads: (features, labels, slot, stacked, terms).
+def _step_inputs(uf, ul, rf, rl, label_terms) -> tuple:
+    """What n steps read of their batches alone: their (remaining,
+    forgotten) feature stacks, or None each where the two batches' rows
+    differ, and ``label_terms`` of their contrast masks. uf is the steps'
+    forgotten features (n arrays), ul their (n, u) labels, rf and rl the
+    remaining batches' (n, B, K) features and (n, B) labels."""
+    positive = _positive_masks(ul, rl)
+    terms = label_terms(positive, ~positive)
+    if ul.shape[-1] != rl.shape[-1]:
+        return [None] * len(terms), terms
+    stacked = np.empty((len(rl), 2) + rf.shape[1:])
+    stacked[:, 0], stacked[:, 1] = rf, uf
+    return stacked, terms
 
-    The pass's forgotten batches are ``forgotten``, each taking
-    remaining_resamples slots in order, so planned batch k is planned for
-    forgotten batch k // remaining_resamples. The batches are drawn as
-    ``data._remaining_blocks`` draws them, the planned ones in blocks. A
-    planned batch for a forgotten batch of batch_size rows comes with that
-    batch's index as its slot, the (remaining, forgotten) stack of their
-    features and its label-only terms (``label_terms`` of their masks),
-    both worked out for the whole block at once; any other batch, for the
-    short last forgotten batch or past the plan, comes with slot -1 and
-    None. A block holds as many steps as keep each of its arrays within
+
+def _contrastive_steps(task: UnlearnTask, forgotten: list, cfg: EngineConfig, rng, label_terms):
+    """The plan of a contrastive pass: yield its remaining batches, each
+    with what its step reads, (features, labels, slot, stacked, terms).
+
+    Each of the pass's forgotten batches, ``forgotten``, takes
+    remaining_resamples slots in order, so slot j is planned for forgotten
+    batch j // remaining_resamples, and every slot takes at least one
+    remaining batch. So the pass's first len(forgotten) x
+    remaining_resamples batches are planned: each comes with its forgotten
+    batch's index as its slot, and with the stack and label-only terms of
+    ``_step_inputs``, worked out for a whole block of planned steps at once.
+    A block holds the steps of full forgotten batches or those of the short
+    last one, never both, and as many as keep each of its arrays within
     ``_BLOCK_VALUES`` values (at least one): a step's stack holds 2 x
     batch_size rows of features, its masks batch_size rows of batch_size.
+    Each block draws its batches (``data._remaining_draws``) when its first
+    step asks for one, so the batch-size rule and its errors come at the
+    first ``next``. An anchor redraw takes the next batch; the pass works
+    out its own ``_step_inputs`` for one that lands on another forgotten
+    batch's slot, and for each batch past the plan, drawn one at a time
+    with slot -1 and None. So the batches are ``sample_remaining``'s draws,
+    in order, and the pass draws none it does not use.
     """
     size, resamples = cfg.batch_size, cfg.remaining_resamples
-    planned = sum(len(labels) == size for _, labels, _ in forgotten) * resamples
-    width = max(2 * task.train.num_features, size)
-    k = 0
-    for rf, rl, _ in _remaining_blocks(task, size, rng, len(forgotten) * resamples, width):
-        n = max(0, min(len(rl), planned - k))
-        if n:
-            slots = [j // resamples for j in range(k, k + n)]
-            stacked = np.empty((n, 2) + rf.shape[1:])
-            stacked[:, 0], stacked[:, 1] = rf[:n], [forgotten[b][0] for b in slots]
-            positive = _positive_masks(np.array([forgotten[b][1] for b in slots]), rl[:n])
-            yield from zip(rf, rl, slots, stacked, label_terms(positive, ~positive))
-        for j in range(n, len(rl)):
-            yield rf[j], rl[j], -1, None, None
-        k += len(rl)
+    per_block = max(1, _BLOCK_VALUES // (size * max(2 * task.train.num_features, size)))
+    full = sum(len(labels) == size for _, labels, _ in forgotten) * resamples
+    planned = len(forgotten) * resamples
+    bounds = [*range(0, full, per_block), *range(full, planned, per_block), planned]
+    for k, end in zip(bounds, bounds[1:]):
+        slots = [j // resamples for j in range(k, end)]
+        rf, rl, _ = _remaining_draws(task, size, rng, end - k)
+        uf = [forgotten[b][0] for b in slots]
+        ul = np.array([forgotten[b][1] for b in slots])
+        yield from zip(rf, rl, slots, *_step_inputs(uf, ul, rf, rl, label_terms))
+    while True:
+        rf, rl, _ = _remaining_draws(task, size, rng, 1)
+        yield rf[0], rl[0], -1, None, None
 
 
 def _ce_pass(view: Dataset, tag: int, cfg: EngineConfig, sign: float = -1.0):
@@ -475,12 +478,10 @@ def unlearn_contrastive(
             for _ in range(cfg.remaining_resamples):
                 for _ in range(ANCHOR_RESAMPLE_LIMIT):
                     rf, rl, slot, stacked, terms = next(steps)
-                    if slot != b_index:
-                        # The short last forgotten batch, or a batch that a
-                        # redraw moved off the slot it was planned for.
-                        positive = _positive_masks(ul[None], rl[None])
-                        (terms,) = label_terms(positive, ~positive)
-                        stacked = np.array((rf, uf)) if len(uf) == len(rf) else None
+                    if slot != b_index:  # a redraw moved it off its planned slot
+                        (stacked,), (terms,) = _step_inputs(
+                            [uf], ul[None], rf[None], rl[None], label_terms
+                        )
                     try:
                         _, term, ce = _sgd_step(
                             params,

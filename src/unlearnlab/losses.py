@@ -41,29 +41,26 @@ to the sign of every zero. A temperature passed to a loss is checked by
 ``LossConfig``'s rule, with its message.
 
 Each public loss checks its inputs and then calls its core:
-``build_contrast_sets`` calls ``_contrast_sets``, ``cross_entropy_loss``
-``_cross_entropy``, the two contrastive losses ``_sample_unlearn``
-and ``_class_unlearn``, and ``combined_loss`` ``_combined``. A
-contrastive core takes the anchor and remaining embeddings and its
-step's label-only terms, which depend on the labels alone: whether any
-anchor is valid, the float masks, the negatives' per-anchor
-coefficients, and the sample loss's valid anchors and pad or the class
-loss's constant. ``_sample_terms`` and ``_class_terms`` work them out for
-S steps at once from (S, anchors, remaining) masks, which
-``_positive_masks`` builds from labels for any leading axes; the public
-losses call them on their sets' masks with a leading axis of 1, and the
-engine once per block of planned steps. So a step's core does only the
-arithmetic that depends on the embeddings, and it raises
-NoValidAnchorError before any of it. The engine calls the cores
-directly: its labels come from a Dataset whose class count
-``data._check_fits`` matched to the model's, its embeddings from the
-encoder, which makes them unit-norm, its combined terms from the cores,
-which make them scalars, and its temperature from a ``LossConfig``,
-which checked it. The cores never set numpy's error state (the rule of
-``tensor``): the public losses run them under an ``np.errstate`` that
-silences numpy's overflow warnings, as the engine's runs do, so finite
-inputs that overflow, such as a tiny temperature, reach the checks
-without a warning.
+``cross_entropy_loss`` calls ``_cross_entropy``, the two contrastive
+losses ``_sample_unlearn`` and ``_class_unlearn``, and ``combined_loss``
+``_combined``. A contrastive core takes the anchor and remaining
+embeddings and its step's label-only terms: whether any anchor is valid,
+the float masks, the negatives' per-anchor coefficients, and the sample
+loss's valid anchors and pad or the class loss's constant.
+``_sample_terms`` and ``_class_terms`` work them out for S steps at once
+from (S, anchors, remaining) masks, which ``_positive_masks`` builds from
+labels for any leading axes; the public losses call them with a leading
+axis of 1. So a step's core does only the arithmetic that depends on the
+embeddings, and it raises NoValidAnchorError before any of it. The
+engine calls the cores directly: its labels come from a Dataset whose
+class count ``data._check_fits`` matched to the model's, its embeddings
+from the encoder, which makes them unit-norm, its combined terms from
+the cores, which make them scalars, and its temperature from a
+``LossConfig``, which checked it. The cores never set numpy's error
+state (the rule of ``tensor``): the public losses run them under an
+``np.errstate`` that silences numpy's overflow warnings, as the engine's
+runs do, so finite inputs that overflow, such as a tiny temperature,
+reach the checks without a warning.
 """
 from __future__ import annotations
 
@@ -168,23 +165,8 @@ def build_contrast_sets(
             norms = np.linalg.norm(emb.data, axis=1)
             if np.any(np.abs(norms - 1.0) > 1e-6):
                 raise ContractError(f"{name} embeddings must be unit-norm")
-    return _contrast_sets(anchor_labels, anchor_embeddings, remaining_labels, remaining_embeddings)
-
-
-def _contrast_sets(
-    anchor_labels: np.ndarray,
-    anchor_embeddings: Tensor,
-    remaining_labels: np.ndarray,
-    remaining_embeddings: Tensor,
-) -> ContrastSets:
-    """build_contrast_sets' core, without its checks (see the module docstring)."""
     positive = _positive_masks(anchor_labels, remaining_labels)
-    return ContrastSets(
-        anchor_embeddings=anchor_embeddings,
-        remaining_embeddings=remaining_embeddings,
-        positive_mask=positive,
-        negative_mask=~positive,
-    )
+    return ContrastSets(anchor_embeddings, remaining_embeddings, positive, ~positive)
 
 
 def _positive_masks(anchor_labels: np.ndarray, remaining_labels: np.ndarray) -> np.ndarray:

@@ -322,7 +322,7 @@ def planned_steps(engine, task, cfg, count=30) -> list:
         planned = len(forgotten) * cfg.remaining_resamples
         plan = engine._contrastive_steps(task, forgotten, cfg, rng, label_terms)
         for rf, rl, slot, stacked, terms in itertools.islice(plan, planned):
-            if slot >= 0 and terms[0]:
+            if stacked is not None and terms[0]:
                 steps.append((forgotten[slot][0], rf, rl, stacked, terms))
         if len(steps) >= count:
             return steps[:count]

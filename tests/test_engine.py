@@ -1,12 +1,13 @@
 """Training loop, unlearning loop semantics, and termination predicates."""
 
+import sys
 import warnings
 
 import numpy as np
 import pytest
 
 import unlearnlab as ul
-from unlearnlab import data, engine, losses
+from unlearnlab import engine, losses
 from unlearnlab.data import TAG_REMAIN_SAMPLER, TAG_TRAIN_BATCHES, TAG_UNLEARN_BATCHES
 from unlearnlab.engine import (
     _termination_metrics,
@@ -14,6 +15,7 @@ from unlearnlab.engine import (
     check_termination_sample,
 )
 from unlearnlab.errors import (
+    ConfigurationError,
     DimensionError,
     DivergenceError,
     NonFiniteError,
@@ -711,25 +713,31 @@ class TestStepTerms:
             else:
                 assert stacked is None
 
-    @pytest.mark.parametrize("kind", ["class", "sample"])
-    @pytest.mark.parametrize("block_values", [None, 3 * 7 * 8])
-    def test_planned_terms_are_the_public_ones(self, monkeypatch, kind, block_values):
-        # Batches of 7 rows leave a short last forgotten batch (30 class
-        # rows, 20 sampled ones), which takes its terms one step at a time.
-        # At 168 values a block holds 3 steps (a mask batch is 7 x 7, a
-        # stack 2 x 7 x 4), so the pass's planned steps span 3 or 2 blocks.
+    @staticmethod
+    def short_batch_pass(kind):
+        """A one-pass run on wide_setup in batches of 7 rows, which leave a
+        short last forgotten batch (30 class rows, 20 sampled ones):
+        (params, task, cfg)."""
         params, train, test = wide_setup()
         if kind == "class":
             spec = ul.TaskSpec(kind="class", class_id=1)
         else:
             spec = ul.TaskSpec(kind="sample", sample_count=20, seed=13)
-        task = ul.make_task(train, test, spec)
         cfg = ul.EngineConfig(
             seed=6, batch_size=7, remaining_resamples=2, max_unlearn_epochs=1,
             loss=ul.LossConfig(variant=kind, unlearn_weight=0.5),
         )
+        return params, ul.make_task(train, test, spec), cfg
+
+    @pytest.mark.parametrize("kind", ["class", "sample"])
+    @pytest.mark.parametrize("block_values", [None, 3 * 7 * 8])
+    def test_planned_terms_are_the_public_ones(self, monkeypatch, kind, block_values):
+        # The short batch's steps make a block of their own. At 168 values a
+        # block holds 3 steps (a mask batch is 7 x 7, a stack 2 x 7 x 4), so
+        # the steps on full batches span 3 or 2 blocks.
+        params, task, cfg = self.short_batch_pass(kind)
         if block_values is not None:
-            monkeypatch.setattr(data, "_BLOCK_VALUES", block_values)
+            monkeypatch.setattr(engine, "_BLOCK_VALUES", block_values)
         steps = self.recorded_steps(monkeypatch, task, cfg, params)
         self.assert_public_terms(kind, steps)
         full = sum(len(uf) == 7 for _, _, uf, *_ in steps)
@@ -758,7 +766,8 @@ class TestStepTerms:
         # Batches of 32 rows of width 8: a block holds 16 steps, whose mask
         # batches are 16 x 32 x 32 values and stacks 16 x 2 x 32 x 8. 300
         # class rows make 9 full forgotten batches and a short one of 12, so
-        # 4 resamples plan 36 steps on full batches: blocks of 16, 16 and 4.
+        # 4 resamples plan 36 steps on full batches, in blocks of 16, 16 and
+        # 4, and the short batch's 4 steps in a block of their own.
         train, test = ul.generate_synthetic(4, 8, 300, 10, seed=0)
         task = ul.make_task(train, test, ul.TaskSpec(kind="class", class_id=0))
         cfg = ul.EngineConfig(seed=0, batch_size=32, remaining_resamples=4)
@@ -767,14 +776,83 @@ class TestStepTerms:
         rng = np.random.default_rng(0)
         plan = engine._contrastive_steps(task, forgotten, cfg, rng, label_terms)
         steps = [next(plan) for _ in range(len(forgotten) * cfg.remaining_resamples)]
-        assert [slot for _, _, slot, _, _ in steps] == [j // 4 for j in range(36)] + [-1] * 4
+        assert [slot for _, _, slot, _, _ in steps] == [j // 4 for j in range(40)]
         # A planned step's stack and term arrays are rows of its block's.
         stacks = {id(s.base): s.base for _, _, _, s, _ in steps[:36]}
         assert [block.shape[0] for block in stacks.values()] == [16, 16, 4]
-        arrays = list(stacks.values()) + [
+        short = {
+            id(t.base): t.base
+            for *_, terms in steps[36:] for t in terms if isinstance(t, np.ndarray)
+        }
+        assert all(s is None for _, _, _, s, _ in steps[36:])
+        assert short and all(block.shape[:2] == (4, 12) for block in short.values())
+        arrays = list(stacks.values()) + list(short.values()) + [
             t.base for *_, terms in steps[:36] for t in terms if isinstance(t, np.ndarray)
         ]
-        assert max(a.size for a in arrays) <= data._BLOCK_VALUES
+        assert max(a.size for a in arrays) <= engine._BLOCK_VALUES
+
+    @pytest.mark.parametrize("kind", ["class", "sample"])
+    def test_a_pass_without_redraws_is_planned_whole(self, monkeypatch, kind):
+        # Every slot takes one batch, so the pass works out no step's inputs
+        # itself, the short batch's included.
+        params, task, cfg = self.short_batch_pass(kind)
+        callers, drawn = [], []
+        step_inputs, draws = engine._step_inputs, engine._remaining_draws
+
+        def recorded_step_inputs(*args):
+            callers.append(sys._getframe(1).f_code.co_name)
+            return step_inputs(*args)
+
+        def recorded_draws(task, size, rng, count):
+            drawn.append(count)
+            return draws(task, size, rng, count)
+
+        monkeypatch.setattr(engine, "_step_inputs", recorded_step_inputs)
+        monkeypatch.setattr(engine, "_remaining_draws", recorded_draws)
+        _, record = ul.unlearn_contrastive(params, task, cfg)
+        slots = 2 * -(-len(task.unlearn_train) // 7)
+        assert sum(drawn) == record.gradient_steps == slots
+        assert callers == ["_contrastive_steps"] * 2
+
+    @pytest.mark.parametrize(
+        "width, batch_size, per_block", [(4, 16, 64), (512, 16, 1), (512, 40, 1)]
+    )
+    def test_blocks_hold_at_most_block_values(self, width, batch_size, per_block):
+        # A step's stack holds 2 x batch_size rows of width values and its
+        # masks batch_size rows of batch_size, so 2 blocks and 1 step more
+        # come in blocks of per_block, per_block and 1.
+        n = 2 * per_block + 1
+        per_class = -(-(n + 1) * batch_size // 3)
+        train, test = ul.generate_synthetic(3, width, per_class, 2, seed=0)
+        spec = ul.TaskSpec(kind="sample", sample_count=n * batch_size, seed=0)
+        task = ul.make_task(train, test, spec)
+        cfg = ul.EngineConfig(batch_size=batch_size, remaining_resamples=1)
+        forgotten = engine._batches(task.unlearn_train, batch_size, [0, TAG_UNLEARN_BATCHES, 0])
+        rng = np.random.default_rng(0)
+        plan = engine._contrastive_steps(task, forgotten, cfg, rng, losses._sample_terms)
+        blocks = {}
+        for _ in range(n):
+            rf, rl, _, stacked, terms = next(plan)
+            arrays = [rf, rl, stacked, *terms[1:]]
+            for i, a in enumerate(arrays):
+                while a.base is not None:  # the array the block's rows are in
+                    a = a.base
+                arrays[i] = a
+            blocks.setdefault(id(arrays[2]), arrays)
+        sizes = [arrays[2].shape[0] for arrays in blocks.values()]
+        assert sizes == [per_block, per_block, 1]
+        for arrays in blocks.values():
+            assert arrays[2].shape[0] == 1 or max(a.size for a in arrays) <= engine._BLOCK_VALUES
+
+    def test_errors_wait_for_the_first_batch(self):
+        train, test = ul.generate_synthetic(3, 4, 20, 2, seed=0)
+        task = ul.make_task(train, test, ul.TaskSpec(kind="sample", sample_count=5, seed=0))
+        cfg = ul.EngineConfig(batch_size=56)
+        forgotten = engine._batches(task.unlearn_train, 56, [0, TAG_UNLEARN_BATCHES, 0])
+        rng = np.random.default_rng(0)
+        plan = engine._contrastive_steps(task, forgotten, cfg, rng, losses._sample_terms)
+        with pytest.raises(ConfigurationError, match="remaining train view has 55 rows, need >= 56"):
+            next(plan)
 
 
 class TestFinetune:

@@ -24,7 +24,6 @@ from unlearnlab.errors import (
 from unlearnlab import losses
 from unlearnlab.losses import (
     LossConfig,
-    _contrast_sets,
     build_contrast_sets,
     class_unlearn_loss,
     combined_loss,
@@ -364,17 +363,12 @@ class TestContracts:
             sets_of([[1.0, 0.0]], [0, 1], [[0.0, 1.0]], [1])
 
     def test_engine_core_builds_the_public_masks(self, rng):
-        # _contrast_sets, the core without the public checks, gives the same
-        # sets, and the engine's masks for a block of steps, by
-        # _positive_masks over a leading step axis, hold the same rows.
+        # The engine's masks for a block of steps, by _positive_masks over a
+        # leading step axis, hold the public sets' rows.
         a_emb, r_emb = as_tensor(unit_rows(rng, 5, 3)), as_tensor(unit_rows(rng, 9, 3))
         a_lab, r_lab = rng.integers(0, 3, 5), rng.integers(0, 3, 9)
         public = build_contrast_sets(a_lab, a_emb, r_lab, r_emb)
-        core = _contrast_sets(a_lab, a_emb, r_lab, r_emb)
-        assert core.anchor_embeddings is public.anchor_embeddings
-        assert core.remaining_embeddings is public.remaining_embeddings
-        assert np.array_equal(core.positive_mask, public.positive_mask)
-        assert np.array_equal(core.negative_mask, public.negative_mask)
+        assert np.array_equal(public.negative_mask, ~public.positive_mask)
         block = losses._positive_masks(np.array([a_lab, a_lab[::-1]]), np.array([r_lab, r_lab]))
         assert np.array_equal(block[0], public.positive_mask)
         assert np.array_equal(block[1], public.positive_mask[::-1])
