@@ -2,10 +2,10 @@
 
 The unlearning loop walks the samples to forget in seeded epoch
 permutations. For each unlearning batch it repeats a fixed number of
-times: draw a fresh remaining batch, build contrast sets, take one
-gradient step on the combined objective (unlearning term plus
-cross-entropy on the remaining batch). After each pass the termination
-condition for the task kind is evaluated:
+times: draw a fresh remaining batch and take one gradient step on the
+combined objective (unlearning term plus cross-entropy on the remaining
+batch), whose label-only terms the pass's plan worked out. After each
+pass the termination condition for the task kind is evaluated:
 
     class task:  accuracy on the unlearning class's test view has
                  dropped to chance (1 / num_classes) or below;
@@ -29,6 +29,8 @@ of ``tensor``). A step's objective is ``_ce_objective`` or
 
 A contrastive pass is planned in one place, ``_contrastive_steps``,
 so that its steps do only the arithmetic that depends on the parameters.
+It reads the task kind's label-only terms function and core from the
+variant table of ``losses``, ``_UNLEARN_TERMS``.
 
 Each run updates one private working copy of its starting parameters
 in place (``ModelParameters._working_copy``): the caller's parameters
@@ -64,16 +66,7 @@ from .errors import (
     real_or_nan,
 )
 from .evaluation import accuracy
-from .losses import (
-    LossConfig,
-    _class_terms,
-    _class_unlearn,
-    _combined,
-    _cross_entropy,
-    _positive_masks,
-    _sample_terms,
-    _sample_unlearn,
-)
+from .losses import _UNLEARN_TERMS, LossConfig, _combined, _cross_entropy, _positive_masks
 from .model import (
     ModelArchitecture,
     ModelParameters,
@@ -88,13 +81,6 @@ from .tensor import GradTape, as_tensor
 # ANCHOR_RESAMPLE_LIMIT remaining batches in search of a usable anchor.
 DIVERGENCE_FACTOR = 10.0
 ANCHOR_RESAMPLE_LIMIT = 8
-
-# Each task kind's label-only terms and the unlearning term that reads them.
-_UNLEARN_TERMS = {
-    "sample": (_sample_terms, _sample_unlearn),
-    "class": (_class_terms, _class_unlearn),
-}
-
 
 @dataclass(frozen=True)
 class EngineConfig:
@@ -500,7 +486,7 @@ def unlearn_contrastive(
                     break
                 else:
                     skipped += 1
-        if loss.unlearn_weight > 0 and not ul_losses:
+        if not ul_losses:
             raise UnlearnableConfigurationError(
                 f"epoch {epoch}: no remaining batch yielded a usable anchor"
             )
@@ -508,8 +494,8 @@ def unlearn_contrastive(
             {
                 "kind": "pass",
                 "epoch": epoch,
-                "mean_unlearn_loss": float(np.mean(ul_losses)) if ul_losses else 0.0,
-                "mean_ce": float(np.mean(ce_losses)) if ce_losses else 0.0,
+                "mean_unlearn_loss": float(np.mean(ul_losses)),
+                "mean_ce": float(np.mean(ce_losses)),
                 "skipped_steps": skipped,
             }
         )

@@ -41,22 +41,25 @@ to the sign of every zero. A temperature passed to a loss is checked by
 ``LossConfig``'s rule, with its message.
 
 Each public loss checks its inputs and then calls its core:
-``cross_entropy_loss`` calls ``_cross_entropy``, the two contrastive
-losses ``_sample_unlearn`` and ``_class_unlearn``, and ``combined_loss``
-``_combined``. A contrastive core takes the anchor and remaining
-embeddings and its step's label-only terms: whether any anchor is valid,
-the float masks, the negatives' per-anchor coefficients, and the sample
-loss's valid anchors and pad or the class loss's constant.
-``_sample_terms`` and ``_class_terms`` work them out for S steps at once
-from (S, anchors, remaining) masks, which ``_positive_masks`` builds from
-labels for any leading axes; the public losses call them with a leading
-axis of 1. So a step's core does only the arithmetic that depends on the
+``cross_entropy_loss`` calls ``_cross_entropy`` and ``combined_loss``
+``_combined``. The two contrastive losses find theirs in
+``_UNLEARN_TERMS``, the one table of the variants: its keys are the
+variant names ``LossConfig`` accepts, and each value is the variant's
+label-only terms function and its core. A contrastive core takes the
+anchor and remaining embeddings and its step's label-only terms: whether
+any anchor is valid, the float masks, the negatives' per-anchor
+coefficients, and the sample loss's valid anchors and pad or the class
+loss's constant. ``_sample_terms`` and ``_class_terms`` work them out for
+S steps at once from (S, anchors, remaining) masks, which
+``_positive_masks`` builds from labels for any leading axes; the public
+losses call them, through ``_unlearn_loss``, with a leading axis of 1.
+So a step's core does only the arithmetic that depends on the
 embeddings, and it raises NoValidAnchorError before any of it. The
-engine calls the cores directly: its labels come from a Dataset whose
-class count ``data._check_fits`` matched to the model's, its embeddings
-from the encoder, which makes them unit-norm, its combined terms from
-the cores, which make them scalars, and its temperature from a
-``LossConfig``, which checked it. The cores never set numpy's error
+engine reads the same table and calls the cores directly: its labels
+come from a Dataset whose class count ``data._check_fits`` matched to
+the model's, its embeddings from the encoder, which makes them
+unit-norm, its combined terms from the cores, which make them scalars,
+and its temperature from a ``LossConfig``, which checked it. The cores never set numpy's error
 state (the rule of ``tensor``): the public losses run them under an
 ``np.errstate`` that silences numpy's overflow warnings, as the engine's
 runs do, so finite inputs that overflow, such as a tiny temperature,
@@ -80,9 +83,6 @@ from .errors import (
     real_or_nan,
 )
 from .tensor import Tensor
-
-VARIANTS = ("sample", "class")
-
 
 def _temperature_problems(temperature) -> list[str]:
     """The temperature rule of LossConfig and of every loss that takes a
@@ -109,8 +109,8 @@ class LossConfig:
                 problems.append(f"{name} must be a finite number >= 0, got {value!r}")
         if sum(map(real_or_nan, weights.values())) <= 0:
             problems.append("at least one term weight must be positive")
-        if not isinstance(self.variant, str) or self.variant not in VARIANTS:
-            problems.append(f"variant must be one of {VARIANTS}")
+        if not isinstance(self.variant, str) or self.variant not in _UNLEARN_TERMS:
+            problems.append(f"variant must be one of {tuple(_UNLEARN_TERMS)}")
         if problems:
             raise ValidationError("invalid loss config: " + "; ".join(problems))
         for name in ("temperature", "unlearn_weight", "ce_weight"):
@@ -130,15 +130,6 @@ class ContrastSets:
     remaining_embeddings: Tensor
     positive_mask: np.ndarray
     negative_mask: np.ndarray
-
-    # The ufunc reductions directly; the ndarray methods add Python wrappers.
-    @property
-    def positive_counts(self) -> np.ndarray:
-        return np.add.reduce(self.positive_mask, axis=1)
-
-    @property
-    def negative_counts(self) -> np.ndarray:
-        return np.add.reduce(self.negative_mask, axis=1)
 
 
 def build_contrast_sets(
@@ -260,28 +251,6 @@ def _record_contrastive(
     return out
 
 
-def _set_terms(label_terms, sets: ContrastSets) -> tuple:
-    """The label-only terms of the one step sets describes."""
-    (terms,) = label_terms(sets.positive_mask[None], sets.negative_mask[None])
-    return terms
-
-
-def sample_unlearn_loss(sets: ContrastSets, temperature: float) -> Tensor:
-    """Sample-variant unlearning loss summed over valid anchors.
-
-    Valid anchors have at least one positive and one negative; the rest
-    contribute exactly zero. Raises when no anchor is valid so the
-    caller can resample the remaining batch.
-    """
-    if problems := _temperature_problems(temperature):
-        raise ValidationError(problems[0])
-    terms = _set_terms(_sample_terms, sets)
-    with np.errstate(over="ignore", invalid="ignore"):  # the core's finite checks pick the error
-        return _sample_unlearn(
-            sets.anchor_embeddings, sets.remaining_embeddings, terms, temperature
-        )
-
-
 def _sample_unlearn(a: Tensor, r: Tensor, terms: tuple, temperature: float) -> Tensor:
     """sample_unlearn_loss' core on anchor and remaining embeddings and
     one step's ``_sample_terms``, without the temperature rule and errstate."""
@@ -311,19 +280,6 @@ def _sample_unlearn(a: Tensor, r: Tensor, terms: tuple, temperature: float) -> T
     return _record_contrastive(value, a, r, temperature, similarity_adjoint, "sample_unlearn_loss")
 
 
-def class_unlearn_loss(sets: ContrastSets, temperature: float) -> Tensor:
-    """Class-variant unlearning loss summed over valid anchors.
-
-    Only a negative set is required; the positive-sum denominator is
-    replaced by the negative count.
-    """
-    if problems := _temperature_problems(temperature):
-        raise ValidationError(problems[0])
-    terms = _set_terms(_class_terms, sets)
-    with np.errstate(over="ignore", invalid="ignore"):  # the core's finite checks pick the error
-        return _class_unlearn(sets.anchor_embeddings, sets.remaining_embeddings, terms, temperature)
-
-
 def _class_unlearn(a: Tensor, r: Tensor, terms: tuple, temperature: float) -> Tensor:
     """class_unlearn_loss' core on anchor and remaining embeddings and one
     step's ``_class_terms``, without the temperature rule and errstate."""
@@ -342,6 +298,45 @@ def _class_unlearn(a: Tensor, r: Tensor, terms: tuple, temperature: float) -> Te
         return (g * neg_coeff)[:, None] * negative
 
     return _record_contrastive(value, a, r, temperature, similarity_adjoint, "class_unlearn_loss")
+
+
+# Each variant's label-only terms and the core that reads them, for the
+# public losses and the engine alike.
+_UNLEARN_TERMS = {
+    "sample": (_sample_terms, _sample_unlearn),
+    "class": (_class_terms, _class_unlearn),
+}
+
+
+def _unlearn_loss(variant: str, sets: ContrastSets, temperature: float) -> Tensor:
+    """A public contrastive loss: the temperature rule, then the variant's
+    core on the one step sets describes, under the errstate of the rule of
+    ``tensor``."""
+    if problems := _temperature_problems(temperature):
+        raise ValidationError(problems[0])
+    label_terms, core = _UNLEARN_TERMS[variant]
+    (terms,) = label_terms(sets.positive_mask[None], sets.negative_mask[None])
+    with np.errstate(over="ignore", invalid="ignore"):  # the core's finite checks pick the error
+        return core(sets.anchor_embeddings, sets.remaining_embeddings, terms, temperature)
+
+
+def sample_unlearn_loss(sets: ContrastSets, temperature: float) -> Tensor:
+    """Sample-variant unlearning loss summed over valid anchors.
+
+    Valid anchors have at least one positive and one negative; the rest
+    contribute exactly zero. Raises when no anchor is valid so the
+    caller can resample the remaining batch.
+    """
+    return _unlearn_loss("sample", sets, temperature)
+
+
+def class_unlearn_loss(sets: ContrastSets, temperature: float) -> Tensor:
+    """Class-variant unlearning loss summed over valid anchors.
+
+    Only a negative set is required; the positive-sum denominator is
+    replaced by the negative count.
+    """
+    return _unlearn_loss("class", sets, temperature)
 
 
 def cross_entropy_loss(logits: Tensor, labels: np.ndarray) -> Tensor:

@@ -224,10 +224,9 @@ class GradTape:
         Runs the tape in exact reverse order. Every op's backward returns
         each input's adjoint in that input's shape. An entry with several
         outputs (an encoder stack's parts) gets the list of their adjoints,
-        None for a part nothing used, and runs if any part has one. An
-        input may be a leaf or an intermediate result; one that did not
-        participate in producing the output gets an exact zero adjoint of
-        its own shape.
+        since the caller of ``_encoder`` uses every part. An input may be a
+        leaf or an intermediate result; one that did not participate in
+        producing the output gets an exact zero adjoint of its own shape.
         """
         if output.shape != ():
             raise ContractError(f"gradient of non-scalar output with shape {output.shape}")
@@ -237,10 +236,7 @@ class GradTape:
             if g_out is None:
                 if type(out_tid) is not tuple:
                     continue
-                # A stack's parts: their adjoints, None where unused.
-                g_out = [adjoints.get(tid) for tid in out_tid]
-                if all(g is None for g in g_out):
-                    continue
+                g_out = [adjoints[tid] for tid in out_tid]  # a stack's parts
             for tid, g_in in zip(in_tids, backward(g_out)):
                 if tid in adjoints:
                     adjoints[tid] = adjoints[tid] + g_in
@@ -392,17 +388,18 @@ def _encoder(x: np.ndarray, weights: Sequence[Tensor], activation: str):
     part (see ``_dot``) and its reductions run along each part's own rows
     or columns, so every part's values and adjoints have the bits of the
     part's own pass. The entry's weight adjoints are the parts' in part
-    order, summed, as a replay sums those of one entry per part; a part
-    with no adjoint adds nothing. A stack that fails reruns its parts one
-    by one, first to last, to raise the error of the first failing part's
-    own pass: the stack checks all parts at each layer before the next,
-    and every norm for overflow before any for zero.
+    order, summed, as a replay sums those of one entry per part. A stack
+    that fails reruns its parts one by one, first to last, to raise the
+    error of the first failing part's own pass: the stack checks all parts
+    at each layer before the next, and every norm for overflow before any
+    for zero.
 
-    The caller guarantees the shapes, and that x is a finite float64
-    batch no one writes to: it is used without a copy and taped as a
-    constant, so the tape records only the weights. It also holds the
-    errstate that silences numpy's overflow and invalid warnings (see the
-    module docstring).
+    The caller guarantees the shapes, that a loss it differentiates reads
+    every part of a stack, and that x is a finite float64 batch no one
+    writes to: it is used without a copy and taped as a constant, so the
+    tape records only the weights. It also holds the errstate that
+    silences numpy's overflow and invalid warnings (see the module
+    docstring).
     """
     hidden = [x]  # every layer's input
     # A finite batch's products and squared norms may overflow; each layer's
@@ -421,8 +418,8 @@ def _encoder(x: np.ndarray, weights: Sequence[Tensor], activation: str):
     # A finite row over a finite norm above NORM_EPSILON is finite.
     z = emb / norms
 
-    def adjoints(g, z=z, norms=norms, hidden=hidden):
-        # A batch's backward; a stack's passes the arrays of its used parts.
+    def adjoints(g):
+        # A batch's backward, or a stack's on its parts' adjoints as one array.
         # For z = v / |v|: dv = (g - z (z.g)) / |v|, applied per row.
         inner = np.add.reduce(z * g, axis=-1, keepdims=True)
         g = (g - z * inner) / norms
@@ -442,17 +439,12 @@ def _encoder(x: np.ndarray, weights: Sequence[Tensor], activation: str):
         return out
 
     def stack_backward(gs):
-        used = [p for p, g in enumerate(gs) if g is not None]
-        if len(used) == len(gs):
-            grads = adjoints(np.array(gs))
-        else:  # a part no output used adds nothing
-            grads = adjoints(np.array([gs[p] for p in used]), z[used], norms[used],
-                             [h[used] for h in hidden])
+        grads = adjoints(np.array(gs))
         # Each weight's part adjoints summed in part order, the sum a replay
         # forms over one entry per part. np.add.reduce would start from +0.0,
         # which turns a -0.0 that every part shares into 0.0.
         sums = [g[0] for g in grads]
-        for p in range(1, len(used)):
+        for p in range(1, len(gs)):
             sums = [s + g[p] for s, g in zip(sums, grads)]
         return sums
 

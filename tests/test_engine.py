@@ -697,11 +697,11 @@ class TestStepTerms:
 
     @staticmethod
     def assert_public_terms(kind, steps):
-        label_terms = losses._sample_terms if kind == "sample" else losses._class_terms
+        label_terms = losses._UNLEARN_TERMS[kind][0]
         for ul_, rl, uf, rf, stacked, terms in steps:
             unit = np.ones((len(ul_), 1)), np.ones((len(rl), 1))
             sets = ul.build_contrast_sets(ul_, unit[0], rl, unit[1])
-            want = losses._set_terms(label_terms, sets)
+            (want,) = label_terms(sets.positive_mask[None], sets.negative_mask[None])
             assert len(terms) == len(want)
             for got, w in zip(terms, want):
                 got, w = np.asarray(got), np.asarray(w)

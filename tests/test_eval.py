@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 import unlearnlab as ul
+from unlearnlab import evaluation
 from unlearnlab.errors import DimensionError, NonFiniteError, ValidationError
 from unlearnlab.evaluation import (
     AttackModel,
@@ -277,6 +278,35 @@ class TestGeometry:
         out = tmp_path / "geometry.csv"
         report.write_csv(out)
         assert out.read_text().splitlines()[1] == "2,1,,"
+
+    def test_max_other_keeps_the_first_of_equal_values(self, monkeypatch, tmp_path):
+        # A forgotten class-0 row whose similarities to classes 1 and 2 are
+        # -0.0 and then 0.0: its maximum is the first in class order, -0.0,
+        # as Python's max gives, where np.max gives 0.0. numpy's products sum
+        # from +0.0, so no encoded row has a similarity of -0.0: here the
+        # embeddings are the features, and their product with a one-hot
+        # centroid is the entry it marks, a -0.0 included.
+        class Picked(np.ndarray):
+            def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
+                inputs = [np.asarray(x) for x in inputs]
+                if ufunc is np.matmul:
+                    z, centroid = inputs
+                    return z[..., np.argmax(centroid)][..., None]
+                return getattr(ufunc, method)(*inputs, **kwargs)
+
+        features = np.array([[0.0, 1.0, 0.0], [0.0, 0.0, 1.0], [1.0, -0.0, 0.0]])
+        train = ul.Dataset(features, np.array([1, 2, 0]), 3)
+        task = ul.make_task(train, train, ul.TaskSpec(kind="class", class_id=0))
+        params = ul.init_parameters(ul.ModelArchitecture(3, (4,), 3, 3), seed=0)
+        monkeypatch.setattr(evaluation, "_untaped", lambda params, x, head=True: x.view(Picked))
+        report = embedding_geometry(params, task)
+        (row,) = report.rows
+        assert report.absent_classes == [0]
+        assert row["own_class_similarity"] is None
+        assert repr(row["max_other_similarity"]) == "-0.0"
+        out = tmp_path / "geometry.csv"
+        report.write_csv(out)
+        assert out.read_text().splitlines()[1] == "2,0,,-0.0"
 
 
 class TestAttackFeatures:

@@ -88,8 +88,8 @@ def composed_similarities(sets, tau):
 
 def composed_sample_loss(sets, tau):
     """The sample loss built from public tensor ops, one tape entry each."""
-    n_neg = sets.negative_counts
-    valid = (sets.positive_counts >= 1) & (n_neg >= 1)
+    n_neg = np.count_nonzero(sets.negative_mask, axis=1)
+    valid = (np.count_nonzero(sets.positive_mask, axis=1) >= 1) & (n_neg >= 1)
     s = composed_similarities(sets, tau)
     neg_sum = reduce_sum(multiply(s, sets.negative_mask.astype(np.float64)), axis=1)
     pos_den = reduce_sum(multiply(exp(s), sets.positive_mask.astype(np.float64)), axis=1)
@@ -104,7 +104,7 @@ def composed_sample_loss(sets, tau):
 
 def composed_class_loss(sets, tau):
     """The class loss built from public tensor ops, one tape entry each."""
-    n_neg = sets.negative_counts
+    n_neg = np.count_nonzero(sets.negative_mask, axis=1)
     valid = n_neg >= 1
     s = composed_similarities(sets, tau)
     neg_sum = reduce_sum(multiply(s, sets.negative_mask.astype(np.float64)), axis=1)
@@ -318,8 +318,8 @@ class TestValidity:
             [[0.0, 1.0], [0.0, -1.0], [1.0, 0.0]],
             [0, 0, 1],
         )
-        assert np.array_equal(sets.positive_counts, [2, 1])
-        assert np.array_equal(sets.negative_counts, [1, 2])
+        assert np.array_equal(np.count_nonzero(sets.positive_mask, axis=1), [2, 1])
+        assert np.array_equal(np.count_nonzero(sets.negative_mask, axis=1), [1, 2])
 
 
 class TestContracts:
@@ -647,9 +647,9 @@ class TestFusedLosses:
         rng = np.random.default_rng(0)
         a_lab, r_lab = np.array([0, 1, 0, 1, 1, 1, 1, 0]), np.array([0, 0])
         sets = sets_of(unit_rows(rng, 8, 3), a_lab, unit_rows(rng, 2, 3), r_lab)
-        constant = losses._set_terms(losses._class_terms, sets)[3]
-        want = np.sum(np.log(sets.negative_counts[a_lab == 1]))
-        assert np.float64(constant).tobytes() == want.tobytes()
+        (terms,) = losses._class_terms(sets.positive_mask[None], sets.negative_mask[None])
+        want = np.sum(np.log(np.count_nonzero(sets.negative_mask, axis=1)[a_lab == 1]))
+        assert np.float64(terms[3]).tobytes() == want.tobytes()
         case = (sets.anchor_embeddings.data, a_lab, sets.remaining_embeddings.data, r_lab, 0.5)
         got = self.run_contrastive(class_unlearn_loss, case, 1.0)
         want = self.run_contrastive(composed_class_loss, case, 1.0)

@@ -580,9 +580,9 @@ def _stack_case(activation, batch, seed=5):
 
 
 def _weighted_sum(parts, downstream):
-    """sum over the used parts of sum(z * r), composed; None skips a part."""
-    terms = [reduce_sum(multiply(z, r)) for z, r in zip(parts, downstream) if z is not None]
-    return terms[0] if len(terms) == 1 else add(terms[0], terms[1])
+    """sum over both parts of sum(z * r), composed."""
+    terms = [reduce_sum(multiply(z, r)) for z, r in zip(parts, downstream)]
+    return add(terms[0], terms[1])
 
 
 class TestEncoderStack:
@@ -625,24 +625,6 @@ class TestEncoderStack:
 
             fd = finite_difference_gradient(f, weights[k].data)
             assert gradient_relative_error(grads[k].data, fd) < 1e-6
-
-    @pytest.mark.parametrize("used", [0, 1], ids=["remaining-only", "forgotten-only"])
-    def test_unused_part_adds_nothing(self, used):
-        x_r, x_u, weights, down = _stack_case("relu", 16)
-        _, _, stack_grads = self.taped(
-            lambda: [z if p == used else None
-                     for p, z in enumerate(_encoder(np.stack((x_r, x_u)), weights, "relu"))],
-            weights, down,
-        )
-
-        def encode_alone():
-            parts = [None, None]
-            parts[used] = _encoder((x_r, x_u)[used], weights, "relu")
-            return parts
-
-        _, _, part_grads = self.taped(encode_alone, weights, down)
-        for got, want in zip(stack_grads, part_grads):
-            assert bits_equal(got.data, want.data)
 
     # As in TestEncoder: a row of zeros embeds to the zero vector, a row of
     # ones to a finite one whose norm overflows. The stack checks every
